@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,23 +41,34 @@ def reflex_norm(x: CycloElem) -> CycloElem:
     return x * x.galois(3)
 
 
-def h_map(x: CycloElem) -> np.ndarray:
-    """The 4x4 rational matrix with x*xi_j = sum_k h[j,k] xi_k on the CM basis."""
-    assert x.n == 5
+@lru_cache(maxsize=None)
+def _h_powers() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    # entry [j][k] lists h(zeta^i)[j, k] for i = 0..3, by exact solves on the CM basis
     basis = _basis()
-    cols = [list(b.coeffs) for b in basis]
-    bmat = [[cols[k][i] for k in range(4)] for i in range(4)]
-    rows = []
-    for xj in basis:
-        target = (x * xj).coeffs
-        sol = solve_exact(bmat, list(target))
-        assert sol is not None
-        rows.append(sol)
+    bmat = [[basis[k].coeffs[i] for k in range(4)] for i in range(4)]
+    hs = []
+    for i in range(4):
+        zi = CycloElem.zeta(5, i)
+        rows = [solve_exact(bmat, list((zi * xj).coeffs)) for xj in basis]
+        assert all(v.denominator == 1 for row in rows for v in row)
+        hs.append([[int(v) for v in row] for row in rows])
+    return tuple(tuple(tuple(h[j][k] for h in hs) for k in range(4)) for j in range(4))
+
+
+def h_map(x: CycloElem) -> np.ndarray:
+    """The 4x4 rational matrix with x*xi_j = sum_k h[j,k] xi_k on the CM basis.
+
+    h is Q-linear in x, so h(x) = sum_i c_i h(zeta^i) over the power-basis
+    coefficients c_i of x.
+    """
+    assert x.n == 5
+    num, den = x.num, x.den
+    rows = [[sum(c * v for c, v in zip(num, entry)) for entry in row] for row in _h_powers()]
+    if den != 1:
+        fracs = ([Fraction(v, den) for v in row] for row in rows)
+        rows = [[int(q) if q.denominator == 1 else q for q in row] for row in fracs]
     out = np.empty((4, 4), dtype=object)
-    for j in range(4):
-        for k in range(4):
-            v = rows[j][k]
-            out[j, k] = int(v) if v.denominator == 1 else v
+    out[:] = rows
     return out
 
 
@@ -124,12 +136,12 @@ class GaloisActor:
     @classmethod
     def build(cls, x: CycloElem, p: int) -> "GaloisActor":
         assert p % 2 == 1 and p > 2
-        assert all(c.denominator == 1 for c in x.coeffs), "actor must be an algebraic integer"
+        assert x.den == 1, "actor must be an algebraic integer"
         reflex = reflex_norm(x)
         h = h_map(reflex)
         assert all(isinstance(v, int) for v in h.flat)
         level = 2 * p * p
-        h_mod = intmat(np.vectorize(lambda v: v % level, otypes=[object])(h))
+        h_mod = h % level
         nu = sympl_multiplier(h, modulus=level)
         norm = field_norm(x)
         assert norm.denominator == 1
@@ -209,8 +221,8 @@ def belong_criterion(x, p: int) -> BelongResult:
     cross-checked against the literal matrix row.
     """
     if isinstance(x, CycloElem):
-        assert all(c.denominator == 1 for c in x.coeffs)
-        coords = [int(c) for c in x.coeffs] + [0]
+        assert x.den == 1
+        coords = list(x.num) + [0]
     else:
         coords = [int(v) for v in x]
         assert len(coords) == 5

@@ -1,8 +1,9 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n), plus roots of unity as formal phases.
 
-Elements are represented on the power basis 1, zeta, ..., zeta^(phi(n)-1) with
-Fraction coefficients, reduced via the n-th cyclotomic polynomial.  Everything
-here is exact; numerical embeddings are the only place floats appear.
+Elements are represented on the power basis 1, zeta, ..., zeta^(phi(n)-1) by
+integer numerators over one common denominator, reduced via the n-th
+cyclotomic polynomial.  Everything here is exact; numerical embeddings are the
+only place floats appear.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from functools import lru_cache
 import mpmath
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     result = n
     m, p = n, 2
@@ -70,6 +72,13 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
+def _sparse_powers(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # the nonzero (index, coefficient) pairs of each row of _power_table(n)
+    return tuple(tuple((j, t) for j, t in enumerate(row) if t) for row in _power_table(n))
+
+
+@lru_cache(maxsize=None)
 def unit_residues(n: int) -> tuple[int, ...]:
     """Residues coprime to n, i.e. (Z/n)^* as a sorted tuple."""
     return tuple(a for a in range(1, n + 1) if math.gcd(a, n) == 1)
@@ -78,36 +87,65 @@ def unit_residues(n: int) -> tuple[int, ...]:
 class CycloElem:
     """An element of Q(zeta_n), exact.
 
-    Coefficients live on the power basis of length phi(n).  Mixed-order
-    arithmetic lifts both operands into the compositum Q(zeta_lcm).
+    Stored as integer numerators `num` on the power basis of length phi(n) over
+    one positive common denominator `den`, with gcd(den, *num) = 1, so equal
+    elements of one order have equal fields.  Mixed-order arithmetic lifts both
+    operands into the compositum Q(zeta_lcm).
     """
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, coeffs) -> None:
+        cs = list(coeffs)
+        if all(type(c) is int for c in cs):
+            self._set(n, cs, 1)
+            return
+        fracs = [Fraction(c) for c in cs]
+        den = math.lcm(*(f.denominator for f in fracs))
+        self._set(n, [f.numerator * (den // f.denominator) for f in fracs], den)
+
+    def _set(self, n: int, num: list[int], den: int) -> None:
+        # reduce num (up to max(n, 2*phi-1) powers) mod Phi_n and normalise num/den by their gcd
         phi = euler_phi(n)
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > phi:
-            table = _power_table(n)
-            reduced = [Fraction(0)] * phi
-            for m, c in enumerate(cs):
+        if len(num) > phi:
+            rows = _sparse_powers(n)
+            head = num[:phi]
+            for m in range(phi, len(num)):
+                c = num[m]
                 if c:
-                    for j, t in enumerate(table[m]):
-                        reduced[j] += c * t
-            cs = reduced
-        else:
-            cs += [Fraction(0)] * (phi - len(cs))
+                    for j, t in rows[m]:
+                        head[j] += c * t
+            num = head
+        elif len(num) < phi:
+            num = num + [0] * (phi - len(num))
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [v // g for v in num]
+            den //= g
         self.n = n
-        self.coeffs = tuple(cs)
+        self.num = tuple(num)
+        self.den = den
+
+    @classmethod
+    def _make(cls, n: int, num: list[int], den: int = 1) -> "CycloElem":
+        """num / den over any number of powers of zeta_n; den > 0."""
+        out = cls.__new__(cls)
+        out._set(n, num, den)
+        return out
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Power-basis coefficients as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     @classmethod
     def zeta(cls, n: int, k: int = 1) -> "CycloElem":
-        coeffs = [Fraction(0)] * (k % n) + [Fraction(1)]
-        return cls(n, coeffs)
+        return cls._make(n, [0] * (k % n) + [1])
 
     @classmethod
     def from_rational(cls, n: int, q) -> "CycloElem":
-        return cls(n, [Fraction(q)])
+        q = Fraction(q)
+        return cls._make(n, [q.numerator], q.denominator)
 
     # -- coercion ---------------------------------------------------------
 
@@ -117,10 +155,9 @@ class CycloElem:
             return self
         assert m % self.n == 0, f"cannot lift order {self.n} into {m}"
         step = m // self.n
-        coeffs = [Fraction(0)] * (step * (len(self.coeffs) - 1) + 1)
-        for j, c in enumerate(self.coeffs):
-            coeffs[step * j] = c
-        return CycloElem(m, coeffs)
+        num = [0] * (step * (len(self.num) - 1) + 1)
+        num[::step] = self.num
+        return CycloElem._make(m, num, self.den)
 
     @staticmethod
     def _pair(a, b):
@@ -139,12 +176,14 @@ class CycloElem:
         a, b = self._pair(self, other)
         if a is None:
             return NotImplemented
-        return CycloElem(a.n, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        g = math.gcd(a.den, b.den)
+        fa, fb = b.den // g, a.den // g
+        return CycloElem._make(a.n, [x * fa + y * fb for x, y in zip(a.num, b.num)], a.den * fa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloElem(self.n, [-c for c in self.coeffs])
+        return CycloElem._make(self.n, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, CycloElem) else -Fraction(other))
@@ -155,33 +194,28 @@ class CycloElem:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return CycloElem(self.n, [c * q for c in self.coeffs])
+            return CycloElem._make(self.n, [c * q.numerator for c in self.num], self.den * q.denominator)
         a, b = self._pair(self, other)
         if a is None:
             return NotImplemented
-        prod = [Fraction(0)] * (2 * len(a.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
+        bs = [(j, y) for j, y in enumerate(b.num) if y]
+        prod = [0] * (2 * len(a.num) - 1)
+        for i, x in enumerate(a.num):
             if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        prod[i + j] += x * y
-        return CycloElem(a.n, prod)
+                for j, y in bs:
+                    prod[i + j] += x * y
+        return CycloElem._make(a.n, prod, a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloElem":
-        """Exact inverse, via the multiplication-by-self matrix."""
-        phi = len(self.coeffs)
-        cols = []
-        for j in range(phi):
-            cols.append((self * CycloElem.zeta(self.n, j) if j else self).coeffs)
-        # solve M b = e_0 where column j of M is self * zeta^j
-        rows = [[cols[j][i] for j in range(phi)] for i in range(phi)]
-        rhs = [Fraction(1)] + [Fraction(0)] * (phi - 1)
-        sol = solve_exact(rows, rhs)
-        if sol is None:
-            raise ZeroDivisionError("inverse of zero (or non-unit) cyclotomic element")
-        return CycloElem(self.n, sol)
+        """Exact inverse: the product of the other Galois conjugates over the norm."""
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero cyclotomic element")
+        rest = CycloElem.from_rational(self.n, 1)
+        for t in unit_residues(self.n)[1:]:
+            rest = rest * self.galois(t)
+        return rest * (1 / (self * rest).rational_value())
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -209,10 +243,10 @@ class CycloElem:
         if not isinstance(other, CycloElem):
             return NotImplemented
         a, b = self._pair(self, other)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self):
-        return hash((self.n, self.coeffs))
+        return hash((self.n, self.num, self.den))
 
     def __repr__(self):
         terms = []
@@ -229,26 +263,25 @@ class CycloElem:
     # -- field structure ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         assert self.is_rational()
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def galois(self, t: int) -> "CycloElem":
         """Apply sigma_t : zeta -> zeta^t.  Requires gcd(t, n) = 1."""
         assert math.gcd(t, self.n) == 1, f"sigma_{t} is not an automorphism of Q(zeta_{self.n})"
-        table = _power_table(self.n)
-        phi = len(self.coeffs)
-        out = [Fraction(0)] * phi
-        for j, c in enumerate(self.coeffs):
+        rows = _sparse_powers(self.n)
+        out = [0] * len(self.num)
+        for j, c in enumerate(self.num):
             if c:
-                for k, v in enumerate(table[(j * t) % self.n]):
+                for k, v in rows[(j * t) % self.n]:
                     out[k] += c * v
-        return CycloElem(self.n, out)
+        return CycloElem._make(self.n, out, self.den)
 
     def conj(self) -> "CycloElem":
         return self.galois(self.n - 1)
@@ -258,9 +291,9 @@ class CycloElem:
         if prec is None:
             z = cmath.exp(2j * cmath.pi * t / self.n)
             total, zp = 0j, 1 + 0j
-            for c in self.coeffs:
+            for c in self.num:
                 if c:
-                    total += float(c) * zp
+                    total += (c / self.den) * zp
                 zp *= z
             return total
         with mpmath.workdps(prec):
@@ -272,16 +305,9 @@ class CycloElem:
             return complex(total)
 
     def degree(self) -> int:
-        """Degree of Q(self) over Q, by exact linear dependence of powers."""
-        basis: list[tuple[Fraction, ...]] = []
-        power = CycloElem.from_rational(self.n, 1)
-        for d in range(1, len(self.coeffs) + 2):
-            vec = power.coeffs
-            if _in_span(basis, vec):
-                return d - 1
-            basis.append(vec)
-            power = power * self
-        raise AssertionError("unreachable: powers must become dependent")
+        """Degree of Q(self) over Q: phi(n) over the order of its stabiliser in (Z/n)^*."""
+        units = unit_residues(self.n)
+        return len(units) // sum(self.galois(t) == self for t in units)
 
 
 def orbit_sum(a: CycloElem, residues) -> CycloElem:
@@ -297,15 +323,6 @@ def orbit_product(a: CycloElem, residues) -> CycloElem:
     for t in residues:
         total = total * a.galois(t)
     return total
-
-
-def galois_conjugate(a: CycloElem, t: int) -> CycloElem:
-    return a.galois(t)
-
-
-def cyclo_embed(a: CycloElem, k: int = 1, prec: int | None = None) -> complex:
-    assert math.gcd(k, a.n) == 1
-    return a.embed(k, prec)
 
 
 def is_subgroup(n: int, residues) -> bool:
@@ -324,10 +341,6 @@ def rel_trace_norm(a: CycloElem, subgroup, mode: str) -> CycloElem:
     if mode == "norm":
         return orbit_product(a, subgroup)
     raise ValueError(f"mode must be 'trace' or 'norm', got {mode!r}")
-
-
-def degree_over_rationals(a: CycloElem) -> int:
-    return a.degree()
 
 
 # -- exact linear algebra (Fractions) --------------------------------------
@@ -349,25 +362,6 @@ def solve_exact(rows, rhs):
                 f = aug[r][col]
                 aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
     return [aug[i][n] for i in range(n)]
-
-
-def _in_span(basis: list[tuple[Fraction, ...]], vec) -> bool:
-    # row-reduce a copy of basis + vec and see whether vec adds rank
-    rows = [list(b) for b in basis] + [list(vec)]
-    rank, ncols = 0, len(rows[0])
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank == len(basis)
 
 
 class RootOfUnity:

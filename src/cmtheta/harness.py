@@ -390,7 +390,7 @@ class _WordSample:
     moved: complex
 
 
-def _usable_sample(rng, env, n, chi, word_draws: int = 8, point_draws: int = 30) -> _WordSample:
+def _usable_sample(rng, env, n, chi, word_draws: int = 64, point_draws: int = 30) -> _WordSample:
     """A random generator word and point with Phi(chi) well-conditioned at z and gamma z."""
     for _ in range(word_draws):
         gamma = _gamma_word(rng, n)

@@ -6,17 +6,24 @@ Only act_siegel and SiegelPoint work in floating point.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 
 def intmat(rows) -> np.ndarray:
-    """Exact integer matrix (dtype=object) from nested lists/arrays."""
+    """Exact integer matrix (dtype=object) from nested lists/arrays.
+
+    Raises ValueError unless the input is 2-D with integral entries.
+    """
     arr = np.array(rows, dtype=object)
-    assert arr.ndim == 2
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got {arr.ndim} dimensions")
+    if all(type(v) is int for v in arr.flat):
+        return arr
     for v in arr.flat:
-        assert v == int(v), f"non-integer entry {v!r}"
+        if v != int(v):
+            raise ValueError(f"non-integer entry {v!r}")
     return np.vectorize(int, otypes=[object])(arr)
 
 
@@ -24,9 +31,14 @@ def identity(n: int) -> np.ndarray:
     return intmat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
-def jmat(g: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _jmat(g: int) -> np.ndarray:
     z, i = np.zeros((g, g), dtype=object), identity(g)
     return np.block([[z, -i], [i, z]])
+
+
+def jmat(g: int) -> np.ndarray:
+    return _jmat(g).copy()
 
 
 def blocks(m: np.ndarray):

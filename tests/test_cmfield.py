@@ -6,6 +6,7 @@ import pytest
 
 from cmtheta.cmfield import (
     GaloisActor,
+    _basis,
     artin_action,
     belong_criterion,
     closed_phase,
@@ -15,7 +16,7 @@ from cmtheta.cmfield import (
     riemann_form,
     standard_actors,
 )
-from cmtheta.exact import CycloElem, RootOfUnity
+from cmtheta.exact import CycloElem, RootOfUnity, solve_exact
 from cmtheta.symplectic import act_siegel, intmat, is_symplectic, jmat
 from cmtheta.theta import Characteristic, theta_eval
 
@@ -41,6 +42,22 @@ def test_reflex_norm():
 def test_h_map_reference():
     assert (h_map(ZETA) == intmat([[0, 0, -1, 1], [-1, -1, 0, -1], [1, 0, 0, 0], [1, 1, 0, 0]])).all()
     assert (h_map(CycloElem.from_rational(5, 1)) == np.eye(4, dtype=int)).all()
+
+
+def _h_map_by_solves(x):
+    # the defining solve: row j of h(x) holds the CM-basis coordinates of x * xi_j
+    basis = _basis()
+    bmat = [[basis[k].coeffs[i] for k in range(4)] for i in range(4)]
+    return [solve_exact(bmat, list((x * xj).coeffs)) for xj in basis]
+
+
+def test_h_map_matches_solve_definition():
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        x = CycloElem(5, [F(int(a), int(b)) for a, b in zip(rng.integers(-9, 10, 4), rng.integers(1, 7, 4))])
+        h = h_map(x)
+        assert [[h[j, k] for k in range(4)] for j in range(4)] == _h_map_by_solves(x)
+        assert all(type(v) is int for v in h.flat if v.denominator == 1)
 
 
 def test_h_map_is_ring_homomorphism():

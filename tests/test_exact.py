@@ -57,6 +57,25 @@ def test_inverse_and_division():
         CycloElem.from_rational(7, 0).inverse()
 
 
+def test_normalised_representation():
+    half = CycloElem(5, [Fraction(2, 4)])
+    assert half == CycloElem(5, [Fraction(1, 2)])
+    assert hash(half) == hash(CycloElem(5, [Fraction(1, 2)]))
+    assert (half.num, half.den) == ((1, 0, 0, 0), 2)
+    one = CycloElem.from_rational(5, 1)
+    assert half + half == one and hash(half + half) == hash(one)
+    assert half * 2 == one and hash(half * 2) == hash(one)
+    a = CycloElem(12, [Fraction(2, 3), 0, Fraction(-5, 6), 4])
+    assert a.coeffs == (Fraction(2, 3), Fraction(0), Fraction(-5, 6), Fraction(4))
+    assert all(type(c) is Fraction for c in a.coeffs)
+    assert CycloElem(12, a.coeffs) == a
+    assert (a.num, a.den) == ((4, 0, -5, 24), 6)
+    assert CycloElem(5, [Fraction(3, 3), 0, Fraction(0, 7)]).den == 1
+    assert CycloElem.from_rational(5, 0).num == (0, 0, 0, 0) and CycloElem.from_rational(5, 0).den == 1
+    # reduction of high powers mod Phi_n keeps the common denominator
+    assert CycloElem(5, [0, 0, 0, 0, Fraction(1, 3)]) == CycloElem(5, [Fraction(-1, 3)] * 4)
+
+
 def test_mixed_order_arithmetic():
     # zeta_2 + zeta_3 lands in Q(zeta_6)
     a = CycloElem.zeta(2) + CycloElem.zeta(3)
@@ -154,6 +173,25 @@ def test_ring_axioms(a, b, c):
     assert (a + b) * c == a * c + b * c
     assert a * b == b * a
     assert a - a == 0
+
+
+def rational_elems(n):
+    return st.lists(
+        st.fractions(min_value=-4, max_value=4, max_denominator=6), min_size=euler_phi(n), max_size=euler_phi(n)
+    ).map(lambda coeffs: CycloElem(n, coeffs)).filter(lambda a: not a.is_zero())
+
+
+@hsettings(max_examples=40, deadline=None)
+@given(rational_elems(12))
+def test_inverse_is_two_sided_in_q_zeta_12(a):
+    assert a * a.inverse() == 1
+    assert a.inverse() * a == 1
+
+
+@hsettings(max_examples=15, deadline=None)
+@given(rational_elems(25))
+def test_inverse_is_two_sided_in_q_zeta_25(a):
+    assert a * a.inverse() == 1
 
 
 @hsettings(max_examples=40, deadline=None)

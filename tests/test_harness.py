@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from cmtheta.harness import SUITE_NAMES, ConfigError, Report, SuiteConfig, run_suite
+from cmtheta import harness
+from cmtheta.harness import SUITE_NAMES, ConfigError, HarnessEnv, Report, SuiteConfig, run_suite
 
 
 def stripped(report: Report):
@@ -96,3 +97,26 @@ def test_json_payload_shape():
 def test_exit_code_tracks_passed():
     report, code = run_suite(SuiteConfig(suites=("primgen",)))
     assert (code == 0) == report.passed
+
+
+def test_multiplier_cross_check_passes_at_seed_7():
+    # at seed 7 one sample meets eight level-4 words in a row for which no
+    # well-conditioned image point is found; the sampler must keep drawing
+    env = HarnessEnv(SuiteConfig(seed=7))
+    ok, measured, tolerance, _ = harness.check_multiplier_cross(env)
+    assert ok and measured < tolerance
+
+
+def test_exhausted_sampler_is_a_failed_check(monkeypatch):
+    original = harness._usable_sample
+
+    def exhausted(rng, env, n, chi):
+        return original(rng, env, n, chi, word_draws=0)
+
+    monkeypatch.setattr(harness, "_usable_sample", exhausted)
+    monkeypatch.setitem(harness.CHECKS, "modularity", [("multiplier-cross-validation", harness.check_multiplier_cross)])
+    report, code = run_suite(SuiteConfig(suites=("modularity",)))
+    assert code == 1
+    (record,) = report.records
+    assert record.status == "fail"
+    assert "no usable word/point pair" in record.detail

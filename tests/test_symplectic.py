@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cmtheta
 from cmtheta.symplectic import (
     SiegelPoint,
     act_siegel,
@@ -123,5 +129,30 @@ def test_act_siegel():
 
 
 def test_intmat_rejects_non_integers():
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError):
         intmat([[0.5, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        intmat([1, 2, 3])  # not 2-D
+    m = intmat([[2, 0], [0, 1]])
+    assert intmat(m) is not m  # a fresh array, also on the all-int fast path
+    assert [type(v) for v in intmat(np.eye(2, dtype=int)).flat] == [int] * 4
+
+
+def test_intmat_validation_survives_optimize_flag():
+    code = (
+        "from cmtheta.symplectic import intmat\n"
+        "try:\n"
+        "    intmat([[0.5, 0], [0, 1]])\n"
+        "except ValueError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cmtheta.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_jmat_returns_independent_copies():
+    j = jmat(2)
+    j[0, 0] = 7
+    assert jmat(2)[0, 0] == 0
