@@ -20,7 +20,6 @@ from .symplectic import (
     iota,
     is_symplectic,
     jmat,
-    membership,
     special_gamma,
     sympl_multiplier,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "is_symplectic",
     "jmat",
     "make_tower",
-    "membership",
     "parse",
     "phi_eval",
     "random_siegel",

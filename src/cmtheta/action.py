@@ -10,8 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .exact import RootOfUnity
-from .symplectic import in_g_group, intmat, sympl_multiplier
+from .symplectic import even_theta_diagonals, in_g_group, intmat, sympl_multiplier
 from .theta import Characteristic
 
 
@@ -26,12 +28,11 @@ class ActionResult:
         return ActionResult(self.multiplier * extra, red)
 
 
-def _transpose_apply(alpha, chi: Characteristic) -> Characteristic:
-    col = chi.column()
-    at = intmat(alpha).T
-    g = chi.g
-    out = [sum((Fraction(int(at[i, j])) * col[j] for j in range(2 * g)), Fraction(0)) for i in range(2 * g)]
-    return Characteristic.make(out[:g], out[g:])
+def _transpose_apply(alpha: np.ndarray, chi: Characteristic) -> Characteristic:
+    # alpha is an exact integer matrix, as from intmat
+    den, g = chi.den, chi.g
+    out = alpha.T @ np.array([v.numerator * (den // v.denominator) for v in chi.column()], dtype=object)
+    return Characteristic.from_den(out[:g], out[g:], den)
 
 
 def act_iota_inv(a: int, chi: Characteristic, modulus: int | None = None) -> Characteristic:
@@ -48,11 +49,13 @@ def act_iota_inv(a: int, chi: Characteristic, modulus: int | None = None) -> Cha
 
 def act_power_family(alpha, chi: Characteristic, n: int) -> Characteristic:
     """Action of alpha in G_n on the family of 2n^2-th powers: chi -> t(alpha) chi mod 1."""
-    assert n % 2 == 0, "family level must be even"
-    assert all((n * v).denominator == 1 for v in chi.r + chi.s), f"{chi} not (1/{n})-integral"
+    if n % 2:
+        raise ValueError("family level must be even")
+    if any(n % v.denominator for v in chi.r + chi.s):
+        raise ValueError(f"{chi} not (1/{n})-integral")
     if not in_g_group(alpha, n):
         raise ValueError("alpha is not in G_n")
-    return _transpose_apply(alpha, chi).reduce()[0]
+    return _transpose_apply(intmat(alpha), chi).reduce()[0]
 
 
 def act_phi(alpha, chi: Characteristic, m: int) -> ActionResult:
@@ -62,12 +65,14 @@ def act_phi(alpha, chi: Characteristic, m: int) -> ActionResult:
     [r'; s'] = t(alpha)[r; s]; canonical reduction (and its translation phase)
     is left to the caller via ActionResult.canonical().
     """
-    assert m % 2 == 1, "denominator must be odd"
-    assert all((m * v).denominator == 1 for v in chi.r + chi.s), f"{chi} not (1/{m})-integral"
-    level = 2 * m * m
-    if not in_g_group(alpha, level):
+    if m % 2 == 0:
+        raise ValueError("denominator must be odd")
+    if any(m % v.denominator for v in chi.r + chi.s):
+        raise ValueError(f"{chi} not (1/{m})-integral")
+    alpha = intmat(alpha)
+    a = sympl_multiplier(alpha, modulus=2 * m * m)
+    if a is None or not even_theta_diagonals(alpha):
         raise ValueError("alpha is not in G_{2m^2}")
-    a = sympl_multiplier(alpha, modulus=level)
     moved = _transpose_apply(alpha, chi)
     before = sum((rv * a * sv for rv, sv in zip(chi.r, chi.s)), Fraction(0))
     after = sum((rv * sv for rv, sv in zip(moved.r, moved.s)), Fraction(0))

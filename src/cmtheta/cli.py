@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
 from .cmfield import artin_action, belong_criterion, build_context
 from .exact import CycloElem, rel_trace_norm, unit_residues
-from .harness import SUITE_NAMES, ConfigError, SuiteConfig, run_suite
+from .harness import SUITE_NAMES, SuiteConfig, run_suite
 from .modularity import check_family, parse
 from .primgen import combine_norm, combine_trace, is_primitive, make_tower
 from .theta import Characteristic, EvalSettings, phi_eval, theta_eval
@@ -16,7 +17,7 @@ from .theta import Characteristic, EvalSettings, phi_eval, theta_eval
 def _parse_char(text: str) -> Characteristic:
     vals = [Fraction(tok) for tok in text.replace(",", " ").split()]
     if len(vals) % 2 != 0:
-        raise SystemExit(f"characteristic needs an even number of rationals, got {len(vals)}")
+        raise ValueError(f"characteristic needs an even number of rationals, got {len(vals)}")
     g = len(vals) // 2
     return Characteristic.make(vals[:g], vals[g:])
 
@@ -29,11 +30,7 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         suites=tuple(args.suite),
     )
-    try:
-        report, code = run_suite(config)
-    except ConfigError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
+    report, code = run_suite(config)
     text = report.to_json()
     if args.out:
         with open(args.out, "w") as fh:
@@ -64,12 +61,7 @@ def _cmd_theta(args) -> int:
 
 def _cmd_modularity(args) -> int:
     with open(args.file) as fh:
-        text = fh.read()
-    try:
-        prod = parse(text)
-    except (AssertionError, ValueError) as exc:
-        print(f"invalid product file: {exc}", file=sys.stderr)
-        return 2
+        prod = parse(fh.read())
     result = check_family(prod)
     if result.ok:
         print(f"modular for Gamma({prod.level}): all congruences hold")
@@ -82,7 +74,9 @@ def _cmd_modularity(args) -> int:
 def _cmd_action(args) -> int:
     coords = [int(tok) for tok in args.x.replace(",", " ").split()]
     if len(coords) != 5:
-        raise SystemExit("x needs 5 integer coordinates on 1, zeta, ..., zeta^4")
+        raise ValueError("x needs 5 integer coordinates on 1, zeta, ..., zeta^4")
+    if args.p < 3 or any(args.p % q == 0 for q in range(2, math.isqrt(args.p) + 1)):
+        raise ValueError(f"--p must be an odd prime, got {args.p}")
     chi = _parse_char(args.char)
     x = CycloElem(5, coords)
     res = artin_action(x, args.p, chi)
@@ -120,29 +114,33 @@ def main(argv=None) -> int:
     v.add_argument("--seed", type=int, default=20260815, help="PRNG seed for the randomized checks")
     v.add_argument("--suite", nargs="+", choices=SUITE_NAMES, default=list(SUITE_NAMES), help="suites to run")
     v.add_argument("--out", metavar="PATH", help="also write the report to this file")
-    v.set_defaults(fn=_cmd_verify)
+    v.set_defaults(fn=_cmd_verify, what="configuration")
 
     t = sub.add_parser("theta", help="evaluate a theta constant")
     t.add_argument("--char", required=True, help="2g rationals: r then s, e.g. '1/3 2/3 0 1/3'")
     t.add_argument("--at", choices=("cm", "i"), default="cm", help="evaluate at the CM point or at iI_g")
     t.add_argument("--tol", type=float, default=1e-12)
-    t.set_defaults(fn=_cmd_theta)
+    t.set_defaults(fn=_cmd_theta, what="input")
 
     m = sub.add_parser("modularity", help="check a theta-product file")
     m.add_argument("file", help="path to a serialized product ('g N' header, then 'm r.. s..' lines)")
-    m.set_defaults(fn=_cmd_modularity)
+    m.set_defaults(fn=_cmd_modularity, what="product file")
 
     a = sub.add_parser("action", help="apply the simulated Galois action of an element x")
     a.add_argument("--x", required=True, help="5 integers: coordinates of x on 1, zeta, ..., zeta^4")
     a.add_argument("--p", type=int, required=True, help="odd prime, the characteristic denominator")
     a.add_argument("--char", required=True, help="2g rationals with denominator p")
-    a.set_defaults(fn=_cmd_action)
+    a.set_defaults(fn=_cmd_action, what="input")
 
     g = sub.add_parser("primgen", help="run the primitive-generator demos")
-    g.set_defaults(fn=_cmd_primgen)
+    g.set_defaults(fn=_cmd_primgen, what="input")
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError) as exc:  # bad input, also under python -O; never a traceback
+        print(f"invalid {args.what}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import numpy as np
 
 from .action import ActionResult, act_phi
 from .exact import CycloElem, RootOfUnity, orbit_product, orbit_sum, solve_exact
-from .symplectic import SiegelPoint, in_g_group, intmat, jmat, sympl_multiplier
+from .symplectic import SiegelPoint, even_theta_diagonals, jmat, sympl_multiplier
 from .theta import Characteristic, DEFAULT_SETTINGS, EvalSettings, phi_eval, theta_null
 
 
@@ -135,13 +135,14 @@ class GaloisActor:
 
     @classmethod
     def build(cls, x: CycloElem, p: int) -> "GaloisActor":
-        assert p % 2 == 1 and p > 2
-        assert x.den == 1, "actor must be an algebraic integer"
+        if p % 2 == 0 or p < 3:
+            raise ValueError(f"p = {p} must be odd and > 2")
+        if x.den != 1:
+            raise ValueError("actor must be an algebraic integer")
         reflex = reflex_norm(x)
         h = h_map(reflex)
         assert all(isinstance(v, int) for v in h.flat)
         level = 2 * p * p
-        h_mod = h % level
         nu = sympl_multiplier(h, modulus=level)
         norm = field_norm(x)
         assert norm.denominator == 1
@@ -149,12 +150,12 @@ class GaloisActor:
             x=x,
             p=p,
             reflex=reflex,
-            h_matrix=intmat(h),
-            h_mod=h_mod,
-            first_row=tuple(int(v) for v in h[0]),
+            h_matrix=h,
+            h_mod=h % level,
+            first_row=tuple(h[0]),
             nu=nu,
             norm=int(norm),
-            in_group=in_g_group(h_mod, level),
+            in_group=nu is not None and even_theta_diagonals(h),
         )
 
 
@@ -221,11 +222,13 @@ def belong_criterion(x, p: int) -> BelongResult:
     cross-checked against the literal matrix row.
     """
     if isinstance(x, CycloElem):
-        assert x.den == 1
+        if x.den != 1:
+            raise ValueError("x must be an algebraic integer")
         coords = list(x.num) + [0]
     else:
         coords = [int(v) for v in x]
-        assert len(coords) == 5
+        if len(coords) != 5:
+            raise ValueError(f"expected 5 coordinates on 1, zeta, ..., zeta^4, got {len(coords)}")
         x = CycloElem(5, coords)
     a0, a1, a2, a3, a4 = coords
     a = a0 * a0 - a0 * a1 - a0 * a3 + a1 * a2 + a1 * a3 - a1 * a4 - a2 * a2 + a2 * a4

@@ -179,25 +179,26 @@ def _moved_point(rng, env, gamma, min_eig: float = 0.02, tries: int = 50):
 
 
 def _random_passing_family(rng, n: int) -> ThetaProduct:
-    terms = []
-    for _ in range(int(rng.integers(1, 3))):
-        chi = _random_char(rng, n)
-        if rng.random() < 0.5:
-            terms.append((chi, 2 * n))
-        else:
-            partner = Characteristic.make(chi.r, [(-v) % 1 for v in chi.s])
-            terms.extend([(chi, n), (partner, n)])
-    prod = theta_product(n, terms)
-    # keep exponents moderate so absolute numeric comparisons stay well-conditioned
-    if not prod.terms or any(abs(m) > 2 * n for _, m in prod.terms):
-        return _random_passing_family(rng, n)
-    assert check_family(prod).ok
-    return prod
+    for _ in range(32):
+        terms = []
+        for _ in range(int(rng.integers(1, 3))):
+            chi = _random_char(rng, n)
+            if rng.random() < 0.5:
+                terms.append((chi, 2 * n))
+            else:
+                partner = Characteristic.make(chi.r, [(-v) % 1 for v in chi.s])
+                terms.extend([(chi, n), (partner, n)])
+        prod = theta_product(n, terms)
+        # keep exponents moderate so absolute numeric comparisons stay well-conditioned
+        if prod.terms and all(abs(m) <= 2 * n for _, m in prod.terms):
+            assert check_family(prod).ok
+            return prod
+    raise RuntimeError("no moderate passing family in 32 draws")
 
 
 def _random_failing_family(rng, n: int):
     """A random family failing check_family together with an exact generator witness."""
-    while True:
+    for _ in range(32):
         terms = []
         for _ in range(int(rng.integers(1, 4))):
             chi = _random_char(rng, n)
@@ -213,6 +214,7 @@ def _random_failing_family(rng, n: int):
                 if mult != RootOfUnity.one():
                     return prod, gam, mult
         # no witness among the distinguished generators (possible but rare); resample
+    raise RuntimeError("no failing family with a generator witness in 32 draws")
 
 
 def _family_value_guarded(rng, env, prod, tries: int = 60, factor_band=(0.2, 1.6), value_band=(0.05, 2.0)):
@@ -334,7 +336,7 @@ def check_passing_families(env: HarnessEnv):
             base = []
             for _ in range(3):
                 # no lower value bound: with absolute comparisons, tiny products are harmless
-                z, val = _family_value_guarded(rng, env, prod, factor_band=(0.1, 2.5), value_band=(1e-12, 2.0))
+                z, val = _family_value_guarded(rng, env, prod, tries=240, factor_band=(0.1, 2.5), value_band=(1e-12, 2.0))
                 zs.append(z)
                 base.append(val)
             for _ in range(20):
@@ -366,13 +368,15 @@ def check_failing_families(env: HarnessEnv):
     closest = math.inf
     for n in (2, 4):
         for _ in range(10):
-            while True:  # the ratio test is forgiving; only degenerate families are resampled
+            for _ in range(16):  # the ratio test is forgiving; only degenerate families are resampled
                 prod, gam, mult = _random_failing_family(rng, n)
                 try:
                     z, val = _family_value_guarded(rng, env, prod, factor_band=(0.01, 20.0), value_band=(1e-6, 1e6))
                     break
                 except RuntimeError:
                     continue
+            else:
+                raise RuntimeError("no well-conditioned point for 16 failing families")
             w = act_siegel(gam, z)
             moved = eval_product(prod, w, env.settings)
             closest = min(closest, abs(moved / val - 1))

@@ -25,15 +25,20 @@ class ThetaProduct:
     terms: tuple[tuple[Characteristic, int], ...]
 
     def __post_init__(self):
-        assert self.level % 2 == 0 and self.level > 0, "level must be a positive even integer"
+        if self.level % 2 or self.level <= 0:
+            raise ValueError(f"level must be a positive even integer, got {self.level}")
         seen = set()
         for chi, m in self.terms:
-            for v in chi.r + chi.s:
-                assert (self.level * v).denominator == 1, f"{chi} is not (1/{self.level})-integral"
-            assert chi.is_canonical(), f"{chi} is not reduced into [0,1)"
-            assert not chi.in_sigma_minus(), f"{chi} indexes the zero function"
-            assert m != 0, "exponents must be nonzero"
-            assert chi not in seen, f"duplicate characteristic {chi}"
+            if any((self.level * v).denominator != 1 for v in chi.r + chi.s):
+                raise ValueError(f"{chi} is not (1/{self.level})-integral")
+            if not chi.is_canonical():
+                raise ValueError(f"{chi} is not reduced into [0,1)")
+            if chi.in_sigma_minus():
+                raise ValueError(f"{chi} indexes the zero function")
+            if m == 0:
+                raise ValueError("exponents must be nonzero")
+            if chi in seen:
+                raise ValueError(f"duplicate characteristic {chi}")
             seen.add(chi)
 
     @property
@@ -41,7 +46,8 @@ class ThetaProduct:
         return self.terms[0][0].g if self.terms else 2
 
     def __mul__(self, other: "ThetaProduct") -> "ThetaProduct":
-        assert self.level == other.level
+        if self.level != other.level:
+            raise ValueError(f"levels differ: {self.level} and {other.level}")
         return theta_product(self.level, self.terms + other.terms)
 
     def __pow__(self, k: int) -> "ThetaProduct":
@@ -73,11 +79,14 @@ def serialize(prod: ThetaProduct) -> str:
 def parse(text: str) -> ThetaProduct:
     rows = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     rows = [ln for ln in rows if ln]
+    if not rows:
+        raise ValueError("empty product file")
     g, level = (int(v) for v in rows[0].split())
     terms = []
     for ln in rows[1:]:
         parts = ln.split()
-        assert len(parts) == 1 + 2 * g, f"expected m and {2 * g} rationals: {ln!r}"
+        if len(parts) != 1 + 2 * g:
+            raise ValueError(f"expected m and {2 * g} rationals: {ln!r}")
         m = int(parts[0])
         vals = [Fraction(p) for p in parts[1:]]
         terms.append((Characteristic.make(vals[:g], vals[g:]), m))
@@ -125,40 +134,39 @@ def check_family(prod: ThetaProduct, n: int | None = None) -> FamilyCheck:
     return FamilyCheck(ok=not failures, failures=failures)
 
 
-def _char_multiplier_exponent(gamma_over_n, n: int, chi: Characteristic) -> Fraction:
-    a0, b0, c0, d0 = gamma_over_n
-    nr = np.array([int(n * v) for v in chi.r], dtype=object)
-    ns = np.array([int(n * v) for v in chi.s], dtype=object)
-    half = Fraction(n, 2)
-    m_rr = -b0.T + n * (a0 @ b0.T)
-    m_ss = c0 + n * (c0 @ d0.T)
-    m_rs = a0 + half * (a0 @ d0.T + d0.T @ a0 + b0 @ c0.T - b0.T @ c0)
-    x = (
-        -Fraction(1, 2 * n) * (nr @ (m_rr @ nr))
-        - Fraction(1, 2 * n) * (ns @ (m_ss @ ns))
-        - Fraction(1, n) * (nr @ (m_rs @ ns))
-    )
-    return Fraction(x)
-
-
 def gamma_multiplier(gamma, target, n: int) -> RootOfUnity:
     """The exact multiplier e(X) with Phi(gamma Z) = e(X) Phi(Z), gamma in Gamma(n).
 
     target may be a single Characteristic or a ThetaProduct (multipliers add
-    with the exponents).  n must be even and gamma = I mod n.
+    with the exponents).  n must be even, gamma = I mod n, and every
+    characteristic (1/n)-integral.
+
+    With gamma = I + n [[A, B], [C, D]] and the integer vectors x = n r_i,
+    y = n s_i of the terms Phi_[r_i; s_i]^{m_i} (one term with m = 1 for a
+    single Characteristic), X = -Q / (2n) for the integer
+
+        Q = sum_i m_i ( tx (n A tB - tB) x + ty (C + n C tD) y
+                        + tx (2A + n (A tD + tD A + B tC - tB C)) y ).
     """
-    assert n % 2 == 0
+    if n % 2:
+        raise ValueError(f"level must be even, got {n}")
     gamma = intmat(gamma)
     diff = gamma - identity(gamma.shape[0])
-    assert (diff % n == 0).all(), "gamma is not congruent to I mod n"
-    over = np.vectorize(lambda v: v // n, otypes=[object])(diff)
-    gb = blocks(over)
-    if isinstance(target, Characteristic):
-        return RootOfUnity(_char_multiplier_exponent(gb, n, target))
-    total = Fraction(0)
-    for chi, m in target.terms:
-        total += m * _char_multiplier_exponent(gb, n, chi)
-    return RootOfUnity(total)
+    if (diff % n != 0).any():
+        raise ValueError("gamma is not congruent to I mod n")
+    a0, b0, c0, d0 = blocks(diff // n)
+    m_rr = n * (a0 @ b0.T) - b0.T
+    m_ss = c0 + n * (c0 @ d0.T)
+    m_rs = 2 * a0 + n * (a0 @ d0.T + d0.T @ a0 + b0 @ c0.T - b0.T @ c0)
+    terms = ((target, 1),) if isinstance(target, Characteristic) else target.terms
+    total = 0
+    for chi, m in terms:
+        if any(n % v.denominator for v in chi.r + chi.s):
+            raise ValueError(f"{chi} is not (1/{n})-integral")
+        nr = np.array([v.numerator * (n // v.denominator) for v in chi.r], dtype=object)
+        ns = np.array([v.numerator * (n // v.denominator) for v in chi.s], dtype=object)
+        total += m * (nr @ m_rr @ nr + ns @ m_ss @ ns + nr @ m_rs @ ns)
+    return RootOfUnity(Fraction(-total, 2 * n))
 
 
 def eval_product(prod: ThetaProduct, z, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:

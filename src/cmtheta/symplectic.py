@@ -7,6 +7,7 @@ Only act_siegel and SiegelPoint work in floating point.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
@@ -55,9 +56,10 @@ def sympl_multiplier(m, modulus: int | None = None):
     """
     m = intmat(m)
     g = m.shape[0] // 2
-    t = m.T @ jmat(g) @ m
+    j = _jmat(g)
+    t = m.T @ j @ m
     nu = -t[0, g]
-    target = nu * jmat(g)
+    target = nu * j
     if modulus is None:
         if not (t == target).all():
             return None
@@ -65,8 +67,6 @@ def sympl_multiplier(m, modulus: int | None = None):
     if ((t - target) % modulus != 0).any():
         return None
     nu = int(nu) % modulus
-    from math import gcd
-
     return nu if gcd(nu, modulus) == 1 else None
 
 
@@ -82,33 +82,24 @@ def in_gamma(m, n: int) -> bool:
     return ((m - identity(m.shape[0])) % n == 0).all()
 
 
-def _even_theta_diagonals(m) -> bool:
+def even_theta_diagonals(m) -> bool:
+    """The parity condition of S_n and G_n: tAC and tBD have even diagonals.
+
+    m is an exact integer matrix, as from intmat.  Parity is read off this
+    representative; for even n it is independent of the choice of lift.
+    """
     a, b, c, d = blocks(m)
-    return all((a.T @ c)[j, j] % 2 == 0 for j in range(a.shape[0])) and all(
-        (b.T @ d)[j, j] % 2 == 0 for j in range(a.shape[0])
-    )
+    return not ((a * c).sum(axis=0) % 2).any() and not ((b * d).sum(axis=0) % 2).any()
 
 
 def in_s_group(m, n: int) -> bool:
-    """S_n: symplectic mod n with even diagonals of tAC and tBD.
-
-    Parity is read off the supplied integer representative; for even n it is
-    independent of the choice of lift.
-    """
-    return sympl_multiplier(m, modulus=n) == 1 % n and _even_theta_diagonals(intmat(m))
+    """S_n: symplectic mod n with even diagonals of tAC and tBD."""
+    return sympl_multiplier(m, modulus=n) == 1 % n and even_theta_diagonals(intmat(m))
 
 
 def in_g_group(m, n: int) -> bool:
     """G_n: GSp mod n (any unit multiplier) with the same parity condition."""
-    return sympl_multiplier(m, modulus=n) is not None and _even_theta_diagonals(intmat(m))
-
-
-def membership(m, which: str, n: int | None = None) -> bool:
-    """Dispatch on which in {"Sp", "Gamma", "S", "G"} (the latter three need n)."""
-    if which == "Sp":
-        return is_symplectic(m)
-    assert n is not None, f"{which} membership needs a level"
-    return {"Gamma": in_gamma, "S": in_s_group, "G": in_g_group}[which](m, n)
+    return sympl_multiplier(m, modulus=n) is not None and even_theta_diagonals(intmat(m))
 
 
 def iota(a: int, g: int, modulus: int | None = None) -> np.ndarray:

@@ -129,7 +129,8 @@ def theta_eval(
     g = zp.g
     if chi is None:
         chi = zero_char(g)
-    assert chi.g == g
+    if chi.g != g:
+        raise ValueError(f"characteristic has genus {chi.g}, the point has genus {g}")
     uv = np.zeros(g, dtype=complex) if u is None or np.isscalar(u) and u == 0 else np.asarray(u, dtype=complex)
     r = np.array([float(v) for v in chi.r])
     s = np.array([float(v) for v in chi.s])

@@ -6,7 +6,7 @@ import pytest
 from cmtheta.action import ActionResult, act_iota_inv, act_phi, act_power_family
 from cmtheta.exact import RootOfUnity
 from cmtheta.modularity import gamma_multiplier
-from cmtheta.symplectic import identity, intmat, iota, jmat, special_gamma
+from cmtheta.symplectic import identity, in_g_group, intmat, iota, jmat, special_gamma, sympl_multiplier
 from cmtheta.theta import Characteristic
 
 
@@ -57,9 +57,9 @@ def test_power_family_validation():
     chi = Characteristic.from_den((1, 0), (0, 3), 4)
     with pytest.raises(ValueError):
         act_power_family(intmat(np.diag([1, 1, 2, 2])), chi, 4)  # nu = 2 is no unit
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         act_power_family(identity(4), chi, 3)  # level must be even
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         act_power_family(identity(4), Characteristic.from_den((1, 0), (0, 1), 3), 4)
 
 
@@ -95,13 +95,47 @@ def test_act_phi_congruence_overlap():
         assert res.multiplier == gamma_multiplier(gamma, chi, level)
 
 
+def fraction_act_phi(alpha, chi, m):
+    """act_phi with the transpose taken in Fraction arithmetic, as first written: the reference."""
+    col = chi.column()
+    at = intmat(alpha).T
+    g = chi.g
+    out = [sum((F(int(at[i, j])) * col[j] for j in range(2 * g)), F(0)) for i in range(2 * g)]
+    moved = Characteristic.make(out[:g], out[g:])
+    a = sympl_multiplier(alpha, modulus=2 * m * m)
+    before = sum((rv * a * sv for rv, sv in zip(chi.r, chi.s)), F(0))
+    after = sum((rv * sv for rv, sv in zip(moved.r, moved.s)), F(0))
+    return ActionResult(RootOfUnity((before - after) / 2), moved)
+
+
+def test_act_phi_matches_fraction_transpose():
+    rng = np.random.default_rng(73)
+    kinds = ("upper", "lower", "mixed")
+    for m in (3, 5, 7):
+        level = 2 * m * m
+        for _ in range(10):
+            alpha = identity(4)
+            for _ in range(int(rng.integers(1, 5))):
+                pick = int(rng.integers(0, 3))
+                if pick == 0:
+                    alpha = alpha @ jmat(2)
+                elif pick == 1:
+                    alpha = alpha @ iota(int(rng.choice([u for u in range(1, level) if u % 2 and u % m])), 2, level)
+                else:
+                    alpha = alpha @ special_gamma(kinds[rng.integers(0, 3)], int(rng.integers(1, 3)), int(rng.integers(1, 3)), 2)
+            alpha = alpha % level
+            assert in_g_group(alpha, level)
+            chi = Characteristic.from_den(rng.integers(-m, 2 * m, 2).tolist(), rng.integers(-m, 2 * m, 2).tolist(), m)
+            assert act_phi(alpha, chi, m) == fraction_act_phi(alpha, chi, m)
+
+
 def test_act_phi_validation():
     chi = Characteristic.from_den((1, 0), (0, 1), 3)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         act_phi(identity(4), chi, 4)  # even denominator
     with pytest.raises(ValueError):
         act_phi(intmat(np.diag([1, 1, 3, 3])), chi, 3)  # nu = 3 not a unit mod 18
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         act_phi(identity(4), Characteristic.from_den((1, 0), (0, 1), 2), 3)
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cmtheta
 from cmtheta.cli import main
 
 
@@ -69,6 +74,11 @@ def test_modularity_invalid_file(tmp_path, capsys):
     assert "invalid product file" in capsys.readouterr().err
 
 
+def test_modularity_missing_file(tmp_path, capsys):
+    assert main(["modularity", str(tmp_path / "absent.txt")]) == 2
+    assert "invalid product file" in capsys.readouterr().err
+
+
 def test_action_output(capsys):
     code = main(["action", "--x", "1 2 2 0 0", "--p", "7", "--char", "1/7 0 0 2/7"])
     assert code == 0
@@ -83,3 +93,35 @@ def test_primgen_demo(capsys):
     assert "Tr(zeta_25) over the {1+5k} subgroup = 0" in out
     assert "surrogate tower degree 4, ell = 2" in out
     assert "primitive: True" in out
+
+
+@pytest.mark.parametrize("p", ["4", "9"])
+def test_action_rejects_non_prime_p(p, capsys):
+    assert main(["action", "--x", "1 2 2 0 0", "--p", p, "--char", "1/3 0 0 0"]) == 2
+    assert "odd prime" in capsys.readouterr().err
+
+
+def test_action_rejects_norm_not_prime_to_2p(capsys):
+    assert main(["action", "--x", "3 0 0 0 0", "--p", "3", "--char", "1/3 0 0 1/3"]) == 2
+    assert "not prime to 2p" in capsys.readouterr().err
+
+
+def test_theta_rejects_genus_mismatch(capsys):
+    assert main(["theta", "--char", "0 0 0 1/2 0 0", "--at", "cm"]) == 2
+    assert "genus" in capsys.readouterr().err
+
+
+def run_optimized(args, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(cmtheta.__file__).resolve().parents[1]))
+    cmd = [sys.executable, "-O", "-m", "cmtheta.cli", *args]
+    return subprocess.run(cmd, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+
+
+def test_validation_survives_optimize_flag(tmp_path):
+    f = tmp_path / "fam.txt"
+    f.write_text("2 3\n6 1/3 0 0 0\n")  # odd level
+    proc = run_optimized(["modularity", str(f)], tmp_path)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "level must be a positive even integer" in proc.stderr
+    proc = run_optimized(["action", "--x", "1 2 2 0 0", "--p", "4", "--char", "1/4 0 0 0"], tmp_path)
+    assert proc.returncode == 2, proc.stdout + proc.stderr

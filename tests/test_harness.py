@@ -4,6 +4,7 @@ import pytest
 
 from cmtheta import harness
 from cmtheta.harness import SUITE_NAMES, ConfigError, HarnessEnv, Report, SuiteConfig, run_suite
+from cmtheta.modularity import FamilyCheck
 
 
 def stripped(report: Report):
@@ -120,3 +121,18 @@ def test_exhausted_sampler_is_a_failed_check(monkeypatch):
     (record,) = report.records
     assert record.status == "fail"
     assert "no usable word/point pair" in record.detail
+
+
+def test_passing_families_pass_at_seed_5():
+    # at seed 5 one family needs more than 60 draws for a well-conditioned base point
+    env = HarnessEnv(SuiteConfig(seed=5))
+    ok, measured, tolerance, detail = harness.check_passing_families(env)
+    assert ok and measured < tolerance
+    assert "767 well-conditioned comparisons" in detail
+
+
+def test_failing_family_sampler_is_bounded(monkeypatch):
+    # if every family passed, the failing-family search must give up, not loop forever
+    monkeypatch.setattr(harness, "check_family", lambda prod, n=None: FamilyCheck(ok=True))
+    with pytest.raises(RuntimeError, match="no failing family"):
+        harness.check_failing_families(HarnessEnv(SuiteConfig()))

@@ -13,7 +13,7 @@ from cmtheta.modularity import (
     serialize,
     theta_product,
 )
-from cmtheta.symplectic import act_siegel, special_gamma
+from cmtheta.symplectic import act_siegel, blocks, identity, intmat, special_gamma
 from cmtheta.theta import Characteristic, phi_eval, random_siegel
 
 
@@ -23,15 +23,15 @@ def chi4(rn, sn):
 
 def test_product_invariants():
     chi = Characteristic.make([F(1, 2), 0], [0, 0])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ThetaProduct(3, ((chi, 2),))  # odd level
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ThetaProduct(2, ((Characteristic.make([F(1, 3), 0], [0, 0]), 2),))  # not 1/2-integral
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ThetaProduct(2, ((Characteristic.make([F(1, 2), 0], [F(1, 2), 0]), 2),))  # vanishing
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ThetaProduct(2, ((chi, 0),))  # zero exponent
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ThetaProduct(2, ((chi, 1), (chi, 1)))  # duplicate
 
 
@@ -103,9 +103,51 @@ def test_multiplier_reference_values():
     ) == RootOfUnity(F(1, 2))
 
 
+def fraction_exponent(gamma, chi, n):
+    """The multiplier exponent in Fraction matrices, as first written: the reference."""
+    gamma = intmat(gamma)
+    over = np.vectorize(lambda v: v // n, otypes=[object])(gamma - identity(gamma.shape[0]))
+    a0, b0, c0, d0 = blocks(over)
+    nr = np.array([int(n * v) for v in chi.r], dtype=object)
+    ns = np.array([int(n * v) for v in chi.s], dtype=object)
+    m_rr = -b0.T + n * (a0 @ b0.T)
+    m_ss = c0 + n * (c0 @ d0.T)
+    m_rs = a0 + F(n, 2) * (a0 @ d0.T + d0.T @ a0 + b0 @ c0.T - b0.T @ c0)
+    return F(
+        -F(1, 2 * n) * (nr @ (m_rr @ nr)) - F(1, 2 * n) * (ns @ (m_ss @ ns)) - F(1, n) * (nr @ (m_rs @ ns))
+    )
+
+
+def test_multiplier_matches_fraction_reference():
+    rng = np.random.default_rng(61)
+    kinds = ("upper", "lower", "mixed")
+    for n in (2, 4, 6, 8):
+        for _ in range(12):
+            gamma = identity(4)
+            for _ in range(int(rng.integers(1, 5))):
+                gamma = gamma @ special_gamma(kinds[rng.integers(0, 3)], int(rng.integers(1, 3)), int(rng.integers(1, 3)), n)
+            # single characteristics, also outside [0, 1)
+            chi = Characteristic.from_den(rng.integers(-n, 2 * n, 2).tolist(), rng.integers(-n, 2 * n, 2).tolist(), n)
+            assert gamma_multiplier(gamma, chi, n) == RootOfUnity(fraction_exponent(gamma, chi, n))
+            terms = []
+            for _ in range(int(rng.integers(1, 4))):
+                chi = Characteristic.from_den(rng.integers(0, n, 2).tolist(), rng.integers(0, n, 2).tolist(), n)
+                if not chi.in_sigma_minus():
+                    terms.append((chi, int(rng.integers(-3, 4))))
+            prod = theta_product(n, terms)
+            expect = sum((m * fraction_exponent(gamma, chi, n) for chi, m in prod.terms), F(0))
+            assert gamma_multiplier(gamma, prod, n) == RootOfUnity(expect)
+
+
 def test_multiplier_requires_congruence():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         gamma_multiplier(special_gamma("upper", 1, 1, 3), Characteristic.make([0, 0], [F(1, 2), 0]), 2)
+    with pytest.raises(ValueError):
+        gamma_multiplier(identity(4), Characteristic.make([0, 0], [F(1, 3), 0]), 3)  # odd level
+    with pytest.raises(ValueError):
+        gamma_multiplier(special_gamma("lower", 1, 1, 2), Characteristic.make([0, 0], [F(1, 3), 0]), 2)
+    with pytest.raises(ValueError):
+        gamma_multiplier(identity(4), theta_product(4, [(chi4((1, 0), (0, 1)), 8)]), 2)  # level-4 family at n = 2
 
 
 def test_multiplier_is_homomorphism_on_congruence_group():

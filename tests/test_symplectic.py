@@ -11,6 +11,7 @@ from cmtheta.symplectic import (
     SiegelPoint,
     act_siegel,
     blocks,
+    even_theta_diagonals,
     identity,
     in_g_group,
     in_gamma,
@@ -19,7 +20,6 @@ from cmtheta.symplectic import (
     iota,
     is_symplectic,
     jmat,
-    membership,
     special_gamma,
     sympl_multiplier,
 )
@@ -84,9 +84,12 @@ def test_group_memberships():
     assert in_s_group(identity(4), 6)
     assert in_g_group(iota(5, 2, modulus=6), 6)
     assert not in_s_group(iota(5, 2, modulus=6), 6)  # nu = 5 != 1
-    assert membership(jmat(2), "Sp")
-    assert membership(identity(4), "Gamma", 4)
-    assert not membership(special_gamma("upper", 1, 1, 2), "Gamma", 4)
+    assert is_symplectic(jmat(2))
+    assert in_gamma(identity(4), 4)
+    assert not in_gamma(special_gamma("upper", 1, 1, 2), 4)
+    lower = special_gamma("lower", 1, 1, 1)  # symplectic, but tAC has an odd diagonal
+    assert is_symplectic(lower) and not even_theta_diagonals(lower)
+    assert not in_g_group(lower, 6) and not in_s_group(lower, 6)
 
 
 def test_multiplier_is_multiplicative_mod_n():
