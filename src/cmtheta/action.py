@@ -30,9 +30,8 @@ class ActionResult:
 
 def _transpose_apply(alpha: np.ndarray, chi: Characteristic) -> Characteristic:
     # alpha is an exact integer matrix, as from intmat
-    den, g = chi.den, chi.g
-    out = alpha.T @ np.array([v.numerator * (den // v.denominator) for v in chi.column()], dtype=object)
-    return Characteristic.from_den(out[:g], out[g:], den)
+    out = alpha.T @ np.array(chi.num, dtype=object)
+    return Characteristic.from_den(out[: chi.g], out[chi.g :], chi.den)
 
 
 def act_iota_inv(a: int, chi: Characteristic, modulus: int | None = None) -> Characteristic:
@@ -43,16 +42,15 @@ def act_iota_inv(a: int, chi: Characteristic, modulus: int | None = None) -> Cha
     """
     if modulus is not None:
         pow(a, -1, modulus)  # raises if not a unit
-    moved = Characteristic.make(chi.r, [a * v for v in chi.s])
-    return moved.reduce()[0]
+    g = chi.g
+    return Characteristic.from_den(chi.num[:g], [a * v for v in chi.num[g:]], chi.den).reduce()[0]
 
 
 def act_power_family(alpha, chi: Characteristic, n: int) -> Characteristic:
     """Action of alpha in G_n on the family of 2n^2-th powers: chi -> t(alpha) chi mod 1."""
     if n % 2:
         raise ValueError("family level must be even")
-    if any(n % v.denominator for v in chi.r + chi.s):
-        raise ValueError(f"{chi} not (1/{n})-integral")
+    chi.scaled(n)
     if not in_g_group(alpha, n):
         raise ValueError("alpha is not in G_n")
     return _transpose_apply(intmat(alpha), chi).reduce()[0]
@@ -67,13 +65,13 @@ def act_phi(alpha, chi: Characteristic, m: int) -> ActionResult:
     """
     if m % 2 == 0:
         raise ValueError("denominator must be odd")
-    if any(m % v.denominator for v in chi.r + chi.s):
-        raise ValueError(f"{chi} not (1/{m})-integral")
+    x = chi.scaled(m)
     alpha = intmat(alpha)
     a = sympl_multiplier(alpha, modulus=2 * m * m)
     if a is None or not even_theta_diagonals(alpha):
         raise ValueError("alpha is not in G_{2m^2}")
     moved = _transpose_apply(alpha, chi)
-    before = sum((rv * a * sv for rv, sv in zip(chi.r, chi.s)), Fraction(0))
-    after = sum((rv * sv for rv, sv in zip(moved.r, moved.s)), Fraction(0))
-    return ActionResult(RootOfUnity((before - after) / 2), moved)
+    y, g = moved.scaled(m), chi.g
+    before = a * sum(u * v for u, v in zip(x[:g], x[g:]))
+    after = sum(u * v for u, v in zip(y[:g], y[g:]))
+    return ActionResult(RootOfUnity(Fraction(before - after, 2 * m * m)), moved)

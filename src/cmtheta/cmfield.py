@@ -31,13 +31,15 @@ def _basis() -> list[CycloElem]:
 
 def field_norm(x: CycloElem) -> Fraction:
     """Norm from Q(zeta_5) down to Q, exact."""
-    assert x.n == 5
+    if x.n != 5:
+        raise ValueError(f"expected an element of Q(zeta_5), got one of Q(zeta_{x.n})")
     return orbit_product(x, (1, 2, 3, 4)).rational_value()
 
 
 def reflex_norm(x: CycloElem) -> CycloElem:
     """phi*(x) = x^(phi_1^{-1}) x^(phi_2^{-1}) = x * sigma_3(x)."""
-    assert x.n == 5
+    if x.n != 5:
+        raise ValueError(f"expected an element of Q(zeta_5), got one of Q(zeta_{x.n})")
     return x * x.galois(3)
 
 
@@ -61,7 +63,8 @@ def h_map(x: CycloElem) -> np.ndarray:
     h is Q-linear in x, so h(x) = sum_i c_i h(zeta^i) over the power-basis
     coefficients c_i of x.
     """
-    assert x.n == 5
+    if x.n != 5:
+        raise ValueError(f"expected an element of Q(zeta_5), got one of Q(zeta_{x.n})")
     num, den = x.num, x.den
     rows = [[sum(c * v for c, v in zip(num, entry)) for entry in row] for row in _h_powers()]
     if den != 1:
@@ -189,8 +192,7 @@ def closed_phase(which: int, chi: Characteristic, p: int) -> RootOfUnity:
     translation phase (-2a^2+8ab-4ac-6ad-2b^2+4bc)/p — note the -6ad cross
     term, which vanishes mod 3 but not mod larger primes.
     """
-    a, b = (int(p * v) for v in chi.r)
-    c, d = (int(p * v) for v in chi.s)
+    a, b, c, d = chi.scaled(p)
     if which == 1:
         f = -a * a + 2 * a * d - b * b - c * c - 2 * c * d - 2 * d * d
     elif which == 2:

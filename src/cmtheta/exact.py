@@ -212,9 +212,7 @@ class CycloElem:
         """Exact inverse: the product of the other Galois conjugates over the norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        rest = CycloElem.from_rational(self.n, 1)
-        for t in unit_residues(self.n)[1:]:
-            rest = rest * self.galois(t)
+        rest = orbit_product(self, unit_residues(self.n)[1:])
         return rest * (1 / (self * rest).rational_value())
 
     def __truediv__(self, other):

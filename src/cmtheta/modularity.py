@@ -29,8 +29,7 @@ class ThetaProduct:
             raise ValueError(f"level must be a positive even integer, got {self.level}")
         seen = set()
         for chi, m in self.terms:
-            if any((self.level * v).denominator != 1 for v in chi.r + chi.s):
-                raise ValueError(f"{chi} is not (1/{self.level})-integral")
+            chi.scaled(self.level)
             if not chi.is_canonical():
                 raise ValueError(f"{chi} is not reduced into [0,1)")
             if chi.in_sigma_minus():
@@ -116,15 +115,13 @@ def check_family(prod: ThetaProduct, n: int | None = None) -> FamilyCheck:
         prod = ThetaProduct(n, prod.terms)  # re-validate at the requested level
     n = prod.level
     g = prod.g
-    nr = [[int(n * v) for v in chi.r] for chi, _ in prod.terms]
-    ns = [[int(n * v) for v in chi.s] for chi, _ in prod.terms]
-    ms = [m for _, m in prod.terms]
+    terms = [(m, chi.scaled(n)) for chi, m in prod.terms]
     failures = []
     for j in range(g):
         for k in range(g):
-            srr = sum(m * a[j] * a[k] for m, a in zip(ms, nr))
-            sss = sum(m * b[j] * b[k] for m, b in zip(ms, ns))
-            srs = sum(m * a[j] * b[k] for m, a, b in zip(ms, nr, ns))
+            srr = sum(m * x[j] * x[k] for m, x in terms)
+            sss = sum(m * x[g + j] * x[g + k] for m, x in terms)
+            srs = sum(m * x[j] * x[g + k] for m, x in terms)
             if j <= k and srr % (2 * n):
                 failures.append(("rr", j, k, srr % (2 * n), 2 * n))
             if j <= k and sss % (2 * n):
@@ -159,12 +156,10 @@ def gamma_multiplier(gamma, target, n: int) -> RootOfUnity:
     m_ss = c0 + n * (c0 @ d0.T)
     m_rs = 2 * a0 + n * (a0 @ d0.T + d0.T @ a0 + b0 @ c0.T - b0.T @ c0)
     terms = ((target, 1),) if isinstance(target, Characteristic) else target.terms
-    total = 0
+    g, total = a0.shape[0], 0
     for chi, m in terms:
-        if any(n % v.denominator for v in chi.r + chi.s):
-            raise ValueError(f"{chi} is not (1/{n})-integral")
-        nr = np.array([v.numerator * (n // v.denominator) for v in chi.r], dtype=object)
-        ns = np.array([v.numerator * (n // v.denominator) for v in chi.s], dtype=object)
+        x = np.array(chi.scaled(n), dtype=object)
+        nr, ns = x[:g], x[g:]
         total += m * (nr @ m_rr @ nr + ns @ m_ss @ ns + nr @ m_rs @ ns)
     return RootOfUnity(Fraction(-total, 2 * n))
 

@@ -12,13 +12,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import CycloElem, is_subgroup, unit_residues
+from .exact import CycloElem, is_subgroup, orbit_product, orbit_sum
 
 
 def subgroup_generated(n: int, gens) -> frozenset[int]:
     """Subgroup of (Z/n)^* generated by the given residues."""
     for t in gens:
-        assert math.gcd(t, n) == 1, f"{t} is not a unit mod {n}"
+        if math.gcd(t, n) != 1:
+            raise ValueError(f"{t} is not a unit mod {n}")
     elems = {1}
     frontier = [1]
     while frontier:
@@ -47,8 +48,10 @@ class AbelianTower:
 
     def __post_init__(self):
         n = self.conductor
-        assert is_subgroup(n, self.base_h), "base_h must be a subgroup of units mod n"
-        assert self.x.n == n and self.y.n == n, "lift x and y to the ambient order first"
+        if not is_subgroup(n, self.base_h):
+            raise ValueError("base_h must be a subgroup of units mod n")
+        if self.x.n != n or self.y.n != n:
+            raise ValueError("lift x and y to the ambient order first")
 
     @cached_property
     def mid_h(self) -> frozenset[int]:
@@ -81,18 +84,12 @@ class AbelianTower:
     def trace_mid(self, e: CycloElem) -> CycloElem:
         """Tr_{L/K(x)}(e) for e in L, via coset representatives."""
         assert stabilizer(e, self.fixer_l) == self.fixer_l, "element is not in L"
-        total = CycloElem.from_rational(self.conductor, 0)
-        for t in self._reps():
-            total = total + e.galois(t)
-        return total
+        return orbit_sum(e, self._reps())
 
     def norm_mid(self, e: CycloElem) -> CycloElem:
         """N_{L/K(x)}(e) for e in L."""
         assert stabilizer(e, self.fixer_l) == self.fixer_l, "element is not in L"
-        total = CycloElem.from_rational(self.conductor, 1)
-        for t in self._reps():
-            total = total * e.galois(t)
-        return total
+        return orbit_product(e, self._reps())
 
 
 def make_tower(conductor: int, base_h, x: CycloElem, y: CycloElem) -> AbelianTower:
@@ -112,9 +109,10 @@ def combine_trace(t: AbelianTower, a, b) -> CycloElem:
     """
     a = CycloElem.from_rational(t.conductor, a) if isinstance(a, (int, Fraction)) else a.lift(t.conductor)
     b = CycloElem.from_rational(t.conductor, b) if isinstance(b, (int, Fraction)) else b.lift(t.conductor)
-    assert not a.is_zero() and not b.is_zero(), "coefficients must be nonzero"
-    assert stabilizer(a, t.base_h) == frozenset(t.base_h), "a must lie in the base field"
-    assert stabilizer(b, t.base_h) == frozenset(t.base_h), "b must lie in the base field"
+    if a.is_zero() or b.is_zero():
+        raise ValueError("coefficients must be nonzero")
+    if stabilizer(a, t.base_h) != t.base_h or stabilizer(b, t.base_h) != t.base_h:
+        raise ValueError("a and b must lie in the base field")
     return a * t.x + b * (t.ell * t.y - t.trace_mid(t.y))
 
 
@@ -124,9 +122,12 @@ def combine_norm(t: AbelianTower, a: int, b: int, c: int, d: int, n: int = 1, m:
     Requires the ratio conditions 2 < |a/b| and 2 < |c/d| and x, y algebraic
     integers; n, m nonzero integers.
     """
-    assert all(v != 0 for v in (a, b, c, d, n, m)), "all parameters must be nonzero"
-    assert 2 * abs(b) < abs(a) and 2 * abs(d) < abs(c), "need 2 < |a/b| and 2 < |c/d|"
-    assert all(v.denominator == 1 for v in t.x.coeffs + t.y.coeffs), "x and y must be integral"
+    if not all((a, b, c, d, n, m)):
+        raise ValueError("all parameters must be nonzero")
+    if not (2 * abs(b) < abs(a) and 2 * abs(d) < abs(c)):
+        raise ValueError("need 2 < |a/b| and 2 < |c/d|")
+    if t.x.den != 1 or t.y.den != 1:
+        raise ValueError("x and y must be integral")
     ax_b = a * t.x + b
     cy_d = c * t.y + d
     return ax_b**n * cy_d ** (-m * t.ell) * t.norm_mid(cy_d**m)

@@ -29,7 +29,7 @@ def intmat(rows) -> np.ndarray:
 
 
 def identity(n: int) -> np.ndarray:
-    return intmat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    return np.eye(n, dtype=object)
 
 
 @lru_cache(maxsize=None)
@@ -105,7 +105,8 @@ def in_g_group(m, n: int) -> bool:
 def iota(a: int, g: int, modulus: int | None = None) -> np.ndarray:
     """iota(a) = diag(I_g, a^{-1} I_g); nu(iota(a)) = a^{-1}."""
     if modulus is None:
-        assert a in (1, -1), "over Z only a = +-1 is invertible"
+        if a not in (1, -1):
+            raise ValueError(f"over Z only a = +-1 is invertible, got {a}")
         ainv = a
     else:
         ainv = pow(a, -1, modulus)
@@ -122,14 +123,15 @@ def special_gamma(kind: str, j: int, k: int, n: int, g: int = 2) -> np.ndarray:
     diagonal and the symmetrized E_jk + E_kj off it, which keeps all three
     shapes inside Sp_2g(Z).
     """
-    assert 1 <= j <= g and 1 <= k <= g, "generator indices are 1-based"
-    a0 = intmat(np.zeros((g, g), dtype=int))
+    if not (1 <= j <= g and 1 <= k <= g):
+        raise ValueError(f"generator indices are 1-based and at most g = {g}, got ({j}, {k})")
+    a0 = np.zeros((g, g), dtype=object)
     if j == k:
         a0[j - 1, j - 1] = 1
     else:
         a0[j - 1, k - 1] = 1
         a0[k - 1, j - 1] = 1
-    i, z = identity(g), intmat(np.zeros((g, g), dtype=int))
+    i, z = identity(g), np.zeros((g, g), dtype=object)
     na = n * a0
     if kind == "upper":
         m = np.block([[i, na], [z, i]])

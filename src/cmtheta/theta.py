@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,35 +23,69 @@ from .symplectic import SiegelPoint
 
 @dataclass(frozen=True)
 class Characteristic:
-    """A rational theta characteristic [r; s], held exactly."""
+    """A rational theta characteristic [r; s], held exactly.
 
-    r: tuple[Fraction, ...]
-    s: tuple[Fraction, ...]
+    Stored as integer numerators `num` (the g entries of r, then the g entries
+    of s) over one positive common denominator `den`, with gcd(den, *num) = 1,
+    so equal characteristics have equal fields and hashes.  `r` and `s` read
+    the entries back as Fraction tuples; `scaled(n)` gives the integer vector
+    n [r; s] that the congruence layers work with.
+    """
+
+    num: tuple[int, ...]
+    den: int
+
+    def __post_init__(self):
+        if self.den <= 0:
+            raise ValueError(f"denominator must be positive, got {self.den}")
+        k = math.gcd(self.den, *self.num)
+        object.__setattr__(self, "num", tuple(operator.index(v) // k for v in self.num))
+        object.__setattr__(self, "den", self.den // k)
 
     @classmethod
     def make(cls, r, s) -> "Characteristic":
-        return cls(tuple(Fraction(v) for v in r), tuple(Fraction(v) for v in s))
+        r, s = [Fraction(v) for v in r], [Fraction(v) for v in s]
+        den = math.lcm(*(v.denominator for v in r + s))
+        nums = [v.numerator * (den // v.denominator) for v in r + s]
+        return cls.from_den(nums[: len(r)], nums[len(r) :], den)
 
     @classmethod
     def from_den(cls, rnums, snums, den: int) -> "Characteristic":
-        return cls.make([Fraction(v, den) for v in rnums], [Fraction(v, den) for v in snums])
+        """[r; s] = [rnums; snums] / den for integer numerators."""
+        if len(rnums) != len(snums):
+            raise ValueError(f"r has {len(rnums)} entries and s has {len(snums)}")
+        return cls((*rnums, *snums), den)
 
     @property
     def g(self) -> int:
-        return len(self.r)
+        return len(self.num) // 2
 
     @property
-    def den(self) -> int:
-        return math.lcm(*(v.denominator for v in self.r + self.s))
+    def r(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.den) for v in self.num[: self.g])
+
+    @property
+    def s(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.den) for v in self.num[self.g :])
 
     def column(self) -> list[Fraction]:
-        return list(self.r) + list(self.s)
+        return [Fraction(v, self.den) for v in self.num]
+
+    def scaled(self, n: int) -> list[int]:
+        """The integer vector n [r; s] (r entries, then s entries).
+
+        Raises ValueError unless the characteristic lies in (1/n)Z^2g.
+        """
+        q, rest = divmod(n, self.den)
+        if rest:
+            raise ValueError(f"{self} is not (1/{n})-integral")
+        return [v * q for v in self.num]
 
     def neg(self) -> "Characteristic":
-        return Characteristic.make([-v for v in self.r], [-v for v in self.s])
+        return Characteristic(tuple(-v for v in self.num), self.den)
 
     def is_canonical(self) -> bool:
-        return all(0 <= v < 1 for v in self.r + self.s)
+        return all(0 <= v < self.den for v in self.num)
 
     def reduce(self) -> tuple["Characteristic", RootOfUnity]:
         """Translate into [0,1)^2g, returning the multiplier it costs.
@@ -59,19 +94,14 @@ class Characteristic:
         r the reduced row; so the value at self equals phase * value at the
         canonical representative.
         """
-        r_red = [v % 1 for v in self.r]
-        s_red = [v % 1 for v in self.s]
-        b = [v - w for v, w in zip(self.s, s_red)]
-        phase = sum((rv * bv for rv, bv in zip(r_red, b)), Fraction(0))
-        return Characteristic.make(r_red, s_red), RootOfUnity(phase)
+        den, g = self.den, self.g
+        phase = sum((rv % den) * (sv // den) for rv, sv in zip(self.num[:g], self.num[g:]))
+        return Characteristic(tuple(v % den for v in self.num), den), RootOfUnity(Fraction(phase, den))
 
     def in_sigma_minus(self) -> bool:
         """Half-integral characteristics whose theta constant vanishes identically."""
-        two_r = [2 * v for v in self.r]
-        two_s = [2 * v for v in self.s]
-        if any(v.denominator != 1 for v in two_r + two_s):
-            return False
-        return sum(int(a) * int(b) for a, b in zip(two_r, two_s)) % 2 == 1
+        g = self.g
+        return self.den == 2 and sum(a * b for a, b in zip(self.num[:g], self.num[g:])) % 2 == 1
 
     def __str__(self):
         row = lambda vs: " ".join(str(v) for v in vs)
@@ -79,14 +109,13 @@ class Characteristic:
 
 
 def zero_char(g: int) -> Characteristic:
-    return Characteristic.make([0] * g, [0] * g)
+    return Characteristic((0,) * (2 * g), 1)
 
 
 def all_characteristics(n: int, g: int):
     """All [r; s] with entries in (1/n)Z / Z, canonical representatives."""
-    vals = [Fraction(k, n) for k in range(n)]
-    for rs in itertools.product(vals, repeat=2 * g):
-        yield Characteristic.make(rs[:g], rs[g:])
+    for nums in itertools.product(range(n), repeat=2 * g):
+        yield Characteristic.from_den(nums[:g], nums[g:], n)
 
 
 @dataclass
@@ -132,8 +161,8 @@ def theta_eval(
     if chi.g != g:
         raise ValueError(f"characteristic has genus {chi.g}, the point has genus {g}")
     uv = np.zeros(g, dtype=complex) if u is None or np.isscalar(u) and u == 0 else np.asarray(u, dtype=complex)
-    r = np.array([float(v) for v in chi.r])
-    s = np.array([float(v) for v in chi.s])
+    rs = np.array(chi.num, dtype=float) / chi.den
+    r, s = rs[:g], rs[g:]
     lam = zp.min_im_eig
     rho = float(np.linalg.norm(uv.imag))
     rad = radius if radius is not None else _truncation_radius(lam, rho, g, settings.tol, settings.max_radius)
@@ -166,15 +195,16 @@ def phi_eval(
 
 
 def reduce_char(chi: Characteristic, ell: int, m: int) -> Characteristic:
-    """Normal form of chi for the ell-th power of Phi, r in (1/m)Z^g.
+    """Normal form of chi in (1/m)Z^2g for the ell-th power of Phi.
 
     The ell-th power is determined by r mod Z^g and s mod (m/gcd(m,ell))Z^g;
     this reduces both rows into those fundamental domains.
     """
-    assert ell > 0 and m > 0
-    assert all((m * v).denominator == 1 for v in chi.r), f"r of {chi} is not (1/{m})-integral"
-    q = Fraction(m, math.gcd(m, ell))
-    return Characteristic.make([v % 1 for v in chi.r], [v % q for v in chi.s])
+    if ell <= 0 or m <= 0:
+        raise ValueError(f"need ell > 0 and m > 0, got ell = {ell}, m = {m}")
+    x, g = chi.scaled(m), chi.g
+    q = m * (m // math.gcd(m, ell))
+    return Characteristic.from_den([v % m for v in x[:g]], [v % q for v in x[g:]], m)
 
 
 def random_siegel(rng: np.random.Generator, g: int = 2, base: float = 0.8) -> SiegelPoint:

@@ -2,8 +2,9 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings, strategies as st
 
-from cmtheta.action import ActionResult, act_iota_inv, act_phi, act_power_family
+from cmtheta.action import ActionResult, _transpose_apply, act_iota_inv, act_phi, act_power_family
 from cmtheta.exact import RootOfUnity
 from cmtheta.modularity import gamma_multiplier
 from cmtheta.symplectic import identity, in_g_group, intmat, iota, jmat, special_gamma, sympl_multiplier
@@ -95,13 +96,30 @@ def test_act_phi_congruence_overlap():
         assert res.multiplier == gamma_multiplier(gamma, chi, level)
 
 
-def fraction_act_phi(alpha, chi, m):
-    """act_phi with the transpose taken in Fraction arithmetic, as first written: the reference."""
+def fraction_transpose_apply(alpha, chi):
+    """t(alpha) [r; s] in Fraction arithmetic, as first written: the reference."""
     col = chi.column()
     at = intmat(alpha).T
     g = chi.g
     out = [sum((F(int(at[i, j])) * col[j] for j in range(2 * g)), F(0)) for i in range(2 * g)]
-    moved = Characteristic.make(out[:g], out[g:])
+    return Characteristic.make(out[:g], out[g:])
+
+
+@hsettings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-50, 50), min_size=16, max_size=16),
+    st.lists(st.integers(-40, 40), min_size=4, max_size=4),
+    st.integers(1, 15),
+)
+def test_transpose_apply_matches_fraction_reference(entries, nums, den):
+    alpha = intmat(np.array(entries, dtype=object).reshape(4, 4))
+    chi = Characteristic.from_den(nums[:2], nums[2:], den)
+    assert _transpose_apply(alpha, chi) == fraction_transpose_apply(alpha, chi)
+
+
+def fraction_act_phi(alpha, chi, m):
+    """act_phi with the transpose taken in Fraction arithmetic, as first written: the reference."""
+    moved = fraction_transpose_apply(alpha, chi)
     a = sympl_multiplier(alpha, modulus=2 * m * m)
     before = sum((rv * a * sv for rv, sv in zip(chi.r, chi.s)), F(0))
     after = sum((rv * sv for rv, sv in zip(moved.r, moved.s)), F(0))

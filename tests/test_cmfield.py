@@ -181,6 +181,8 @@ def test_closed_phase_validation():
     chi = Characteristic.from_den([1, 0], [0, 1], 3)
     with pytest.raises(ValueError):
         closed_phase(3, chi, 3)
+    with pytest.raises(ValueError):
+        closed_phase(1, Characteristic.make([F(1, 2), 0], [0, 0]), 3)  # not (1/3)-integral
 
 
 def test_artin_rejects_bad_actors(ctx):

@@ -55,7 +55,7 @@ def test_iota():
     assert sympl_multiplier(m, modulus=8) == 3
     with pytest.raises(ValueError):
         iota(2, 2, modulus=8)  # not a unit
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         iota(3, 2)  # over Z only +-1
 
 
@@ -76,7 +76,7 @@ def test_special_gamma_membership():
                 assert in_gamma(m, n)
     with pytest.raises(ValueError):
         special_gamma("twisted", 1, 1, 2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         special_gamma("upper", 0, 1, 2)  # indices are 1-based
 
 
@@ -159,3 +159,12 @@ def test_jmat_returns_independent_copies():
     j = jmat(2)
     j[0, 0] = 7
     assert jmat(2)[0, 0] == 0
+
+
+def test_identity_is_a_fresh_exact_matrix():
+    m = identity(3)
+    assert m.dtype == object and all(type(v) is int for v in m.flat)
+    m[0, 0] = 7
+    assert identity(3)[0, 0] == 1
+    z = special_gamma("upper", 1, 2, 4, g=3)
+    assert all(type(v) is int for v in z.flat)

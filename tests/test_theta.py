@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings, strategies as st
+
+import cmtheta
 
 from cmtheta.exact import RootOfUnity
 from cmtheta.symplectic import SiegelPoint
@@ -123,7 +130,7 @@ def test_reduce_char_normal_form():
     assert out == Characteristic.make([F(1, 3), F(2, 3)], [F(2, 3), F(2, 3)])
     out = reduce_char(chi, 2, 3)  # gcd(2, 3) = 1: s matters mod 3
     assert out == Characteristic.make([F(1, 3), F(2, 3)], [F(5, 3), F(8, 3)])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         reduce_char(Characteristic.make([F(1, 2), 0], [0, 0]), 2, 3)
 
 
@@ -167,3 +174,113 @@ def test_scalar_and_vector_u_agree():
     z = random_siegel(rng)
     chi = Characteristic.make([F(1, 3), 0], [0, F(1, 3)])
     assert theta_eval(0.0, z, chi) == theta_eval(np.zeros(2), z, chi)
+
+
+def test_reduce_char_validation_survives_optimize_flag():
+    code = (
+        "from fractions import Fraction\n"
+        "from cmtheta.cmfield import field_norm\n"
+        "from cmtheta.exact import CycloElem\n"
+        "from cmtheta.theta import Characteristic, reduce_char\n"
+        "for call in (lambda: field_norm(CycloElem.zeta(7)),\n"
+        "             lambda: reduce_char(Characteristic.make([Fraction(1, 2), 0], [0, 0]), 2, 3)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cmtheta.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+# -- the integer representation against the Fraction definitions -------------
+
+
+def fraction_reduce(chi):
+    """Characteristic.reduce on Fraction rows, as first written: the reference."""
+    r_red = [v % 1 for v in chi.r]
+    s_red = [v % 1 for v in chi.s]
+    b = [v - w for v, w in zip(chi.s, s_red)]
+    phase = sum((rv * bv for rv, bv in zip(r_red, b)), F(0))
+    return Characteristic.make(r_red, s_red), RootOfUnity(phase)
+
+
+def fraction_in_sigma_minus(chi):
+    """Characteristic.in_sigma_minus on Fraction rows, as first written: the reference."""
+    two_r = [2 * v for v in chi.r]
+    two_s = [2 * v for v in chi.s]
+    if any(v.denominator != 1 for v in two_r + two_s):
+        return False
+    return sum(int(a) * int(b) for a, b in zip(two_r, two_s)) % 2 == 1
+
+
+raw_chars = st.integers(1, 3).flatmap(
+    lambda g: st.tuples(
+        st.lists(st.integers(-30, 30), min_size=g, max_size=g),
+        st.lists(st.integers(-30, 30), min_size=g, max_size=g),
+        st.integers(1, 12),
+    )
+)
+
+
+@hsettings(max_examples=80, deadline=None)
+@given(raw_chars)
+def test_from_den_matches_make_and_round_trips(raw):
+    rn, sn, den = raw
+    chi = Characteristic.from_den(rn, sn, den)
+    r, s = tuple(F(v, den) for v in rn), tuple(F(v, den) for v in sn)
+    assert chi == Characteristic.make(r, s)
+    assert hash(chi) == hash(Characteristic.make(r, s))
+    assert chi.r == r and chi.s == s
+    assert Characteristic.make(chi.r, chi.s) == chi
+    assert all(type(v) is int for v in chi.num) and chi.den > 0
+    assert np.gcd.reduce([chi.den, *chi.num]) == 1
+    assert chi.den == np.lcm.reduce([v.denominator for v in r + s])
+
+
+@hsettings(max_examples=80, deadline=None)
+@given(raw_chars)
+def test_reduce_matches_fraction_reference(raw):
+    chi = Characteristic.from_den(*raw)
+    assert chi.reduce() == fraction_reduce(chi)
+    assert chi.in_sigma_minus() == fraction_in_sigma_minus(chi)
+    assert chi.reduce()[0].is_canonical()
+    assert chi.neg() == Characteristic.make([-v for v in chi.r], [-v for v in chi.s])
+
+
+@hsettings(max_examples=80, deadline=None)
+@given(raw_chars, st.integers(1, 24))
+def test_scaled_raises_exactly_off_the_lattice(raw, n):
+    chi = Characteristic.from_den(*raw)
+    if all((n * v).denominator == 1 for v in chi.column()):
+        assert chi.scaled(n) == [int(n * v) for v in chi.column()]
+    else:
+        with pytest.raises(ValueError):
+            chi.scaled(n)
+
+
+def test_unreduced_numerators_normalise():
+    chi = Characteristic.from_den([2, 0], [0, 0], 4)
+    assert chi == Characteristic.make([F(1, 2), 0], [0, 0])
+    assert hash(chi) == hash(Characteristic.make([F(1, 2), 0], [0, 0]))
+    assert (chi.num, chi.den) == ((1, 0, 0, 0), 2)
+    assert Characteristic.from_den([3, 6], [9, 0], 3) == Characteristic((1, 2, 3, 0), 1)
+    assert Characteristic.from_den([3, 6], [9, 0], 3).reduce()[0] == zero_char(2)
+    with pytest.raises(ValueError):
+        Characteristic.from_den([1, 0], [0, 0], 0)
+    with pytest.raises(ValueError):
+        Characteristic.from_den([1, 0], [0, 0], -2)
+    with pytest.raises(ValueError):
+        Characteristic.from_den([1, 0], [0], 2)
+    with pytest.raises(ValueError):
+        Characteristic.make([F(1, 2)], [0, 0])
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("g", [1, 2])
+def test_sigma_minus_matches_fraction_reference(n, g):
+    chars = list(all_characteristics(n, g))
+    assert len(set(chars)) == n ** (2 * g)
+    assert [chi.in_sigma_minus() for chi in chars] == [fraction_in_sigma_minus(chi) for chi in chars]
