@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import RootOfUnity
-from .symplectic import even_theta_diagonals, in_g_group, intmat, sympl_multiplier
+from .symplectic import g_group_multiplier, intmat
 from .theta import Characteristic
 
 
@@ -51,9 +51,10 @@ def act_power_family(alpha, chi: Characteristic, n: int) -> Characteristic:
     if n % 2:
         raise ValueError("family level must be even")
     chi.scaled(n)
-    if not in_g_group(alpha, n):
+    alpha = intmat(alpha)
+    if g_group_multiplier(alpha, n) is None:
         raise ValueError("alpha is not in G_n")
-    return _transpose_apply(intmat(alpha), chi).reduce()[0]
+    return _transpose_apply(alpha, chi).reduce()[0]
 
 
 def act_phi(alpha, chi: Characteristic, m: int) -> ActionResult:
@@ -67,8 +68,8 @@ def act_phi(alpha, chi: Characteristic, m: int) -> ActionResult:
         raise ValueError("denominator must be odd")
     x = chi.scaled(m)
     alpha = intmat(alpha)
-    a = sympl_multiplier(alpha, modulus=2 * m * m)
-    if a is None or not even_theta_diagonals(alpha):
+    a = g_group_multiplier(alpha, 2 * m * m)
+    if a is None:
         raise ValueError("alpha is not in G_{2m^2}")
     moved = _transpose_apply(alpha, chi)
     y, g = moved.scaled(m), chi.g

@@ -16,7 +16,7 @@ import numpy as np
 
 from .action import ActionResult, act_phi
 from .exact import CycloElem, RootOfUnity, orbit_product, orbit_sum, solve_exact
-from .symplectic import SiegelPoint, even_theta_diagonals, jmat, sympl_multiplier
+from .symplectic import SiegelPoint, g_group_multiplier, jmat
 from .theta import Characteristic, DEFAULT_SETTINGS, EvalSettings, phi_eval, theta_null
 
 
@@ -124,7 +124,11 @@ def build_context(settings: EvalSettings = DEFAULT_SETTINGS) -> CMContext:
 
 @dataclass(frozen=True)
 class GaloisActor:
-    """An integral x of Q(zeta_5) packaged as a level-2p^2 symplectic actor."""
+    """An integral x of Q(zeta_5) packaged as a level-2p^2 symplectic actor.
+
+    nu is the multiplier of the reflex-norm matrix mod 2p^2 when that matrix
+    lies in G_{2p^2}, and None otherwise.
+    """
 
     x: CycloElem
     p: int
@@ -134,7 +138,11 @@ class GaloisActor:
     first_row: tuple[int, int, int, int]
     nu: int | None
     norm: int
-    in_group: bool
+
+    @property
+    def in_group(self) -> bool:
+        """Whether the reflex-norm matrix lies in G_{2p^2}."""
+        return self.nu is not None
 
     @classmethod
     def build(cls, x: CycloElem, p: int) -> "GaloisActor":
@@ -146,7 +154,6 @@ class GaloisActor:
         h = h_map(reflex)
         assert all(isinstance(v, int) for v in h.flat)
         level = 2 * p * p
-        nu = sympl_multiplier(h, modulus=level)
         norm = field_norm(x)
         assert norm.denominator == 1
         return cls(
@@ -156,9 +163,8 @@ class GaloisActor:
             h_matrix=h,
             h_mod=h % level,
             first_row=tuple(h[0]),
-            nu=nu,
+            nu=g_group_multiplier(h, level),
             norm=int(norm),
-            in_group=nu is not None and even_theta_diagonals(h),
         )
 
 

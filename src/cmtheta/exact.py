@@ -12,23 +12,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
-
-
-@lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    result = n
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
 
 def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
     # exact division of integer polynomials (ascending coefficients), den monic
@@ -82,6 +65,10 @@ def _sparse_powers(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 def unit_residues(n: int) -> tuple[int, ...]:
     """Residues coprime to n, i.e. (Z/n)^* as a sorted tuple."""
     return tuple(a for a in range(1, n + 1) if math.gcd(a, n) == 1)
+
+
+def euler_phi(n: int) -> int:
+    return len(unit_residues(n))
 
 
 class CycloElem:
@@ -153,7 +140,8 @@ class CycloElem:
         """Rewrite in Q(zeta_m) where n | m."""
         if m == self.n:
             return self
-        assert m % self.n == 0, f"cannot lift order {self.n} into {m}"
+        if m % self.n:
+            raise ValueError(f"cannot lift order {self.n} into {m}")
         step = m // self.n
         num = [0] * (step * (len(self.num) - 1) + 1)
         num[::step] = self.num
@@ -272,7 +260,8 @@ class CycloElem:
 
     def galois(self, t: int) -> "CycloElem":
         """Apply sigma_t : zeta -> zeta^t.  Requires gcd(t, n) = 1."""
-        assert math.gcd(t, self.n) == 1, f"sigma_{t} is not an automorphism of Q(zeta_{self.n})"
+        if math.gcd(t, self.n) != 1:
+            raise ValueError(f"sigma_{t} is not an automorphism of Q(zeta_{self.n})")
         rows = _sparse_powers(self.n)
         out = [0] * len(self.num)
         for j, c in enumerate(self.num):
@@ -284,23 +273,15 @@ class CycloElem:
     def conj(self) -> "CycloElem":
         return self.galois(self.n - 1)
 
-    def embed(self, t: int = 1, prec: int | None = None) -> complex:
+    def embed(self, t: int = 1) -> complex:
         """Numerical value under zeta -> exp(2*pi*i*t/n)."""
-        if prec is None:
-            z = cmath.exp(2j * cmath.pi * t / self.n)
-            total, zp = 0j, 1 + 0j
-            for c in self.num:
-                if c:
-                    total += (c / self.den) * zp
-                zp *= z
-            return total
-        with mpmath.workdps(prec):
-            z = mpmath.e ** (2j * mpmath.pi * t / self.n)
-            total = mpmath.mpc(0)
-            for j, c in enumerate(self.coeffs):
-                if c:
-                    total += mpmath.mpf(c.numerator) / c.denominator * z**j
-            return complex(total)
+        z = cmath.exp(2j * cmath.pi * t / self.n)
+        total, zp = 0j, 1 + 0j
+        for c in self.num:
+            if c:
+                total += (c / self.den) * zp
+            zp *= z
+        return total
 
     def degree(self) -> int:
         """Degree of Q(self) over Q: phi(n) over the order of its stabiliser in (Z/n)^*."""

@@ -48,6 +48,8 @@ class AbelianTower:
 
     def __post_init__(self):
         n = self.conductor
+        if any(not 0 <= t < n for t in self.base_h):
+            raise ValueError(f"base_h must hold residues in [0, {n}); reduce it first")
         if not is_subgroup(n, self.base_h):
             raise ValueError("base_h must be a subgroup of units mod n")
         if self.x.n != n or self.y.n != n:
@@ -56,7 +58,7 @@ class AbelianTower:
     @cached_property
     def mid_h(self) -> frozenset[int]:
         """Subgroup fixing K(x)."""
-        return frozenset(self.base_h) & stabilizer(self.x, self.base_h)
+        return stabilizer(self.x, self.base_h)
 
     @cached_property
     def fixer_l(self) -> frozenset[int]:
@@ -81,25 +83,29 @@ class AbelianTower:
                 covered |= {(t * h) % self.conductor for h in self.fixer_l}
         return reps
 
+    def _require_in_l(self, e: CycloElem) -> None:
+        if stabilizer(e, self.fixer_l) != self.fixer_l:
+            raise ValueError("element is not in L")
+
     def trace_mid(self, e: CycloElem) -> CycloElem:
         """Tr_{L/K(x)}(e) for e in L, via coset representatives."""
-        assert stabilizer(e, self.fixer_l) == self.fixer_l, "element is not in L"
+        self._require_in_l(e)
         return orbit_sum(e, self._reps())
 
     def norm_mid(self, e: CycloElem) -> CycloElem:
         """N_{L/K(x)}(e) for e in L."""
-        assert stabilizer(e, self.fixer_l) == self.fixer_l, "element is not in L"
+        self._require_in_l(e)
         return orbit_product(e, self._reps())
 
 
 def make_tower(conductor: int, base_h, x: CycloElem, y: CycloElem) -> AbelianTower:
-    base = frozenset(t % conductor for t in base_h) if not isinstance(base_h, frozenset) else base_h
+    base = frozenset(t % conductor for t in base_h)
     return AbelianTower(conductor, base, x.lift(conductor), y.lift(conductor))
 
 
 def is_primitive(e: CycloElem, t: AbelianTower) -> bool:
     """True iff K(e) = L, decided by comparing Galois stabilizers."""
-    return (frozenset(t.base_h) & stabilizer(e.lift(t.conductor), t.base_h)) == t.fixer_l
+    return stabilizer(e.lift(t.conductor), t.base_h) == t.fixer_l
 
 
 def combine_trace(t: AbelianTower, a, b) -> CycloElem:

@@ -92,14 +92,25 @@ def even_theta_diagonals(m) -> bool:
     return not ((a * c).sum(axis=0) % 2).any() and not ((b * d).sum(axis=0) % 2).any()
 
 
+def g_group_multiplier(m, n: int) -> int | None:
+    """nu mod n if m lies in G_n, else None.
+
+    G_n is GSp_2g mod n (any unit multiplier) with even diagonals of tAC and
+    tBD; S_n is its part with nu = 1.  This is the one statement of the rule.
+    """
+    m = intmat(m)
+    nu = sympl_multiplier(m, modulus=n)
+    return nu if nu is not None and even_theta_diagonals(m) else None
+
+
 def in_s_group(m, n: int) -> bool:
     """S_n: symplectic mod n with even diagonals of tAC and tBD."""
-    return sympl_multiplier(m, modulus=n) == 1 % n and even_theta_diagonals(intmat(m))
+    return g_group_multiplier(m, n) == 1 % n
 
 
 def in_g_group(m, n: int) -> bool:
     """G_n: GSp mod n (any unit multiplier) with the same parity condition."""
-    return sympl_multiplier(m, modulus=n) is not None and even_theta_diagonals(intmat(m))
+    return g_group_multiplier(m, n) is not None
 
 
 def iota(a: int, g: int, modulus: int | None = None) -> np.ndarray:

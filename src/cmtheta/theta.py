@@ -122,10 +122,10 @@ def all_characteristics(n: int, g: int):
 class EvalSettings:
     tol: float = 1e-12
     max_radius: int = 200
-    null_threshold: float = 1e-8
 
 
 DEFAULT_SETTINGS = EvalSettings()
+NULL_THRESHOLD = 1e-8  # phi_eval refuses to divide by a smaller theta null
 
 
 def _truncation_radius(lam: float, rho: float, g: int, tol: float, max_radius: int) -> int:
@@ -189,7 +189,7 @@ def phi_eval(
     """The theta constant Phi_[r;s](Z); pass null_value to reuse a denominator."""
     zp = z if isinstance(z, SiegelPoint) else SiegelPoint(z)
     den = theta_null(zp, settings) if null_value is None else null_value
-    if abs(den) < settings.null_threshold:
+    if abs(den) < NULL_THRESHOLD:
         raise ValueError(f"theta null value too small ({abs(den):.3g}) to divide by")
     return theta_eval(0, zp, chi, settings) / den
 

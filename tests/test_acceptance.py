@@ -35,7 +35,7 @@ def test_reflex_norm_matrices_match_mod_2p_squared(env):
 
 def test_simulated_artin_action_equals_closed_form_phases(env):
     measured, tol = run(harness.check_artin_closed_form, env)
-    assert measured < 1e-8
+    assert measured is None and tol is None  # exact: chi_out and the multiplier compared as exponents
 
 
 def test_normalized_theta_constants_are_real_on_cm_locus(env):

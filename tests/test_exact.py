@@ -1,9 +1,15 @@
 import cmath
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
+import cmtheta
 from cmtheta.exact import (
     CycloElem,
     RootOfUnity,
@@ -16,6 +22,8 @@ from cmtheta.exact import (
     solve_exact,
     unit_residues,
 )
+
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(cmtheta.__file__).resolve().parents[1]))
 
 
 def test_euler_phi():
@@ -91,8 +99,10 @@ def test_galois_action():
     assert a.galois(2).galois(3) == a.galois(6 % 5)
     assert a.conj().conj() == a
     assert a.galois(1) == a
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         CycloElem.zeta(10).galois(5)
+    with pytest.raises(ValueError):
+        CycloElem.zeta(5).lift(7)
 
 
 def test_degree():
@@ -145,9 +155,29 @@ def test_solve_exact():
 
 def test_embed_high_precision():
     z = CycloElem.zeta(5)
-    fast = (1 + z).embed()
-    slow = (1 + z).embed(prec=50)
-    assert abs(fast - slow) < 1e-13
+    with mpmath.workdps(50):
+        reference = complex(1 + mpmath.exp(2j * mpmath.pi / 5))
+    assert abs((1 + z).embed() - reference) < 1e-13
+
+
+def test_input_checks_survive_optimize_flag():
+    code = (
+        "from cmtheta.exact import CycloElem\n"
+        "for call in (lambda: CycloElem.zeta(10).galois(5), lambda: CycloElem.zeta(5).lift(7)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(1)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=SRC_ENV, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_mpmath_unloaded():
+    code = "import sys, cmtheta\nraise SystemExit('mpmath' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr or "importing cmtheta loaded mpmath"
 
 
 def test_root_of_unity():

@@ -136,3 +136,21 @@ def test_failing_family_sampler_is_bounded(monkeypatch):
     monkeypatch.setattr(harness, "check_family", lambda prod, n=None: FamilyCheck(ok=True))
     with pytest.raises(RuntimeError, match="no failing family"):
         harness.check_failing_families(HarnessEnv(SuiteConfig()))
+
+
+def test_exhausted_char_and_tower_budgets_are_failed_checks(monkeypatch):
+    original = harness._random_char
+
+    def exhausted(rng, den, g=2, exclude_sigma=True):
+        return original(rng, den, g, exclude_sigma, draws=0)
+
+    monkeypatch.setattr(harness, "_random_char", exhausted)
+    monkeypatch.setitem(harness.CHECKS, "theta", [("sign-symmetry", harness.check_sign_symmetry)])
+    few_towers = lambda env: harness.check_random_towers(env, draws=5)
+    monkeypatch.setitem(harness.CHECKS, "primgen", [("random-towers", few_towers)])
+    report, code = run_suite(SuiteConfig(suites=("theta", "primgen")))
+    assert code == 1
+    chars, towers = report.records
+    assert chars.status == towers.status == "fail"
+    assert "no characteristic outside Sigma^- in 0 draws" in chars.detail
+    assert "towers of degree > 1 in 5 draws" in towers.detail

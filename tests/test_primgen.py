@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import cmtheta
 from cmtheta.exact import CycloElem, unit_residues
 from cmtheta.primgen import (
     AbelianTower,
@@ -93,8 +99,28 @@ def test_tower_membership_guard():
     assert t.mid_h == frozenset({1, 3, 5, 7})
     assert t.fixer_l == frozenset({1, 5})
     assert t.ell == 2 and t.degree == 2
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         t.trace_mid(z8)  # zeta8 is not fixed by fixer_l, hence not in L
+    with pytest.raises(ValueError):
+        t.norm_mid(z8)
+
+
+def test_tower_membership_guard_survives_optimize_flag():
+    code = (
+        "from cmtheta.exact import CycloElem, unit_residues\n"
+        "from cmtheta.primgen import make_tower\n"
+        "z8 = CycloElem.zeta(8)\n"
+        "t = make_tower(8, unit_residues(8), CycloElem.from_rational(8, 1), z8**2)\n"
+        "for call in (t.trace_mid, t.norm_mid):\n"
+        "    try:\n"
+        "        call(z8)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cmtheta.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_make_tower_lifts_inputs():
@@ -103,6 +129,17 @@ def test_make_tower_lifts_inputs():
     assert t.x.n == 8
     assert t.x == CycloElem.zeta(8) ** 2
     assert t.degree == 4
+
+
+def test_make_tower_reduces_a_frozenset_base_group():
+    z8 = CycloElem.zeta(8)
+    x, y = z8 + z8**7, z8**2
+    frozen = make_tower(8, frozenset({1, 3, 5, 7, 9}), x, y)
+    plain = make_tower(8, {1, 3, 5, 7, 9}, x, y)
+    assert frozen == plain and frozen.base_h == frozenset(unit_residues(8))
+    assert (frozen.degree, frozen.ell) == (plain.degree, plain.ell) == (4, 2)
+    assert combine_trace(frozen, 1, 1) == combine_trace(plain, 1, 1)
+    assert combine_norm(frozen, 3, 1, 3, 1) == combine_norm(plain, 3, 1, 3, 1)
 
 
 def test_degenerate_relative_degree():
@@ -134,3 +171,5 @@ def test_tower_validates_inputs():
         AbelianTower(8, frozenset({1, 3}), CycloElem.zeta(4), z8)  # x not lifted
     with pytest.raises(ValueError):
         AbelianTower(8, frozenset({1, 2}), z8, z8)  # 2 is not a unit
+    with pytest.raises(ValueError):
+        AbelianTower(8, frozenset({1, 3, 5, 7, 9}), z8 + z8**7, z8**2)  # 9 is not reduced mod 8

@@ -12,6 +12,7 @@ from cmtheta.symplectic import (
     act_siegel,
     blocks,
     even_theta_diagonals,
+    g_group_multiplier,
     identity,
     in_g_group,
     in_gamma,
@@ -90,6 +91,16 @@ def test_group_memberships():
     lower = special_gamma("lower", 1, 1, 1)  # symplectic, but tAC has an odd diagonal
     assert is_symplectic(lower) and not even_theta_diagonals(lower)
     assert not in_g_group(lower, 6) and not in_s_group(lower, 6)
+
+
+def test_g_group_multiplier():
+    assert g_group_multiplier(identity(4), 6) == 1
+    assert g_group_multiplier(iota(5, 2, modulus=6), 6) == 5
+    assert g_group_multiplier(special_gamma("mixed", 1, 2, 2), 6) == 1
+    assert g_group_multiplier(intmat(np.diag([1, 1, 2, 2])), 4) is None  # nu = 2 is no unit
+    for kind in ("lower", "upper"):  # symplectic, but tAC (lower) or tBD (upper) has an odd diagonal
+        m = special_gamma(kind, 1, 1, 1)
+        assert sympl_multiplier(m, modulus=6) == 1 and g_group_multiplier(m, 6) is None
 
 
 def test_multiplier_is_multiplicative_mod_n():
