@@ -67,6 +67,7 @@ def unit_residues(n: int) -> tuple[int, ...]:
     return tuple(a for a in range(1, n + 1) if math.gcd(a, n) == 1)
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     return len(unit_residues(n))
 

@@ -146,14 +146,14 @@ def _rng(env: HarnessEnv, salt: int) -> np.random.Generator:
     return np.random.default_rng([env.config.seed, salt])
 
 
-def _random_char(rng, den: int, g: int = 2, exclude_sigma: bool = True, draws: int = 64) -> Characteristic:
-    for _ in range(draws):
+def _random_char(rng, den: int, g: int = 2, exclude_sigma: bool = True) -> Characteristic:
+    for _ in range(64):
         chi = Characteristic.from_den(
             [int(v) for v in rng.integers(0, den, g)], [int(v) for v in rng.integers(0, den, g)], den
         )
         if not (exclude_sigma and chi.in_sigma_minus()):
             return chi
-    raise RuntimeError(f"no characteristic outside Sigma^- in {draws} draws")
+    raise RuntimeError("no characteristic outside Sigma^- in 64 draws")
 
 
 def _gamma_word(rng, n: int, max_len: int = 3, g: int = 2):
@@ -646,14 +646,14 @@ def check_surrogate_tower(env: HarnessEnv):
     return ok, None, None, "Q(zeta_8) tower: both combinators primitive, trace identity exact"
 
 
-def check_random_towers(env: HarnessEnv, draws: int = 200):
+def check_random_towers(env: HarnessEnv):
     rng = _rng(env, 13)
     conductors = (8, 12, 15, 16, 20, 24)
     ok = True
     trace_coeffs = (1, -1, 2, -2, Fraction(1, 5))
     norm_pairs = ((3, 1), (5, 2), (-7, 3))
     built = 0
-    for _ in range(draws):
+    for _ in range(200):
         if built == 20:
             break
         n = int(rng.choice(conductors))
@@ -676,7 +676,7 @@ def check_random_towers(env: HarnessEnv, draws: int = 200):
         eps2 = combine_norm(tower, ca, cb, cc, cd, ne, me)
         ok &= is_primitive(eps2, tower)
     if built < 20:
-        raise RuntimeError(f"only {built} towers of degree > 1 in {draws} draws")
+        raise RuntimeError(f"only {built} towers of degree > 1 in 200 draws")
     return ok, None, None, "20 randomized cyclotomic towers: combinator outputs primitive, exact"
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from cmtheta import harness
+from cmtheta.exact import CycloElem
 from cmtheta.harness import SUITE_NAMES, ConfigError, HarnessEnv, Report, SuiteConfig, run_suite
 from cmtheta.modularity import FamilyCheck
 
@@ -139,18 +140,15 @@ def test_failing_family_sampler_is_bounded(monkeypatch):
 
 
 def test_exhausted_char_and_tower_budgets_are_failed_checks(monkeypatch):
-    original = harness._random_char
-
-    def exhausted(rng, den, g=2, exclude_sigma=True):
-        return original(rng, den, g, exclude_sigma, draws=0)
-
-    monkeypatch.setattr(harness, "_random_char", exhausted)
-    monkeypatch.setitem(harness.CHECKS, "theta", [("sign-symmetry", harness.check_sign_symmetry)])
-    few_towers = lambda env: harness.check_random_towers(env, draws=5)
-    monkeypatch.setitem(harness.CHECKS, "primgen", [("random-towers", few_towers)])
-    report, code = run_suite(SuiteConfig(suites=("theta", "primgen")))
+    # every characteristic lands in Sigma^- and every tower has degree 1, so
+    # both bounded samplers run out of draws
+    monkeypatch.setattr(harness.Characteristic, "in_sigma_minus", lambda chi: True)
+    monkeypatch.setattr(harness, "orbit_sum", lambda a, residues: CycloElem.from_rational(a.n, 1))
+    monkeypatch.setitem(harness.CHECKS, "modularity", [("multiplier-cross-validation", harness.check_multiplier_cross)])
+    monkeypatch.setitem(harness.CHECKS, "primgen", [("random-towers", harness.check_random_towers)])
+    report, code = run_suite(SuiteConfig(suites=("modularity", "primgen")))
     assert code == 1
     chars, towers = report.records
     assert chars.status == towers.status == "fail"
-    assert "no characteristic outside Sigma^- in 0 draws" in chars.detail
-    assert "towers of degree > 1 in 5 draws" in towers.detail
+    assert "no characteristic outside Sigma^- in 64 draws" in chars.detail
+    assert "only 0 towers of degree > 1 in 200 draws" in towers.detail
