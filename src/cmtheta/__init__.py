@@ -13,9 +13,7 @@ from .symplectic import (
     act_siegel,
     blocks,
     identity,
-    in_g_group,
     in_gamma,
-    in_s_group,
     intmat,
     iota,
     is_symplectic,
@@ -102,9 +100,7 @@ __all__ = [
     "gamma_multiplier",
     "h_map",
     "identity",
-    "in_g_group",
     "in_gamma",
-    "in_s_group",
     "intmat",
     "iota",
     "is_primitive",

@@ -75,17 +75,15 @@ def h_map(x: CycloElem) -> np.ndarray:
     return out
 
 
-def riemann_form(x: CycloElem, y: CycloElem, ctx: "CMContext | None" = None) -> Fraction:
-    """E(Phi(x), Phi(y)) = Tr_{K/Q}(xi * x * conj(y)), exact."""
+def riemann_form(x: CycloElem, y: CycloElem) -> Fraction:
+    """E(Phi(x), Phi(y)) = Tr_{K/Q}(xi * x * conj(y)) with xi = (zeta - zeta^4)/5, exact."""
     z = _zeta()
-    xi = ctx.xi if ctx is not None else (z - z**4) / 5
+    xi = (z - z**4) / 5
     return orbit_sum(xi * x * y.galois(4), (1, 2, 3, 4)).rational_value()
 
 
 @dataclass(frozen=True)
 class CMContext:
-    zeta: CycloElem
-    xi: CycloElem
     basis: tuple[CycloElem, ...]
     omega: np.ndarray
     z0: SiegelPoint
@@ -98,22 +96,18 @@ class CMContext:
 
 
 def build_context(settings: EvalSettings = DEFAULT_SETTINGS) -> CMContext:
-    zeta = _zeta()
-    xi = (zeta - zeta**4) / 5
     basis = _basis()
     omega = np.array([[b.embed(t) for b in basis] for t in (1, 2)])
     w1, w2 = omega[:, :2], omega[:, 2:]
     z0 = SiegelPoint(np.linalg.solve(w2, w1))
     ctx = CMContext(
-        zeta=zeta,
-        xi=xi,
         basis=tuple(basis),
         omega=omega,
         z0=z0,
         settings=settings,
         null0=theta_null(z0, settings),
     )
-    gram = [[riemann_form(bj, bk, ctx) for bk in basis] for bj in basis]
+    gram = [[riemann_form(bj, bk) for bk in basis] for bj in basis]
     expect = jmat(2)
     assert all(
         gram[j][k] == expect[j, k] for j in range(4) for k in range(4)
@@ -132,10 +126,8 @@ class GaloisActor:
 
     x: CycloElem
     p: int
-    reflex: CycloElem
     h_matrix: np.ndarray
     h_mod: np.ndarray
-    first_row: tuple[int, int, int, int]
     nu: int | None
     norm: int
 
@@ -150,8 +142,7 @@ class GaloisActor:
             raise ValueError(f"p = {p} must be odd and > 2")
         if x.den != 1:
             raise ValueError("actor must be an algebraic integer")
-        reflex = reflex_norm(x)
-        h = h_map(reflex)
+        h = h_map(reflex_norm(x))
         assert all(isinstance(v, int) for v in h.flat)
         level = 2 * p * p
         norm = field_norm(x)
@@ -159,13 +150,24 @@ class GaloisActor:
         return cls(
             x=x,
             p=p,
-            reflex=reflex,
             h_matrix=h,
             h_mod=h % level,
-            first_row=tuple(h[0]),
             nu=g_group_multiplier(h, level),
             norm=int(norm),
         )
+
+    def act(self, chi: Characteristic) -> ActionResult:
+        """The simulated Artin action of (x) on Phi_chi(Z0), chi with denominator p.
+
+        Returns the total multiplier (including the translation phase of reducing
+        back into [0,1)) and the reduced characteristic.  Requires the norm of x
+        prime to 2p and the reflex-norm matrix to land in G_{2p^2}.
+        """
+        if math.gcd(self.norm, 2 * self.p) != 1:
+            raise ValueError(f"norm {self.norm} of the actor is not prime to 2p = {2 * self.p}")
+        if not self.in_group:
+            raise ValueError("reflex-norm matrix is not in G_{2p^2}; criterion inapplicable")
+        return act_phi(self.h_mod, chi, self.p).canonical()
 
 
 def standard_actors(p: int) -> tuple[CycloElem, CycloElem]:
@@ -174,19 +176,9 @@ def standard_actors(p: int) -> tuple[CycloElem, CycloElem]:
     return 1 + 2 * p * z, 1 + 2 * p * (z**2 - z**3 + z**4)
 
 
-def artin_action(x: CycloElem, p: int, chi: Characteristic, ctx: CMContext | None = None) -> ActionResult:
-    """The simulated Artin action of (x) on Phi_chi(Z0), chi with denominator p.
-
-    Returns the total multiplier (including the translation phase of reducing
-    back into [0,1)) and the reduced characteristic.  Requires the norm of x
-    prime to 2p and the reflex-norm matrix to land in G_{2p^2}.
-    """
-    actor = GaloisActor.build(x, p)
-    if math.gcd(actor.norm, 2 * p) != 1:
-        raise ValueError(f"norm {actor.norm} of the actor is not prime to 2p = {2 * p}")
-    if not actor.in_group:
-        raise ValueError("reflex-norm matrix is not in G_{2p^2}; criterion inapplicable")
-    return act_phi(actor.h_mod, chi, p).canonical()
+def artin_action(x: CycloElem, p: int, chi: Characteristic) -> ActionResult:
+    """The simulated Artin action of (x) on Phi_chi(Z0); see GaloisActor.act."""
+    return GaloisActor.build(x, p).act(chi)
 
 
 def closed_phase(which: int, chi: Characteristic, p: int) -> RootOfUnity:
@@ -244,10 +236,9 @@ def belong_criterion(x, p: int) -> BelongResult:
     c = -a0 * a1 - a0 * a2 + a0 * a3 + a0 * a4 + a1 * a1 - a1 * a3 + a2 * a4 - a4 * a4
     d = a0 * a2 - a0 * a3 + a1 * a3 - a1 * a4 - a2 * a2 + a2 * a3 - a3 * a4 + a4 * a4
     actor = GaloisActor.build(x, p)
-    if (a, b, c, d) != actor.first_row:
-        raise AssertionError(
-            f"quadratic forms {(a, b, c, d)} disagree with the matrix row {actor.first_row}"
-        )
+    row = tuple(actor.h_matrix[0])
+    if (a, b, c, d) != row:
+        raise AssertionError(f"quadratic forms {(a, b, c, d)} disagree with the matrix row {row}")
     value = -2 * a * b + 2 * a * c + a * d - 2 * b * c - 2 * c * d - 2 * d * d
     return BelongResult(
         first_row=(a, b, c, d),

@@ -256,7 +256,8 @@ class CycloElem:
         return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
-        assert self.is_rational()
+        if not self.is_rational():
+            raise ValueError(f"{self!r} is not rational")
         return Fraction(self.num[0], self.den)
 
     def galois(self, t: int) -> "CycloElem":
@@ -271,9 +272,6 @@ class CycloElem:
                     out[k] += c * v
         return CycloElem._make(self.n, out, self.den)
 
-    def conj(self) -> "CycloElem":
-        return self.galois(self.n - 1)
-
     def embed(self, t: int = 1) -> complex:
         """Numerical value under zeta -> exp(2*pi*i*t/n)."""
         z = cmath.exp(2j * cmath.pi * t / self.n)
@@ -283,11 +281,6 @@ class CycloElem:
                 total += (c / self.den) * zp
             zp *= z
         return total
-
-    def degree(self) -> int:
-        """Degree of Q(self) over Q: phi(n) over the order of its stabiliser in (Z/n)^*."""
-        units = unit_residues(self.n)
-        return len(units) // sum(self.galois(t) == self for t in units)
 
 
 def orbit_sum(a: CycloElem, residues) -> CycloElem:
@@ -364,13 +357,6 @@ class RootOfUnity:
 
     def __pow__(self, k: int) -> "RootOfUnity":
         return RootOfUnity(self.exponent * k)
-
-    def conj(self) -> "RootOfUnity":
-        return RootOfUnity(-self.exponent)
-
-    @property
-    def order(self) -> int:
-        return self.exponent.denominator
 
     def value(self) -> complex:
         return cmath.exp(2j * cmath.pi * float(self.exponent))

@@ -19,7 +19,6 @@ import numpy as np
 from .action import act_iota_inv, act_phi, act_power_family
 from .cmfield import (
     GaloisActor,
-    artin_action,
     belong_criterion,
     build_context,
     closed_phase,
@@ -146,22 +145,22 @@ def _rng(env: HarnessEnv, salt: int) -> np.random.Generator:
     return np.random.default_rng([env.config.seed, salt])
 
 
-def _random_char(rng, den: int, g: int = 2, exclude_sigma: bool = True) -> Characteristic:
+def _random_char(rng, den: int, exclude_sigma: bool = True) -> Characteristic:
     for _ in range(64):
         chi = Characteristic.from_den(
-            [int(v) for v in rng.integers(0, den, g)], [int(v) for v in rng.integers(0, den, g)], den
+            [int(v) for v in rng.integers(0, den, 2)], [int(v) for v in rng.integers(0, den, 2)], den
         )
         if not (exclude_sigma and chi.in_sigma_minus()):
             return chi
     raise RuntimeError("no characteristic outside Sigma^- in 64 draws")
 
 
-def _gamma_word(rng, n: int, max_len: int = 3, g: int = 2):
-    word = identity(2 * g)
+def _gamma_word(rng, n: int, max_len: int = 3):
+    word = identity(4)
     for _ in range(int(rng.integers(1, max_len + 1))):
         kind = ("upper", "lower", "mixed")[int(rng.integers(0, 3))]
-        j, k = int(rng.integers(1, g + 1)), int(rng.integers(1, g + 1))
-        word = word @ special_gamma(kind, j, k, n, g)
+        j, k = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        word = word @ special_gamma(kind, j, k, n)
     return word
 
 
@@ -169,13 +168,13 @@ def _gamma_word(rng, n: int, max_len: int = 3, g: int = 2):
 # theta quotients are well-conditioned, so absolute comparisons stay meaningful.
 
 
-def _image(gamma, z, min_eig: float = 0.02):
-    """gamma(z), or None if CZ + D is nearly singular or Im gamma(z) has an eigenvalue below min_eig."""
+def _image(gamma, z):
+    """gamma(z), or None if CZ + D is nearly singular or Im gamma(z) has an eigenvalue below 0.02."""
     try:
         w = act_siegel(gamma, z)
     except ValueError:
         return None
-    return w if w.min_im_eig >= min_eig else None
+    return w if w.min_im_eig >= 0.02 else None
 
 
 def _guarded_phis(env, chis, z, null_floor: float, band=(0.0, math.inf)):
@@ -394,11 +393,11 @@ class _WordSample:
     moved: complex
 
 
-def _usable_sample(rng, env, n, chi, word_draws: int = 64, point_draws: int = 30) -> _WordSample:
+def _usable_sample(rng, env, n, chi) -> _WordSample:
     """A random generator word and point with Phi(chi) well-conditioned at z and gamma z."""
-    for _ in range(word_draws):
+    for _ in range(64):
         gamma = _gamma_word(rng, n)
-        for _ in range(point_draws):
+        for _ in range(30):
             for _ in range(10):
                 z = random_siegel(rng)
                 w = _image(gamma, z)
@@ -511,9 +510,9 @@ def check_riemann_matrix(env: HarnessEnv):
     ctx = env.ctx
     expect = jmat(2)
     gram_ok = all(
-        riemann_form(bj, bk, ctx) == expect[j, k] for j, bj in enumerate(ctx.basis) for k, bk in enumerate(ctx.basis)
+        riemann_form(bj, bk) == expect[j, k] for j, bj in enumerate(ctx.basis) for k, bk in enumerate(ctx.basis)
     )
-    skew_ok = all(riemann_form(b, b, ctx) == 0 for b in ctx.basis)
+    skew_ok = all(riemann_form(b, b) == 0 for b in ctx.basis)
     return gram_ok and skew_ok, None, None, "[E(Phi(xi_j), Phi(xi_k))] = J, exact"
 
 
@@ -576,11 +575,11 @@ def check_artin_closed_form(env: HarnessEnv):
             grid = [(a, b, c, d) for a in range(3) for b in range(3) for c in range(3) for d in range(3)]
         else:
             grid = [tuple(int(v) for v in rng.integers(0, p, 4)) for _ in range(30)]
-        x1, x2 = standard_actors(p)
+        actors = [(which, GaloisActor.build(x, p)) for which, x in zip((1, 2), standard_actors(p))]
         for a, b, c, d in grid:
             chi = Characteristic.from_den([a, b], [c, d], p)
-            for which, x in ((1, x1), (2, x2)):
-                res = artin_action(x, p, chi)
+            for which, actor in actors:
+                res = actor.act(chi)
                 ok &= res.chi_out == chi and res.multiplier == closed_phase(which, chi, p)
                 cases += 1
     detail = (

@@ -29,6 +29,8 @@ class ThetaProduct:
             raise ValueError(f"level must be a positive even integer, got {self.level}")
         seen = set()
         for chi, m in self.terms:
+            if chi.g != self.g:
+                raise ValueError(f"{chi} has genus {chi.g}, the first term has genus {self.g}")
             chi.scaled(self.level)
             if not chi.is_canonical():
                 raise ValueError(f"{chi} is not reduced into [0,1)")
@@ -101,7 +103,7 @@ class FamilyCheck:
         return self.ok
 
 
-def check_family(prod: ThetaProduct, n: int | None = None) -> FamilyCheck:
+def check_family(prod: ThetaProduct) -> FamilyCheck:
     """Exact modularity test for Gamma(level).
 
     With n_i = level * r_i and t_i = level * s_i (integer vectors), requires
@@ -111,8 +113,6 @@ def check_family(prod: ThetaProduct, n: int | None = None) -> FamilyCheck:
         sum_i m_i t_ij t_ik = 0  (mod 2*level)
         sum_i m_i n_ij t_ik = 0  (mod level)
     """
-    if n is not None and n != prod.level:
-        prod = ThetaProduct(n, prod.terms)  # re-validate at the requested level
     n = prod.level
     g = prod.g
     terms = [(m, chi.scaled(n)) for chi, m in prod.terms]

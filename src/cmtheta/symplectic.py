@@ -103,16 +103,6 @@ def g_group_multiplier(m, n: int) -> int | None:
     return nu if nu is not None and even_theta_diagonals(m) else None
 
 
-def in_s_group(m, n: int) -> bool:
-    """S_n: symplectic mod n with even diagonals of tAC and tBD."""
-    return g_group_multiplier(m, n) == 1 % n
-
-
-def in_g_group(m, n: int) -> bool:
-    """G_n: GSp mod n (any unit multiplier) with the same parity condition."""
-    return g_group_multiplier(m, n) is not None
-
-
 def iota(a: int, g: int, modulus: int | None = None) -> np.ndarray:
     """iota(a) = diag(I_g, a^{-1} I_g); nu(iota(a)) = a^{-1}."""
     if modulus is None:
@@ -167,12 +157,12 @@ class SiegelPoint:
     part raises ValueError.
     """
 
-    def __init__(self, mat, sym_tol: float = 1e-9) -> None:
+    def __init__(self, mat) -> None:
         z = np.asarray(mat, dtype=complex)
         if z.ndim != 2 or z.shape[0] != z.shape[1]:
             raise ValueError("Siegel point must be a square matrix")
         defect = np.abs(z - z.T).max()
-        if defect > sym_tol * max(1.0, np.abs(z).max()):
+        if defect > 1e-9 * max(1.0, np.abs(z).max()):
             raise ValueError(f"matrix is not symmetric (defect {defect:.3g})")
         z = (z + z.T) / 2
         eigs = np.linalg.eigvalsh(z.imag)
@@ -186,14 +176,14 @@ class SiegelPoint:
         return f"SiegelPoint(g={self.g}, min_im_eig={self.min_im_eig:.4g})"
 
 
-def act_siegel(m, z, rcond_min: float = 1e-10) -> SiegelPoint:
-    """gamma(Z) = (AZ + B)(CZ + D)^{-1} for gamma in GSp_2g^+."""
+def act_siegel(m, z) -> SiegelPoint:
+    """gamma(Z) = (AZ + B)(CZ + D)^{-1} for gamma in GSp_2g^+; CZ + D must have rcond >= 1e-10."""
     zp = z.mat if isinstance(z, SiegelPoint) else np.asarray(z, dtype=complex)
     m = intmat(m)
     a, b, c, d = (blk.astype(float) for blk in blocks(m))
     den = c @ zp + d
     sv = np.linalg.svd(den, compute_uv=False)
-    if sv.min() / sv.max() < rcond_min:
+    if sv.min() / sv.max() < 1e-10:
         raise ValueError(f"CZ + D nearly singular (rcond {sv.min() / sv.max():.3g})")
     w = (a @ zp + b) @ np.linalg.inv(den)
     return SiegelPoint(w)

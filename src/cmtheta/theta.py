@@ -68,9 +68,6 @@ class Characteristic:
     def s(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self.den) for v in self.num[self.g :])
 
-    def column(self) -> list[Fraction]:
-        return [Fraction(v, self.den) for v in self.num]
-
     def scaled(self, n: int) -> list[int]:
         """The integer vector n [r; s] (r entries, then s entries).
 
@@ -121,25 +118,25 @@ def all_characteristics(n: int, g: int):
 @dataclass
 class EvalSettings:
     tol: float = 1e-12
-    max_radius: int = 200
 
 
 DEFAULT_SETTINGS = EvalSettings()
 NULL_THRESHOLD = 1e-8  # phi_eval refuses to divide by a smaller theta null
+MAX_RADIUS = 200  # theta_eval refuses to sum over a larger truncation radius
 
 
-def _truncation_radius(lam: float, rho: float, g: int, tol: float, max_radius: int) -> int:
+def _truncation_radius(lam: float, rho: float, g: int, tol: float) -> int:
     # Terms with |x + r| >= d contribute at most (2d+2)^g exp(-pi lam d^2 + 2 pi d rho)
     # per max-norm shell; stop once the shell bound halves each step and is < tol/4.
     d = max(2, math.ceil(2 * rho / lam))
     prev = None
-    while d <= max_radius:
+    while d <= MAX_RADIUS:
         bound = (2 * d + 2) ** g * math.exp(-math.pi * lam * d * d + 2 * math.pi * d * rho)
         if bound < tol / 4 and prev is not None and bound < prev / 2:
             return d
         prev = bound
         d += 1
-    raise ValueError(f"truncation radius exceeds {max_radius}; imaginary part too small")
+    raise ValueError(f"truncation radius exceeds {MAX_RADIUS}; imaginary part too small")
 
 
 def theta_eval(
@@ -165,7 +162,7 @@ def theta_eval(
     r, s = rs[:g], rs[g:]
     lam = zp.min_im_eig
     rho = float(np.linalg.norm(uv.imag))
-    rad = radius if radius is not None else _truncation_radius(lam, rho, g, settings.tol, settings.max_radius)
+    rad = radius if radius is not None else _truncation_radius(lam, rho, g, settings.tol)
     axes = [np.arange(math.floor(-rad - r[j]), math.ceil(rad - r[j]) + 1) for j in range(g)]
     grid = np.meshgrid(*axes, indexing="ij")
     x = np.stack([a.ravel() for a in grid], axis=1).astype(float)

@@ -1,12 +1,7 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import cmtheta
 from cmtheta.cli import main
 
 
@@ -111,17 +106,9 @@ def test_theta_rejects_genus_mismatch(capsys):
     assert "genus" in capsys.readouterr().err
 
 
-def run_optimized(args, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(Path(cmtheta.__file__).resolve().parents[1]))
-    cmd = [sys.executable, "-O", "-m", "cmtheta.cli", *args]
-    return subprocess.run(cmd, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
-
-
-def test_validation_survives_optimize_flag(tmp_path):
-    f = tmp_path / "fam.txt"
-    f.write_text("2 3\n6 1/3 0 0 0\n")  # odd level
-    proc = run_optimized(["modularity", str(f)], tmp_path)
-    assert proc.returncode == 2, proc.stdout + proc.stderr
-    assert "level must be a positive even integer" in proc.stderr
-    proc = run_optimized(["action", "--x", "1 2 2 0 0", "--p", "4", "--char", "1/4 0 0 0"], tmp_path)
-    assert proc.returncode == 2, proc.stdout + proc.stderr
+def test_validation_survives_optimize_flag(optimized):
+    code, err = optimized["cli_odd_level"]  # `modularity` on a product file of odd level
+    assert code == 2, err
+    assert "level must be a positive even integer" in err
+    code, err = optimized["cli_even_p"]  # `action --p 4`
+    assert code == 2, err

@@ -87,12 +87,11 @@ def test_riemann_form_is_standard(ctx):
     j = jmat(2)
     for a, ba in enumerate(ctx.basis):
         for b, bb in enumerate(ctx.basis):
-            e = riemann_form(ba, bb, ctx)
+            e = riemann_form(ba, bb)
             assert e == j[a, b]
-            assert e == -riemann_form(bb, ba, ctx)
-    assert riemann_form(ctx.basis[0], ctx.basis[2], ctx) == -1
-    assert riemann_form(ctx.basis[0], ctx.basis[1], ctx) == 0
-    # works without a context too (default xi)
+            assert e == -riemann_form(bb, ba)
+    assert riemann_form(ctx.basis[0], ctx.basis[2]) == -1
+    assert riemann_form(ctx.basis[0], ctx.basis[1]) == 0
     assert riemann_form(ctx.basis[2], ctx.basis[0]) == 1
 
 
@@ -130,7 +129,7 @@ def test_standard_actor_congruences():
         a1 = GaloisActor.build(x1, p)
         a2 = GaloisActor.build(x2, p)
         # reflex norm of x1 is 1 + 2p(z + z^3) up to a multiple of 2p^2
-        diff = a1.reflex - (1 + 2 * p * (z + z**3))
+        diff = reflex_norm(x1) - (1 + 2 * p * (z + z**3))
         assert all(c % level == 0 for c in diff.coeffs)
         assert a1.nu == a2.nu == (1 - 2 * p) % level
         assert a1.in_group and a2.in_group
@@ -139,14 +138,14 @@ def test_standard_actor_congruences():
 
 def test_actor_first_row_and_build_guards():
     a = GaloisActor.build(1 + 2 * ZETA, 3)
-    assert a.first_row == tuple(int(v) for v in a.h_matrix[0])
+    assert belong_criterion(1 + 2 * ZETA, 3).first_row == tuple(int(v) for v in a.h_matrix[0])
     with pytest.raises(ValueError):
         GaloisActor.build(ZETA / 2, 3)  # not integral
     with pytest.raises(ValueError):
         GaloisActor.build(ZETA, 4)  # even p
 
 
-def test_artin_matches_closed_form_exactly(ctx):
+def test_artin_matches_closed_form_exactly():
     rng = np.random.default_rng(44)
     for p in (3, 5, 7):
         x1, x2 = standard_actors(p)
@@ -156,7 +155,7 @@ def test_artin_matches_closed_form_exactly(ctx):
         for a, b, c, d in grid:
             chi = Characteristic.from_den([a, b], [c, d], p)
             for which, x in ((1, x1), (2, x2)):
-                res = artin_action(x, p, chi, ctx)
+                res = artin_action(x, p, chi)
                 assert res.chi_out == chi
                 assert res.multiplier == closed_phase(which, chi, p)
 
@@ -185,12 +184,21 @@ def test_closed_phase_validation():
         closed_phase(1, Characteristic.make([F(1, 2), 0], [0, 0]), 3)  # not (1/3)-integral
 
 
-def test_artin_rejects_bad_actors(ctx):
+def test_artin_rejects_bad_actors():
     chi = Characteristic.from_den([1, 0], [0, 1], 5)
     with pytest.raises(ValueError):
-        artin_action(ZETA - 1, 5, chi, ctx)  # norm 5 shares a factor with 2p
+        artin_action(ZETA - 1, 5, chi)  # norm 5 shares a factor with 2p
     with pytest.raises(ValueError):
-        artin_action(CycloElem.from_rational(5, 2), 5, chi, ctx)  # norm 16 is even
+        artin_action(CycloElem.from_rational(5, 2), 5, chi)  # norm 16 is even
+
+
+def test_actor_act_rejects_bad_actors():
+    # the norm check lives in GaloisActor.act: building the actor succeeds, acting does not
+    chi = Characteristic.from_den([1, 0], [0, 1], 5)
+    for x in (ZETA - 1, CycloElem.from_rational(5, 2)):
+        actor = GaloisActor.build(x, 5)
+        with pytest.raises(ValueError, match="not prime to 2p"):
+            actor.act(chi)
 
 
 def test_belong_worked_examples():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from cmtheta import harness
+from cmtheta.cmfield import GaloisActor
 from cmtheta.exact import CycloElem
 from cmtheta.harness import SUITE_NAMES, ConfigError, HarnessEnv, Report, SuiteConfig, run_suite
 from cmtheta.modularity import FamilyCheck
@@ -110,18 +111,27 @@ def test_multiplier_cross_check_passes_at_seed_7():
 
 
 def test_exhausted_sampler_is_a_failed_check(monkeypatch):
-    original = harness._usable_sample
-
-    def exhausted(rng, env, n, chi):
-        return original(rng, env, n, chi, word_draws=0)
-
-    monkeypatch.setattr(harness, "_usable_sample", exhausted)
+    monkeypatch.setattr(harness, "_image", lambda gamma, z: None)  # no word maps any point well
     monkeypatch.setitem(harness.CHECKS, "modularity", [("multiplier-cross-validation", harness.check_multiplier_cross)])
     report, code = run_suite(SuiteConfig(suites=("modularity",)))
     assert code == 1
     (record,) = report.records
     assert record.status == "fail"
     assert "no usable word/point pair" in record.detail
+
+
+def test_artin_closed_form_builds_one_actor_per_prime_and_actor(monkeypatch):
+    build = GaloisActor.build.__func__
+    built = []
+
+    def counted(cls, x, p):
+        built.append(p)
+        return build(cls, x, p)
+
+    monkeypatch.setattr(GaloisActor, "build", classmethod(counted))
+    ok, *_ = harness.check_artin_closed_form(HarnessEnv(SuiteConfig(primes=(3, 5, 7, 11, 13))))
+    assert ok
+    assert sorted(built) == [3, 3, 5, 5, 7, 7, 11, 11, 13, 13]
 
 
 def test_passing_families_pass_at_seed_5():
@@ -134,7 +144,7 @@ def test_passing_families_pass_at_seed_5():
 
 def test_failing_family_sampler_is_bounded(monkeypatch):
     # if every family passed, the failing-family search must give up, not loop forever
-    monkeypatch.setattr(harness, "check_family", lambda prod, n=None: FamilyCheck(ok=True))
+    monkeypatch.setattr(harness, "check_family", lambda prod: FamilyCheck(ok=True))
     with pytest.raises(RuntimeError, match="no failing family"):
         harness.check_failing_families(HarnessEnv(SuiteConfig()))
 

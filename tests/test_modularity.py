@@ -35,6 +35,14 @@ def test_product_invariants():
         ThetaProduct(2, ((chi, 1), (chi, 1)))  # duplicate
 
 
+def test_terms_of_different_genus_rejected():
+    a = Characteristic.from_den((1, 0), (0, 1), 2)  # g = 2
+    b = Characteristic.from_den((1, 0, 0), (0, 0, 1), 2)  # g = 3
+    for terms in ([(a, 2), (b, 2)], [(b, 2), (a, 2)]):
+        with pytest.raises(ValueError, match="genus"):
+            theta_product(2, terms)
+
+
 def test_factory_merges_and_canonicalizes():
     chi = Characteristic.make([F(1, 2), 0], [0, 0])
     shifted = Characteristic.make([F(1, 2) + 1, 0], [0, -2])
@@ -88,7 +96,7 @@ def test_failing_family_structure():
     assert not res
     assert res.failures == [("rr", 0, 0, 2, 4)]
     # the same data re-validated at level 4 satisfies the weaker congruences
-    assert check_family(theta_product(2, [(chi, 2)]), n=4).ok
+    assert check_family(ThetaProduct(4, theta_product(2, [(chi, 2)]).terms)).ok
 
 
 def test_multiplier_reference_values():
