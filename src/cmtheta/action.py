@@ -66,11 +66,19 @@ def act_phi(alpha, chi: Characteristic, m: int) -> ActionResult:
     """
     if m % 2 == 0:
         raise ValueError("denominator must be odd")
-    x = chi.scaled(m)
     alpha = intmat(alpha)
     a = g_group_multiplier(alpha, 2 * m * m)
     if a is None:
         raise ValueError("alpha is not in G_{2m^2}")
+    return _act_phi_known(alpha, a, chi, m)
+
+
+def _act_phi_known(alpha: np.ndarray, a: int, chi: Characteristic, m: int) -> ActionResult:
+    """act_phi for an exact alpha known to lie in G_{2m^2} with multiplier a.
+
+    Raises ValueError unless chi lies in (1/m)Z^2g.
+    """
+    x = chi.scaled(m)
     moved = _transpose_apply(alpha, chi)
     y, g = moved.scaled(m), chi.g
     before = a * sum(u * v for u, v in zip(x[:g], x[g:]))

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .action import ActionResult, act_phi
+from .action import ActionResult, _act_phi_known
 from .exact import CycloElem, RootOfUnity, orbit_product, orbit_sum, solve_exact
 from .symplectic import SiegelPoint, g_group_multiplier, jmat
 from .theta import Characteristic, DEFAULT_SETTINGS, EvalSettings, phi_eval, theta_null
@@ -167,7 +167,7 @@ class GaloisActor:
             raise ValueError(f"norm {self.norm} of the actor is not prime to 2p = {2 * self.p}")
         if not self.in_group:
             raise ValueError("reflex-norm matrix is not in G_{2p^2}; criterion inapplicable")
-        return act_phi(self.h_mod, chi, self.p).canonical()
+        return _act_phi_known(self.h_mod, self.nu, chi, self.p).canonical()
 
 
 def standard_actors(p: int) -> tuple[CycloElem, CycloElem]:

@@ -168,9 +168,11 @@ class SiegelPoint:
         eigs = np.linalg.eigvalsh(z.imag)
         if eigs.min() <= 1e-12:
             raise ValueError(f"imaginary part is not positive definite (min eig {eigs.min():.3g})")
+        z.flags.writeable = False  # theta caches truncation geometry per point
         self.mat = z
         self.g = z.shape[0]
         self.min_im_eig = float(eigs.min())
+        self._theta_lattice = None  # filled by theta on the first evaluation
 
     def __repr__(self):
         return f"SiegelPoint(g={self.g}, min_im_eig={self.min_im_eig:.4g})"

@@ -122,21 +122,91 @@ class EvalSettings:
 
 DEFAULT_SETTINGS = EvalSettings()
 NULL_THRESHOLD = 1e-8  # phi_eval refuses to divide by a smaller theta null
-MAX_RADIUS = 200  # theta_eval refuses to sum over a larger truncation radius
+MAX_RADIUS = 200  # theta_eval refuses a truncation ellipsoid reaching further along any axis
+EPS = float(np.finfo(float).eps)
 
 
-def _truncation_radius(lam: float, rho: float, g: int, tol: float) -> int:
-    # Terms with |x + r| >= d contribute at most (2d+2)^g exp(-pi lam d^2 + 2 pi d rho)
-    # per max-norm shell; stop once the shell bound halves each step and is < tol/4.
-    d = max(2, math.ceil(2 * rho / lam))
-    prev = None
-    while d <= MAX_RADIUS:
-        bound = (2 * d + 2) ** g * math.exp(-math.pi * lam * d * d + 2 * math.pi * d * rho)
-        if bound < tol / 4 and prev is not None and bound < prev / 2:
-            return d
-        prev = bound
-        d += 1
-    raise ValueError(f"truncation radius exceeds {MAX_RADIUS}; imaginary part too small")
+def _tail_bound(big_r: float, rho: float, g: int) -> float:
+    """g (2/rho)^g int_{R-rho/2}^inf exp(-(t-rho/2)^2) t^(g-1) dt, for R >= rho.
+
+    With h = rho/2 and s = t - h the integral is sum_k C(g-1, k) h^(g-1-k) J_k(R - rho),
+    where J_k(a) = int_a^inf s^k exp(-s^2) ds: J_0 = sqrt(pi)/2 erfc(a),
+    J_1 = exp(-a^2)/2 and J_k = a^(k-1) exp(-a^2)/2 + (k-1)/2 J_(k-2).
+    """
+    a, h = big_r - rho, rho / 2
+    e = math.exp(-a * a)
+    j = [math.sqrt(math.pi) / 2 * math.erfc(a), e / 2]
+    for k in range(2, g):
+        j.append(a ** (k - 1) * e / 2 + (k - 1) / 2 * j[k - 2])
+    total = 0.0
+    for k in range(g):
+        total += math.comb(g - 1, k) * h ** (g - 1 - k) * j[k]
+    return g * (2 / rho) ** g * total
+
+
+@dataclass(frozen=True)
+class _Cut:
+    """Candidate points y (as complex rows) with their phases pi i tyZy.
+
+    For a certified cut, radius is R, and tail and rounding bound the omitted
+    terms and the floating-point error of a sum whose terms have modulus
+    exp(-|T(y + f)|^2); a plain box carries no bounds.
+    """
+
+    points: np.ndarray
+    quad: np.ndarray
+    radius: float | None = None
+    tail: float = math.nan
+    rounding: float = math.nan
+
+
+class _Lattice:
+    """The truncation geometry of one SiegelPoint, built on its first evaluation.
+
+    T is the scaled Cholesky factor with |Tv|^2 = pi tv Im(Z) v, and
+    rho = sqrt(pi min_im_eig) is a lower bound on the shortest vector of T Z^g.
+    `cut(tol)` builds one certified cut per tolerance and keeps it (see
+    theta_eval for the bounds).  Only geometry is kept, never a theta value.
+    """
+
+    def __init__(self, zp: SiegelPoint) -> None:
+        self.z, self.y, self.g = zp.mat, zp.mat.imag, zp.g
+        self.t = math.sqrt(math.pi) * np.linalg.cholesky(self.y).T
+        self.y_inv = np.linalg.inv(self.y)
+        self.rho = math.sqrt(math.pi * zp.min_im_eig)
+        self.cuts: dict[float, _Cut] = {}
+
+    def _with_quad(self, points: np.ndarray, **bounds) -> _Cut:
+        points = points.astype(complex)  # the per-call product with a complex vector stays complex
+        return _Cut(points, 1j * np.pi * np.einsum("ij,jk,ik->i", points, self.z, points), **bounds)
+
+    def box(self, radius: int) -> _Cut:
+        return self._with_quad(np.indices((2 * radius + 1,) * self.g).reshape(self.g, -1).T - radius)
+
+    def cut(self, tol: float) -> _Cut:
+        found = self.cuts.get(tol)
+        if found is None:
+            found = self.cuts[tol] = self._certified(tol)
+        return found
+
+    def _certified(self, tol: float) -> _Cut:
+        g, rho, target = self.g, self.rho, tol / 2
+        lo, hi = rho, rho + 1.0
+        while _tail_bound(hi, rho, g) > target:
+            lo, hi = hi, rho + 2 * (hi - rho)
+        while hi - lo > 1 / 32:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if _tail_bound(mid, rho, g) > target else (lo, mid)
+        # C covers the ellipsoid |T(y + f)| < R for every shift f (see theta_eval)
+        reach = hi + math.sqrt(math.pi * float(np.abs(self.y).sum())) / 2
+        half = [reach * math.sqrt(w / math.pi) for w in self.y_inv.diagonal().tolist()]  # its x-extent
+        if max(half) > MAX_RADIUS:
+            raise ValueError(f"truncation radius exceeds {MAX_RADIUS}; imaginary part too small")
+        low = [math.ceil(-0.5 - w) for w in half]
+        grid = np.indices([math.floor(-0.5 + w) - l + 1 for w, l in zip(half, low)]).reshape(g, -1).T + low
+        points = grid[(((grid + 0.5) @ self.t.T) ** 2).sum(axis=1) < reach * reach]
+        total = 1 + _tail_bound(rho, rho, g)  # bounds the sum of exp(-|.|^2) over T(Z^g + f)
+        return self._with_quad(points, radius=hi, tail=_tail_bound(hi, rho, g), rounding=len(points) * EPS * total)
 
 
 def theta_eval(
@@ -148,8 +218,40 @@ def theta_eval(
 ) -> complex:
     """Theta(u, Z; r, s), accurate to settings.tol (absolute).
 
-    radius overrides the certified truncation radius (used by tail-soundness
-    tests); it must only ever be enlarged.
+    The sum runs over v = y + r - floor(r + c), y in one integer candidate set
+    C, where c = Im(Z)^-1 Im(u).  The term at v has modulus
+    exp(-|T(y + f)|^2) exp(pi Im(u) c), with f = frac(r + c) in [0, 1)^g and
+    T the scaled Cholesky factor of Im Z: |Tv|^2 = pi tv Im(Z) v.  C, the
+    radius R and both error bounds are built once per SiegelPoint and
+    tolerance and kept on the point; no theta value is kept.
+
+    Tail, after Deconinck, Heil, Bobenko, van Hoeij and Schmies, "Computing
+    Riemann theta functions", Math. Comp. 73 (2004).  The lattice T Z^g has
+    shortest vector at least rho = sqrt(pi min_im_eig), so the balls of radius
+    rho/2 about the points of T(Z^g + f) are disjoint.  Take a point p with
+    |p| >= R >= rho and any q in its ball: |p| >= |q| - rho/2 >= 0, so
+    exp(-|p|^2) is at most the ball average of exp(-(|q| - rho/2)^2), and the
+    ball lies in |q| >= R - rho/2.  Summed over all such p, the omitted terms
+    total at most vol(B_{rho/2})^-1 times the integral of exp(-(|q| - rho/2)^2)
+    over |q| >= R - rho/2, which in polar coordinates is
+    g (2/rho)^g int_{R-rho/2}^inf exp(-(t - rho/2)^2) t^(g-1) dt  (_tail_bound).
+    R is bisected so that this is at most tol/2.  Since
+    |T(y + f)| >= |T(y + 1/2)| - delta, with delta^2 = pi sum_jk |Im Z_jk| / 4
+    >= |Te|^2 for e in [-1/2, 1/2]^g, C = {y : |T(y + 1/2)| < R + delta}
+    covers the ellipsoid |T(y + f)| < R for every shift f.
+
+    Rounding.  The same ball argument with exp(-max(|q| - rho/2, 0)^2) bounds
+    the sum of all moduli by S = 1 + _tail_bound(rho, rho, g), so adding the
+    N = |C| terms is off by at most N eps S.  This is fixed per point and
+    tolerance and takes the other tol/2; where it exceeds tol/2 (large N,
+    small rho, tiny tol) the call still runs and N eps S is the bound that
+    holds.
+
+    A nonzero Im(u) moves the centre of the terms to -c and scales them by
+    exp(pi Im(u) c) <= 2^k, so the cut is taken at tolerance tol 2^-k.
+
+    radius replaces C by the full box |y_j| <= radius, with no certificate,
+    for tests that compare a wider sum with the certified one.
     """
     zp = z if isinstance(z, SiegelPoint) else SiegelPoint(z)
     g = zp.g
@@ -157,19 +259,26 @@ def theta_eval(
         chi = zero_char(g)
     if chi.g != g:
         raise ValueError(f"characteristic has genus {chi.g}, the point has genus {g}")
-    uv = np.zeros(g, dtype=complex) if u is None or np.isscalar(u) and u == 0 else np.asarray(u, dtype=complex)
+    uv = np.zeros(g, dtype=complex)
+    if u is not None:
+        uv += u
     rs = np.array(chi.num, dtype=float) / chi.den
     r, s = rs[:g], rs[g:]
-    lam = zp.min_im_eig
-    rho = float(np.linalg.norm(uv.imag))
-    rad = radius if radius is not None else _truncation_radius(lam, rho, g, settings.tol)
-    axes = [np.arange(math.floor(-rad - r[j]), math.ceil(rad - r[j]) + 1) for j in range(g)]
-    grid = np.meshgrid(*axes, indexing="ij")
-    x = np.stack([a.ravel() for a in grid], axis=1).astype(float)
-    v = x + r
-    quad = np.einsum("ij,jk,ik->i", v, zp.mat, v) / 2
-    lin = v @ (uv + s)
-    return complex(np.exp(2j * np.pi * (quad + lin)).sum())
+    if zp._theta_lattice is None:
+        zp._theta_lattice = _Lattice(zp)
+    lat = zp._theta_lattice
+    centre = lat.y_inv @ uv.imag
+    if radius is None:
+        k = math.ceil(math.pi * float(uv.imag @ centre) / math.log(2))
+        cut = lat.cut(math.ldexp(settings.tol, -k))
+    else:
+        cut = lat.box(radius)
+    # with v = y + shift: pi i tvZv + 2 pi i tv(u + s) = quad(y) + 2 pi i ty t + const
+    shift = r - np.floor(r + centre)
+    us = uv + s
+    t = lat.z @ shift + us
+    const = 1j * np.pi * complex(shift @ (t + us))
+    return complex(np.exp(cut.quad + cut.points @ (2j * np.pi * t) + const).sum())
 
 
 def theta_null(z, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:

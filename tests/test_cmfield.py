@@ -4,6 +4,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from cmtheta import action
+from cmtheta.action import act_phi
 from cmtheta.cmfield import (
     GaloisActor,
     _basis,
@@ -17,7 +19,7 @@ from cmtheta.cmfield import (
     standard_actors,
 )
 from cmtheta.exact import CycloElem, RootOfUnity, solve_exact
-from cmtheta.symplectic import act_siegel, intmat, is_symplectic, jmat
+from cmtheta.symplectic import act_siegel, g_group_multiplier, intmat, is_symplectic, jmat
 from cmtheta.theta import Characteristic, theta_eval
 
 ZETA = CycloElem.zeta(5)
@@ -199,6 +201,26 @@ def test_actor_act_rejects_bad_actors():
         actor = GaloisActor.build(x, 5)
         with pytest.raises(ValueError, match="not prime to 2p"):
             actor.act(chi)
+
+
+def test_actor_act_reuses_the_built_multiplier(monkeypatch):
+    # GaloisActor.build derives nu once; act must not re-derive it through act_phi
+    calls = []
+
+    def counted(m, n):
+        calls.append(n)
+        return g_group_multiplier(m, n)
+
+    actors = [GaloisActor.build(x, 5) for x in standard_actors(5)]
+    monkeypatch.setattr(action, "g_group_multiplier", counted)
+    chis = [Characteristic.from_den([1, 2], [3, 4], 5), Characteristic.from_den([0, 4], [2, 0], 5)]
+    for actor in actors:
+        for chi in chis:
+            got = actor.act(chi)
+            assert calls == []
+            assert got == act_phi(actor.h_mod, chi, 5).canonical()
+            assert calls == [50]
+            calls.clear()
 
 
 def test_belong_worked_examples():

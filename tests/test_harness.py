@@ -134,6 +134,21 @@ def test_artin_closed_form_builds_one_actor_per_prime_and_actor(monkeypatch):
     assert sorted(built) == [3, 3, 5, 5, 7, 7, 11, 11, 13, 13]
 
 
+def test_belong_example_evaluates_each_criterion_once(monkeypatch):
+    seen = []
+    belong = harness.belong_criterion
+
+    def counted(x, p):
+        seen.append((tuple(x), p))
+        return belong(x, p)
+
+    monkeypatch.setattr(harness, "belong_criterion", counted)
+    ok, measured, tolerance, detail = harness.check_belong_example(HarnessEnv(SuiteConfig()))
+    assert ok and measured is None and tolerance is None
+    assert detail == "first-row criterion on the worked examples, exact"
+    assert len(seen) == len(set(seen)) == 5
+
+
 def test_passing_families_pass_at_seed_5():
     # at seed 5 one family needs more than 60 draws for a well-conditioned base point
     env = HarnessEnv(SuiteConfig(seed=5))

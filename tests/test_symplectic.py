@@ -119,6 +119,16 @@ def test_siegel_point_validation():
     assert np.allclose(z.mat, z.mat.T)
 
 
+def test_siegel_point_matrix_is_read_only():
+    # theta keeps truncation geometry on the point, so its matrix must not change
+    m = np.eye(2) * 1j
+    z = SiegelPoint(m)
+    with pytest.raises(ValueError):
+        z.mat[0, 0] = 2j
+    m[0, 0] = 2j  # the caller's array stays the caller's
+    assert z.mat[0, 0] == 1j
+
+
 def test_act_siegel():
     z = SiegelPoint(np.eye(2) * 1j)
     assert np.allclose(act_siegel(identity(4), z).mat, z.mat)

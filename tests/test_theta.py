@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
+from cmtheta import theta
 from cmtheta.exact import RootOfUnity
 from cmtheta.symplectic import SiegelPoint
 from cmtheta.theta import (
@@ -49,6 +50,72 @@ def test_truncation_tail_is_sound():
         base = theta_eval(0.0, z, chi)
         fat = theta_eval(0.0, z, chi, radius=25)
         assert abs(base - fat) < 1e-12
+
+
+def wide_sum_error(u, z, chi, tol=1e-12):
+    """|certified sum - the box |y_j| <= 25|, the comparison of test_truncation_tail_is_sound."""
+    return abs(theta_eval(u, z, chi, EvalSettings(tol)) - theta_eval(u, z, chi, radius=25))
+
+
+def test_truncation_with_imaginary_u():
+    # Im u moves the centre of the terms by Im(Z)^-1 Im(u), here by up to about 3
+    rng = np.random.default_rng(21)
+    chi = Characteristic.make([F(1, 3), F(2, 3)], [F(1, 5), 0])
+    for u in ([0.3 + 0.32j, -0.2 - 0.22j], [-0.4 - 0.32j, 0.1 + 0.24j]):
+        for _ in range(4):
+            assert wide_sum_error(np.array(u), random_siegel(rng, base=0.1), chi) < 1e-12
+
+
+def test_truncation_with_non_canonical_characteristics():
+    rng = np.random.default_rng(22)
+    z = random_siegel(rng)
+    for nums in ([-7, 11, 13, -5], [9, -1, -6, 14], [-3, -3, 5, 7]):
+        chi = Characteristic.from_den(nums[:2], nums[2:], 4)
+        assert not chi.is_canonical()
+        assert wide_sum_error(0.0, z, chi) < 1e-12
+
+
+def test_truncation_in_genus_three():
+    rng = np.random.default_rng(23)
+    z = random_siegel(rng, 3)
+    chi = Characteristic.make([F(1, 3), 0, F(2, 3)], [0, F(1, 3), F(1, 3)])
+    assert wide_sum_error(0.0, z, chi) < 1e-12
+
+
+def test_truncation_geometry_is_kept_per_tolerance():
+    # a cut kept per point only would serve the 1e-14 call from the 1e-6 one
+    z = random_siegel(np.random.default_rng(24), base=0.1)
+    chi = Characteristic.make([F(1, 4), F(3, 4)], [F(1, 2), 0])
+    assert wide_sum_error(0.0, z, chi, tol=1e-6) > 1e-14
+    assert wide_sum_error(0.0, z, chi, tol=1e-14) < 1e-14
+
+
+def test_understated_tail_fails_the_comparison(monkeypatch):
+    # the comparisons above can fail: with a tail bound 1e-12 too small the cut is too short
+    tail_bound = theta._tail_bound
+    monkeypatch.setattr(theta, "_tail_bound", lambda big_r, rho, g: tail_bound(big_r, rho, g) * 1e-12)
+    z = random_siegel(np.random.default_rng(7))
+    chi = Characteristic.make([F(1, 3), F(2, 3)], [F(1, 3), 0])
+    assert wide_sum_error(0.0, z, chi) > 1e-12
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_tail_bound_closed_form_matches_quadrature(g):
+    mp.mp.dps = 30
+    for big_r, rho in ((6.5, 1.2), (3.0, 0.4), (0.9, 0.9)):
+        h = mp.mpf(rho) / 2
+        integral = mp.quad(lambda t: mp.exp(-((t - h) ** 2)) * t ** (g - 1), [big_r - h, mp.inf])
+        expect = g * (2 / mp.mpf(rho)) ** g * integral
+        assert abs(theta._tail_bound(big_r, rho, g) / float(expect) - 1) < 1e-12
+
+
+def test_certified_cut_meets_its_budget():
+    z = random_siegel(np.random.default_rng(25))
+    theta_eval(0.0, z, zero_char(2))
+    cut = z._theta_lattice.cuts[1e-12]
+    assert cut.tail <= 0.5e-12 and cut.rounding <= 0.5e-12
+    # bisected to 1/32: a slightly shorter radius would miss the budget
+    assert theta._tail_bound(cut.radius - 1 / 32, z._theta_lattice.rho, 2) > 0.5e-12
 
 
 def test_sign_symmetry():
