@@ -9,6 +9,7 @@ is the theta constant attached to the characteristic [r; s].
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import operator
@@ -124,6 +125,7 @@ DEFAULT_SETTINGS = EvalSettings()
 NULL_THRESHOLD = 1e-8  # phi_eval refuses to divide by a smaller theta null
 MAX_RADIUS = 200  # theta_eval refuses a truncation ellipsoid reaching further along any axis
 EPS = float(np.finfo(float).eps)
+_EXP_RANGE = -math.log(np.finfo(float).tiny)  # exp(-x) is a normal float for 0 <= x < 708.4
 
 
 def _tail_bound(big_r: float, rho: float, g: int) -> float:
@@ -144,17 +146,45 @@ def _tail_bound(big_r: float, rho: float, g: int) -> float:
     return g * (2 / rho) ** g * total
 
 
-@dataclass(frozen=True)
-class _Cut:
-    """Candidate points y (as complex rows) with their phases pi i tyZy.
+def _rounding_bound(z_rows: list[list[complex]], rho: float, reach_y: int, ops: float, more: int) -> float:
+    """u M0^(g-2) (A M0^2 + m_E pi (D M2 M0 + (S - D) M1^2) + m_w 2 pi (S + g) M1 M0); see theta_eval.
 
-    For a certified cut, radius is R, and tail and rounding bound the omitted
-    terms and the floating-point error of a sum whose terms have modulus
-    exp(-|T(y + f)|^2); a plain box carries no bounds.
+    The candidates lie in [-reach_y - 1, reach_y]^g; ops is a and more the
+    roundings each argument gains when the terms are summed one by one.
+    """
+    g = len(z_rows)
+    m0, m1, m2 = 2.0, 1.0, 1.0  # y = 0 and y = -1, which some shift moves to v = 0
+    for k in range(1, reach_y + 1):
+        e = math.exp(-rho * rho * k * k)  # y = k and y = -k - 1 lie at distance k from 0
+        m0, m1, m2 = m0 + 2 * e, m1 + (2 * k + 1) * e, m2 + (2 * k * k + 2 * k + 1) * e
+    total = sum(abs(v) for row in z_rows for v in row)  # S
+    diag = sum(abs(row[j]) for j, row in enumerate(z_rows))  # D
+    fixed = ops + (2 * g + 5 + more) * math.pi * (total + 2 * g)  # A
+    bound = (
+        fixed * m0 * m0
+        + (g * g + 3 + more) * math.pi * (diag * m2 * m0 + (total - diag) * m1 * m1)
+        + (g + 5 + more) * 2 * math.pi * (total + g) * m1 * m0
+    )
+    return EPS / 2 * bound * m0 ** (g - 2)
+
+
+@dataclass
+class _Cut:
+    """The candidate points y of one truncation, ready to sum.
+
+    axes[j] lists the y_j of the box of candidates.  When the range guard of
+    theta_eval holds, factor is E(y) = exp(pi i tyZy) on that box, zero off
+    the candidates, and points and quad are None; otherwise factor is None and
+    points and quad list the candidates (as complex rows) and their phases
+    pi i tyZy.  For a certified cut, radius is R, and tail and rounding bound
+    the omitted terms and the floating-point error (see theta_eval); a plain
+    box carries no bounds.
     """
 
-    points: np.ndarray
-    quad: np.ndarray
+    axes: tuple[np.ndarray, ...]
+    factor: np.ndarray | None
+    points: np.ndarray | None
+    quad: np.ndarray | None
     radius: float | None = None
     tail: float = math.nan
     rounding: float = math.nan
@@ -166,22 +196,37 @@ class _Lattice:
     T is the scaled Cholesky factor with |Tv|^2 = pi tv Im(Z) v, and
     rho = sqrt(pi min_im_eig) is a lower bound on the shortest vector of T Z^g.
     `cut(tol)` builds one certified cut per tolerance and keeps it (see
-    theta_eval for the bounds).  Only geometry is kept, never a theta value.
+    theta_eval for the bounds).  Z and Im(Z)^-1 are also kept as nested lists
+    for the per-call arithmetic.  Only geometry is kept, never a theta value.
     """
 
     def __init__(self, zp: SiegelPoint) -> None:
-        self.z, self.y, self.g = zp.mat, zp.mat.imag, zp.g
-        self.t = math.sqrt(math.pi) * np.linalg.cholesky(self.y).T
-        self.y_inv = np.linalg.inv(self.y)
+        self.z, self.g = zp.mat, zp.g
+        y = zp.mat.imag
+        self.t = math.sqrt(math.pi) * np.linalg.cholesky(y).T
+        self.y_inv = np.linalg.inv(y)
         self.rho = math.sqrt(math.pi * zp.min_im_eig)
+        self.z_rows, self.y_inv_rows = self.z.tolist(), self.y_inv.tolist()
+        self.y_row_sums = [sum(abs(v.imag) for v in row) for row in self.z_rows]  # sum_l |Im Z_jl|
         self.cuts: dict[float, _Cut] = {}
 
-    def _with_quad(self, points: np.ndarray, **bounds) -> _Cut:
-        points = points.astype(complex)  # the per-call product with a complex vector stays complex
-        return _Cut(points, 1j * np.pi * np.einsum("ij,jk,ik->i", points, self.z, points), **bounds)
+    def _assemble(self, grid: np.ndarray, low: list[int], dims: list[int], inside: np.ndarray, shrink: float) -> _Cut:
+        """The cut of the box low + [0, dims), with points `grid`, restricted to `inside`.
+
+        shrink bounds pi tyIm(Z)y over the candidates; the cut is factored if the range guard holds.
+        """
+        quad = 1j * np.pi * np.einsum("ij,jk,ik->i", grid, self.z, grid)
+        axes = tuple(np.arange(l, l + n, dtype=float) for l, n in zip(low, dims))
+        grow = 2 * math.pi * sum(max(-l, l + n - 1) * w for l, n, w in zip(low, dims, self.y_row_sums))
+        if grow + shrink + math.log(len(grid)) < _EXP_RANGE:
+            return _Cut(axes, np.where(inside, np.exp(quad), 0).reshape(dims), None, None)
+        return _Cut(axes, None, grid[inside].astype(complex), quad[inside])
 
     def box(self, radius: int) -> _Cut:
-        return self._with_quad(np.indices((2 * radius + 1,) * self.g).reshape(self.g, -1).T - radius)
+        dims = [2 * radius + 1] * self.g
+        grid = np.indices(dims).reshape(self.g, -1).T - radius
+        shrink = math.pi * radius * radius * sum(self.y_row_sums)
+        return self._assemble(grid, [-radius] * self.g, dims, np.full(len(grid), True), shrink)
 
     def cut(self, tol: float) -> _Cut:
         found = self.cuts.get(tol)
@@ -198,15 +243,24 @@ class _Lattice:
             mid = (lo + hi) / 2
             lo, hi = (mid, hi) if _tail_bound(mid, rho, g) > target else (lo, mid)
         # C covers the ellipsoid |T(y + f)| < R for every shift f (see theta_eval)
-        reach = hi + math.sqrt(math.pi * float(np.abs(self.y).sum())) / 2
+        delta = math.sqrt(math.pi * sum(self.y_row_sums)) / 2
+        reach = hi + delta
         half = [reach * math.sqrt(w / math.pi) for w in self.y_inv.diagonal().tolist()]  # its x-extent
         if max(half) > MAX_RADIUS:
             raise ValueError(f"truncation radius exceeds {MAX_RADIUS}; imaginary part too small")
         low = [math.ceil(-0.5 - w) for w in half]
-        grid = np.indices([math.floor(-0.5 + w) - l + 1 for w, l in zip(half, low)]).reshape(g, -1).T + low
-        points = grid[(((grid + 0.5) @ self.t.T) ** 2).sum(axis=1) < reach * reach]
-        total = 1 + _tail_bound(rho, rho, g)  # bounds the sum of exp(-|.|^2) over T(Z^g + f)
-        return self._with_quad(points, radius=hi, tail=_tail_bound(hi, rho, g), rounding=len(points) * EPS * total)
+        dims = [math.floor(-0.5 + w) - l + 1 for w, l in zip(half, low)]
+        grid = np.indices(dims).reshape(g, -1).T + low
+        inside = (((grid + 0.5) @ self.t.T) ** 2).sum(axis=1) < reach * reach
+        cut = self._assemble(grid, low, dims, inside, (reach + delta) ** 2)  # |Ty| <= |T(y + 1/2)| + delta
+        if cut.factor is not None:
+            ops, more = 8 * (g + 2) + math.sqrt(2) * (2 * sum(dims) + 2), 0
+        else:
+            ops, more = len(cut.points) + 7, g + 2
+        reach_y = max(max(-l - 1, l + n - 1) for l, n in zip(low, dims))
+        cut.radius, cut.tail = hi, _tail_bound(hi, rho, g)
+        cut.rounding = _rounding_bound(self.z_rows, rho, reach_y, ops, more)
+        return cut
 
 
 def theta_eval(
@@ -216,7 +270,7 @@ def theta_eval(
     settings: EvalSettings = DEFAULT_SETTINGS,
     radius: int | None = None,
 ) -> complex:
-    """Theta(u, Z; r, s), accurate to settings.tol (absolute).
+    """Theta(u, Z; r, s), off by at most tol/2 for the tail plus the cut's rounding bound.
 
     The sum runs over v = y + r - floor(r + c), y in one integer candidate set
     C, where c = Im(Z)^-1 Im(u).  The term at v has modulus
@@ -240,12 +294,56 @@ def theta_eval(
     >= |Te|^2 for e in [-1/2, 1/2]^g, C = {y : |T(y + 1/2)| < R + delta}
     covers the ellipsoid |T(y + f)| < R for every shift f.
 
-    Rounding.  The same ball argument with exp(-max(|q| - rho/2, 0)^2) bounds
-    the sum of all moduli by S = 1 + _tail_bound(rho, rho, g), so adding the
-    N = |C| terms is off by at most N eps S.  This is fixed per point and
-    tolerance and takes the other tol/2; where it exceeds tol/2 (large N,
-    small rho, tiny tol) the call still runs and N eps S is the bound that
-    holds.
+    Order of summation.  With shift = r - floor(r + c) and t = Z shift + u + s,
+    the exponent at v = y + shift is pi i tyZy + 2 pi i sum_j y_j t_j + const,
+    const = pi i t(shift) (t + u + s): a fixed quadratic part and a part
+    linear in each y_j.  The cut keeps E(y) = exp(pi i tyZy) on the box
+    n_0 x ... x n_(g-1) of C's coordinate ranges, zero off C.  A call forms
+    w_j(y_j) = exp(2 pi i y_j t_j) along each axis and contracts
+    (E . w_(g-1) . ... . w_0) exp(const): sum_j n_j exponentials, not |C|.
+
+    Range guard.  Im t = Im(Z) f, so |w_j(y_j)| <= exp(2 pi |y_j| sum_l
+    |Im Z_jl|) for every characteristic and u: at most exp(G) in product over
+    the box.  On C, |Ty| <= |T(y + 1/2)| + delta < R + 2 delta, so
+    |E| > exp(-B) with B = (R + 2 delta)^2 (a radius box takes
+    B = pi radius^2 sum_jk |Im Z_jk|).  Every nonzero partial product then
+    lies in [exp(-G-B), exp(G)] and every partial sum below |box| exp(G).  The
+    cut is factored only if G + B + log|box| < -log(smallest normal float) =
+    708.4, so that nothing overflows or leaves the normal floats, as the
+    rounding bound assumes.  Otherwise (entries of Im Z beyond about 100, wide
+    radius boxes) the terms exp(pi i tyZy + 2 pi i ty t + const) are summed
+    one by one.
+
+    Rounding, to first order in u = eps/2, with each operation off by at most
+    u times its result.  The computed sum is sum_y term(y) (1 + d(y)), with
+    |d(y)| <= u (a + m_E pi |y|^t|Z||y| + m_w 2 pi sum_j tau_j |y_j| + m_c kappa):
+    - a counts the arithmetic.  Each of the g + 2 exponentials is off by at
+      most 8u (exp, cos and sin within one ulp, two products).  Along axis j
+      the contraction is a complex inner product of length n_j.  Its real and
+      imaginary parts are real inner products of length 2 n_j, each off by at
+      most 2 n_j u times the sum of the moduli of its products, in any order,
+      so the axis adds sqrt(2) 2 n_j.  The product with exp(const) adds
+      sqrt(2) 2.  Summed one by one instead, a = |C| + 7: one exponential and
+      a sum of |C| terms.
+    - An argument formed along at most m roundings is off by at most m u
+      times the same expression with every input replaced by its modulus, and
+      moves its exponential by as much, relatively; float pi counts as one
+      rounding.  pi i tyZy has m_E = g^2 + 3.  2 pi i y_j t_j has m_w = g + 5,
+      with tau_j = sum_l |Z_jl||shift_l| + |u_j| + |s_j| the moduli in t_j.
+      const has m_c = 2g + 5 and kappa = pi sum_j |shift_j| (tau_j + |u_j| + |s_j|).
+      Summed one by one, each m grows by g + 2.
+    To sum this over C for every shift at once: |Tv| >= rho |v|, so
+    |term(y)| <= prod_j exp(-rho^2 d_j^2), with d_j the distance from 0 to
+    [y_j, y_j + 1).  Over the smallest box [-K-1, K]^g that holds C, the bound
+    then factors into the sums M_k = sum_y exp(-rho^2 d(y)^2) |y|^k,
+    k = 0, 1, 2, over -K-1 <= y <= K.  The cut's `rounding` is
+    u M0^(g-2) (A M0^2 + m_E pi (D M2 M0 + (S - D) M1^2) + m_w 2 pi (S + g) M1 M0),
+    with S = sum_jk |Z_jk|, D = sum_j |Z_jj| and A = a + m_c pi (S + 2g).  This
+    takes tau_j = sum_l |Z_jl| + 1 and kappa = pi sum_j (tau_j + 1), the values
+    for u = 0 and [r; s] in [0, 1)^2g, the theta constants; other u and s
+    enter through tau and kappa.  `rounding` is not capped: where it exceeds
+    tol/2 (large boxes, small rho, tiny tol) the call still runs and
+    tail + rounding is the bound that holds.
 
     A nonzero Im(u) moves the centre of the terms to -c and scales them by
     exp(pi Im(u) c) <= 2^k, so the cut is taken at tolerance tol 2^-k.
@@ -259,26 +357,35 @@ def theta_eval(
         chi = zero_char(g)
     if chi.g != g:
         raise ValueError(f"characteristic has genus {chi.g}, the point has genus {g}")
-    uv = np.zeros(g, dtype=complex)
-    if u is not None:
-        uv += u
-    rs = np.array(chi.num, dtype=float) / chi.den
-    r, s = rs[:g], rs[g:]
+    if u is None or np.isscalar(u):
+        uv = [complex(u or 0)] * g
+    else:
+        uv = [complex(v) for v in u]
+        if len(uv) != g:
+            raise ValueError(f"u has {len(uv)} entries, the point has genus {g}")
+    den = chi.den
+    r = [v / den for v in chi.num[:g]]
+    us = [a + v / den for a, v in zip(uv, chi.num[g:])]
     if zp._theta_lattice is None:
         zp._theta_lattice = _Lattice(zp)
     lat = zp._theta_lattice
-    centre = lat.y_inv @ uv.imag
-    if radius is None:
-        k = math.ceil(math.pi * float(uv.imag @ centre) / math.log(2))
-        cut = lat.cut(math.ldexp(settings.tol, -k))
+    im_u = [v.imag for v in uv]
+    if any(im_u):
+        centre = [sum(map(operator.mul, row, im_u)) for row in lat.y_inv_rows]
+        shift = [a - math.floor(a + c) for a, c in zip(r, centre)]
+        k = math.ceil(math.pi * sum(map(operator.mul, im_u, centre)) / math.log(2))
     else:
-        cut = lat.box(radius)
-    # with v = y + shift: pi i tvZv + 2 pi i tv(u + s) = quad(y) + 2 pi i ty t + const
-    shift = r - np.floor(r + centre)
-    us = uv + s
-    t = lat.z @ shift + us
-    const = 1j * np.pi * complex(shift @ (t + us))
-    return complex(np.exp(cut.quad + cut.points @ (2j * np.pi * t) + const).sum())
+        shift, k = [a - math.floor(a) for a in r], 0
+    cut = lat.cut(math.ldexp(settings.tol, -k)) if radius is None else lat.box(radius)
+    # with v = y + shift: pi i tvZv + 2 pi i tv(u + s) = pi i tyZy + 2 pi i ty t + const
+    t = [sum(map(operator.mul, row, shift), c) for row, c in zip(lat.z_rows, us)]
+    const = 1j * math.pi * sum(map(operator.mul, shift, map(operator.add, t, us)))
+    if cut.factor is None:
+        return complex(np.exp(cut.quad + cut.points @ (2j * np.pi * np.array(t)) + const).sum())
+    total = cut.factor
+    for j in range(g - 1, -1, -1):
+        total = total.dot(np.exp(cut.axes[j] * (2j * math.pi * t[j])))
+    return complex(total) * cmath.exp(const)
 
 
 def theta_null(z, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:

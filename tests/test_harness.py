@@ -3,7 +3,7 @@ import json
 import pytest
 
 from cmtheta import harness
-from cmtheta.cmfield import GaloisActor
+from cmtheta.cmfield import GaloisActor, standard_actors
 from cmtheta.exact import CycloElem
 from cmtheta.harness import SUITE_NAMES, ConfigError, HarnessEnv, Report, SuiteConfig, run_suite
 from cmtheta.modularity import FamilyCheck
@@ -132,6 +132,24 @@ def test_artin_closed_form_builds_one_actor_per_prime_and_actor(monkeypatch):
     ok, *_ = harness.check_artin_closed_form(HarnessEnv(SuiteConfig(primes=(3, 5, 7, 11, 13))))
     assert ok
     assert sorted(built) == [3, 3, 5, 5, 7, 7, 11, 11, 13, 13]
+
+
+def test_verify_builds_each_standard_actor_once(monkeypatch):
+    # reflex-congruences and artin-closed-form share the actors through HarnessEnv
+    build = GaloisActor.build.__func__
+    built = []
+
+    def counted(cls, x, p):
+        built.append((x, p))
+        return build(cls, x, p)
+
+    monkeypatch.setattr(GaloisActor, "build", classmethod(counted))
+    primes = (3, 5, 7, 11, 13)
+    report, code = run_suite(SuiteConfig(primes=primes, suites=("cm",)))
+    assert code == 0
+    standard = [(x, p) for p in primes for x in standard_actors(p)]
+    assert [built.count(pair) for pair in standard] == [1] * 10
+    assert len(built) == 15  # the 10 standard actors and the 5 of belong-criterion-example
 
 
 def test_belong_example_evaluates_each_criterion_once(monkeypatch):

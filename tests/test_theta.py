@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 from cmtheta import theta
+from cmtheta.cmfield import build_context
 from cmtheta.exact import RootOfUnity
 from cmtheta.symplectic import SiegelPoint
 from cmtheta.theta import (
@@ -53,8 +54,15 @@ def test_truncation_tail_is_sound():
 
 
 def wide_sum_error(u, z, chi, tol=1e-12):
-    """|certified sum - the box |y_j| <= 25|, the comparison of test_truncation_tail_is_sound."""
-    return abs(theta_eval(u, z, chi, EvalSettings(tol)) - theta_eval(u, z, chi, radius=25))
+    """|certified sum - the box |y_j| <= 25|, the comparison of test_truncation_tail_is_sound.
+
+    The certified cuts are factored and the box is summed term by term, so this
+    also compares the two summation paths.
+    """
+    certified = theta_eval(u, z, chi, EvalSettings(tol))
+    assert all(cut.factor is not None for cut in z._theta_lattice.cuts.values())
+    assert z._theta_lattice.box(25).factor is None
+    return abs(certified - theta_eval(u, z, chi, radius=25))
 
 
 def test_truncation_with_imaginary_u():
@@ -116,6 +124,58 @@ def test_certified_cut_meets_its_budget():
     assert cut.tail <= 0.5e-12 and cut.rounding <= 0.5e-12
     # bisected to 1/32: a slightly shorter radius would miss the budget
     assert theta._tail_bound(cut.radius - 1 / 32, z._theta_lattice.rho, 2) > 0.5e-12
+
+
+def test_well_conditioned_cuts_are_factored():
+    zs = [build_context().z0, random_siegel(np.random.default_rng(26)), random_siegel(np.random.default_rng(27), 3)]
+    for z in zs:
+        theta_null(z)
+        cut = z._theta_lattice.cuts[1e-12]
+        assert cut.factor is not None and cut.points is None
+        assert cut.factor.shape == tuple(len(axis) for axis in cut.axes)
+        assert 0 < np.count_nonzero(cut.factor) < cut.factor.size
+
+
+def test_factored_sum_within_tail_plus_rounding():
+    # against a 30-digit sum: the error stays below the cut's tail + rounding, also where that exceeds tol/2
+    mp.mp.dps = 30
+    points = (random_siegel(np.random.default_rng(28)), random_siegel(np.random.default_rng(29), base=0.05))
+    for z, reach in zip(points, (7, 18)):
+        zm = mp.matrix(z.mat.tolist())
+        for chi in (zero_char(2), Characteristic.make([F(1, 3), F(2, 3)], [F(2, 3), F(1, 3)])):
+            got = theta_eval(0, z, chi)
+            r0, r1, s0, s1 = (mp.mpf(v.numerator) / v.denominator for v in chi.r + chi.s)
+            want = mp.mpf(0)
+            for x in np.ndindex(2 * reach + 1, 2 * reach + 1):
+                v = [x[0] - reach + r0, x[1] - reach + r1]
+                quad = sum(v[j] * zm[j, k] * v[k] for j in range(2) for k in range(2))
+                want += mp.exp(1j * mp.pi * quad + 2j * mp.pi * (v[0] * s0 + v[1] * s1))
+            cut = z._theta_lattice.cuts[1e-12]
+            assert cut.factor is not None
+            assert abs(got - complex(want)) <= cut.tail + cut.rounding
+
+
+def direct_sum(z, chi, radius):
+    """Theta(0, Z; r, s) summed term by term over |x_j| <= radius, the reference."""
+    g = chi.g
+    r, s = np.array(chi.r, dtype=float), np.array(chi.s, dtype=float)
+    v = np.indices((2 * radius + 1,) * g).reshape(g, -1).T - radius + r
+    return complex(np.exp(1j * np.pi * np.einsum("ij,jk,ik->i", v, z, v) + 2j * np.pi * (v @ s)).sum())
+
+
+@pytest.mark.parametrize(
+    "z",
+    [300j * np.eye(2) + 0.25, np.array([[0.3 + 250j, -0.1 + 120j], [-0.1 + 120j, 0.2 + 260j]])],
+)
+def test_range_guard_keeps_large_imaginary_parts_finite(z):
+    # here the factors exp(2 pi i y_j t_j) would overflow (|y_j| = 2, sum_l |Im Z_jl| >= 300): term by term instead
+    zp = SiegelPoint(z)
+    for chi in all_characteristics(3, 2):
+        got = theta_eval(0, zp, chi)
+        want = direct_sum(z, chi, 3)
+        assert np.isfinite(got)
+        assert abs(got - want) <= 1e-11 * abs(want)  # exponents near -100 leave about 100 eps
+    assert zp._theta_lattice.cuts[1e-12].factor is None
 
 
 def test_sign_symmetry():
