@@ -142,7 +142,6 @@ def special_gamma(kind: str, j: int, k: int, n: int, g: int = 2) -> np.ndarray:
         m = np.block([[i - na, na], [-na, i + na]])
     else:
         raise ValueError(f"unknown generator kind {kind!r}")
-    assert in_gamma(m, n)
     return m
 
 

@@ -168,26 +168,25 @@ def _rounding_bound(z_rows: list[list[complex]], rho: float, reach_y: int, ops: 
     return EPS / 2 * bound * m0 ** (g - 2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Cut:
-    """The candidate points y of one truncation, ready to sum.
+    """The candidate points y of one certified truncation, ready to sum.
 
     axes[j] lists the y_j of the box of candidates.  When the range guard of
     theta_eval holds, factor is E(y) = exp(pi i tyZy) on that box, zero off
     the candidates, and points and quad are None; otherwise factor is None and
     points and quad list the candidates (as complex rows) and their phases
-    pi i tyZy.  For a certified cut, radius is R, and tail and rounding bound
-    the omitted terms and the floating-point error (see theta_eval); a plain
-    box carries no bounds.
+    pi i tyZy.  radius is R, and tail and rounding bound the omitted terms and
+    the floating-point error (see theta_eval).
     """
 
     axes: tuple[np.ndarray, ...]
     factor: np.ndarray | None
     points: np.ndarray | None
     quad: np.ndarray | None
-    radius: float | None = None
-    tail: float = math.nan
-    rounding: float = math.nan
+    radius: float
+    tail: float
+    rounding: float
 
 
 class _Lattice:
@@ -209,24 +208,6 @@ class _Lattice:
         self.z_rows, self.y_inv_rows = self.z.tolist(), self.y_inv.tolist()
         self.y_row_sums = [sum(abs(v.imag) for v in row) for row in self.z_rows]  # sum_l |Im Z_jl|
         self.cuts: dict[float, _Cut] = {}
-
-    def _assemble(self, grid: np.ndarray, low: list[int], dims: list[int], inside: np.ndarray, shrink: float) -> _Cut:
-        """The cut of the box low + [0, dims), with points `grid`, restricted to `inside`.
-
-        shrink bounds pi tyIm(Z)y over the candidates; the cut is factored if the range guard holds.
-        """
-        quad = 1j * np.pi * np.einsum("ij,jk,ik->i", grid, self.z, grid)
-        axes = tuple(np.arange(l, l + n, dtype=float) for l, n in zip(low, dims))
-        grow = 2 * math.pi * sum(max(-l, l + n - 1) * w for l, n, w in zip(low, dims, self.y_row_sums))
-        if grow + shrink + math.log(len(grid)) < _EXP_RANGE:
-            return _Cut(axes, np.where(inside, np.exp(quad), 0).reshape(dims), None, None)
-        return _Cut(axes, None, grid[inside].astype(complex), quad[inside])
-
-    def box(self, radius: int) -> _Cut:
-        dims = [2 * radius + 1] * self.g
-        grid = np.indices(dims).reshape(self.g, -1).T - radius
-        shrink = math.pi * radius * radius * sum(self.y_row_sums)
-        return self._assemble(grid, [-radius] * self.g, dims, np.full(len(grid), True), shrink)
 
     def cut(self, tol: float) -> _Cut:
         found = self.cuts.get(tol)
@@ -252,25 +233,26 @@ class _Lattice:
         dims = [math.floor(-0.5 + w) - l + 1 for w, l in zip(half, low)]
         grid = np.indices(dims).reshape(g, -1).T + low
         inside = (((grid + 0.5) @ self.t.T) ** 2).sum(axis=1) < reach * reach
-        cut = self._assemble(grid, low, dims, inside, (reach + delta) ** 2)  # |Ty| <= |T(y + 1/2)| + delta
-        if cut.factor is not None:
+        quad = 1j * np.pi * np.einsum("ij,jk,ik->i", grid, self.z, grid)
+        axes = tuple(np.arange(l, l + n, dtype=float) for l, n in zip(low, dims))
+        grow = 2 * math.pi * sum(max(-l, l + n - 1) * w for l, n, w in zip(low, dims, self.y_row_sums))
+        shrink = (reach + delta) ** 2  # bounds pi tyIm(Z)y on C: |Ty| <= |T(y + 1/2)| + delta
+        if grow + shrink + math.log(len(grid)) < _EXP_RANGE:
+            factor, points, quad = np.where(inside, np.exp(quad), 0).reshape(dims), None, None
             ops, more = 8 * (g + 2) + math.sqrt(2) * (2 * sum(dims) + 2), 0
         else:
-            ops, more = len(cut.points) + 7, g + 2
+            factor, points, quad = None, grid[inside].astype(complex), quad[inside]
+            ops, more = len(points) + 7, g + 2
         reach_y = max(max(-l - 1, l + n - 1) for l, n in zip(low, dims))
-        cut.radius, cut.tail = hi, _tail_bound(hi, rho, g)
-        cut.rounding = _rounding_bound(self.z_rows, rho, reach_y, ops, more)
-        return cut
+        rounding = _rounding_bound(self.z_rows, rho, reach_y, ops, more)
+        return _Cut(axes, factor, points, quad, hi, _tail_bound(hi, rho, g), rounding)
 
 
-def theta_eval(
-    u,
-    z,
-    chi: Characteristic | None = None,
-    settings: EvalSettings = DEFAULT_SETTINGS,
-    radius: int | None = None,
-) -> complex:
-    """Theta(u, Z; r, s), off by at most tol/2 for the tail plus the cut's rounding bound.
+def theta_eval(u, z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:
+    """Theta(u, Z; r, s), off by at most tol/2 + the cut's rounding bound for u = 0 and [r; s] in [0, 1)^2g.
+
+    Other calls have no stated bound yet: their u and [r; s] enter tau and
+    kappa beyond what the stored rounding bound assumes (see Rounding below).
 
     The sum runs over v = y + r - floor(r + c), y in one integer candidate set
     C, where c = Im(Z)^-1 Im(u).  The term at v has modulus
@@ -305,14 +287,12 @@ def theta_eval(
     Range guard.  Im t = Im(Z) f, so |w_j(y_j)| <= exp(2 pi |y_j| sum_l
     |Im Z_jl|) for every characteristic and u: at most exp(G) in product over
     the box.  On C, |Ty| <= |T(y + 1/2)| + delta < R + 2 delta, so
-    |E| > exp(-B) with B = (R + 2 delta)^2 (a radius box takes
-    B = pi radius^2 sum_jk |Im Z_jk|).  Every nonzero partial product then
+    |E| > exp(-B) with B = (R + 2 delta)^2.  Every nonzero partial product then
     lies in [exp(-G-B), exp(G)] and every partial sum below |box| exp(G).  The
     cut is factored only if G + B + log|box| < -log(smallest normal float) =
     708.4, so that nothing overflows or leaves the normal floats, as the
-    rounding bound assumes.  Otherwise (entries of Im Z beyond about 100, wide
-    radius boxes) the terms exp(pi i tyZy + 2 pi i ty t + const) are summed
-    one by one.
+    rounding bound assumes.  Otherwise (entries of Im Z beyond about 100) the
+    terms exp(pi i tyZy + 2 pi i ty t + const) are summed one by one.
 
     Rounding, to first order in u = eps/2, with each operation off by at most
     u times its result.  The computed sum is sum_y term(y) (1 + d(y)), with
@@ -347,18 +327,13 @@ def theta_eval(
 
     A nonzero Im(u) moves the centre of the terms to -c and scales them by
     exp(pi Im(u) c) <= 2^k, so the cut is taken at tolerance tol 2^-k.
-
-    radius replaces C by the full box |y_j| <= radius, with no certificate,
-    for tests that compare a wider sum with the certified one.
     """
     zp = z if isinstance(z, SiegelPoint) else SiegelPoint(z)
     g = zp.g
-    if chi is None:
-        chi = zero_char(g)
     if chi.g != g:
         raise ValueError(f"characteristic has genus {chi.g}, the point has genus {g}")
-    if u is None or np.isscalar(u):
-        uv = [complex(u or 0)] * g
+    if np.isscalar(u):
+        uv = [complex(u)] * g
     else:
         uv = [complex(v) for v in u]
         if len(uv) != g:
@@ -376,7 +351,7 @@ def theta_eval(
         k = math.ceil(math.pi * sum(map(operator.mul, im_u, centre)) / math.log(2))
     else:
         shift, k = [a - math.floor(a) for a in r], 0
-    cut = lat.cut(math.ldexp(settings.tol, -k)) if radius is None else lat.box(radius)
+    cut = lat.cut(math.ldexp(settings.tol, -k))
     # with v = y + shift: pi i tvZv + 2 pi i tv(u + s) = pi i tyZy + 2 pi i ty t + const
     t = [sum(map(operator.mul, row, shift), c) for row, c in zip(lat.z_rows, us)]
     const = 1j * math.pi * sum(map(operator.mul, shift, map(operator.add, t, us)))

@@ -120,7 +120,8 @@ def test_cm_point_negated_by_beta(ctx):
 def test_period_matrix_conjugation(ctx):
     # complex conjugation permutes the embeddings: conj(Omega) = Omega alpha
     alpha = np.array([[0, 0, 0, 1], [0, 0, 1, 1], [-1, 1, 0, 0], [1, 0, 0, 0]])
-    assert np.abs(ctx.omega.conj() - ctx.omega @ alpha).max() < 1e-12
+    omega = np.array([[b.embed(t) for b in ctx.basis] for t in (1, 2)])
+    assert np.abs(omega.conj() - omega @ alpha).max() < 1e-12
 
 
 def test_standard_actor_congruences():

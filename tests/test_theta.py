@@ -43,26 +43,27 @@ def test_genus_one_against_mpmath():
 
 
 def test_truncation_tail_is_sound():
-    # enlarging the lattice radius beyond the certified one must not move the value
+    # the same point's certified cut at tol 1e-30 is a strictly wider sum; it must not move the value
     rng = np.random.default_rng(7)
     for _ in range(5):
         z = random_siegel(rng)
         chi = Characteristic.make([F(1, 3), F(2, 3)], [F(1, 3), 0])
         base = theta_eval(0.0, z, chi)
-        fat = theta_eval(0.0, z, chi, radius=25)
+        fat = theta_eval(0.0, z, chi, EvalSettings(1e-30))
         assert abs(base - fat) < 1e-12
 
 
 def wide_sum_error(u, z, chi, tol=1e-12):
-    """|certified sum - the box |y_j| <= 25|, the comparison of test_truncation_tail_is_sound.
+    """|certified sum at tol - the same point's certified sum at 1e-30|, as in test_truncation_tail_is_sound.
 
-    The certified cuts are factored and the box is summed term by term, so this
-    also compares the two summation paths.
+    This checks truncation only: both sums share t and const, so an error in
+    either moves both alike.  test_summation_paths_agree compares the two
+    summation paths.
     """
     certified = theta_eval(u, z, chi, EvalSettings(tol))
+    wide = theta_eval(u, z, chi, EvalSettings(1e-30))
     assert all(cut.factor is not None for cut in z._theta_lattice.cuts.values())
-    assert z._theta_lattice.box(25).factor is None
-    return abs(certified - theta_eval(u, z, chi, radius=25))
+    return abs(certified - wide)
 
 
 def test_truncation_with_imaginary_u():
@@ -105,6 +106,26 @@ def test_understated_tail_fails_the_comparison(monkeypatch):
     z = random_siegel(np.random.default_rng(7))
     chi = Characteristic.make([F(1, 3), F(2, 3)], [F(1, 3), 0])
     assert wide_sum_error(0.0, z, chi) > 1e-12
+
+
+def test_summation_paths_agree(monkeypatch):
+    # with no exponent range left the guard sends every cut term by term; both paths give the same sum
+    rng = np.random.default_rng(31)
+    chi2 = Characteristic.make([F(1, 3), F(2, 3)], [F(1, 5), 0])
+    chi3 = Characteristic.make([F(1, 3), 0, F(2, 3)], [0, F(1, 3), F(1, 3)])
+    cases = [
+        (0.0, random_siegel(rng), chi2),
+        (np.array([-0.4 - 0.32j, 0.1 + 0.24j]), random_siegel(rng, base=0.1), chi2),
+        (0.0, random_siegel(rng, 3), chi3),
+    ]
+    factored = [theta_eval(u, z, chi) for u, z, chi in cases]
+    assert all(cut.factor is not None for _, z, _ in cases for cut in z._theta_lattice.cuts.values())
+    monkeypatch.setattr(theta, "_EXP_RANGE", 0)
+    for (u, z, chi), want in zip(cases, factored):
+        fresh = SiegelPoint(z.mat)
+        got = theta_eval(u, fresh, chi)
+        assert all(cut.factor is None for cut in fresh._theta_lattice.cuts.values())
+        assert abs(got - want) < 1e-14 * abs(want)  # rounding scales with |Theta|, here up to 107
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
