@@ -52,7 +52,6 @@ def _h_powers() -> tuple[tuple[tuple[int, ...], ...], ...]:
     for i in range(4):
         zi = CycloElem.zeta(5, i)
         rows = [solve_exact(bmat, list((zi * xj).coeffs)) for xj in basis]
-        assert all(v.denominator == 1 for row in rows for v in row)
         hs.append([[int(v) for v in row] for row in rows])
     return tuple(tuple(tuple(h[j][k] for h in hs) for k in range(4)) for j in range(4))
 
@@ -106,14 +105,12 @@ def build_context(settings: EvalSettings = DEFAULT_SETTINGS) -> CMContext:
 class GaloisActor:
     """An integral x of Q(zeta_5) packaged as a level-2p^2 symplectic actor.
 
-    nu is the multiplier of the reflex-norm matrix mod 2p^2 when that matrix
-    lies in G_{2p^2}, and None otherwise.
+    h_matrix is the integral reflex-norm matrix h(phi*(x)); nu is its
+    multiplier mod 2p^2 when it lies in G_{2p^2}, and None otherwise.
     """
 
-    x: CycloElem
     p: int
     h_matrix: np.ndarray
-    h_mod: np.ndarray
     nu: int | None
     norm: int
 
@@ -129,18 +126,7 @@ class GaloisActor:
         if x.den != 1:
             raise ValueError("actor must be an algebraic integer")
         h = h_map(reflex_norm(x))
-        assert all(isinstance(v, int) for v in h.flat)
-        level = 2 * p * p
-        norm = field_norm(x)
-        assert norm.denominator == 1
-        return cls(
-            x=x,
-            p=p,
-            h_matrix=h,
-            h_mod=h % level,
-            nu=g_group_multiplier(h, level),
-            norm=int(norm),
-        )
+        return cls(p=p, h_matrix=h, nu=g_group_multiplier(h, 2 * p * p), norm=int(field_norm(x)))
 
     def act(self, chi: Characteristic) -> ActionResult:
         """The simulated Artin action of (x) on Phi_chi(Z0), chi with denominator p.
@@ -153,7 +139,7 @@ class GaloisActor:
             raise ValueError(f"norm {self.norm} of the actor is not prime to 2p = {2 * self.p}")
         if not self.in_group:
             raise ValueError("reflex-norm matrix is not in G_{2p^2}; criterion inapplicable")
-        return _act_phi_known(self.h_mod, self.nu, chi, self.p).canonical()
+        return _act_phi_known(self.h_matrix, self.nu, chi, self.p).canonical()
 
 
 def standard_actors(p: int) -> tuple[CycloElem, CycloElem]:
@@ -204,27 +190,15 @@ def belong_criterion(x, p: int) -> BelongResult:
     the reflex-norm matrix of x.
 
     x may be a CycloElem or a length-5 integer coordinate vector on
-    1, zeta, ..., zeta^4.  The quadratic forms in the coordinates are
-    cross-checked against the literal matrix row.
+    1, zeta, ..., zeta^4; either way it must be an algebraic integer.
     """
-    if isinstance(x, CycloElem):
-        if x.den != 1:
-            raise ValueError("x must be an algebraic integer")
-        coords = list(x.num) + [0]
-    else:
+    if not isinstance(x, CycloElem):
         coords = [int(v) for v in x]
         if len(coords) != 5:
             raise ValueError(f"expected 5 coordinates on 1, zeta, ..., zeta^4, got {len(coords)}")
         x = CycloElem(5, coords)
-    a0, a1, a2, a3, a4 = coords
-    a = a0 * a0 - a0 * a1 - a0 * a3 + a1 * a2 + a1 * a3 - a1 * a4 - a2 * a2 + a2 * a4
-    b = -a0 * a1 + a0 * a2 - a0 * a3 + a0 * a4 + a1 * a2 - a2 * a2 + a3 * a3 - a3 * a4
-    c = -a0 * a1 - a0 * a2 + a0 * a3 + a0 * a4 + a1 * a1 - a1 * a3 + a2 * a4 - a4 * a4
-    d = a0 * a2 - a0 * a3 + a1 * a3 - a1 * a4 - a2 * a2 + a2 * a3 - a3 * a4 + a4 * a4
     actor = GaloisActor.build(x, p)
-    row = tuple(actor.h_matrix[0])
-    if (a, b, c, d) != row:
-        raise AssertionError(f"quadratic forms {(a, b, c, d)} disagree with the matrix row {row}")
+    a, b, c, d = actor.h_matrix[0]
     value = -2 * a * b + 2 * a * c + a * d - 2 * b * c - 2 * c * d - 2 * d * d
     return BelongResult(
         first_row=(a, b, c, d),

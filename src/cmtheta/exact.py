@@ -40,25 +40,19 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    # zeta_n^m on the power basis, for m = 0 .. max(n, 2*phi-1) - 1
+def _sparse_powers(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # zeta_n^m on the power basis as its nonzero (index, coefficient) pairs, for m = 0 .. max(n, 2*phi-1) - 1
     phi = euler_phi(n)
     top = [-c for c in cyclotomic_coeffs(n)[:phi]]  # zeta^phi
-    table: list[tuple[int, ...]] = []
+    table = []
     row = [1] + [0] * (phi - 1)
     for _ in range(max(n, 2 * phi - 1)):
-        table.append(tuple(row))
+        table.append(tuple((j, t) for j, t in enumerate(row) if t))
         carry = row[phi - 1]
         row = [0] + row[:-1]
         if carry:
             row = [row[j] + carry * top[j] for j in range(phi)]
     return tuple(table)
-
-
-@lru_cache(maxsize=None)
-def _sparse_powers(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    # the nonzero (index, coefficient) pairs of each row of _power_table(n)
-    return tuple(tuple((j, t) for j, t in enumerate(row) if t) for row in _power_table(n))
 
 
 @lru_cache(maxsize=None)

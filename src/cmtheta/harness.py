@@ -215,7 +215,8 @@ def _random_passing_family(rng, n: int) -> ThetaProduct:
         prod = theta_product(n, terms)
         # keep exponents moderate so absolute numeric comparisons stay well-conditioned
         if prod.terms and all(abs(m) <= 2 * n for _, m in prod.terms):
-            assert check_family(prod).ok
+            if not check_family(prod).ok:
+                raise RuntimeError("a family built from exponent-2n terms and partner pairs fails check_family")
             return prod
     raise RuntimeError("no moderate passing family in 32 draws")
 
@@ -241,7 +242,7 @@ def _random_failing_family(rng, n: int):
     raise RuntimeError("no failing family with a generator witness in 32 draws")
 
 
-def _family_value_guarded(rng, env, prod, tries: int = 60, factor_band=(0.2, 1.6), value_band=(0.05, 2.0)):
+def _family_value_guarded(rng, env, prod, factor_band, value_band, tries: int = 60):
     # pick a point where every factor and the product are well away from 0 and infinity
     for _ in range(tries):
         z = random_siegel(rng)
@@ -303,7 +304,8 @@ def check_sign_symmetry(env: HarnessEnv):
 def check_sigma_minus(env: HarnessEnv):
     rng = _rng(env, 9)
     odd_chars = [chi for chi in all_characteristics(2, 2) if chi.in_sigma_minus()]
-    assert len(odd_chars) == 6
+    if len(odd_chars) != 6:
+        raise RuntimeError(f"expected 6 odd half-integral characteristics, found {len(odd_chars)}")
     worst = 0.0
     for _ in range(5):
         z = random_siegel(rng)

@@ -135,8 +135,9 @@ def gamma_multiplier(gamma, target, n: int) -> RootOfUnity:
     """The exact multiplier e(X) with Phi(gamma Z) = e(X) Phi(Z), gamma in Gamma(n).
 
     target may be a single Characteristic or a ThetaProduct (multipliers add
-    with the exponents).  n must be even, gamma = I mod n, and every
-    characteristic (1/n)-integral.
+    with the exponents).  n must be even, gamma symplectic and = I mod n, and
+    every characteristic (1/n)-integral.  Only the congruence is checked: a
+    non-symplectic gamma = I mod n still gets a multiplier, which means nothing.
 
     With gamma = I + n [[A, B], [C, D]] and the integer vectors x = n r_i,
     y = n s_i of the terms Phi_[r_i; s_i]^{m_i} (one term with m = 1 for a

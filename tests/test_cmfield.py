@@ -139,11 +139,30 @@ def test_standard_actor_congruences():
         assert math.gcd(a1.norm, 2 * p) == 1
 
 
+def paper_first_row(coords):
+    """The paper's quadratic forms for the first row (a, b, c, d) of h(phi*(x)), x on 1, zeta, ..., zeta^4."""
+    a0, a1, a2, a3, a4 = coords
+    a = a0 * a0 - a0 * a1 - a0 * a3 + a1 * a2 + a1 * a3 - a1 * a4 - a2 * a2 + a2 * a4
+    b = -a0 * a1 + a0 * a2 - a0 * a3 + a0 * a4 + a1 * a2 - a2 * a2 + a3 * a3 - a3 * a4
+    c = -a0 * a1 - a0 * a2 + a0 * a3 + a0 * a4 + a1 * a1 - a1 * a3 + a2 * a4 - a4 * a4
+    d = a0 * a2 - a0 * a3 + a1 * a3 - a1 * a4 - a2 * a2 + a2 * a3 - a3 * a4 + a4 * a4
+    return a, b, c, d
+
+
+def test_first_row_matches_paper_quadratic_forms():
+    rng = np.random.default_rng(10)
+    for _ in range(300):
+        coords = [int(v) for v in rng.integers(-6, 7, 5)]
+        for p in (3, 7):
+            assert belong_criterion(coords, p).first_row == paper_first_row(coords)
+
+
 def test_actor_first_row_and_build_guards():
-    a = GaloisActor.build(1 + 2 * ZETA, 3)
-    assert belong_criterion(1 + 2 * ZETA, 3).first_row == tuple(int(v) for v in a.h_matrix[0])
+    assert belong_criterion(1 + 2 * ZETA, 3).first_row == paper_first_row([1, 2, 0, 0, 0])
     with pytest.raises(ValueError):
         GaloisActor.build(ZETA / 2, 3)  # not integral
+    with pytest.raises(ValueError):
+        belong_criterion(ZETA / 2, 3)
     with pytest.raises(ValueError):
         GaloisActor.build(ZETA, 4)  # even p
 
@@ -219,8 +238,9 @@ def test_actor_act_reuses_the_built_multiplier(monkeypatch):
         for chi in chis:
             got = actor.act(chi)
             assert calls == []
-            assert got == act_phi(actor.h_mod, chi, 5).canonical()
-            assert calls == [50]
+            assert got == act_phi(actor.h_matrix, chi, 5).canonical()
+            assert got == act_phi(actor.h_matrix % 50, chi, 5).canonical()
+            assert calls == [50, 50]
             calls.clear()
 
 
