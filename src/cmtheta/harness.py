@@ -322,7 +322,7 @@ def check_conjugation(env: HarnessEnv):
     for _ in range(20):
         den = int(rng.integers(0, 2)) + 3  # 3 or 4
         chi = _random_char(rng, den, exclude_sigma=False)
-        lhs = phi_eval(chi, z0, env.settings).conjugate()
+        lhs = env.ctx.phi(chi).conjugate()
         rhs = phi_eval(Characteristic.make(chi.r, [-v for v in chi.s]), zbar, env.settings)
         worst = max(worst, abs(lhs - rhs))
     return worst < env.config.tol_numeric, worst, env.config.tol_numeric, "conj(Phi_[r;s](Z0)) = Phi_[r;-s](-conj(Z0))"

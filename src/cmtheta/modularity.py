@@ -10,10 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .exact import RootOfUnity
-from .symplectic import blocks, identity, intmat
+from .symplectic import identity, in_gamma, intmat
 from .theta import Characteristic, EvalSettings, DEFAULT_SETTINGS, phi_eval, theta_null
 
 
@@ -135,34 +133,31 @@ def gamma_multiplier(gamma, target, n: int) -> RootOfUnity:
     """The exact multiplier e(X) with Phi(gamma Z) = e(X) Phi(Z), gamma in Gamma(n).
 
     target may be a single Characteristic or a ThetaProduct (multipliers add
-    with the exponents).  n must be even, gamma symplectic and = I mod n, and
-    every characteristic (1/n)-integral.  Only the congruence is checked: a
-    non-symplectic gamma = I mod n still gets a multiplier, which means nothing.
+    with the exponents).  n must be even and every characteristic
+    (1/n)-integral; raises ValueError unless gamma lies in Gamma(n).
 
-    With gamma = I + n [[A, B], [C, D]] and the integer vectors x = n r_i,
-    y = n s_i of the terms Phi_[r_i; s_i]^{m_i} (one term with m = 1 for a
-    single Characteristic), X = -Q / (2n) for the integer
+    For gamma in Gamma(n), t(gamma) [r; s] = [r + a; s + b] with integer a, b.
+    The action rule of act_phi at nu = 1 gives the phase e((tr s - t(r+a)(s+b))/2),
+    and translating back to [r; s] costs e(tr b) (Characteristic.reduce), so
+    X = (tr b - ta s - ta b)/2.  In integers, with x = n [r; s] and
+    [a; b] = (t(gamma) - I) x / n, summed over the terms Phi_[r_i; s_i]^{m_i}:
 
-        Q = sum_i m_i ( tx (n A tB - tB) x + ty (C + n C tD) y
-                        + tx (2A + n (A tD + tD A + B tC - tB C)) y ).
+        X = sum_i m_i (x_r.b - a.x_s - n a.b) / (2n).
     """
     if n % 2:
         raise ValueError(f"level must be even, got {n}")
     gamma = intmat(gamma)
-    diff = gamma - identity(gamma.shape[0])
-    if (diff % n != 0).any():
-        raise ValueError("gamma is not congruent to I mod n")
-    a0, b0, c0, d0 = blocks(diff // n)
-    m_rr = n * (a0 @ b0.T) - b0.T
-    m_ss = c0 + n * (c0 @ d0.T)
-    m_rs = 2 * a0 + n * (a0 @ d0.T + d0.T @ a0 + b0 @ c0.T - b0.T @ c0)
+    if not in_gamma(gamma, n):
+        raise ValueError(f"gamma is not in Gamma({n})")
+    g, total = gamma.shape[0] // 2, 0
+    move = (gamma.T - identity(2 * g)) // n
     terms = ((target, 1),) if isinstance(target, Characteristic) else target.terms
-    g, total = a0.shape[0], 0
     for chi, m in terms:
-        x = np.array(chi.scaled(n), dtype=object)
-        nr, ns = x[:g], x[g:]
-        total += m * (nr @ m_rr @ nr + ns @ m_ss @ ns + nr @ m_rs @ ns)
-    return RootOfUnity(Fraction(-total, 2 * n))
+        x = chi.scaled(n)
+        ab = move.dot(x)
+        a, b = ab[:g], ab[g:]
+        total += m * (b.dot(x[:g]) - a.dot(x[g:]) - n * a.dot(b))
+    return RootOfUnity(Fraction(total, 2 * n))
 
 
 def eval_product(prod: ThetaProduct, z, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:

@@ -17,8 +17,9 @@ from pathlib import Path
 from cmtheta.cli import main
 from cmtheta.cmfield import field_norm
 from cmtheta.exact import CycloElem, unit_residues
+from cmtheta.modularity import gamma_multiplier
 from cmtheta.primgen import make_tower
-from cmtheta.symplectic import intmat
+from cmtheta.symplectic import identity, intmat
 from cmtheta.theta import Characteristic, reduce_char
 
 MPMATH_LOADED = "mpmath" in sys.modules  # after importing the package and its CLI, before any call
@@ -48,6 +49,8 @@ def probes(tmp: Path) -> dict:
     z8 = CycloElem.zeta(8)
     tower = make_tower(8, unit_residues(8), CycloElem.from_rational(8, 1), z8**2)
     half = Characteristic.make([Fraction(1, 2), 0], [0, 0])
+    not_symplectic = identity(4)
+    not_symplectic[0, 0] = 3  # = I mod 2
     return {
         "optimize": sys.flags.optimize,
         "mpmath_loaded": MPMATH_LOADED,
@@ -55,6 +58,7 @@ def probes(tmp: Path) -> dict:
         "rational_value": raised(lambda: CycloElem.zeta(5).rational_value()),
         "intmat": raised(lambda: intmat([[0.5, 0], [0, 1]])),
         "norm_and_reduce_checks": [raised(lambda: field_norm(CycloElem.zeta(7))), raised(lambda: reduce_char(half, 2, 3))],
+        "non_symplectic_multiplier": raised(lambda: gamma_multiplier(not_symplectic, half, 2)),
         "tower_membership": [raised(lambda: tower.trace_mid(z8)), raised(lambda: tower.norm_mid(z8))],
         "cli_odd_level": cli(["modularity", str(odd_level)]),
         "cli_even_p": cli(["action", "--x", "1 2 2 0 0", "--p", "4", "--char", "1/4 0 0 0"]),

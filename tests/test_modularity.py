@@ -13,7 +13,7 @@ from cmtheta.modularity import (
     serialize,
     theta_product,
 )
-from cmtheta.symplectic import act_siegel, blocks, identity, intmat, special_gamma
+from cmtheta.symplectic import act_siegel, blocks, identity, intmat, jmat, special_gamma
 from cmtheta.theta import Characteristic, phi_eval, random_siegel
 
 
@@ -97,6 +97,10 @@ def test_failing_family_structure():
     assert res.failures == [("rr", 0, 0, 2, 4)]
     # the same data re-validated at level 4 satisfies the weaker congruences
     assert check_family(ThetaProduct(4, theta_product(2, [(chi, 2)]).terms)).ok
+    # fails only the rs congruence, by n/2, and the mixed generator at (2, 2) moves it
+    prod = theta_product(4, [(chi4((0, 1), (0, 1)), 1), (chi4((0, 1), (0, 3)), 7)])
+    assert check_family(prod).failures == [("rs", 1, 1, 2, 4)]
+    assert gamma_multiplier(special_gamma("mixed", 2, 2, 4), prod, 4) != RootOfUnity.one()
 
 
 def test_multiplier_reference_values():
@@ -126,28 +130,48 @@ def fraction_exponent(gamma, chi, n):
     )
 
 
-def test_multiplier_matches_fraction_reference():
-    rng = np.random.default_rng(61)
+def gamma_word(rng, n, g=2):
+    """A seeded word of 1 to 4 generators of Gamma(n); at n = 1, of Sp_2g(Z) without J."""
     kinds = ("upper", "lower", "mixed")
+    gamma = identity(2 * g)
+    for _ in range(int(rng.integers(1, 5))):
+        gamma = gamma @ special_gamma(kinds[rng.integers(0, 3)], int(rng.integers(1, g + 1)), int(rng.integers(1, g + 1)), n, g)
+    return gamma
+
+
+def test_multiplier_matches_fraction_reference():
+    def check(rng, gamma, n, g):
+        # single characteristics, also outside [0, 1)
+        chi = Characteristic.from_den(rng.integers(-n, 2 * n, g).tolist(), rng.integers(-n, 2 * n, g).tolist(), n)
+        assert gamma_multiplier(gamma, chi, n) == RootOfUnity(fraction_exponent(gamma, chi, n))
+        terms = []
+        for _ in range(int(rng.integers(1, 4))):
+            chi = Characteristic.from_den(rng.integers(0, n, g).tolist(), rng.integers(0, n, g).tolist(), n)
+            if not chi.in_sigma_minus():
+                terms.append((chi, int(rng.integers(-3, 4))))
+        prod = theta_product(n, terms)
+        expect = sum((m * fraction_exponent(gamma, chi, n) for chi, m in prod.terms), F(0))
+        assert gamma_multiplier(gamma, prod, n) == RootOfUnity(expect)
+
+    rng = np.random.default_rng(61)
     for n in (2, 4, 6, 8):
         for _ in range(12):
-            gamma = identity(4)
-            for _ in range(int(rng.integers(1, 5))):
-                gamma = gamma @ special_gamma(kinds[rng.integers(0, 3)], int(rng.integers(1, 3)), int(rng.integers(1, 3)), n)
-            # single characteristics, also outside [0, 1)
-            chi = Characteristic.from_den(rng.integers(-n, 2 * n, 2).tolist(), rng.integers(-n, 2 * n, 2).tolist(), n)
-            assert gamma_multiplier(gamma, chi, n) == RootOfUnity(fraction_exponent(gamma, chi, n))
-            terms = []
-            for _ in range(int(rng.integers(1, 4))):
-                chi = Characteristic.from_den(rng.integers(0, n, 2).tolist(), rng.integers(0, n, 2).tolist(), n)
-                if not chi.in_sigma_minus():
-                    terms.append((chi, int(rng.integers(-3, 4))))
-            prod = theta_product(n, terms)
-            expect = sum((m * fraction_exponent(gamma, chi, n) for chi, m in prod.terms), F(0))
-            assert gamma_multiplier(gamma, prod, n) == RootOfUnity(expect)
+            check(rng, gamma_word(rng, n), n, 2)
+    # generator words reach only part of Gamma(n); it is normal in Sp_2g(Z), so
+    # conjugates M gamma M^-1 by Sp_2g(Z) words M reach further, at g = 2 and 3
+    rng = np.random.default_rng(62)
+    for g in (2, 3):
+        j = jmat(g)
+        for n in (2, 4, 6):
+            for _ in range(8):
+                m = gamma_word(rng, 1, g) @ j @ gamma_word(rng, 1, g)
+                m_inv = -j @ m.T @ j
+                assert (m @ m_inv == identity(2 * g)).all()
+                check(rng, gamma_word(rng, n, g), n, g)
+                check(rng, m @ gamma_word(rng, n, g) @ m_inv, n, g)
 
 
-def test_multiplier_requires_congruence():
+def test_multiplier_requires_congruence(optimized):
     with pytest.raises(ValueError):
         gamma_multiplier(special_gamma("upper", 1, 1, 3), Characteristic.make([0, 0], [F(1, 2), 0]), 2)
     with pytest.raises(ValueError):
@@ -156,6 +180,11 @@ def test_multiplier_requires_congruence():
         gamma_multiplier(special_gamma("lower", 1, 1, 2), Characteristic.make([0, 0], [F(1, 3), 0]), 2)
     with pytest.raises(ValueError):
         gamma_multiplier(identity(4), theta_product(4, [(chi4((1, 0), (0, 1)), 8)]), 2)  # level-4 family at n = 2
+    not_symplectic = identity(4)
+    not_symplectic[0, 0] = 3  # = I mod 2
+    with pytest.raises(ValueError):
+        gamma_multiplier(not_symplectic, Characteristic.make([F(1, 2), 0], [0, F(1, 2)]), 2)
+    assert optimized["non_symplectic_multiplier"] == "ValueError"
 
 
 def test_multiplier_is_homomorphism_on_congruence_group():
