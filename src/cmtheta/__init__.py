@@ -27,7 +27,6 @@ from .theta import (
     all_characteristics,
     phi_eval,
     random_siegel,
-    reduce_char,
     theta_eval,
     theta_null,
     zero_char,
@@ -38,7 +37,6 @@ from .modularity import (
     eval_product,
     gamma_multiplier,
     parse,
-    serialize,
     theta_product,
 )
 from .action import ActionResult, act_iota_inv, act_phi, act_power_family
@@ -110,12 +108,10 @@ __all__ = [
     "parse",
     "phi_eval",
     "random_siegel",
-    "reduce_char",
     "reflex_norm",
     "rel_trace_norm",
     "riemann_form",
     "run_suite",
-    "serialize",
     "special_gamma",
     "stabilizer",
     "standard_actors",

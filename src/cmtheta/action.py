@@ -34,14 +34,11 @@ def _transpose_apply(alpha: np.ndarray, chi: Characteristic) -> Characteristic:
     return Characteristic.from_den(out[: chi.g], out[chi.g :], chi.den)
 
 
-def act_iota_inv(a: int, chi: Characteristic, modulus: int | None = None) -> Characteristic:
+def act_iota_inv(a: int, chi: Characteristic) -> Characteristic:
     """Characteristic of Phi^{iota(a)^{-1}}: (r, s) -> (r, a s), canonical.
 
-    In the power-family context the reduction is free of phase; modulus, if
-    given, only validates that a is a unit there.
+    In the power-family context the reduction is free of phase.
     """
-    if modulus is not None:
-        pow(a, -1, modulus)  # raises if not a unit
     g = chi.g
     return Characteristic.from_den(chi.num[:g], [a * v for v in chi.num[g:]], chi.den).reduce()[0]
 

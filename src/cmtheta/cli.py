@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from fractions import Fraction
 
@@ -75,8 +74,6 @@ def _cmd_action(args) -> int:
     coords = [int(tok) for tok in args.x.replace(",", " ").split()]
     if len(coords) != 5:
         raise ValueError("x needs 5 integer coordinates on 1, zeta, ..., zeta^4")
-    if args.p < 3 or any(args.p % q == 0 for q in range(2, math.isqrt(args.p) + 1)):
-        raise ValueError(f"--p must be an odd prime, got {args.p}")
     chi = _parse_char(args.char)
     x = CycloElem(5, coords)
     res = artin_action(x, args.p, chi)

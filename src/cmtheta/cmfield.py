@@ -57,18 +57,17 @@ def _h_powers() -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 def h_map(x: CycloElem) -> np.ndarray:
-    """The 4x4 rational matrix with x*xi_j = sum_k h[j,k] xi_k on the CM basis.
+    """The 4x4 integer matrix with x*xi_j = sum_k h[j,k] xi_k on the CM basis.
 
-    h is Q-linear in x, so h(x) = sum_i c_i h(zeta^i) over the power-basis
-    coefficients c_i of x.
+    x must be an algebraic integer of Q(zeta_5), that is integral on the power
+    basis; raises ValueError otherwise.  h is Z-linear in x, so
+    h(x) = sum_i c_i h(zeta^i) over the integer power-basis coefficients c_i of x.
     """
     if x.n != 5:
         raise ValueError(f"expected an element of Q(zeta_5), got one of Q(zeta_{x.n})")
-    num, den = x.num, x.den
-    rows = [[sum(c * v for c, v in zip(num, entry)) for entry in row] for row in _h_powers()]
-    if den != 1:
-        fracs = ([Fraction(v, den) for v in row] for row in rows)
-        rows = [[int(q) if q.denominator == 1 else q for q in row] for row in fracs]
+    if x.den != 1:
+        raise ValueError("h_map needs an algebraic integer")
+    rows = [[sum(c * v for c, v in zip(x.num, entry)) for entry in row] for row in _h_powers()]
     out = np.empty((4, 4), dtype=object)
     out[:] = rows
     return out
@@ -101,6 +100,11 @@ def build_context(settings: EvalSettings = DEFAULT_SETTINGS) -> CMContext:
     return CMContext(basis=tuple(basis), z0=z0, settings=settings, null0=theta_null(z0, settings))
 
 
+def is_odd_prime(p: int) -> bool:
+    """Whether p is an odd prime: the one rule for p in GaloisActor.build and SuiteConfig.validate."""
+    return p > 2 and p % 2 == 1 and all(p % q for q in range(3, math.isqrt(p) + 1, 2))
+
+
 @dataclass(frozen=True)
 class GaloisActor:
     """An integral x of Q(zeta_5) packaged as a level-2p^2 symplectic actor.
@@ -121,8 +125,8 @@ class GaloisActor:
 
     @classmethod
     def build(cls, x: CycloElem, p: int) -> "GaloisActor":
-        if p % 2 == 0 or p < 3:
-            raise ValueError(f"p = {p} must be odd and > 2")
+        if not is_odd_prime(p):
+            raise ValueError(f"p = {p} must be an odd prime")
         if x.den != 1:
             raise ValueError("actor must be an algebraic integer")
         h = h_map(reflex_norm(x))
@@ -189,15 +193,14 @@ def belong_criterion(x, p: int) -> BelongResult:
     -2ab+2ac+ad-2bc-2cd-2d^2 = 0 mod p, where (a,b,c,d) is the first row of
     the reflex-norm matrix of x.
 
-    x may be a CycloElem or a length-5 integer coordinate vector on
-    1, zeta, ..., zeta^4; either way it must be an algebraic integer.
+    x is given by its five coordinates on 1, zeta, ..., zeta^4, which must be
+    integers; raises ValueError for any other length, a non-integral
+    coordinate or a p that is not an odd prime.
     """
-    if not isinstance(x, CycloElem):
-        coords = [int(v) for v in x]
-        if len(coords) != 5:
-            raise ValueError(f"expected 5 coordinates on 1, zeta, ..., zeta^4, got {len(coords)}")
-        x = CycloElem(5, coords)
-    actor = GaloisActor.build(x, p)
+    coords = list(x)
+    if len(coords) != 5:
+        raise ValueError(f"expected 5 coordinates on 1, zeta, ..., zeta^4, got {len(coords)}")
+    actor = GaloisActor.build(CycloElem(5, coords), p)
     a, b, c, d = actor.h_matrix[0]
     value = -2 * a * b + 2 * a * c + a * d - 2 * b * c - 2 * c * d - 2 * d * d
     return BelongResult(

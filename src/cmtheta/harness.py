@@ -22,6 +22,7 @@ from .cmfield import (
     belong_criterion,
     build_context,
     closed_phase,
+    is_odd_prime,
     riemann_form,
     standard_actors,
 )
@@ -65,8 +66,8 @@ class SuiteConfig:
     suites: tuple[str, ...] = SUITE_NAMES
 
     def validate(self) -> None:
-        if not self.primes or any(p <= 2 or p % 2 == 0 for p in self.primes):
-            raise ConfigError("primes must be odd and > 2")
+        if not self.primes or not all(map(is_odd_prime, self.primes)):
+            raise ConfigError("primes must be odd primes")
         if self.tol_numeric <= 0 or self.theta_tol <= 0:
             raise ConfigError("tolerances must be positive")
         unknown = set(self.suites) - set(SUITE_NAMES)
@@ -499,7 +500,7 @@ def check_iota_twist(env: HarnessEnv):
     ok = True
     chi = Characteristic.from_den([1, 0], [1, 2], 3)
     ok &= act_iota_inv(1, chi) == chi.reduce()[0]
-    minus = act_iota_inv(-1, chi, modulus=18)
+    minus = act_iota_inv(-1, chi)
     ok &= minus == Characteristic.make(chi.r, [(-v) % 1 for v in chi.s])
     for n in (4, 6, 18):
         units = unit_residues(n)

@@ -44,14 +44,6 @@ class ThetaProduct:
     def g(self) -> int:
         return self.terms[0][0].g if self.terms else 2
 
-    def __mul__(self, other: "ThetaProduct") -> "ThetaProduct":
-        if self.level != other.level:
-            raise ValueError(f"levels differ: {self.level} and {other.level}")
-        return theta_product(self.level, self.terms + other.terms)
-
-    def __pow__(self, k: int) -> "ThetaProduct":
-        return theta_product(self.level, tuple((chi, m * k) for chi, m in self.terms))
-
 
 def theta_product(level: int, terms) -> ThetaProduct:
     """Build a ThetaProduct, canonicalizing characteristics and merging duplicates.
@@ -65,14 +57,6 @@ def theta_product(level: int, terms) -> ThetaProduct:
         merged[red] = merged.get(red, 0) + m
     kept = tuple((chi, m) for chi, m in merged.items() if m != 0)
     return ThetaProduct(level, kept)
-
-
-def serialize(prod: ThetaProduct) -> str:
-    lines = [f"{prod.g} {prod.level}"]
-    for chi, m in prod.terms:
-        parts = [str(m)] + [str(v) for v in chi.r] + [str(v) for v in chi.s]
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
 
 
 def parse(text: str) -> ThetaProduct:
@@ -96,9 +80,6 @@ def parse(text: str) -> ThetaProduct:
 class FamilyCheck:
     ok: bool
     failures: list = field(default_factory=list)
-
-    def __bool__(self):
-        return self.ok
 
 
 def check_family(prod: ThetaProduct) -> FamilyCheck:

@@ -103,14 +103,12 @@ def g_group_multiplier(m, n: int) -> int | None:
     return nu if nu is not None and even_theta_diagonals(m) else None
 
 
-def iota(a: int, g: int, modulus: int | None = None) -> np.ndarray:
-    """iota(a) = diag(I_g, a^{-1} I_g); nu(iota(a)) = a^{-1}."""
-    if modulus is None:
-        if a not in (1, -1):
-            raise ValueError(f"over Z only a = +-1 is invertible, got {a}")
-        ainv = a
-    else:
-        ainv = pow(a, -1, modulus)
+def iota(a: int, g: int, modulus: int) -> np.ndarray:
+    """iota(a) = diag(I_g, a^{-1} I_g) with a^{-1} in [0, modulus); nu(iota(a)) = a^{-1} mod modulus.
+
+    Raises ValueError unless a is a unit mod modulus.
+    """
+    ainv = pow(a, -1, modulus)
     m = identity(2 * g)
     for j in range(g, 2 * g):
         m[j, j] = ainv

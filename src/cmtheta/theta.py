@@ -382,19 +382,6 @@ def phi_eval(
     return theta_eval(0, zp, chi, settings) / den
 
 
-def reduce_char(chi: Characteristic, ell: int, m: int) -> Characteristic:
-    """Normal form of chi in (1/m)Z^2g for the ell-th power of Phi.
-
-    The ell-th power is determined by r mod Z^g and s mod (m/gcd(m,ell))Z^g;
-    this reduces both rows into those fundamental domains.
-    """
-    if ell <= 0 or m <= 0:
-        raise ValueError(f"need ell > 0 and m > 0, got ell = {ell}, m = {m}")
-    x, g = chi.scaled(m), chi.g
-    q = m * (m // math.gcd(m, ell))
-    return Characteristic.from_den([v % m for v in x[:g]], [v % q for v in x[g:]], m)
-
-
 def random_siegel(rng: np.random.Generator, g: int = 2, base: float = 0.8) -> SiegelPoint:
     """A random, well-conditioned point of H_g (min imaginary eigenvalue >= base)."""
     x = rng.uniform(-0.5, 0.5, (g, g))

@@ -58,7 +58,10 @@ CAUGHT = [
         "src/cmtheta/action.py",
         "out = alpha.T @",
         "out = alpha @",
-        ["tests/test_action.py::test_act_phi_matches_fraction_transpose"],
+        [
+            "tests/test_action.py::test_act_phi_matches_fraction_transpose",
+            "tests/test_action.py::test_transpose_apply_matches_fraction_reference",
+        ],
     ),
     # G_n membership without the parity of tBD
     (
@@ -80,6 +83,33 @@ CAUGHT = [
         "actor.h_matrix[0]",
         "actor.h_matrix[1]",
         ["tests/test_cmfield.py::test_first_row_matches_paper_quadratic_forms"],
+    ),
+    # belong_criterion truncating its coordinates to integers
+    (
+        CMFIELD,
+        "GaloisActor.build(CycloElem(5, coords), p)",
+        "GaloisActor.build(CycloElem(5, [int(v) for v in coords]), p)",
+        [
+            "tests/test_cmfield.py::test_belong_rejects_non_integral_coordinates[coords0]",
+            "tests/test_cmfield.py::test_belong_rejects_non_integral_coordinates[coords1]",
+        ],
+    ),
+    # the rule for p testing only that p is odd
+    (
+        CMFIELD,
+        " and all(p % q for q in range(3, math.isqrt(p) + 1, 2))",
+        "",
+        [
+            "tests/test_cmfield.py::test_actor_first_row_and_build_guards",
+            "tests/test_cli.py::test_action_rejects_non_prime_p[9]",
+        ],
+    ),
+    # h_map of a non-integral x read off its numerators alone
+    (
+        CMFIELD,
+        '    if x.den != 1:\n        raise ValueError("h_map needs an algebraic integer")\n',
+        "",
+        ["tests/test_cmfield.py::test_actor_first_row_and_build_guards"],
     ),
     # the factored theta sum without its constant factor e^const
     (

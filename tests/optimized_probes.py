@@ -15,12 +15,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from cmtheta.cli import main
-from cmtheta.cmfield import field_norm
+from cmtheta.cmfield import belong_criterion, field_norm
 from cmtheta.exact import CycloElem, unit_residues
 from cmtheta.modularity import gamma_multiplier
 from cmtheta.primgen import make_tower
 from cmtheta.symplectic import identity, intmat
-from cmtheta.theta import Characteristic, reduce_char
+from cmtheta.theta import Characteristic
 
 MPMATH_LOADED = "mpmath" in sys.modules  # after importing the package and its CLI, before any call
 
@@ -57,7 +57,11 @@ def probes(tmp: Path) -> dict:
         "cyclo_input_checks": [raised(lambda: CycloElem.zeta(10).galois(5)), raised(lambda: CycloElem.zeta(5).lift(7))],
         "rational_value": raised(lambda: CycloElem.zeta(5).rational_value()),
         "intmat": raised(lambda: intmat([[0.5, 0], [0, 1]])),
-        "norm_and_reduce_checks": [raised(lambda: field_norm(CycloElem.zeta(7))), raised(lambda: reduce_char(half, 2, 3))],
+        "cm_input_checks": [
+            raised(lambda: field_norm(CycloElem.zeta(7))),
+            raised(lambda: belong_criterion([1, Fraction(5, 2), 2, 0, 0], 7)),
+            raised(lambda: belong_criterion([1, 2.9, 2, 0, 0], 7)),
+        ],
         "non_symplectic_multiplier": raised(lambda: gamma_multiplier(not_symplectic, half, 2)),
         "tower_membership": [raised(lambda: tower.trace_mid(z8)), raised(lambda: tower.norm_mid(z8))],
         "cli_odd_level": cli(["modularity", str(odd_level)]),

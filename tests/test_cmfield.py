@@ -56,10 +56,10 @@ def _h_map_by_solves(x):
 def test_h_map_matches_solve_definition():
     rng = np.random.default_rng(23)
     for _ in range(20):
-        x = CycloElem(5, [F(int(a), int(b)) for a, b in zip(rng.integers(-9, 10, 4), rng.integers(1, 7, 4))])
+        x = CycloElem(5, [int(v) for v in rng.integers(-9, 10, 4)])
         h = h_map(x)
         assert [[h[j, k] for k in range(4)] for j in range(4)] == _h_map_by_solves(x)
-        assert all(type(v) is int for v in h.flat if v.denominator == 1)
+        assert all(type(v) is int for v in h.flat)
 
 
 def test_h_map_is_ring_homomorphism():
@@ -158,13 +158,29 @@ def test_first_row_matches_paper_quadratic_forms():
 
 
 def test_actor_first_row_and_build_guards():
-    assert belong_criterion(1 + 2 * ZETA, 3).first_row == paper_first_row([1, 2, 0, 0, 0])
+    assert tuple(GaloisActor.build(1 + 2 * ZETA, 3).h_matrix[0]) == paper_first_row([1, 2, 0, 0, 0])
     with pytest.raises(ValueError):
         GaloisActor.build(ZETA / 2, 3)  # not integral
-    with pytest.raises(ValueError):
-        belong_criterion(ZETA / 2, 3)
+    with pytest.raises(ValueError, match="algebraic integer"):
+        h_map(ZETA / 2)
     with pytest.raises(ValueError):
         GaloisActor.build(ZETA, 4)  # even p
+    with pytest.raises(ValueError, match="odd prime"):
+        GaloisActor.build(ZETA, 9)  # odd, not prime
+    with pytest.raises(ValueError):
+        belong_criterion([1, 2, 0, 0], 3)  # four coordinates
+
+
+@pytest.mark.parametrize("coords", [[1, F(5, 2), 2, 0, 0], [1, 2.9, 2, 0, 0]])
+def test_belong_rejects_non_integral_coordinates(coords):
+    # int() would truncate both to [1, 2, 2, 0, 0]
+    with pytest.raises(ValueError, match="algebraic integer"):
+        belong_criterion(coords, 7)
+
+
+def test_cm_input_checks_survive_optimize_flag(optimized):
+    # field_norm(CycloElem.zeta(7)), belong_criterion([1, 5/2, 2, 0, 0], 7) and belong_criterion([1, 2.9, 2, 0, 0], 7)
+    assert optimized["cm_input_checks"] == ["ValueError", "ValueError", "ValueError"]
 
 
 def test_artin_matches_closed_form_exactly():
@@ -254,13 +270,6 @@ def test_belong_worked_examples():
     assert lone.first_row == (-1, -2, 2, 0) and lone.value == 0 and lone.satisfied
     triv = belong_criterion([1, 0, 0, 0, 0], 7)
     assert triv.first_row == (1, 0, 0, 0) and triv.value == 0
-
-
-def test_belong_accepts_cyclo_elements():
-    x = 1 + 2 * ZETA + 2 * ZETA**2
-    by_elem = belong_criterion(x, 7)
-    by_list = belong_criterion([1, 2, 2, 0, 0], 7)
-    assert by_elem == by_list
 
 
 def test_belong_reports_arithmetic_flags():

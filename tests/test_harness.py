@@ -40,6 +40,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         run_suite(SuiteConfig(primes=(4,)))
     with pytest.raises(ConfigError):
+        run_suite(SuiteConfig(primes=(9,)))
+    with pytest.raises(ConfigError):
         run_suite(SuiteConfig(primes=()))
     with pytest.raises(ConfigError):
         run_suite(SuiteConfig(tol_numeric=-1e-8))

@@ -15,7 +15,6 @@ from cmtheta.theta import (
     all_characteristics,
     phi_eval,
     random_siegel,
-    reduce_char,
     theta_eval,
     theta_null,
     zero_char,
@@ -266,16 +265,6 @@ def test_characteristic_api():
     assert chi.neg().reduce()[0] == chi  # 2-torsion
 
 
-def test_reduce_char_normal_form():
-    chi = Characteristic.make([F(1, 3) + 1, F(2, 3)], [F(5, 3), F(-1, 3)])
-    out = reduce_char(chi, 3, 3)  # power divisible by m: s matters only mod 1
-    assert out == Characteristic.make([F(1, 3), F(2, 3)], [F(2, 3), F(2, 3)])
-    out = reduce_char(chi, 2, 3)  # gcd(2, 3) = 1: s matters mod 3
-    assert out == Characteristic.make([F(1, 3), F(2, 3)], [F(5, 3), F(8, 3)])
-    with pytest.raises(ValueError):
-        reduce_char(Characteristic.make([F(1, 2), 0], [0, 0]), 2, 3)
-
-
 def test_phi_eval_guard_and_consistency():
     rng = np.random.default_rng(12)
     z = random_siegel(rng)
@@ -316,11 +305,6 @@ def test_scalar_and_vector_u_agree():
     z = random_siegel(rng)
     chi = Characteristic.make([F(1, 3), 0], [0, F(1, 3)])
     assert theta_eval(0.0, z, chi) == theta_eval(np.zeros(2), z, chi)
-
-
-def test_reduce_char_validation_survives_optimize_flag(optimized):
-    # field_norm(CycloElem.zeta(7)) and reduce_char([1/2 0; 0 0], 2, 3)
-    assert optimized["norm_and_reduce_checks"] == ["ValueError", "ValueError"]
 
 
 # -- the integer representation against the Fraction definitions -------------
