@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import RootOfUnity
-from .symplectic import g_group_multiplier, intmat
+from .symplectic import check_level, g_group_multiplier, intmat
 from .theta import Characteristic
 
 
@@ -44,9 +44,8 @@ def act_iota_inv(a: int, chi: Characteristic) -> Characteristic:
 
 
 def act_power_family(alpha, chi: Characteristic, n: int) -> Characteristic:
-    """Action of alpha in G_n on the family of 2n^2-th powers: chi -> t(alpha) chi mod 1."""
-    if n % 2:
-        raise ValueError("family level must be even")
+    """Action of alpha in G_n on the family of 2n^2-th powers: chi -> t(alpha) chi mod 1, n as in check_level."""
+    check_level(n)
     chi.scaled(n)
     alpha = intmat(alpha)
     if g_group_multiplier(alpha, n) is None:

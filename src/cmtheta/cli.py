@@ -5,11 +5,14 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .cmfield import artin_action, belong_criterion, build_context
+import numpy as np
+
+from .cmfield import GaloisActor, build_context
 from .exact import CycloElem, rel_trace_norm, unit_residues
 from .harness import SUITE_NAMES, SuiteConfig, run_suite
 from .modularity import check_family, parse
 from .primgen import combine_norm, combine_trace, is_primitive, make_tower
+from .symplectic import SiegelPoint
 from .theta import Characteristic, EvalSettings, phi_eval, theta_eval
 
 
@@ -43,15 +46,13 @@ def _cmd_theta(args) -> int:
     settings = EvalSettings(tol=args.tol)
     if args.at == "cm":
         ctx = build_context(settings)
-        z = ctx.z0
+        z, null = ctx.z0, ctx.null0
     else:
-        import numpy as np
-
-        z = np.eye(chi.g) * 1j
+        z, null = SiegelPoint(np.eye(chi.g) * 1j), None
     theta = theta_eval(0, z, chi, settings)
     print(f"theta = {theta.real:.15g}{theta.imag:+.15g}j")
     if not chi.in_sigma_minus():
-        phi = phi_eval(chi, z, settings)
+        phi = phi_eval(chi, z, settings, null_value=null)
         print(f"phi   = {phi.real:.15g}{phi.imag:+.15g}j")
     else:
         print("phi   = 0 (odd characteristic)")
@@ -75,9 +76,9 @@ def _cmd_action(args) -> int:
     if len(coords) != 5:
         raise ValueError("x needs 5 integer coordinates on 1, zeta, ..., zeta^4")
     chi = _parse_char(args.char)
-    x = CycloElem(5, coords)
-    res = artin_action(x, args.p, chi)
-    bel = belong_criterion(coords, args.p)
+    actor = GaloisActor.build(CycloElem(5, coords), args.p)
+    res = actor.act(chi)
+    bel = actor.belong()
     print(f"multiplier = e({res.multiplier.exponent})")
     print(f"chi_out    = {res.chi_out}")
     print(f"first row  = {bel.first_row}, criterion value = {bel.value} "

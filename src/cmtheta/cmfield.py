@@ -145,6 +145,20 @@ class GaloisActor:
             raise ValueError("reflex-norm matrix is not in G_{2p^2}; criterion inapplicable")
         return _act_phi_known(self.h_matrix, self.nu, chi, self.p).canonical()
 
+    def belong(self) -> BelongResult:
+        """The first-row congruence test of belong_criterion on this actor."""
+        a, b, c, d = self.h_matrix[0]
+        value = -2 * a * b + 2 * a * c + a * d - 2 * b * c - 2 * c * d - 2 * d * d
+        return BelongResult(
+            first_row=(a, b, c, d),
+            value=value,
+            value_mod_p=value % self.p,
+            satisfied=value % self.p == 0,
+            norm=self.norm,
+            norm_prime_to_2p=math.gcd(self.norm, 2 * self.p) == 1,
+            in_group=self.in_group,
+        )
+
 
 def standard_actors(p: int) -> tuple[CycloElem, CycloElem]:
     """The two distinguished actors x_1 = 1 + 2p zeta, x_2 = 1 + 2p(z^2 - z^3 + z^4)."""
@@ -200,15 +214,4 @@ def belong_criterion(x, p: int) -> BelongResult:
     coords = list(x)
     if len(coords) != 5:
         raise ValueError(f"expected 5 coordinates on 1, zeta, ..., zeta^4, got {len(coords)}")
-    actor = GaloisActor.build(CycloElem(5, coords), p)
-    a, b, c, d = actor.h_matrix[0]
-    value = -2 * a * b + 2 * a * c + a * d - 2 * b * c - 2 * c * d - 2 * d * d
-    return BelongResult(
-        first_row=(a, b, c, d),
-        value=value,
-        value_mod_p=value % p,
-        satisfied=value % p == 0,
-        norm=actor.norm,
-        norm_prime_to_2p=math.gcd(actor.norm, 2 * p) == 1,
-        in_group=actor.in_group,
-    )
+    return GaloisActor.build(CycloElem(5, coords), p).belong()

@@ -23,7 +23,8 @@ def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
         if c:
             for j, d in enumerate(den):
                 num[k + j] -= c * d
-    assert all(c == 0 for c in num), "non-exact polynomial division"
+    if any(num):
+        raise ValueError("non-exact polynomial division")
     return q
 
 

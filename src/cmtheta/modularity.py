@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import RootOfUnity
-from .symplectic import identity, in_gamma, intmat
+from .symplectic import check_level, in_gamma, intmat
 from .theta import Characteristic, EvalSettings, DEFAULT_SETTINGS, phi_eval, theta_null
 
 
@@ -23,8 +23,7 @@ class ThetaProduct:
     terms: tuple[tuple[Characteristic, int], ...]
 
     def __post_init__(self):
-        if self.level % 2 or self.level <= 0:
-            raise ValueError(f"level must be a positive even integer, got {self.level}")
+        check_level(self.level)
         seen = set()
         for chi, m in self.terms:
             if chi.g != self.g:
@@ -114,24 +113,24 @@ def gamma_multiplier(gamma, target, n: int) -> RootOfUnity:
     """The exact multiplier e(X) with Phi(gamma Z) = e(X) Phi(Z), gamma in Gamma(n).
 
     target may be a single Characteristic or a ThetaProduct (multipliers add
-    with the exponents).  n must be even and every characteristic
+    with the exponents).  n must pass check_level and every characteristic be
     (1/n)-integral; raises ValueError unless gamma lies in Gamma(n).
 
     For gamma in Gamma(n), t(gamma) [r; s] = [r + a; s + b] with integer a, b.
     The action rule of act_phi at nu = 1 gives the phase e((tr s - t(r+a)(s+b))/2),
     and translating back to [r; s] costs e(tr b) (Characteristic.reduce), so
     X = (tr b - ta s - ta b)/2.  In integers, with x = n [r; s] and
-    [a; b] = (t(gamma) - I) x / n, summed over the terms Phi_[r_i; s_i]^{m_i}:
+    [a; b] = (t(gamma) - I) x / n = (t(gamma) // n) x (the entries of I lie in
+    [0, n)), summed over the terms Phi_[r_i; s_i]^{m_i}:
 
         X = sum_i m_i (x_r.b - a.x_s - n a.b) / (2n).
     """
-    if n % 2:
-        raise ValueError(f"level must be even, got {n}")
+    check_level(n)
     gamma = intmat(gamma)
     if not in_gamma(gamma, n):
         raise ValueError(f"gamma is not in Gamma({n})")
     g, total = gamma.shape[0] // 2, 0
-    move = (gamma.T - identity(2 * g)) // n
+    move = gamma.T // n
     terms = ((target, 1),) if isinstance(target, Characteristic) else target.terms
     for chi, m in terms:
         x = chi.scaled(n)

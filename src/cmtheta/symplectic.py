@@ -48,38 +48,32 @@ def blocks(m: np.ndarray):
     return m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:]
 
 
-def sympl_multiplier(m, modulus: int | None = None):
-    """The similitude nu with tM J M = nu J, or None if M is not in GSp.
-
-    Over Z the unit condition forces nu in {1, -1}; for a modulus the
-    congruence is checked mod modulus and nu must be coprime to it.
-    """
+def sympl_multiplier(m, modulus: int):
+    """The similitude nu in [0, modulus) with tM J M = nu J mod modulus, or None unless nu exists and is a unit."""
     m = intmat(m)
     g = m.shape[0] // 2
     j = _jmat(g)
     t = m.T @ j @ m
-    nu = -t[0, g]
-    target = nu * j
-    if modulus is None:
-        if not (t == target).all():
-            return None
-        return int(nu) if nu in (1, -1) else None
-    if ((t - target) % modulus != 0).any():
-        return None
-    nu = int(nu) % modulus
-    return nu if gcd(nu, modulus) == 1 else None
-
-
-def is_symplectic(m) -> bool:
-    return sympl_multiplier(m) == 1
+    nu = int(-t[0, g]) % modulus
+    return nu if gcd(nu, modulus) == 1 and not ((t - nu * j) % modulus).any() else None
 
 
 def in_gamma(m, n: int) -> bool:
-    """Membership in the principal congruence subgroup Gamma(n) of Sp_2g(Z)."""
+    """Membership in Gamma(n) = {M in Sp_2g(Z) : M = I mod n}: tM J M == J over Z, then the congruence."""
     m = intmat(m)
-    if not is_symplectic(m):
-        return False
-    return ((m - identity(m.shape[0])) % n == 0).all()
+    j = _jmat(m.shape[0] // 2)
+    return bool((m.T @ j @ m == j).all()) and not ((m - identity(len(m))) % n).any()
+
+
+def is_symplectic(m) -> bool:
+    """Membership in Sp_2g(Z), which is Gamma(1)."""
+    return in_gamma(m, 1)
+
+
+def check_level(n: int) -> None:
+    """Raise ValueError unless n is a positive even integer: the one rule for a level of Gamma(n) or a family."""
+    if n % 2 or n <= 0:
+        raise ValueError(f"level must be a positive even integer, got {n}")
 
 
 def even_theta_diagonals(m) -> bool:

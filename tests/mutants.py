@@ -46,6 +46,23 @@ CAUGHT = [
         "",
         ["tests/test_modularity.py::test_multiplier_requires_congruence"],
     ),
+    # gamma_multiplier without the level rule: n = 0 divides by zero, n = -2 floors the move wrongly
+    (
+        MODULARITY,
+        "    check_level(n)\n",
+        "",
+        ["tests/test_modularity.py::test_level_is_a_positive_even_integer"],
+    ),
+    # Gamma(n) membership without tM J M == J: only M = I mod n is left
+    (
+        "src/cmtheta/symplectic.py",
+        "bool((m.T @ j @ m == j).all()) and ",
+        "",
+        [
+            "tests/test_modularity.py::test_multiplier_requires_congruence",
+            "tests/test_symplectic.py::test_multiplier",
+        ],
+    ),
     # check_family with the rs congruence taken mod n/2
     (
         MODULARITY,
@@ -80,8 +97,8 @@ CAUGHT = [
     # belong_criterion reading the second row of h
     (
         CMFIELD,
-        "actor.h_matrix[0]",
-        "actor.h_matrix[1]",
+        "self.h_matrix[0]",
+        "self.h_matrix[1]",
         ["tests/test_cmfield.py::test_first_row_matches_paper_quadratic_forms"],
     ),
     # belong_criterion truncating its coordinates to integers

@@ -14,12 +14,13 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+from cmtheta.action import act_power_family
 from cmtheta.cli import main
 from cmtheta.cmfield import belong_criterion, field_norm
-from cmtheta.exact import CycloElem, unit_residues
+from cmtheta.exact import CycloElem, _poly_divide_exact, unit_residues
 from cmtheta.modularity import gamma_multiplier
 from cmtheta.primgen import make_tower
-from cmtheta.symplectic import identity, intmat
+from cmtheta.symplectic import identity, intmat, special_gamma
 from cmtheta.theta import Characteristic
 
 MPMATH_LOADED = "mpmath" in sys.modules  # after importing the package and its CLI, before any call
@@ -51,10 +52,15 @@ def probes(tmp: Path) -> dict:
     half = Characteristic.make([Fraction(1, 2), 0], [0, 0])
     not_symplectic = identity(4)
     not_symplectic[0, 0] = 3  # = I mod 2
+    upper, half_half = special_gamma("upper", 1, 2, 2), Characteristic.make([Fraction(1, 2), 0], [0, Fraction(1, 2)])
     return {
         "optimize": sys.flags.optimize,
         "mpmath_loaded": MPMATH_LOADED,
-        "cyclo_input_checks": [raised(lambda: CycloElem.zeta(10).galois(5)), raised(lambda: CycloElem.zeta(5).lift(7))],
+        "cyclo_input_checks": [
+            raised(lambda: CycloElem.zeta(10).galois(5)),
+            raised(lambda: CycloElem.zeta(5).lift(7)),
+            raised(lambda: _poly_divide_exact([1, 0, 1], [-1, 1])),
+        ],
         "rational_value": raised(lambda: CycloElem.zeta(5).rational_value()),
         "intmat": raised(lambda: intmat([[0.5, 0], [0, 1]])),
         "cm_input_checks": [
@@ -63,6 +69,7 @@ def probes(tmp: Path) -> dict:
             raised(lambda: belong_criterion([1, 2.9, 2, 0, 0], 7)),
         ],
         "non_symplectic_multiplier": raised(lambda: gamma_multiplier(not_symplectic, half, 2)),
+        "level": [raised(lambda: f(upper, half_half, n)) for n in (0, -2) for f in (gamma_multiplier, act_power_family)],
         "tower_membership": [raised(lambda: tower.trace_mid(z8)), raised(lambda: tower.norm_mid(z8))],
         "cli_odd_level": cli(["modularity", str(odd_level)]),
         "cli_even_p": cli(["action", "--x", "1 2 2 0 0", "--p", "4", "--char", "1/4 0 0 0"]),

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from cmtheta import cli, theta
 from cmtheta.cli import main
+from cmtheta.cmfield import GaloisActor
+from cmtheta.symplectic import SiegelPoint
 
 
 def test_verify_primgen(capsys):
@@ -80,6 +83,30 @@ def test_action_output(capsys):
     out = capsys.readouterr().out
     assert "multiplier = e(" in out
     assert "first row  = (-1, 0, 0, -2), criterion value = -6" in out
+
+
+def test_action_builds_one_actor(monkeypatch, capsys):
+    built, build = [], GaloisActor.build
+    monkeypatch.setattr(GaloisActor, "build", classmethod(lambda cls, x, p: built.append(p) or build(x, p)))
+    assert main(["action", "--x", "1 2 2 0 0", "--p", "7", "--char", "1/7 0 0 2/7"]) == 0
+    assert built == [7]
+
+
+@pytest.mark.parametrize("at", ["i", "cm"])
+def test_theta_builds_one_point_and_one_null(at, monkeypatch, capsys):
+    points, evals = [], []
+    init, theta_eval = SiegelPoint.__init__, theta.theta_eval
+    monkeypatch.setattr(SiegelPoint, "__init__", lambda self, mat: points.append(mat) or init(self, mat))
+
+    def counted(*args):
+        evals.append(args[2])
+        return theta_eval(*args)
+
+    monkeypatch.setattr(theta, "theta_eval", counted)
+    monkeypatch.setattr(cli, "theta_eval", counted)
+    assert main(["theta", "--char", "1/2 0 0 1/2", "--at", at]) == 0
+    assert len(points) == 1
+    assert len(evals) == 3  # theta null once, Theta_chi for theta and again for phi
 
 
 def test_primgen_demo(capsys):

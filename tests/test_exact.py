@@ -1,13 +1,17 @@
+import ast
 import cmath
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
+import cmtheta
 from cmtheta.exact import (
     CycloElem,
     RootOfUnity,
+    _poly_divide_exact,
     cyclotomic_coeffs,
     euler_phi,
     is_subgroup,
@@ -34,6 +38,8 @@ def test_cyclotomic_polynomials():
     # Phi_25 = x^20 + x^15 + x^10 + x^5 + 1
     expected = tuple(1 if k % 5 == 0 else 0 for k in range(21))
     assert cyclotomic_coeffs(25) == expected
+    with pytest.raises(ValueError):
+        _poly_divide_exact([1, 0, 1], [-1, 1])  # x^2 + 1 by x - 1 leaves remainder 2
 
 
 def test_golden_ratio_products():
@@ -161,8 +167,19 @@ def test_embed_high_precision():
 
 
 def test_input_checks_survive_optimize_flag(optimized):
-    # CycloElem.zeta(10).galois(5) and CycloElem.zeta(5).lift(7)
-    assert optimized["cyclo_input_checks"] == ["ValueError", "ValueError"]
+    # CycloElem.zeta(10).galois(5), CycloElem.zeta(5).lift(7) and (x^2 + 1) / (x - 1)
+    assert optimized["cyclo_input_checks"] == ["ValueError"] * 3
+
+
+def test_src_has_no_assert_statements():
+    # python -O strips assert statements, so no check in the package may rest on one
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(cmtheta.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found
 
 
 def test_rational_value_check_survives_optimize_flag(optimized):

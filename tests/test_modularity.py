@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from cmtheta.action import act_power_family
 from cmtheta.exact import RootOfUnity
 from cmtheta.modularity import (
     ThetaProduct,
@@ -172,6 +173,15 @@ def test_multiplier_requires_congruence(optimized):
     with pytest.raises(ValueError):
         gamma_multiplier(not_symplectic, Characteristic.make([F(1, 2), 0], [0, F(1, 2)]), 2)
     assert optimized["non_symplectic_multiplier"] == "ValueError"
+
+
+def test_level_is_a_positive_even_integer(optimized):
+    gamma, chi = special_gamma("upper", 1, 2, 2), Characteristic.make([F(1, 2), 0], [0, F(1, 2)])
+    for n in (0, -2):
+        for call in (gamma_multiplier, act_power_family):
+            with pytest.raises(ValueError, match="level must be a positive even integer"):
+                call(gamma, chi, n)
+    assert optimized["level"] == ["ValueError"] * 4
 
 
 def test_multiplier_is_homomorphism_on_congruence_group():

@@ -32,12 +32,19 @@ def test_blocks_roundtrip():
 
 
 def test_multiplier():
-    assert sympl_multiplier(identity(4)) == 1
-    assert sympl_multiplier(intmat(np.diag([1, 1, -1, -1]))) == -1
-    assert sympl_multiplier(intmat(np.diag([1, 1, 2, 2]))) is None  # nu=2 not a unit over Z
-    assert sympl_multiplier(intmat(np.diag([1, 1, 2, 2])), modulus=5) == 2
-    assert sympl_multiplier(intmat(np.diag([1, 1, 2, 2])), modulus=4) is None
-    assert sympl_multiplier(intmat(np.ones((4, 4), dtype=int))) is None
+    flip, two, ones = intmat(np.diag([1, 1, -1, -1])), intmat(np.diag([1, 1, 2, 2])), intmat(np.ones((4, 4), dtype=int))
+    not_symplectic = identity(4)
+    not_symplectic[0, 0] = 3  # = I mod 2
+    assert sympl_multiplier(identity(4), modulus=6) == 1
+    assert sympl_multiplier(flip, modulus=6) == 5  # nu = -1
+    assert sympl_multiplier(two, modulus=5) == 2
+    assert sympl_multiplier(two, modulus=4) is None  # nu = 2 is no unit mod 4
+    assert sympl_multiplier(ones, modulus=5) is None  # tM J M = 0
+    assert is_symplectic(identity(4)) and is_symplectic(jmat(2))
+    for m in (flip, two, ones, not_symplectic):  # nu = -1, nu = 2, nu = 0, and no similitude at all
+        assert not is_symplectic(m)
+    for m in (identity(4), jmat(2), flip, two, ones, not_symplectic, special_gamma("lower", 1, 1, 1)):
+        assert in_gamma(m, 1) == is_symplectic(m)
 
 
 def test_iota():
