@@ -13,7 +13,7 @@ from .harness import SUITE_NAMES, SuiteConfig, run_suite
 from .modularity import check_family, parse
 from .primgen import combine_norm, combine_trace, is_primitive, make_tower
 from .symplectic import SiegelPoint
-from .theta import Characteristic, EvalSettings, phi_eval, theta_eval
+from .theta import Characteristic, EvalSettings, divide_by_null, theta_eval, theta_null
 
 
 def _parse_char(text: str) -> Characteristic:
@@ -52,7 +52,7 @@ def _cmd_theta(args) -> int:
     theta = theta_eval(0, z, chi, settings)
     print(f"theta = {theta.real:.15g}{theta.imag:+.15g}j")
     if not chi.in_sigma_minus():
-        phi = phi_eval(chi, z, settings, null_value=null)
+        phi = divide_by_null(theta, theta_null(z, settings) if null is None else null)
         print(f"phi   = {phi.real:.15g}{phi.imag:+.15g}j")
     else:
         print("phi   = 0 (odd characteristic)")

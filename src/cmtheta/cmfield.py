@@ -11,12 +11,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
 from .action import ActionResult, _act_phi_known
 from .exact import CycloElem, RootOfUnity, orbit_product, orbit_sum, solve_exact
-from .symplectic import SiegelPoint, g_group_multiplier
+from .symplectic import SiegelPoint, _g_group_multiplier
 from .theta import Characteristic, DEFAULT_SETTINGS, EvalSettings, phi_eval, theta_null
 
 
@@ -44,16 +45,16 @@ def reflex_norm(x: CycloElem) -> CycloElem:
 
 
 @lru_cache(maxsize=None)
-def _h_powers() -> tuple[tuple[tuple[int, ...], ...], ...]:
-    # entry [j][k] lists h(zeta^i)[j, k] for i = 0..3, by exact solves on the CM basis
+def _h_table() -> tuple[tuple[int, ...], ...]:
+    # entry 4j + k lists h(zeta^i)[j, k] for i = 0..3, by exact solves on the CM basis
     basis = _basis()
     bmat = [[basis[k].coeffs[i] for k in range(4)] for i in range(4)]
     hs = []
     for i in range(4):
         zi = CycloElem.zeta(5, i)
         rows = [solve_exact(bmat, list((zi * xj).coeffs)) for xj in basis]
-        hs.append([[int(v) for v in row] for row in rows])
-    return tuple(tuple(tuple(h[j][k] for h in hs) for k in range(4)) for j in range(4))
+        hs.append([int(v) for row in rows for v in row])
+    return tuple(zip(*hs))
 
 
 def h_map(x: CycloElem) -> np.ndarray:
@@ -67,10 +68,7 @@ def h_map(x: CycloElem) -> np.ndarray:
         raise ValueError(f"expected an element of Q(zeta_5), got one of Q(zeta_{x.n})")
     if x.den != 1:
         raise ValueError("h_map needs an algebraic integer")
-    rows = [[sum(c * v for c, v in zip(x.num, entry)) for entry in row] for row in _h_powers()]
-    out = np.empty((4, 4), dtype=object)
-    out[:] = rows
-    return out
+    return np.array([sum(map(mul, x.num, entry)) for entry in _h_table()], dtype=object).reshape(4, 4)
 
 
 def riemann_form(x: CycloElem, y: CycloElem) -> Fraction:
@@ -129,8 +127,10 @@ class GaloisActor:
             raise ValueError(f"p = {p} must be an odd prime")
         if x.den != 1:
             raise ValueError("actor must be an algebraic integer")
-        h = h_map(reflex_norm(x))
-        return cls(p=p, h_matrix=h, nu=g_group_multiplier(h, 2 * p * p), norm=int(field_norm(x)))
+        r = reflex_norm(x)
+        h = h_map(r)
+        norm = (r * r.galois(4)).rational_value()  # N(x) = phi*(x) conj(phi*(x))
+        return cls(p=p, h_matrix=h, nu=_g_group_multiplier(h, 2 * p * p), norm=int(norm))
 
     def act(self, chi: Characteristic) -> ActionResult:
         """The simulated Artin action of (x) on Phi_chi(Z0), chi with denominator p.

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import RootOfUnity
-from .symplectic import check_level, in_gamma, intmat
+from .symplectic import _in_gamma, check_level, intmat
 from .theta import Characteristic, EvalSettings, DEFAULT_SETTINGS, phi_eval, theta_null
 
 
@@ -127,7 +127,7 @@ def gamma_multiplier(gamma, target, n: int) -> RootOfUnity:
     """
     check_level(n)
     gamma = intmat(gamma)
-    if not in_gamma(gamma, n):
+    if not _in_gamma(gamma, n):
         raise ValueError(f"gamma is not in Gamma({n})")
     g, total = gamma.shape[0] // 2, 0
     move = gamma.T // n

@@ -1,13 +1,15 @@
 """Exact symplectic-group machinery and the action on the Siegel upper half-space.
 
-Integer matrices are kept exact as numpy object arrays (arbitrary-precision
-Python ints), so multiplier computations and congruence tests never overflow.
+Integer matrices are kept exact as numpy object arrays of arbitrary-precision
+Python ints, which matrix products use.  The membership tests for Sp_2g,
+Gamma(n) and G_n read the matrix once as Python-int columns and form only the
+entries of tM J M and the parities they need, so nothing overflows there either.
 Only act_siegel and SiegelPoint work in floating point.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
+from operator import add, mul
 
 import numpy as np
 
@@ -32,14 +34,9 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=object)
 
 
-@lru_cache(maxsize=None)
-def _jmat(g: int) -> np.ndarray:
+def jmat(g: int) -> np.ndarray:
     z, i = np.zeros((g, g), dtype=object), identity(g)
     return np.block([[z, -i], [i, z]])
-
-
-def jmat(g: int) -> np.ndarray:
-    return _jmat(g).copy()
 
 
 def blocks(m: np.ndarray):
@@ -48,21 +45,55 @@ def blocks(m: np.ndarray):
     return m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:]
 
 
+def _halves(m: np.ndarray):
+    """The top and bottom halves of each column of an exact 2g x 2g matrix, as lists of Python ints."""
+    size = m.shape[0]
+    if size < 2 or size % 2 or m.shape[1] != size:
+        raise ValueError(f"expected a 2g x 2g matrix, got shape {m.shape}")
+    g = size // 2
+    cols = m.T.tolist()
+    return [c[:g] for c in cols], [c[g:] for c in cols]
+
+
+def _form_defects(tops, bots, nu: int):
+    # (tM J M - nu J)[i, k] for i < k; tM J M is antisymmetric, so these entries decide it
+    size = len(tops)
+    g = size // 2
+    for i in range(size):
+        for k in range(i + 1, size):
+            entry = sum(map(mul, bots[i], tops[k])) - sum(map(mul, tops[i], bots[k]))
+            yield entry + nu if k == i + g else entry
+
+
+def _multiplier(tops, bots, modulus: int) -> int | None:
+    g = len(tops) // 2
+    nu = (sum(map(mul, tops[0], bots[g])) - sum(map(mul, bots[0], tops[g]))) % modulus  # -(tM J M)[0, g]
+    if gcd(nu, modulus) != 1:
+        return None
+    return nu if all(v % modulus == 0 for v in _form_defects(tops, bots, nu)) else None
+
+
+def _even_diagonals(tops, bots) -> bool:
+    # column j contributes (tAC)[j, j] for j < g and (tBD)[j - g, j - g] after
+    return not any(sum(map(mul, t, b)) % 2 for t, b in zip(tops, bots))
+
+
 def sympl_multiplier(m, modulus: int):
     """The similitude nu in [0, modulus) with tM J M = nu J mod modulus, or None unless nu exists and is a unit."""
-    m = intmat(m)
-    g = m.shape[0] // 2
-    j = _jmat(g)
-    t = m.T @ j @ m
-    nu = int(-t[0, g]) % modulus
-    return nu if gcd(nu, modulus) == 1 and not ((t - nu * j) % modulus).any() else None
+    return _multiplier(*_halves(intmat(m)), modulus)
 
 
 def in_gamma(m, n: int) -> bool:
     """Membership in Gamma(n) = {M in Sp_2g(Z) : M = I mod n}: tM J M == J over Z, then the congruence."""
-    m = intmat(m)
-    j = _jmat(m.shape[0] // 2)
-    return bool((m.T @ j @ m == j).all()) and not ((m - identity(len(m))) % n).any()
+    return _in_gamma(intmat(m), n)
+
+
+def _in_gamma(m: np.ndarray, n: int) -> bool:
+    """in_gamma for an exact integer matrix, as from intmat."""
+    tops, bots = _halves(m)
+    return not any(_form_defects(tops, bots, 1)) and not any(
+        (v - (i == j)) % n for j, col in enumerate(map(add, tops, bots)) for i, v in enumerate(col)
+    )
 
 
 def is_symplectic(m) -> bool:
@@ -82,8 +113,7 @@ def even_theta_diagonals(m) -> bool:
     m is an exact integer matrix, as from intmat.  Parity is read off this
     representative; for even n it is independent of the choice of lift.
     """
-    a, b, c, d = blocks(m)
-    return not ((a * c).sum(axis=0) % 2).any() and not ((b * d).sum(axis=0) % 2).any()
+    return _even_diagonals(*_halves(m))
 
 
 def g_group_multiplier(m, n: int) -> int | None:
@@ -92,9 +122,14 @@ def g_group_multiplier(m, n: int) -> int | None:
     G_n is GSp_2g mod n (any unit multiplier) with even diagonals of tAC and
     tBD; S_n is its part with nu = 1.  This is the one statement of the rule.
     """
-    m = intmat(m)
-    nu = sympl_multiplier(m, modulus=n)
-    return nu if nu is not None and even_theta_diagonals(m) else None
+    return _g_group_multiplier(intmat(m), n)
+
+
+def _g_group_multiplier(m: np.ndarray, n: int) -> int | None:
+    """g_group_multiplier for an exact integer matrix, as from intmat."""
+    tops, bots = _halves(m)
+    nu = _multiplier(tops, bots, n)
+    return nu if nu is not None and _even_diagonals(tops, bots) else None
 
 
 def iota(a: int, g: int, modulus: int) -> np.ndarray:

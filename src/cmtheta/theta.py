@@ -122,7 +122,7 @@ class EvalSettings:
 
 
 DEFAULT_SETTINGS = EvalSettings()
-NULL_THRESHOLD = 1e-8  # phi_eval refuses to divide by a smaller theta null
+NULL_THRESHOLD = 1e-8  # divide_by_null refuses a smaller theta null
 MAX_RADIUS = 200  # theta_eval refuses a truncation ellipsoid reaching further along any axis
 EPS = float(np.finfo(float).eps)
 _EXP_RANGE = -math.log(np.finfo(float).tiny)  # exp(-x) is a normal float for 0 <= x < 708.4
@@ -377,9 +377,14 @@ def phi_eval(
     """The theta constant Phi_[r;s](Z); pass null_value to reuse a denominator."""
     zp = z if isinstance(z, SiegelPoint) else SiegelPoint(z)
     den = theta_null(zp, settings) if null_value is None else null_value
-    if abs(den) < NULL_THRESHOLD:
-        raise ValueError(f"theta null value too small ({abs(den):.3g}) to divide by")
-    return theta_eval(0, zp, chi, settings) / den
+    return divide_by_null(theta_eval(0, zp, chi, settings), den)
+
+
+def divide_by_null(value: complex, null: complex) -> complex:
+    """value divided by the theta null `null`; the one guard on that division raises ValueError below NULL_THRESHOLD."""
+    if abs(null) < NULL_THRESHOLD:
+        raise ValueError(f"theta null value too small ({abs(null):.3g}) to divide by")
+    return value / null
 
 
 def random_siegel(rng: np.random.Generator, g: int = 2, base: float = 0.8) -> SiegelPoint:

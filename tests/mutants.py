@@ -11,19 +11,24 @@ needed because pytest's `pythonpath = ["src"]` would otherwise import the
 unmutated tree.  A caught mutant must fail every named test.  An expected
 survivor must pass them all, so a check that starts catching it shows up too.
 The named tests must pass on the unmutated tree first.  Exits 1 if any mutant
-behaves other than listed.
+behaves other than listed.  Entries run in up to two pytest subprocesses at
+once, never more than there are CPUs, and each prints its own time.
 """
 from __future__ import annotations
 
+import os
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
 import xml.etree.ElementTree as ET
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+WORKERS = min(2, os.cpu_count() or 1)  # pytest subprocesses at a time
 
 MODULARITY, THETA = "src/cmtheta/modularity.py", "src/cmtheta/theta.py"
 CMFIELD = "src/cmtheta/cmfield.py"
@@ -42,7 +47,7 @@ CAUGHT = [
     # gamma_multiplier accepting any gamma = I mod n, or not even that
     (
         MODULARITY,
-        '    if not in_gamma(gamma, n):\n        raise ValueError(f"gamma is not in Gamma({n})")\n',
+        '    if not _in_gamma(gamma, n):\n        raise ValueError(f"gamma is not in Gamma({n})")\n',
         "",
         ["tests/test_modularity.py::test_multiplier_requires_congruence"],
     ),
@@ -56,7 +61,7 @@ CAUGHT = [
     # Gamma(n) membership without tM J M == J: only M = I mod n is left
     (
         "src/cmtheta/symplectic.py",
-        "bool((m.T @ j @ m == j).all()) and ",
+        "not any(_form_defects(tops, bots, 1)) and ",
         "",
         [
             "tests/test_modularity.py::test_multiplier_requires_congruence",
@@ -80,11 +85,11 @@ CAUGHT = [
             "tests/test_action.py::test_transpose_apply_matches_fraction_reference",
         ],
     ),
-    # G_n membership without the parity of tBD
+    # G_n membership with the parity read over the first g columns only: tAC without tBD
     (
         "src/cmtheta/symplectic.py",
-        " and not ((b * d).sum(axis=0) % 2).any()",
-        "",
+        "for t, b in zip(tops, bots))",
+        "for t, b in zip(tops[: len(tops) // 2], bots))",
         ["tests/test_symplectic.py::test_g_group_multiplier"],
     ),
     # the second closed Artin phase without its -6ad cross term
@@ -93,6 +98,13 @@ CAUGHT = [
         " - 6 * a * d - b * b",
         " - b * b",
         ["tests/test_cmfield.py::test_second_closed_form_cross_term"],
+    ),
+    # the actor's norm read as phi*(x)^2 instead of phi*(x) conj(phi*(x))
+    (
+        CMFIELD,
+        "(r * r.galois(4)).rational_value()",
+        "(r * r).rational_value()",
+        ["tests/test_cmfield.py::test_actor_build_matches_definitional_composition"],
     ),
     # belong_criterion reading the second row of h
     (
@@ -217,6 +229,19 @@ def copy_tree(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
+def run_entry(tmp: Path, i: int, entry) -> tuple[list[str], float]:
+    """Run one entry in its own mutated copy: the named tests that behave other than listed, and the seconds taken."""
+    (path, old, new, nodes), caught = entry
+    start = time.perf_counter()
+    tree = tmp / f"m{i}"
+    copy_tree(tree)
+    target = tree / path
+    target.write_text(target.read_text().replace(old, new))
+    passed = outcomes(tree, nodes)
+    shutil.rmtree(tree)
+    return [n for n, ok in passed.items() if ok == caught], time.perf_counter() - start
+
+
 def main() -> int:
     entries = [(m, True) for m in CAUGHT] + [(m, False) for m in SURVIVORS]
     bad = 0
@@ -235,21 +260,15 @@ def main() -> int:
         if broken:
             print("the named tests must pass on the unmutated tree:", *broken, sep="\n  ")
             return 1
-        for i, ((path, old, new, ns), caught) in enumerate(entries):
-            start = time.perf_counter()
-            tree = Path(tmp) / f"m{i}"
-            copy_tree(tree)
-            target = tree / path
-            target.write_text(target.read_text().replace(old, new))
-            passed = outcomes(tree, ns)
-            wrong = [n for n, ok in passed.items() if ok == caught]
-            verdict = "ok" if not wrong else "WRONG"
-            kind = "caught" if caught else "survives"
-            print(f"{verdict:5}  {kind:8}  {time.perf_counter() - start:4.1f}s  {path}: {old.strip()[:60]!r}")
-            for n in wrong:
-                print(f"         {'passed' if caught else 'failed'}: {n}")
-            bad += bool(wrong)
-            shutil.rmtree(tree)
+        with ThreadPoolExecutor(WORKERS) as pool:
+            results = pool.map(partial(run_entry, Path(tmp)), range(len(entries)), entries)
+            for ((path, old, _, _), caught), (wrong, seconds) in zip(entries, results):
+                verdict = "ok" if not wrong else "WRONG"
+                kind = "caught" if caught else "survives"
+                print(f"{verdict:5}  {kind:8}  {seconds:4.1f}s  {path}: {old.strip()[:60]!r}", flush=True)
+                for n in wrong:
+                    print(f"         {'passed' if caught else 'failed'}: {n}")
+                bad += bool(wrong)
     print(f"{len(entries) - bad} of {len(entries)} mutants behave as listed")
     return 1 if bad else 0
 

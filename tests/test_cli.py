@@ -106,7 +106,7 @@ def test_theta_builds_one_point_and_one_null(at, monkeypatch, capsys):
     monkeypatch.setattr(cli, "theta_eval", counted)
     assert main(["theta", "--char", "1/2 0 0 1/2", "--at", at]) == 0
     assert len(points) == 1
-    assert len(evals) == 3  # theta null once, Theta_chi for theta and again for phi
+    assert len(evals) == 2  # theta null once, Theta_chi once for both theta and phi
 
 
 def test_primgen_demo(capsys):

@@ -14,6 +14,7 @@ from cmtheta.cmfield import (
     closed_phase,
     field_norm,
     h_map,
+    is_odd_prime,
     reflex_norm,
     riemann_form,
     standard_actors,
@@ -258,6 +259,24 @@ def test_actor_act_reuses_the_built_multiplier(monkeypatch):
             assert got == act_phi(actor.h_matrix % 50, chi, 5).canonical()
             assert calls == [50, 50]
             calls.clear()
+
+
+def test_actor_build_matches_definitional_composition():
+    rng = np.random.default_rng(37)
+    cases = []
+    for p in (q for q in range(3, 32) if is_odd_prime(q)):
+        ys = [CycloElem(5, [int(v) for v in rng.integers(-30, 31, 5)]) for _ in range(3)]
+        cases += [(CycloElem(5, [0] * 5), p), *((x, p) for x in standard_actors(p))]
+        cases += [(y, p) for y in ys] + [(2 * ys[0], p), (p * ys[1], p)]  # norms divisible by 2 and by p
+    in_group = 0
+    for x, p in cases:
+        actor = GaloisActor.build(x, p)
+        h = h_map(reflex_norm(x))
+        assert (actor.h_matrix == h).all() and all(type(v) is int for v in actor.h_matrix.flat)
+        assert actor.nu == g_group_multiplier(h, 2 * p * p)
+        assert actor.norm == field_norm(x) and type(actor.norm) is int
+        in_group += actor.in_group
+    assert 20 <= in_group < len(cases)
 
 
 def test_belong_worked_examples():

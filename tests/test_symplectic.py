@@ -1,6 +1,10 @@
+from fractions import Fraction
+from math import gcd
+
 import numpy as np
 import pytest
 
+from cmtheta import modularity, symplectic
 from cmtheta.symplectic import (
     SiegelPoint,
     act_siegel,
@@ -176,3 +180,74 @@ def test_identity_is_a_fresh_exact_matrix():
     assert identity(3)[0, 0] == 1
     z = special_gamma("upper", 1, 2, 4, g=3)
     assert all(type(v) is int for v in z.flat)
+
+
+def fraction_form(m):
+    """tM J M in Fractions, by the definition: the reference for the membership kernel."""
+    rows = [[Fraction(v) for v in row] for row in m.tolist()]
+    size, g = len(rows), len(rows) // 2
+    j = [[-1 if k == i + g else 1 if i == k + g else 0 for k in range(size)] for i in range(size)]
+    jm = [[sum(j[i][a] * rows[a][k] for a in range(size)) for k in range(size)] for i in range(size)]
+    return [[sum(rows[a][i] * jm[a][k] for a in range(size)) for k in range(size)] for i in range(size)], j
+
+
+def reference_memberships(m, n):
+    """(sympl_multiplier, in_gamma, even_theta_diagonals) of m at modulus n from fraction_form."""
+    t, j = fraction_form(m)
+    size, g = len(t), len(t) // 2
+    nu = int(-t[0][g]) % n
+    units = gcd(nu, n) == 1 and all((t[i][k] - nu * j[i][k]) % n == 0 for i in range(size) for k in range(size))
+    congruent = all((m[i, k] - (i == k)) % n == 0 for i in range(size) for k in range(size))
+    diag = [sum(Fraction(m[a, c] * m[a + g, c]) for a in range(g)) for c in range(size)]  # tAC then tBD
+    return nu if units else None, t == j and congruent, all(v % 2 == 0 for v in diag)
+
+
+def test_membership_kernel_matches_fraction_reference():
+    rng = np.random.default_rng(29)
+    kinds = ("upper", "lower", "mixed")
+    seen = {"gamma": 0, "g_group": 0, "outside": 0}
+    for n in range(2, 51):
+        for g in (2, 3):
+            word = identity(2 * g)
+            for _ in range(int(rng.integers(1, 5))):
+                j, k = (int(v) for v in rng.integers(1, g + 1, 2))
+                word = word @ special_gamma(kinds[rng.integers(0, 3)], j, k, n if rng.random() < 0.8 else 1, g)
+            a = int(rng.choice([u for u in range(1, n) if gcd(u, n) == 1]))
+            twisted = word @ iota(a, g, n)
+            bumped = twisted.copy()
+            bumped[rng.integers(0, 2 * g), rng.integers(0, 2 * g)] += int(rng.integers(1, n + 1))
+            for m in (word, twisted, bumped):
+                nu, member, even = reference_memberships(m, n)
+                assert sympl_multiplier(m, modulus=n) == nu
+                assert in_gamma(m, n) == member
+                assert even_theta_diagonals(m) == even
+                assert g_group_multiplier(m, n) == (nu if even else None)
+                seen["gamma"] += member
+                seen["g_group"] += nu is not None and even and not member
+                seen["outside"] += nu is None or not even
+    assert min(seen.values()) >= 20, seen
+
+
+def test_membership_rejects_matrices_that_are_not_2g_square():
+    for rows in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0, 0], [0, 1, 0, 0]], [[1]]):
+        for call in (lambda m: sympl_multiplier(m, 4), lambda m: in_gamma(m, 2), lambda m: g_group_multiplier(m, 2)):
+            with pytest.raises(ValueError):
+                call(rows)
+
+
+def test_membership_converts_once(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(1)
+        return intmat(m)
+
+    monkeypatch.setattr(symplectic, "intmat", counted)
+    monkeypatch.setattr(modularity, "intmat", counted)
+    gamma = special_gamma("mixed", 1, 2, 4)
+    assert g_group_multiplier(gamma, 4) == 1
+    assert len(calls) == 1
+    calls.clear()
+    chi = modularity.Characteristic.from_den([1, 0], [0, 1], 4)
+    modularity.gamma_multiplier(gamma, chi, 4)
+    assert len(calls) == 1
