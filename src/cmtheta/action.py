@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from operator import mul
 
 from .exact import RootOfUnity
-from .symplectic import check_level, g_group_multiplier, intmat
+from .symplectic import _columns, _g_multiplier, _transpose_times, check_level
 from .theta import Characteristic
 
 
@@ -28,9 +27,8 @@ class ActionResult:
         return ActionResult(self.multiplier * extra, red)
 
 
-def _transpose_apply(alpha: np.ndarray, chi: Characteristic) -> Characteristic:
-    # alpha is an exact integer matrix, as from intmat
-    out = alpha.T @ np.array(chi.num, dtype=object)
+def _transpose_apply(cols, chi: Characteristic) -> Characteristic:
+    out = _transpose_times(*cols, chi.num)
     return Characteristic.from_den(out[: chi.g], out[chi.g :], chi.den)
 
 
@@ -47,10 +45,10 @@ def act_power_family(alpha, chi: Characteristic, n: int) -> Characteristic:
     """Action of alpha in G_n on the family of 2n^2-th powers: chi -> t(alpha) chi mod 1, n as in check_level."""
     check_level(n)
     chi.scaled(n)
-    alpha = intmat(alpha)
-    if g_group_multiplier(alpha, n) is None:
+    cols = _columns(alpha)
+    if _g_multiplier(*cols, n) is None:
         raise ValueError("alpha is not in G_n")
-    return _transpose_apply(alpha, chi).reduce()[0]
+    return _transpose_apply(cols, chi).reduce()[0]
 
 
 def act_phi(alpha, chi: Characteristic, m: int) -> ActionResult:
@@ -62,21 +60,20 @@ def act_phi(alpha, chi: Characteristic, m: int) -> ActionResult:
     """
     if m % 2 == 0:
         raise ValueError("denominator must be odd")
-    alpha = intmat(alpha)
-    a = g_group_multiplier(alpha, 2 * m * m)
+    cols = _columns(alpha)
+    a = _g_multiplier(*cols, 2 * m * m)
     if a is None:
         raise ValueError("alpha is not in G_{2m^2}")
-    return _act_phi_known(alpha, a, chi, m)
+    return _act_phi_known(cols, a, chi, m)
 
 
-def _act_phi_known(alpha: np.ndarray, a: int, chi: Characteristic, m: int) -> ActionResult:
-    """act_phi for an exact alpha known to lie in G_{2m^2} with multiplier a.
+def _act_phi_known(cols, a: int, chi: Characteristic, m: int) -> ActionResult:
+    """act_phi for alpha, read by _columns, known to lie in G_{2m^2} with multiplier a.
 
     Raises ValueError unless chi lies in (1/m)Z^2g.
     """
-    x = chi.scaled(m)
-    moved = _transpose_apply(alpha, chi)
-    y, g = moved.scaled(m), chi.g
-    before = a * sum(u * v for u, v in zip(x[:g], x[g:]))
-    after = sum(u * v for u, v in zip(y[:g], y[g:]))
-    return ActionResult(RootOfUnity(Fraction(before - after, 2 * m * m)), moved)
+    x, g = chi.scaled(m), chi.g
+    y = _transpose_times(*cols, x)
+    before = a * sum(map(mul, x[:g], x[g:]))
+    after = sum(map(mul, y[:g], y[g:]))
+    return ActionResult(RootOfUnity(Fraction(before - after, 2 * m * m)), Characteristic.from_den(y[:g], y[g:], m))

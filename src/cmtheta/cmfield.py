@@ -17,7 +17,7 @@ import numpy as np
 
 from .action import ActionResult, _act_phi_known
 from .exact import CycloElem, RootOfUnity, orbit_product, orbit_sum, solve_exact
-from .symplectic import SiegelPoint, _g_group_multiplier
+from .symplectic import SiegelPoint, _columns, _g_multiplier
 from .theta import Characteristic, DEFAULT_SETTINGS, EvalSettings, phi_eval, theta_null
 
 
@@ -130,7 +130,7 @@ class GaloisActor:
         r = reflex_norm(x)
         h = h_map(r)
         norm = (r * r.galois(4)).rational_value()  # N(x) = phi*(x) conj(phi*(x))
-        return cls(p=p, h_matrix=h, nu=_g_group_multiplier(h, 2 * p * p), norm=int(norm))
+        return cls(p=p, h_matrix=h, nu=_g_multiplier(*_columns(h), 2 * p * p), norm=int(norm))
 
     def act(self, chi: Characteristic) -> ActionResult:
         """The simulated Artin action of (x) on Phi_chi(Z0), chi with denominator p.
@@ -143,7 +143,7 @@ class GaloisActor:
             raise ValueError(f"norm {self.norm} of the actor is not prime to 2p = {2 * self.p}")
         if not self.in_group:
             raise ValueError("reflex-norm matrix is not in G_{2p^2}; criterion inapplicable")
-        return _act_phi_known(self.h_matrix, self.nu, chi, self.p).canonical()
+        return _act_phi_known(_columns(self.h_matrix), self.nu, chi, self.p).canonical()
 
     def belong(self) -> BelongResult:
         """The first-row congruence test of belong_criterion on this actor."""

@@ -68,8 +68,8 @@ class SuiteConfig:
     def validate(self) -> None:
         if not self.primes or not all(map(is_odd_prime, self.primes)):
             raise ConfigError("primes must be odd primes")
-        if self.tol_numeric <= 0 or self.theta_tol <= 0:
-            raise ConfigError("tolerances must be positive")
+        if not all(0 < tol < math.inf for tol in (self.tol_numeric, self.theta_tol)):
+            raise ConfigError("tolerances must be positive finite numbers")
         unknown = set(self.suites) - set(SUITE_NAMES)
         if unknown:
             raise ConfigError(f"unknown suites: {sorted(unknown)}")

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .exact import RootOfUnity
-from .symplectic import _in_gamma, check_level, intmat
+from .symplectic import _columns, _gamma_member, _transpose_times, check_level
 from .theta import Characteristic, EvalSettings, DEFAULT_SETTINGS, phi_eval, theta_null
 
 
@@ -64,6 +65,8 @@ def parse(text: str) -> ThetaProduct:
     if not rows:
         raise ValueError("empty product file")
     g, level = (int(v) for v in rows[0].split())
+    if g < 1:
+        raise ValueError(f"genus must be at least 1, got {g}")
     terms = []
     for ln in rows[1:]:
         parts = ln.split()
@@ -119,24 +122,23 @@ def gamma_multiplier(gamma, target, n: int) -> RootOfUnity:
     For gamma in Gamma(n), t(gamma) [r; s] = [r + a; s + b] with integer a, b.
     The action rule of act_phi at nu = 1 gives the phase e((tr s - t(r+a)(s+b))/2),
     and translating back to [r; s] costs e(tr b) (Characteristic.reduce), so
-    X = (tr b - ta s - ta b)/2.  In integers, with x = n [r; s] and
-    [a; b] = (t(gamma) - I) x / n = (t(gamma) // n) x (the entries of I lie in
-    [0, n)), summed over the terms Phi_[r_i; s_i]^{m_i}:
+    X = (tr b - ta s - ta b)/2.  In integers, with x = n [r; s], column j of
+    gamma dotted with x is entry j of t(gamma) x, so [a; b]_j = (col_j.x - x_j)/n,
+    exact as gamma = I mod n.  Summed over the terms Phi_[r_i; s_i]^{m_i}:
 
         X = sum_i m_i (x_r.b - a.x_s - n a.b) / (2n).
     """
     check_level(n)
-    gamma = intmat(gamma)
-    if not _in_gamma(gamma, n):
+    cols = _columns(gamma)
+    if not _gamma_member(*cols, n):
         raise ValueError(f"gamma is not in Gamma({n})")
-    g, total = gamma.shape[0] // 2, 0
-    move = gamma.T // n
+    total = 0
     terms = ((target, 1),) if isinstance(target, Characteristic) else target.terms
     for chi, m in terms:
-        x = chi.scaled(n)
-        ab = move.dot(x)
+        x, g = chi.scaled(n), chi.g
+        ab = [(v - u) // n for v, u in zip(_transpose_times(*cols, x), x)]
         a, b = ab[:g], ab[g:]
-        total += m * (b.dot(x[:g]) - a.dot(x[g:]) - n * a.dot(b))
+        total += m * (sum(map(mul, x[:g], b)) - sum(map(mul, a, x[g:])) - n * sum(map(mul, a, b)))
     return RootOfUnity(Fraction(total, 2 * n))
 
 

@@ -1,14 +1,14 @@
 """Exact symplectic-group machinery and the action on the Siegel upper half-space.
 
-Integer matrices are kept exact as numpy object arrays of arbitrary-precision
-Python ints, which matrix products use.  The membership tests for Sp_2g,
-Gamma(n) and G_n read the matrix once as Python-int columns and form only the
-entries of tM J M and the parities they need, so nothing overflows there either.
-Only act_siegel and SiegelPoint work in floating point.
+Public integer matrices are numpy object arrays of Python ints, which callers
+multiply with @.  Each exact congruence question reads its matrix once, through
+_columns, as Python-int columns: the membership tests for Sp_2g, Gamma(n) and
+G_n and the transpose move tM x of action and modularity work on those, so
+nothing overflows.  Only act_siegel and SiegelPoint work in floating point.
 """
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, inf
 from operator import add, mul
 
 import numpy as np
@@ -25,7 +25,7 @@ def intmat(rows) -> np.ndarray:
     if all(type(v) is int for v in arr.flat):
         return arr
     for v in arr.flat:
-        if v != int(v):
+        if v in (inf, -inf) or v != int(v):
             raise ValueError(f"non-integer entry {v!r}")
     return np.vectorize(int, otypes=[object])(arr)
 
@@ -45,14 +45,17 @@ def blocks(m: np.ndarray):
     return m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:]
 
 
-def _halves(m: np.ndarray):
-    """The top and bottom halves of each column of an exact 2g x 2g matrix, as lists of Python ints."""
+def _columns(m):
+    """The top and bottom halves of each column of the 2g x 2g integer matrix m, as lists of Python ints.
+
+    The one place an exact matrix becomes Python ints; raises ValueError for any other m.
+    """
+    m = intmat(m)
     size = m.shape[0]
     if size < 2 or size % 2 or m.shape[1] != size:
         raise ValueError(f"expected a 2g x 2g matrix, got shape {m.shape}")
     g = size // 2
-    cols = m.T.tolist()
-    return [c[:g] for c in cols], [c[g:] for c in cols]
+    return m[:g].T.tolist(), m[g:].T.tolist()
 
 
 def _form_defects(tops, bots, nu: int):
@@ -73,27 +76,33 @@ def _multiplier(tops, bots, modulus: int) -> int | None:
     return nu if all(v % modulus == 0 for v in _form_defects(tops, bots, nu)) else None
 
 
-def _even_diagonals(tops, bots) -> bool:
+def _gamma_member(tops, bots, n: int) -> bool:
+    return not any(_form_defects(tops, bots, 1)) and not any(
+        (v - (i == j)) % n for j, col in enumerate(map(add, tops, bots)) for i, v in enumerate(col)
+    )
+
+
+def _g_multiplier(tops, bots, n: int) -> int | None:
+    nu = _multiplier(tops, bots, n)
     # column j contributes (tAC)[j, j] for j < g and (tBD)[j - g, j - g] after
-    return not any(sum(map(mul, t, b)) % 2 for t, b in zip(tops, bots))
+    return nu if nu is not None and not any(sum(map(mul, t, b)) % 2 for t, b in zip(tops, bots)) else None
+
+
+def _transpose_times(tops, bots, x) -> list[int]:
+    """tM x for integers x: entry j is column j of M dotted with x."""
+    if len(x) != len(tops):
+        raise ValueError(f"expected {len(tops)} entries to move, got {len(x)}")
+    return [sum(map(mul, col, x)) for col in map(add, tops, bots)]
 
 
 def sympl_multiplier(m, modulus: int):
     """The similitude nu in [0, modulus) with tM J M = nu J mod modulus, or None unless nu exists and is a unit."""
-    return _multiplier(*_halves(intmat(m)), modulus)
+    return _multiplier(*_columns(m), modulus)
 
 
 def in_gamma(m, n: int) -> bool:
     """Membership in Gamma(n) = {M in Sp_2g(Z) : M = I mod n}: tM J M == J over Z, then the congruence."""
-    return _in_gamma(intmat(m), n)
-
-
-def _in_gamma(m: np.ndarray, n: int) -> bool:
-    """in_gamma for an exact integer matrix, as from intmat."""
-    tops, bots = _halves(m)
-    return not any(_form_defects(tops, bots, 1)) and not any(
-        (v - (i == j)) % n for j, col in enumerate(map(add, tops, bots)) for i, v in enumerate(col)
-    )
+    return _gamma_member(*_columns(m), n)
 
 
 def is_symplectic(m) -> bool:
@@ -107,29 +116,14 @@ def check_level(n: int) -> None:
         raise ValueError(f"level must be a positive even integer, got {n}")
 
 
-def even_theta_diagonals(m) -> bool:
-    """The parity condition of S_n and G_n: tAC and tBD have even diagonals.
-
-    m is an exact integer matrix, as from intmat.  Parity is read off this
-    representative; for even n it is independent of the choice of lift.
-    """
-    return _even_diagonals(*_halves(m))
-
-
 def g_group_multiplier(m, n: int) -> int | None:
     """nu mod n if m lies in G_n, else None.
 
     G_n is GSp_2g mod n (any unit multiplier) with even diagonals of tAC and
     tBD; S_n is its part with nu = 1.  This is the one statement of the rule.
+    Parity is read off m; for even n it is independent of the choice of lift.
     """
-    return _g_group_multiplier(intmat(m), n)
-
-
-def _g_group_multiplier(m: np.ndarray, n: int) -> int | None:
-    """g_group_multiplier for an exact integer matrix, as from intmat."""
-    tops, bots = _halves(m)
-    nu = _multiplier(tops, bots, n)
-    return nu if nu is not None and _even_diagonals(tops, bots) else None
+    return _g_multiplier(*_columns(m), n)
 
 
 def iota(a: int, g: int, modulus: int) -> np.ndarray:

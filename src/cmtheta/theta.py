@@ -116,9 +116,13 @@ def all_characteristics(n: int, g: int):
         yield Characteristic.from_den(nums[:g], nums[g:], n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalSettings:
     tol: float = 1e-12
+
+    def __post_init__(self):
+        if not 0 < self.tol < math.inf:  # also false for nan; a truncation needs a positive finite target
+            raise ValueError(f"theta tolerance must be a positive finite number, got {self.tol}")
 
 
 DEFAULT_SETTINGS = EvalSettings()

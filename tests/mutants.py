@@ -37,8 +37,8 @@ CAUGHT = [
     # gamma_multiplier without the n a.b term of X
     (
         MODULARITY,
-        "a.dot(x[g:]) - n * a.dot(b))",
-        "a.dot(x[g:]))",
+        " - n * sum(map(mul, a, b)))",
+        ")",
         [
             "tests/test_modularity.py::test_multiplier_matches_fraction_reference",
             "tests/test_modularity.py::test_multiplier_is_homomorphism_on_congruence_group",
@@ -47,7 +47,7 @@ CAUGHT = [
     # gamma_multiplier accepting any gamma = I mod n, or not even that
     (
         MODULARITY,
-        '    if not _in_gamma(gamma, n):\n        raise ValueError(f"gamma is not in Gamma({n})")\n',
+        '    if not _gamma_member(*cols, n):\n        raise ValueError(f"gamma is not in Gamma({n})")\n',
         "",
         ["tests/test_modularity.py::test_multiplier_requires_congruence"],
     ),
@@ -75,11 +75,11 @@ CAUGHT = [
         "if srs % (n // 2):",
         ["tests/test_modularity.py::test_failing_family_structure"],
     ),
-    # act_phi moving chi by alpha instead of t(alpha)
+    # act_phi moving chi by alpha instead of t(alpha): rows of alpha dotted with x, not columns
     (
-        "src/cmtheta/action.py",
-        "out = alpha.T @",
-        "out = alpha @",
+        "src/cmtheta/symplectic.py",
+        "return [sum(map(mul, col, x)) for col in map(add, tops, bots)]",
+        "return [sum(c[i] * v for c, v in zip(map(add, tops, bots), x)) for i in range(len(x))]",
         [
             "tests/test_action.py::test_act_phi_matches_fraction_transpose",
             "tests/test_action.py::test_transpose_apply_matches_fraction_reference",

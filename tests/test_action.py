@@ -7,7 +7,7 @@ from hypothesis import given, settings as hsettings, strategies as st
 from cmtheta.action import ActionResult, _transpose_apply, act_iota_inv, act_phi, act_power_family
 from cmtheta.exact import RootOfUnity
 from cmtheta.modularity import gamma_multiplier
-from cmtheta.symplectic import g_group_multiplier, identity, intmat, iota, jmat, special_gamma, sympl_multiplier
+from cmtheta.symplectic import _columns, g_group_multiplier, identity, intmat, iota, jmat, special_gamma, sympl_multiplier
 from cmtheta.theta import Characteristic
 
 
@@ -111,7 +111,7 @@ def fraction_transpose_apply(alpha, chi):
 def test_transpose_apply_matches_fraction_reference(entries, nums, den):
     alpha = intmat(np.array(entries, dtype=object).reshape(4, 4))
     chi = Characteristic.from_den(nums[:2], nums[2:], den)
-    assert _transpose_apply(alpha, chi) == fraction_transpose_apply(alpha, chi)
+    assert _transpose_apply(_columns(alpha), chi) == fraction_transpose_apply(alpha, chi)
 
 
 def fraction_act_phi(alpha, chi, m):
@@ -152,6 +152,8 @@ def test_act_phi_validation():
         act_phi(intmat(np.diag([1, 1, 3, 3])), chi, 3)  # nu = 3 not a unit mod 18
     with pytest.raises(ValueError):
         act_phi(identity(4), Characteristic.from_den((1, 0), (0, 1), 2), 3)
+    with pytest.raises(ValueError, match="entries to move"):
+        act_phi(identity(4), Characteristic.from_den((1, 0, 0), (0, 1, 0), 3), 3)  # genus 3 against a 4 x 4 alpha
 
 
 def test_canonical_folds_translation_phase():

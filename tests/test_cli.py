@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cmtheta
 from cmtheta import cli, theta
 from cmtheta.cli import main
 from cmtheta.cmfield import GaloisActor
@@ -72,6 +77,14 @@ def test_modularity_invalid_file(tmp_path, capsys):
     assert "invalid product file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", ["0 4", "-1 4"])
+def test_modularity_rejects_genus_below_one(header, tmp_path, capsys):
+    f = tmp_path / "fam.txt"
+    f.write_text(header + "\n")
+    assert main(["modularity", str(f)]) == 2
+    assert "genus must be at least 1" in capsys.readouterr().err
+
+
 def test_modularity_missing_file(tmp_path, capsys):
     assert main(["modularity", str(tmp_path / "absent.txt")]) == 2
     assert "invalid product file" in capsys.readouterr().err
@@ -139,3 +152,19 @@ def test_validation_survives_optimize_flag(optimized):
     assert "level must be a positive even integer" in err
     code, err = optimized["cli_even_p"]  # `action --p 4`
     assert code == 2, err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["theta", "--char", "1/2 1/2 0 0", "--at", "i", "--tol", "-1"],
+        ["verify", "--suite", "primgen", "--theta-tol", "nan"],
+        ["verify", "--suite", "primgen", "--tol", "inf"],
+    ],
+)
+def test_tolerances_that_are_not_positive_finite_exit_2(args):
+    # a subprocess with a timeout, so a tolerance that never stops the truncation fails instead of hanging
+    env = dict(os.environ, PYTHONPATH=str(Path(cmtheta.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "cmtheta.cli", *args], env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert "positive finite" in proc.stderr

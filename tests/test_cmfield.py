@@ -1,11 +1,12 @@
+import dataclasses
 import math
 from fractions import Fraction as F
+from operator import mul
 
 import numpy as np
 import pytest
 
-from cmtheta import action
-from cmtheta.action import act_phi
+from cmtheta.action import ActionResult, act_phi
 from cmtheta.cmfield import (
     GaloisActor,
     _basis,
@@ -240,25 +241,19 @@ def test_actor_act_rejects_bad_actors():
             actor.act(chi)
 
 
-def test_actor_act_reuses_the_built_multiplier(monkeypatch):
-    # GaloisActor.build derives nu once; act must not re-derive it through act_phi
-    calls = []
-
-    def counted(m, n):
-        calls.append(n)
-        return g_group_multiplier(m, n)
-
-    actors = [GaloisActor.build(x, 5) for x in standard_actors(5)]
-    monkeypatch.setattr(action, "g_group_multiplier", counted)
+def test_actor_act_reuses_the_built_multiplier():
+    # GaloisActor.build derives nu once and act reads it: a forged nu moves the phase by e((nu' - nu) tr s / 2)
     chis = [Characteristic.from_den([1, 2], [3, 4], 5), Characteristic.from_den([0, 4], [2, 0], 5)]
-    for actor in actors:
+    for x in standard_actors(5):
+        actor = GaloisActor.build(x, 5)
+        forged = dataclasses.replace(actor, nu=actor.nu + 2)
         for chi in chis:
             got = actor.act(chi)
-            assert calls == []
             assert got == act_phi(actor.h_matrix, chi, 5).canonical()
             assert got == act_phi(actor.h_matrix % 50, chi, 5).canonical()
-            assert calls == [50, 50]
-            calls.clear()
+            x5 = chi.scaled(5)
+            shift = RootOfUnity(F(2 * sum(map(mul, x5[:2], x5[2:])), 50))
+            assert forged.act(chi) == ActionResult(got.multiplier * shift, got.chi_out)
 
 
 def test_actor_build_matches_definitional_composition():

@@ -48,6 +48,10 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         run_suite(SuiteConfig(theta_tol=0.0))
     with pytest.raises(ConfigError):
+        run_suite(SuiteConfig(theta_tol=float("nan")))
+    with pytest.raises(ConfigError):
+        run_suite(SuiteConfig(tol_numeric=float("inf")))
+    with pytest.raises(ConfigError):
         run_suite(SuiteConfig(suites=("theta", "bogus")))
 
 

@@ -4,12 +4,11 @@ from math import gcd
 import numpy as np
 import pytest
 
-from cmtheta import modularity, symplectic
+from cmtheta import action, modularity, symplectic
 from cmtheta.symplectic import (
     SiegelPoint,
     act_siegel,
     blocks,
-    even_theta_diagonals,
     g_group_multiplier,
     identity,
     in_gamma,
@@ -20,6 +19,7 @@ from cmtheta.symplectic import (
     special_gamma,
     sympl_multiplier,
 )
+from cmtheta.theta import Characteristic
 
 
 def test_jmat():
@@ -89,7 +89,7 @@ def test_group_memberships():
     assert in_gamma(identity(4), 4)
     assert not in_gamma(special_gamma("upper", 1, 1, 2), 4)
     lower = special_gamma("lower", 1, 1, 1)  # symplectic, but tAC has an odd diagonal
-    assert is_symplectic(lower) and not even_theta_diagonals(lower)
+    assert is_symplectic(lower)
     assert g_group_multiplier(lower, 6) is None  # in neither G_6 nor S_6
 
 
@@ -153,8 +153,9 @@ def test_act_siegel():
 
 
 def test_intmat_rejects_non_integers():
-    with pytest.raises(ValueError):
-        intmat([[0.5, 0], [0, 1]])
+    for bad in (0.5, float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError):
+            intmat([[bad, 0], [0, 1]])
     with pytest.raises(ValueError):
         intmat([1, 2, 3])  # not 2-D
     m = intmat([[2, 0], [0, 1]])
@@ -192,7 +193,7 @@ def fraction_form(m):
 
 
 def reference_memberships(m, n):
-    """(sympl_multiplier, in_gamma, even_theta_diagonals) of m at modulus n from fraction_form."""
+    """(sympl_multiplier, in_gamma, whether tAC and tBD have even diagonals) of m at modulus n from fraction_form."""
     t, j = fraction_form(m)
     size, g = len(t), len(t) // 2
     nu = int(-t[0][g]) % n
@@ -220,7 +221,6 @@ def test_membership_kernel_matches_fraction_reference():
                 nu, member, even = reference_memberships(m, n)
                 assert sympl_multiplier(m, modulus=n) == nu
                 assert in_gamma(m, n) == member
-                assert even_theta_diagonals(m) == even
                 assert g_group_multiplier(m, n) == (nu if even else None)
                 seen["gamma"] += member
                 seen["g_group"] += nu is not None and even and not member
@@ -242,12 +242,22 @@ def test_membership_converts_once(monkeypatch):
         calls.append(1)
         return intmat(m)
 
-    monkeypatch.setattr(symplectic, "intmat", counted)
-    monkeypatch.setattr(modularity, "intmat", counted)
-    gamma = special_gamma("mixed", 1, 2, 4)
-    assert g_group_multiplier(gamma, 4) == 1
-    assert len(calls) == 1
-    calls.clear()
-    chi = modularity.Characteristic.from_den([1, 0], [0, 1], 4)
-    modularity.gamma_multiplier(gamma, chi, 4)
-    assert len(calls) == 1
+    # patch intmat in every congruence module, bound there or not, so a second read anywhere is counted
+    for module in (symplectic, action, modularity):
+        monkeypatch.setattr(module, "intmat", counted, raising=False)
+    gamma, alpha = special_gamma("mixed", 1, 2, 4), special_gamma("mixed", 1, 2, 18)  # Gamma(4), G_18
+    chi4, chi3 = Characteristic.from_den([1, 0], [0, 1], 4), Characteristic.from_den([1, 2], [0, 1], 3)
+    reads = {
+        "sympl_multiplier": lambda: sympl_multiplier(gamma, 4),
+        "in_gamma": lambda: in_gamma(gamma, 4),
+        "is_symplectic": lambda: is_symplectic(gamma),
+        "g_group_multiplier": lambda: g_group_multiplier(gamma, 4),
+        "act_siegel": lambda: act_siegel(gamma, 1j * np.eye(2)),
+        "gamma_multiplier": lambda: modularity.gamma_multiplier(gamma, chi4, 4),
+        "act_power_family": lambda: action.act_power_family(gamma, chi4, 4),
+        "act_phi": lambda: action.act_phi(alpha, chi3, 3),
+    }
+    for name, read in reads.items():
+        calls.clear()
+        read()
+        assert len(calls) == 1, name

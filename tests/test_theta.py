@@ -285,6 +285,12 @@ def test_settings_tolerance_tightens_radius():
     assert abs(loose - tight) < 1e-6
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_settings_reject_tolerances_that_are_not_positive_finite(tol):
+    with pytest.raises(ValueError, match="positive finite"):
+        EvalSettings(tol=tol)
+
+
 def test_small_imaginary_part_rejected():
     z = SiegelPoint(np.eye(2) * 1e-7j)  # needs a truncation radius far beyond MAX_RADIUS = 200
     with pytest.raises(ValueError, match="truncation radius exceeds 200"):
