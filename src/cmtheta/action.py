@@ -8,7 +8,6 @@ of odd denominator, which carries an explicit root-of-unity multiplier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .exact import RootOfUnity
@@ -76,4 +75,4 @@ def _act_phi_known(cols, a: int, chi: Characteristic, m: int) -> ActionResult:
     y = _transpose_times(*cols, x)
     before = a * sum(map(mul, x[:g], x[g:]))
     after = sum(map(mul, y[:g], y[g:]))
-    return ActionResult(RootOfUnity(Fraction(before - after, 2 * m * m)), Characteristic.from_den(y[:g], y[g:], m))
+    return ActionResult(RootOfUnity._make(before - after, 2 * m * m), Characteristic.from_den(y[:g], y[g:], m))

@@ -8,7 +8,7 @@ sigma_3 = phi_2^{-1}, sigma_4 = complex conjugation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -17,7 +17,7 @@ import numpy as np
 
 from .action import ActionResult, _act_phi_known
 from .exact import CycloElem, RootOfUnity, orbit_product, orbit_sum, solve_exact
-from .symplectic import SiegelPoint, _columns, _g_multiplier
+from .symplectic import SiegelPoint, _columns, _g_multiplier, _similitude
 from .theta import Characteristic, DEFAULT_SETTINGS, EvalSettings, phi_eval, theta_null
 
 
@@ -107,14 +107,20 @@ def is_odd_prime(p: int) -> bool:
 class GaloisActor:
     """An integral x of Q(zeta_5) packaged as a level-2p^2 symplectic actor.
 
-    h_matrix is the integral reflex-norm matrix h(phi*(x)); nu is its
-    multiplier mod 2p^2 when it lies in G_{2p^2}, and None otherwise.
+    h_matrix is the integral reflex-norm matrix h(phi*(x)), held once as the
+    columns symplectic._columns read; nu is its multiplier mod 2p^2 when it
+    lies in G_{2p^2}, and None otherwise; norm is N(x).
     """
 
     p: int
-    h_matrix: np.ndarray
+    _cols: tuple = field(repr=False)
     nu: int | None
     norm: int
+
+    @property
+    def h_matrix(self) -> np.ndarray:
+        """h(phi*(x)) as an integer matrix (dtype=object)."""
+        return np.array([t + b for t, b in zip(*self._cols)], dtype=object).T
 
     @property
     def in_group(self) -> bool:
@@ -127,10 +133,9 @@ class GaloisActor:
             raise ValueError(f"p = {p} must be an odd prime")
         if x.den != 1:
             raise ValueError("actor must be an algebraic integer")
-        r = reflex_norm(x)
-        h = h_map(r)
-        norm = (r * r.galois(4)).rational_value()  # N(x) = phi*(x) conj(phi*(x))
-        return cls(p=p, h_matrix=h, nu=_g_multiplier(*_columns(h), 2 * p * p), norm=int(norm))
+        cols = _columns(h_map(reflex_norm(x)))
+        # E(ra, rb) = r conj(r) E(a, b) with r conj(r) = N(x) for r = phi*(x): the norm is h's similitude
+        return cls(p=p, _cols=cols, nu=_g_multiplier(*cols, 2 * p * p), norm=_similitude(*cols))
 
     def act(self, chi: Characteristic) -> ActionResult:
         """The simulated Artin action of (x) on Phi_chi(Z0), chi with denominator p.
@@ -143,11 +148,11 @@ class GaloisActor:
             raise ValueError(f"norm {self.norm} of the actor is not prime to 2p = {2 * self.p}")
         if not self.in_group:
             raise ValueError("reflex-norm matrix is not in G_{2p^2}; criterion inapplicable")
-        return _act_phi_known(_columns(self.h_matrix), self.nu, chi, self.p).canonical()
+        return _act_phi_known(self._cols, self.nu, chi, self.p).canonical()
 
     def belong(self) -> BelongResult:
         """The first-row congruence test of belong_criterion on this actor."""
-        a, b, c, d = self.h_matrix[0]
+        a, b, c, d = (top[0] for top in self._cols[0])  # the first row of h
         value = -2 * a * b + 2 * a * c + a * d - 2 * b * c - 2 * c * d - 2 * d * d
         return BelongResult(
             first_row=(a, b, c, d),
@@ -187,7 +192,7 @@ def closed_phase(which: int, chi: Characteristic, p: int) -> RootOfUnity:
         f = -a * a + 4 * a * b - 4 * a * c - 6 * a * d - b * b + 4 * b * c - c * c + 2 * c * d + 2 * d * d
     else:
         raise ValueError("which must be 1 or 2")
-    return RootOfUnity(Fraction(f, p))
+    return RootOfUnity._make(f, p)
 
 
 @dataclass(frozen=True)

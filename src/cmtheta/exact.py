@@ -333,36 +333,57 @@ def solve_exact(rows, rhs):
 
 
 class RootOfUnity:
-    """e(q) = exp(2*pi*i*q) for rational q, kept exact as q mod 1."""
+    """e(q) = exp(2*pi*i*q) for rational q, kept exact as q mod 1 = num / den.
 
-    __slots__ = ("exponent",)
+    num and den are ints with 0 <= num < den and gcd(num, den) = 1, so equal phases have equal fields.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, exponent) -> None:
-        self.exponent = Fraction(exponent) % 1
+        self._set(*Fraction(exponent).as_integer_ratio())
+
+    def _set(self, num: int, den: int) -> None:
+        num %= den
+        g = math.gcd(num, den)
+        self.num = num // g
+        self.den = den // g
+
+    @classmethod
+    def _make(cls, num: int, den: int) -> "RootOfUnity":
+        """e(num / den) for ints num and den > 0."""
+        out = cls.__new__(cls)
+        out._set(num, den)
+        return out
 
     @classmethod
     def one(cls) -> "RootOfUnity":
-        return cls(0)
+        return cls._make(0, 1)
+
+    @property
+    def exponent(self) -> Fraction:
+        """q mod 1 in [0, 1)."""
+        return Fraction(self.num, self.den)
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return RootOfUnity(self.exponent + other.exponent)
+        return RootOfUnity._make(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __truediv__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return RootOfUnity(self.exponent - other.exponent)
+        return RootOfUnity._make(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __pow__(self, k: int) -> "RootOfUnity":
-        return RootOfUnity(self.exponent * k)
+        return RootOfUnity._make(self.num * k, self.den)
 
     def value(self) -> complex:
-        return cmath.exp(2j * cmath.pi * float(self.exponent))
+        return cmath.exp(2j * cmath.pi * (self.num / self.den))
 
     def __eq__(self, other):
         if not isinstance(other, RootOfUnity):
             return NotImplemented
-        return self.exponent == other.exponent
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.exponent)
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"e({self.exponent})"

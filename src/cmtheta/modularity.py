@@ -139,7 +139,7 @@ def gamma_multiplier(gamma, target, n: int) -> RootOfUnity:
         ab = [(v - u) // n for v, u in zip(_transpose_times(*cols, x), x)]
         a, b = ab[:g], ab[g:]
         total += m * (sum(map(mul, x[:g], b)) - sum(map(mul, a, x[g:])) - n * sum(map(mul, a, b)))
-    return RootOfUnity(Fraction(total, 2 * n))
+    return RootOfUnity._make(total, 2 * n)
 
 
 def eval_product(prod: ThetaProduct, z, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:

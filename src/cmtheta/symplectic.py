@@ -68,9 +68,14 @@ def _form_defects(tops, bots, nu: int):
             yield entry + nu if k == i + g else entry
 
 
-def _multiplier(tops, bots, modulus: int) -> int | None:
+def _similitude(tops, bots) -> int:
+    """-(tM J M)[0, g]: the exact similitude nu of M when tM J M = nu J."""
     g = len(tops) // 2
-    nu = (sum(map(mul, tops[0], bots[g])) - sum(map(mul, bots[0], tops[g]))) % modulus  # -(tM J M)[0, g]
+    return sum(map(mul, tops[0], bots[g])) - sum(map(mul, bots[0], tops[g]))
+
+
+def _multiplier(tops, bots, modulus: int) -> int | None:
+    nu = _similitude(tops, bots) % modulus
     if gcd(nu, modulus) != 1:
         return None
     return nu if all(v % modulus == 0 for v in _form_defects(tops, bots, nu)) else None
@@ -147,20 +152,18 @@ def special_gamma(kind: str, j: int, k: int, n: int, g: int = 2) -> np.ndarray:
     """
     if not (1 <= j <= g and 1 <= k <= g):
         raise ValueError(f"generator indices are 1-based and at most g = {g}, got ({j}, {k})")
-    a0 = np.zeros((g, g), dtype=object)
-    if j == k:
-        a0[j - 1, j - 1] = 1
-    else:
-        a0[j - 1, k - 1] = 1
-        a0[k - 1, j - 1] = 1
-    i, z = identity(g), np.zeros((g, g), dtype=object)
-    na = n * a0
+    na = np.zeros((g, g), dtype=object)  # n times the seed block
+    na[j - 1, k - 1] = na[k - 1, j - 1] = n
+    m = identity(2 * g)
     if kind == "upper":
-        m = np.block([[i, na], [z, i]])
+        m[:g, g:] = na
     elif kind == "lower":
-        m = np.block([[i, z], [na, i]])
+        m[g:, :g] = na
     elif kind == "mixed":
-        m = np.block([[i - na, na], [-na, i + na]])
+        m[:g, :g] -= na
+        m[:g, g:] = na
+        m[g:, :g] = -na
+        m[g:, g:] += na
     else:
         raise ValueError(f"unknown generator kind {kind!r}")
     return m

@@ -94,7 +94,7 @@ class Characteristic:
         """
         den, g = self.den, self.g
         phase = sum((rv % den) * (sv // den) for rv, sv in zip(self.num[:g], self.num[g:]))
-        return Characteristic(tuple(v % den for v in self.num), den), RootOfUnity(Fraction(phase, den))
+        return Characteristic(tuple(v % den for v in self.num), den), RootOfUnity._make(phase, den)
 
     def in_sigma_minus(self) -> bool:
         """Half-integral characteristics whose theta constant vanishes identically."""

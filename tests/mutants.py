@@ -31,7 +31,8 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKERS = min(2, os.cpu_count() or 1)  # pytest subprocesses at a time
 
 MODULARITY, THETA = "src/cmtheta/modularity.py", "src/cmtheta/theta.py"
-CMFIELD = "src/cmtheta/cmfield.py"
+CMFIELD, EXACT = "src/cmtheta/cmfield.py", "src/cmtheta/exact.py"
+SYMPLECTIC = "src/cmtheta/symplectic.py"
 
 CAUGHT = [
     # gamma_multiplier without the n a.b term of X
@@ -60,7 +61,7 @@ CAUGHT = [
     ),
     # Gamma(n) membership without tM J M == J: only M = I mod n is left
     (
-        "src/cmtheta/symplectic.py",
+        SYMPLECTIC,
         "not any(_form_defects(tops, bots, 1)) and ",
         "",
         [
@@ -77,7 +78,7 @@ CAUGHT = [
     ),
     # act_phi moving chi by alpha instead of t(alpha): rows of alpha dotted with x, not columns
     (
-        "src/cmtheta/symplectic.py",
+        SYMPLECTIC,
         "return [sum(map(mul, col, x)) for col in map(add, tops, bots)]",
         "return [sum(c[i] * v for c, v in zip(map(add, tops, bots), x)) for i in range(len(x))]",
         [
@@ -87,7 +88,7 @@ CAUGHT = [
     ),
     # G_n membership with the parity read over the first g columns only: tAC without tBD
     (
-        "src/cmtheta/symplectic.py",
+        SYMPLECTIC,
         "for t, b in zip(tops, bots))",
         "for t, b in zip(tops[: len(tops) // 2], bots))",
         ["tests/test_symplectic.py::test_g_group_multiplier"],
@@ -99,19 +100,43 @@ CAUGHT = [
         " - b * b",
         ["tests/test_cmfield.py::test_second_closed_form_cross_term"],
     ),
-    # the actor's norm read as phi*(x)^2 instead of phi*(x) conj(phi*(x))
+    # the actor's norm read off nu, the similitude mod 2p^2, instead of the exact similitude
     (
         CMFIELD,
-        "(r * r.galois(4)).rational_value()",
-        "(r * r).rational_value()",
+        "norm=_similitude(*cols)",
+        "norm=_similitude(*cols) % (2 * p * p)",
         ["tests/test_cmfield.py::test_actor_build_matches_definitional_composition"],
+    ),
+    # the similitude with its sign flipped: (tM J M)[0, g] instead of -(tM J M)[0, g]
+    (
+        SYMPLECTIC,
+        "return sum(map(mul, tops[0], bots[g])) - sum(map(mul, bots[0], tops[g]))",
+        "return sum(map(mul, bots[0], tops[g])) - sum(map(mul, tops[0], bots[g]))",
+        [
+            "tests/test_cmfield.py::test_actor_build_matches_definitional_composition",
+            "tests/test_symplectic.py::test_multiplier",
+        ],
     ),
     # belong_criterion reading the second row of h
     (
         CMFIELD,
-        "self.h_matrix[0]",
-        "self.h_matrix[1]",
+        "(top[0] for top in self._cols[0])",
+        "(top[1] for top in self._cols[0])",
         ["tests/test_cmfield.py::test_first_row_matches_paper_quadratic_forms"],
+    ),
+    # RootOfUnity without the gcd reduction: e(1/2) and e(2/4) unequal
+    (
+        EXACT,
+        "        g = math.gcd(num, den)\n        self.num = num // g\n        self.den = den // g\n",
+        "        self.num = num\n        self.den = den\n",
+        ["tests/test_exact.py::test_root_of_unity"],
+    ),
+    # RootOfUnity without the reduction mod 1: e(9/4) and e(1/4) unequal
+    (
+        EXACT,
+        "        num %= den\n",
+        "",
+        ["tests/test_exact.py::test_root_of_unity"],
     ),
     # belong_criterion truncating its coordinates to integers
     (

@@ -6,6 +6,7 @@ from operator import mul
 import numpy as np
 import pytest
 
+from cmtheta import symplectic
 from cmtheta.action import ActionResult, act_phi
 from cmtheta.cmfield import (
     GaloisActor,
@@ -272,6 +273,25 @@ def test_actor_build_matches_definitional_composition():
         assert actor.norm == field_norm(x) and type(actor.norm) is int
         in_group += actor.in_group
     assert 20 <= in_group < len(cases)
+
+
+def test_actor_reads_h_once(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(1)
+        return intmat(m)
+
+    monkeypatch.setattr(symplectic, "intmat", counted)
+    chi = Characteristic.from_den([1, 2], [3, 4], 5)
+    for x in standard_actors(5):
+        calls.clear()
+        actor = GaloisActor.build(x, 5)
+        assert len(calls) == 1
+        for _ in range(3):
+            actor.act(chi)
+        actor.belong()
+        assert len(calls) == 1
 
 
 def test_belong_worked_examples():

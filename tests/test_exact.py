@@ -1,5 +1,6 @@
 import ast
 import cmath
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -199,7 +200,41 @@ def test_root_of_unity():
     assert i.exponent.denominator == 4
     assert abs(i.value() - 1j) < 1e-15
     assert RootOfUnity(Fraction(9, 4)) == i  # reduced mod 1
+    assert RootOfUnity(Fraction(9, 4)) == RootOfUnity._make(1, 4)
     assert (i / i) == RootOfUnity.one()
+
+
+def reference_exponent(q) -> Fraction:
+    """e(q) as a Fraction mod 1, the form RootOfUnity first kept: the reference."""
+    return Fraction(q) % 1
+
+
+def assert_phase(u: RootOfUnity, q) -> None:
+    ref = reference_exponent(q)
+    assert type(u.num) is int and type(u.den) is int
+    assert 0 <= u.num < u.den and math.gcd(u.num, u.den) == 1  # the reduced form
+    assert (u.num, u.den) == (ref.numerator, ref.denominator) and u.exponent == ref
+    assert u.value() == cmath.exp(2j * cmath.pi * float(ref))  # bit for bit
+    assert repr(u) == f"e({ref})"
+
+
+phases = st.fractions(min_value=-40, max_value=40, max_denominator=300)
+
+
+@hsettings(max_examples=300, deadline=None)
+@given(phases, phases, st.integers(-12, 12), st.integers(-3, 3), st.integers(-900, 900), st.integers(1, 900))
+def test_root_of_unity_matches_fraction_reference(q, r, k, shift, num, den):
+    a, b = RootOfUnity(q), RootOfUnity(r)
+    assert_phase(a, q)
+    assert_phase(a * b, q + r)
+    assert_phase(a / b, q - r)
+    assert_phase(a**k, q * k)
+    assert_phase(RootOfUnity._make(num, den), Fraction(num, den))
+    assert (a == b) == (reference_exponent(q) == reference_exponent(r))
+    if a == b:
+        assert hash(a) == hash(b)
+    moved = RootOfUnity(q + shift)  # the same phase
+    assert moved == a and hash(moved) == hash(a)
 
 
 small_elems = st.builds(

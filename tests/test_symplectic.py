@@ -69,6 +69,31 @@ def test_special_gamma_reference_matrix():
     assert (mx == intmat([[1, 0, 0, 0], [0, -1, 0, 2], [0, 0, 1, 0], [0, -2, 0, 3]])).all()
 
 
+def block_special_gamma(kind, j, k, n, g):
+    """special_gamma as first written, with np.block: the reference."""
+    a0 = np.zeros((g, g), dtype=object)
+    a0[j - 1, k - 1] = a0[k - 1, j - 1] = 1
+    i, z, na = identity(g), np.zeros((g, g), dtype=object), n * a0
+    shapes = {
+        "upper": [[i, na], [z, i]],
+        "lower": [[i, z], [na, i]],
+        "mixed": [[i - na, na], [-na, i + na]],
+    }
+    return np.block(shapes[kind])
+
+
+def test_special_gamma_matches_block_reference():
+    for g in (2, 3):
+        for n in (1, 2, 4, 50):
+            for kind in ("upper", "lower", "mixed"):
+                for j in range(1, g + 1):
+                    for k in range(1, g + 1):
+                        m = special_gamma(kind, j, k, n, g)
+                        assert m.dtype == object and m.shape == (2 * g, 2 * g)
+                        assert all(type(v) is int for v in m.flat)
+                        assert (m == block_special_gamma(kind, j, k, n, g)).all(), (kind, j, k, n, g)
+
+
 def test_special_gamma_membership():
     for n in (2, 3, 4):
         for kind in ("upper", "lower", "mixed"):
