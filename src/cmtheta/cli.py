@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -17,11 +16,7 @@ from .theta import Characteristic, EvalSettings, divide_by_null, theta_eval, the
 
 
 def _parse_char(text: str) -> Characteristic:
-    vals = [Fraction(tok) for tok in text.replace(",", " ").split()]
-    if len(vals) % 2 != 0:
-        raise ValueError(f"characteristic needs an even number of rationals, got {len(vals)}")
-    g = len(vals) // 2
-    return Characteristic.make(vals[:g], vals[g:])
+    return Characteristic.parse(text.replace(",", " ").split())
 
 
 def _cmd_verify(args) -> int:
@@ -49,7 +44,7 @@ def _cmd_theta(args) -> int:
         z, null = ctx.z0, ctx.null0
     else:
         z, null = SiegelPoint(np.eye(chi.g) * 1j), None
-    theta = theta_eval(0, z, chi, settings)
+    theta = theta_eval(z, chi, settings)
     print(f"theta = {theta.real:.15g}{theta.imag:+.15g}j")
     if not chi.in_sigma_minus():
         phi = divide_by_null(theta, theta_null(z, settings) if null is None else null)

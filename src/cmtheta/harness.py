@@ -70,6 +70,8 @@ class SuiteConfig:
             raise ConfigError("primes must be odd primes")
         if not all(0 < tol < math.inf for tol in (self.tol_numeric, self.theta_tol)):
             raise ConfigError("tolerances must be positive finite numbers")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         unknown = set(self.suites) - set(SUITE_NAMES)
         if unknown:
             raise ConfigError(f"unknown suites: {sorted(unknown)}")
@@ -261,7 +263,7 @@ def _family_value_guarded(rng, env, prod, factor_band, value_band, tries: int = 
 
 
 def check_theta_reference(env: HarnessEnv):
-    val = theta_eval(0, np.eye(2) * 1j, zero_char(2), env.settings)
+    val = theta_eval(np.eye(2) * 1j, zero_char(2), env.settings)
     ref = 1.1803405990160964  # (pi^(1/4) / Gamma(3/4))^2
     measured = abs(val - ref)
     return measured < 1e-10, measured, 1e-10, "theta null at iI2 vs closed-form reference"
@@ -279,14 +281,13 @@ def check_translation_formula(env: HarnessEnv):
         )
         a = [int(v) for v in rng.integers(-3, 4, g)]
         b = [int(v) for v in rng.integers(-3, 4, g)]
-        u = rng.normal(0, 0.5, g) + 1j * rng.normal(0, 0.2, g)
         shifted = Characteristic.make([rv + av for rv, av in zip(chi.r, a)], [sv + bv for sv, bv in zip(chi.s, b)])
-        lhs = theta_eval(u, z, shifted, env.settings)
+        lhs = theta_eval(z, shifted, env.settings)
         phase = RootOfUnity(sum((rv * bv for rv, bv in zip(chi.r, b)), Fraction(0))).value()
-        rhs = phase * theta_eval(u, z, chi, env.settings)
+        rhs = phase * theta_eval(z, chi, env.settings)
         rel = abs(lhs - rhs) / max(abs(rhs), 1e-30)
         worst = max(worst, rel)
-    return worst < 1e-9, worst, 1e-9, "theta translation covariance, 100 random (u,Z,r,s,a,b)"
+    return worst < 1e-9, worst, 1e-9, "theta translation covariance, 100 random (Z,r,s,a,b)"
 
 
 def check_sign_symmetry(env: HarnessEnv):
@@ -295,11 +296,10 @@ def check_sign_symmetry(env: HarnessEnv):
     for _ in range(20):
         z = random_siegel(rng)
         chi = _random_char(rng, int(rng.integers(2, 7)), exclude_sigma=False)
-        u = rng.normal(0, 0.5, 2) + 1j * rng.normal(0, 0.2, 2)
-        lhs = theta_eval(-u, z, chi.neg(), env.settings)
-        rhs = theta_eval(u, z, chi, env.settings)
+        lhs = theta_eval(z, chi.neg(), env.settings)
+        rhs = theta_eval(z, chi, env.settings)
         worst = max(worst, abs(lhs - rhs))
-    return worst < 1e-10, worst, 1e-10, "Theta(-u,Z;-r,-s) = Theta(u,Z;r,s), 20 random inputs"
+    return worst < 1e-10, worst, 1e-10, "Theta(Z;-r,-s) = Theta(Z;r,s), 20 random inputs"
 
 
 def check_sigma_minus(env: HarnessEnv):
@@ -311,7 +311,7 @@ def check_sigma_minus(env: HarnessEnv):
     for _ in range(5):
         z = random_siegel(rng)
         for chi in odd_chars:
-            worst = max(worst, abs(theta_eval(0, z, chi, env.settings)))
+            worst = max(worst, abs(theta_eval(z, chi, env.settings)))
     return worst < 1e-10, worst, 1e-10, "all 6 odd half-integral theta nulls vanish at 5 random Z"
 
 
@@ -609,7 +609,7 @@ def check_reality(env: HarnessEnv):
                 s = (r[0] - r[1], -r[0])
                 chi = Characteristic.make(r, s)
                 phase = RootOfUnity(-sum((rv * sv for rv, sv in zip(r, s)), Fraction(0)) / 2).value()
-                val = phase * theta_eval(0, ctx.z0, chi, env.settings) / ctx.null0
+                val = phase * theta_eval(ctx.z0, chi, env.settings) / ctx.null0
                 worst = max(worst, abs(val.imag))
     return worst < env.config.tol_numeric, worst, env.config.tol_numeric, "e(-trs/2) Phi_[r;s](Z0) is real on the CM locus"
 

@@ -8,7 +8,6 @@ hold; gamma_multiplier computes the obstruction e(X) for individual gamma.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import mul
 
 from .exact import RootOfUnity
@@ -72,9 +71,7 @@ def parse(text: str) -> ThetaProduct:
         parts = ln.split()
         if len(parts) != 1 + 2 * g:
             raise ValueError(f"expected m and {2 * g} rationals: {ln!r}")
-        m = int(parts[0])
-        vals = [Fraction(p) for p in parts[1:]]
-        terms.append((Characteristic.make(vals[:g], vals[g:]), m))
+        terms.append((Characteristic.parse(parts[1:]), int(parts[0])))
     return theta_product(level, terms)
 
 

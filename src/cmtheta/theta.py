@@ -2,9 +2,9 @@
 
 Conventions: e(z) = exp(2*pi*i*z) and
 
-    Theta(u, Z; r, s) = sum_x e( t(x+r) Z (x+r) / 2 + t(x+r) (u+s) ),
+    Theta(Z; r, s) = sum_x e( t(x+r) Z (x+r) / 2 + t(x+r) s ),
 
-over x in Z^g.  The quotient Phi_[r;s](Z) = Theta(0, Z; r, s) / Theta(0, Z; 0, 0)
+over x in Z^g.  The quotient Phi_[r;s](Z) = Theta(Z; r, s) / Theta(Z; 0, 0)
 is the theta constant attached to the characteristic [r; s].
 """
 from __future__ import annotations
@@ -51,6 +51,18 @@ class Characteristic:
         return cls.from_den(nums[: len(r)], nums[len(r) :], den)
 
     @classmethod
+    def parse(cls, tokens) -> "Characteristic":
+        """[r; s] from 2g rational tokens such as '1/3', the r entries first; ValueError on bad input."""
+        try:
+            vals = [Fraction(tok) for tok in tokens]
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in characteristic {' '.join(tokens)!r}") from None
+        if not vals or len(vals) % 2:
+            raise ValueError(f"characteristic needs a positive even number of rationals, got {len(vals)}")
+        g = len(vals) // 2
+        return cls.make(vals[:g], vals[g:])
+
+    @classmethod
     def from_den(cls, rnums, snums, den: int) -> "Characteristic":
         """[r; s] = [rnums; snums] / den for integer numerators."""
         if len(rnums) != len(snums):
@@ -88,7 +100,7 @@ class Characteristic:
     def reduce(self) -> tuple["Characteristic", RootOfUnity]:
         """Translate into [0,1)^2g, returning the multiplier it costs.
 
-        Theta(u,Z; r+a, s+b) = e(tr.b) Theta(u,Z; r,s) for integer a, b, with
+        Theta(Z; r+a, s+b) = e(tr.b) Theta(Z; r,s) for integer a, b, with
         r the reduced row; so the value at self equals phase * value at the
         canonical representative.
         """
@@ -199,8 +211,8 @@ class _Lattice:
     T is the scaled Cholesky factor with |Tv|^2 = pi tv Im(Z) v, and
     rho = sqrt(pi min_im_eig) is a lower bound on the shortest vector of T Z^g.
     `cut(tol)` builds one certified cut per tolerance and keeps it (see
-    theta_eval for the bounds).  Z and Im(Z)^-1 are also kept as nested lists
-    for the per-call arithmetic.  Only geometry is kept, never a theta value.
+    theta_eval for the bounds).  Z is also kept as nested lists for the
+    per-call arithmetic.  Only geometry is kept, never a theta value.
     """
 
     def __init__(self, zp: SiegelPoint) -> None:
@@ -209,7 +221,7 @@ class _Lattice:
         self.t = math.sqrt(math.pi) * np.linalg.cholesky(y).T
         self.y_inv = np.linalg.inv(y)
         self.rho = math.sqrt(math.pi * zp.min_im_eig)
-        self.z_rows, self.y_inv_rows = self.z.tolist(), self.y_inv.tolist()
+        self.z_rows = self.z.tolist()
         self.y_row_sums = [sum(abs(v.imag) for v in row) for row in self.z_rows]  # sum_l |Im Z_jl|
         self.cuts: dict[float, _Cut] = {}
 
@@ -252,17 +264,17 @@ class _Lattice:
         return _Cut(axes, factor, points, quad, hi, _tail_bound(hi, rho, g), rounding)
 
 
-def theta_eval(u, z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:
-    """Theta(u, Z; r, s), off by at most tol/2 + the cut's rounding bound for u = 0 and [r; s] in [0, 1)^2g.
+def theta_eval(z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:
+    """Theta(Z; r, s), off by at most tol/2 + the cut's rounding bound for |s_j| <= 1.
 
-    Other calls have no stated bound yet: their u and [r; s] enter tau and
-    kappa beyond what the stored rounding bound assumes (see Rounding below).
+    Larger |s_j| have no stated bound yet: they enter tau and kappa beyond what
+    the stored rounding bound assumes (see Rounding below).  [r; s] is summed
+    as given, not reduced into [0, 1)^2g.
 
-    The sum runs over v = y + r - floor(r + c), y in one integer candidate set
-    C, where c = Im(Z)^-1 Im(u).  The term at v has modulus
-    exp(-|T(y + f)|^2) exp(pi Im(u) c), with f = frac(r + c) in [0, 1)^g and
-    T the scaled Cholesky factor of Im Z: |Tv|^2 = pi tv Im(Z) v.  C, the
-    radius R and both error bounds are built once per SiegelPoint and
+    The sum runs over v = y + r - floor(r), y in one integer candidate set C.
+    The term at v has modulus exp(-|T(y + f)|^2), with f = frac(r) in
+    [0, 1)^g and T the scaled Cholesky factor of Im Z: |Tv|^2 = pi tv Im(Z) v.
+    C, the radius R and both error bounds are built once per SiegelPoint and
     tolerance and kept on the point; no theta value is kept.
 
     Tail, after Deconinck, Heil, Bobenko, van Hoeij and Schmies, "Computing
@@ -280,16 +292,16 @@ def theta_eval(u, z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTI
     >= |Te|^2 for e in [-1/2, 1/2]^g, C = {y : |T(y + 1/2)| < R + delta}
     covers the ellipsoid |T(y + f)| < R for every shift f.
 
-    Order of summation.  With shift = r - floor(r + c) and t = Z shift + u + s,
-    the exponent at v = y + shift is pi i tyZy + 2 pi i sum_j y_j t_j + const,
-    const = pi i t(shift) (t + u + s): a fixed quadratic part and a part
+    Order of summation.  With shift = frac(r) and t = Z shift + s, the
+    exponent at v = y + shift is pi i tyZy + 2 pi i sum_j y_j t_j + const,
+    const = pi i t(shift) (t + s): a fixed quadratic part and a part
     linear in each y_j.  The cut keeps E(y) = exp(pi i tyZy) on the box
     n_0 x ... x n_(g-1) of C's coordinate ranges, zero off C.  A call forms
     w_j(y_j) = exp(2 pi i y_j t_j) along each axis and contracts
     (E . w_(g-1) . ... . w_0) exp(const): sum_j n_j exponentials, not |C|.
 
     Range guard.  Im t = Im(Z) f, so |w_j(y_j)| <= exp(2 pi |y_j| sum_l
-    |Im Z_jl|) for every characteristic and u: at most exp(G) in product over
+    |Im Z_jl|) for every characteristic: at most exp(G) in product over
     the box.  On C, |Ty| <= |T(y + 1/2)| + delta < R + 2 delta, so
     |E| > exp(-B) with B = (R + 2 delta)^2.  Every nonzero partial product then
     lies in [exp(-G-B), exp(G)] and every partial sum below |box| exp(G).  The
@@ -313,8 +325,8 @@ def theta_eval(u, z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTI
       times the same expression with every input replaced by its modulus, and
       moves its exponential by as much, relatively; float pi counts as one
       rounding.  pi i tyZy has m_E = g^2 + 3.  2 pi i y_j t_j has m_w = g + 5,
-      with tau_j = sum_l |Z_jl||shift_l| + |u_j| + |s_j| the moduli in t_j.
-      const has m_c = 2g + 5 and kappa = pi sum_j |shift_j| (tau_j + |u_j| + |s_j|).
+      with tau_j = sum_l |Z_jl||shift_l| + |s_j| the moduli in t_j.
+      const has m_c = 2g + 5 and kappa = pi sum_j |shift_j| (tau_j + |s_j|).
       Summed one by one, each m grows by g + 2.
     To sum this over C for every shift at once: |Tv| >= rho |v|, so
     |term(y)| <= prod_j exp(-rho^2 d_j^2), with d_j the distance from 0 to
@@ -324,41 +336,24 @@ def theta_eval(u, z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTI
     u M0^(g-2) (A M0^2 + m_E pi (D M2 M0 + (S - D) M1^2) + m_w 2 pi (S + g) M1 M0),
     with S = sum_jk |Z_jk|, D = sum_j |Z_jj| and A = a + m_c pi (S + 2g).  This
     takes tau_j = sum_l |Z_jl| + 1 and kappa = pi sum_j (tau_j + 1), the values
-    for u = 0 and [r; s] in [0, 1)^2g, the theta constants; other u and s
-    enter through tau and kappa.  `rounding` is not capped: where it exceeds
-    tol/2 (large boxes, small rho, tiny tol) the call still runs and
-    tail + rounding is the bound that holds.
-
-    A nonzero Im(u) moves the centre of the terms to -c and scales them by
-    exp(pi Im(u) c) <= 2^k, so the cut is taken at tolerance tol 2^-k.
+    for |s_j| <= 1; a larger s enters through tau and kappa.  `rounding` is not
+    capped: where it exceeds tol/2 (large boxes, small rho, tiny tol) the call
+    still runs and tail + rounding is the bound that holds.
     """
     zp = z if isinstance(z, SiegelPoint) else SiegelPoint(z)
     g = zp.g
     if chi.g != g:
         raise ValueError(f"characteristic has genus {chi.g}, the point has genus {g}")
-    if np.isscalar(u):
-        uv = [complex(u)] * g
-    else:
-        uv = [complex(v) for v in u]
-        if len(uv) != g:
-            raise ValueError(f"u has {len(uv)} entries, the point has genus {g}")
     den = chi.den
-    r = [v / den for v in chi.num[:g]]
-    us = [a + v / den for a, v in zip(uv, chi.num[g:])]
+    shift = [(v % den) / den for v in chi.num[:g]]  # frac(r), one rounding whatever r
+    s = [v / den for v in chi.num[g:]]
     if zp._theta_lattice is None:
         zp._theta_lattice = _Lattice(zp)
     lat = zp._theta_lattice
-    im_u = [v.imag for v in uv]
-    if any(im_u):
-        centre = [sum(map(operator.mul, row, im_u)) for row in lat.y_inv_rows]
-        shift = [a - math.floor(a + c) for a, c in zip(r, centre)]
-        k = math.ceil(math.pi * sum(map(operator.mul, im_u, centre)) / math.log(2))
-    else:
-        shift, k = [a - math.floor(a) for a in r], 0
-    cut = lat.cut(math.ldexp(settings.tol, -k))
-    # with v = y + shift: pi i tvZv + 2 pi i tv(u + s) = pi i tyZy + 2 pi i ty t + const
-    t = [sum(map(operator.mul, row, shift), c) for row, c in zip(lat.z_rows, us)]
-    const = 1j * math.pi * sum(map(operator.mul, shift, map(operator.add, t, us)))
+    cut = lat.cut(settings.tol)
+    # with v = y + shift: pi i tvZv + 2 pi i tvs = pi i tyZy + 2 pi i ty t + const
+    t = [sum(map(operator.mul, row, shift), c) for row, c in zip(lat.z_rows, s)]
+    const = 1j * math.pi * sum(map(operator.mul, shift, map(operator.add, t, s)))
     if cut.factor is None:
         return complex(np.exp(cut.quad + cut.points @ (2j * np.pi * np.array(t)) + const).sum())
     total = cut.factor
@@ -369,7 +364,7 @@ def theta_eval(u, z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTI
 
 def theta_null(z, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:
     zp = z if isinstance(z, SiegelPoint) else SiegelPoint(z)
-    return theta_eval(0, zp, zero_char(zp.g), settings)
+    return theta_eval(zp, zero_char(zp.g), settings)
 
 
 def phi_eval(
@@ -381,7 +376,7 @@ def phi_eval(
     """The theta constant Phi_[r;s](Z); pass null_value to reuse a denominator."""
     zp = z if isinstance(z, SiegelPoint) else SiegelPoint(z)
     den = theta_null(zp, settings) if null_value is None else null_value
-    return divide_by_null(theta_eval(0, zp, chi, settings), den)
+    return divide_by_null(theta_eval(zp, chi, settings), den)
 
 
 def divide_by_null(value: complex, null: complex) -> complex:

@@ -189,12 +189,12 @@ CAUGHT = [
             "tests/test_theta.py::test_range_guard_keeps_large_imaginary_parts_finite[z1]",
         ],
     ),
-    # the cut centred at 0 whatever Im u
+    # the sum over v = y + r instead of y + frac(r): an unreduced r moves it off the candidate set
     (
         THETA,
-        "centre = [sum(map(operator.mul, row, im_u)) for row in lat.y_inv_rows]",
-        "centre = [0.0] * g",
-        ["tests/test_theta.py::test_truncation_with_imaginary_u"],
+        "shift = [(v % den) / den for v in chi.num[:g]]",
+        "shift = [v / den for v in chi.num[:g]]",
+        ["tests/test_acceptance.py::test_translation_formula_fuzz"],
     ),
     # the candidate set without the shift allowance delta
     (
@@ -219,13 +219,6 @@ SURVIVORS = [
         "return EPS / 2 * bound * m0 ** (g - 2)",
         "return EPS / 200 * bound * m0 ** (g - 2)",
         ["tests/test_theta.py::test_factored_sum_within_tail_plus_rounding"],
-    ),
-    # the cut for Im u taken at tol, not tol 2^-k: the tail bound's slack absorbs it
-    (
-        THETA,
-        "cut = lat.cut(math.ldexp(settings.tol, -k))",
-        "cut = lat.cut(settings.tol)",
-        ["tests/test_theta.py::test_truncation_with_imaginary_u"],
     ),
 ]
 

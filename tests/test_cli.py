@@ -36,6 +36,14 @@ def test_verify_rejects_bad_primes(capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", "-20260815"])
+def test_verify_rejects_negative_seed(seed, capsys):
+    assert main(["verify", "--suite", "primgen", "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert "invalid configuration: seed must be a non-negative integer" in captured.err
+    assert captured.out == ""  # no report whose checks seem to fail
+
+
 def test_verify_rejects_unknown_suite():
     with pytest.raises(SystemExit):  # argparse rejects the choice itself
         main(["verify", "--suite", "nonsense"])
@@ -112,7 +120,7 @@ def test_theta_builds_one_point_and_one_null(at, monkeypatch, capsys):
     monkeypatch.setattr(SiegelPoint, "__init__", lambda self, mat: points.append(mat) or init(self, mat))
 
     def counted(*args):
-        evals.append(args[2])
+        evals.append(args[1])
         return theta_eval(*args)
 
     monkeypatch.setattr(theta, "theta_eval", counted)
@@ -168,3 +176,24 @@ def test_tolerances_that_are_not_positive_finite_exit_2(args):
     proc = subprocess.run([sys.executable, "-m", "cmtheta.cli", *args], env=env, capture_output=True, text=True, timeout=30)
     assert proc.returncode == 2, proc.stderr
     assert "positive finite" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["theta", "--char", "1/0 0 0 0"], "invalid input: zero denominator"),
+        (["action", "--x", "1 0 0 0 0", "--p", "3", "--char", "1/0 0 0 0"], "invalid input: zero denominator"),
+        (["theta", "--char", "", "--at", "i"], "invalid input: characteristic needs a positive even number"),
+        (["theta", "--char", "1/2 0 0", "--at", "i"], "invalid input: characteristic needs a positive even number"),
+    ],
+)
+def test_bad_characteristic_exits_2(args, message, capsys):
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_modularity_zero_denominator_exits_2(tmp_path, capsys):
+    f = tmp_path / "fam.txt"
+    f.write_text("2 2\n1 1/0 0 0 0\n")
+    assert main(["modularity", str(f)]) == 2
+    assert "invalid product file: zero denominator" in capsys.readouterr().err

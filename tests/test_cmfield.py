@@ -322,6 +322,6 @@ def test_reality_reference_values(ctx):
         s = (r[0] - r[1], -r[0])
         chi = Characteristic.make(r, s)
         phase = RootOfUnity(-sum((rv * sv for rv, sv in zip(r, s)), F(0)) / 2).value()
-        val = phase * theta_eval(0, ctx.z0, chi) / ctx.null0
+        val = phase * theta_eval(ctx.z0, chi) / ctx.null0
         assert abs(val.imag) < 1e-12
         assert abs(val.real - expect) < 1e-8

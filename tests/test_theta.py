@@ -33,12 +33,12 @@ def test_genus_one_against_mpmath():
     mp.mp.dps = 30
     tau = np.array([[1j]])
     q = mp.exp(-mp.pi)
-    assert abs(theta_eval(0.0, tau, zero_char(1)) - float(mp.jtheta(3, 0, q))) < 1e-14
+    assert abs(theta_eval(tau, zero_char(1)) - float(mp.jtheta(3, 0, q))) < 1e-14
     chi = Characteristic.make([F(1, 2)], [0])
-    assert abs(theta_eval(0.0, tau, chi) - float(mp.jtheta(2, 0, q))) < 1e-14
-    # nonzero argument: Theta(u, tau; 0, 0) = jtheta(3, pi u, q)
-    got = theta_eval(np.array([0.3]), tau, zero_char(1))
-    assert abs(got - float(mp.jtheta(3, mp.pi * mp.mpf("0.3"), q))) < 1e-14
+    assert abs(theta_eval(tau, chi) - float(mp.jtheta(2, 0, q))) < 1e-14
+    # nonzero s: Theta(tau; 0, 1/2) = jtheta(4, 0, q) and Theta(tau; 1/2, 1/2) = jtheta(1, 0, q) = 0
+    assert abs(theta_eval(tau, Characteristic.make([0], [F(1, 2)])) - float(mp.jtheta(4, 0, q))) < 1e-14
+    assert abs(theta_eval(tau, Characteristic.make([F(1, 2)], [F(1, 2)])) - float(mp.jtheta(1, 0, q))) < 1e-14
 
 
 def test_truncation_tail_is_sound():
@@ -47,31 +47,22 @@ def test_truncation_tail_is_sound():
     for _ in range(5):
         z = random_siegel(rng)
         chi = Characteristic.make([F(1, 3), F(2, 3)], [F(1, 3), 0])
-        base = theta_eval(0.0, z, chi)
-        fat = theta_eval(0.0, z, chi, EvalSettings(1e-30))
+        base = theta_eval(z, chi)
+        fat = theta_eval(z, chi, EvalSettings(1e-30))
         assert abs(base - fat) < 1e-12
 
 
-def wide_sum_error(u, z, chi, tol=1e-12):
+def wide_sum_error(z, chi, tol=1e-12):
     """|certified sum at tol - the same point's certified sum at 1e-30|, as in test_truncation_tail_is_sound.
 
     This checks truncation only: both sums share t and const, so an error in
     either moves both alike.  test_summation_paths_agree compares the two
     summation paths.
     """
-    certified = theta_eval(u, z, chi, EvalSettings(tol))
-    wide = theta_eval(u, z, chi, EvalSettings(1e-30))
+    certified = theta_eval(z, chi, EvalSettings(tol))
+    wide = theta_eval(z, chi, EvalSettings(1e-30))
     assert all(cut.factor is not None for cut in z._theta_lattice.cuts.values())
     return abs(certified - wide)
-
-
-def test_truncation_with_imaginary_u():
-    # Im u moves the centre of the terms by Im(Z)^-1 Im(u), here by up to about 3
-    rng = np.random.default_rng(21)
-    chi = Characteristic.make([F(1, 3), F(2, 3)], [F(1, 5), 0])
-    for u in ([0.3 + 0.32j, -0.2 - 0.22j], [-0.4 - 0.32j, 0.1 + 0.24j]):
-        for _ in range(4):
-            assert wide_sum_error(np.array(u), random_siegel(rng, base=0.1), chi) < 1e-12
 
 
 def test_truncation_with_non_canonical_characteristics():
@@ -80,22 +71,22 @@ def test_truncation_with_non_canonical_characteristics():
     for nums in ([-7, 11, 13, -5], [9, -1, -6, 14], [-3, -3, 5, 7]):
         chi = Characteristic.from_den(nums[:2], nums[2:], 4)
         assert not chi.is_canonical()
-        assert wide_sum_error(0.0, z, chi) < 1e-12
+        assert wide_sum_error(z, chi) < 1e-12
 
 
 def test_truncation_in_genus_three():
     rng = np.random.default_rng(23)
     z = random_siegel(rng, 3)
     chi = Characteristic.make([F(1, 3), 0, F(2, 3)], [0, F(1, 3), F(1, 3)])
-    assert wide_sum_error(0.0, z, chi) < 1e-12
+    assert wide_sum_error(z, chi) < 1e-12
 
 
 def test_truncation_geometry_is_kept_per_tolerance():
     # a cut kept per point only would serve the 1e-14 call from the 1e-6 one
     z = random_siegel(np.random.default_rng(24), base=0.1)
     chi = Characteristic.make([F(1, 4), F(3, 4)], [F(1, 2), 0])
-    assert wide_sum_error(0.0, z, chi, tol=1e-6) > 1e-14
-    assert wide_sum_error(0.0, z, chi, tol=1e-14) < 1e-14
+    assert wide_sum_error(z, chi, tol=1e-6) > 1e-14
+    assert wide_sum_error(z, chi, tol=1e-14) < 1e-14
 
 
 def test_understated_tail_fails_the_comparison(monkeypatch):
@@ -104,7 +95,7 @@ def test_understated_tail_fails_the_comparison(monkeypatch):
     monkeypatch.setattr(theta, "_tail_bound", lambda big_r, rho, g: tail_bound(big_r, rho, g) * 1e-12)
     z = random_siegel(np.random.default_rng(7))
     chi = Characteristic.make([F(1, 3), F(2, 3)], [F(1, 3), 0])
-    assert wide_sum_error(0.0, z, chi) > 1e-12
+    assert wide_sum_error(z, chi) > 1e-12
 
 
 def test_summation_paths_agree(monkeypatch):
@@ -112,19 +103,15 @@ def test_summation_paths_agree(monkeypatch):
     rng = np.random.default_rng(31)
     chi2 = Characteristic.make([F(1, 3), F(2, 3)], [F(1, 5), 0])
     chi3 = Characteristic.make([F(1, 3), 0, F(2, 3)], [0, F(1, 3), F(1, 3)])
-    cases = [
-        (0.0, random_siegel(rng), chi2),
-        (np.array([-0.4 - 0.32j, 0.1 + 0.24j]), random_siegel(rng, base=0.1), chi2),
-        (0.0, random_siegel(rng, 3), chi3),
-    ]
-    factored = [theta_eval(u, z, chi) for u, z, chi in cases]
-    assert all(cut.factor is not None for _, z, _ in cases for cut in z._theta_lattice.cuts.values())
+    cases = [(random_siegel(rng), chi2), (random_siegel(rng, base=0.1), chi2), (random_siegel(rng, 3), chi3)]
+    factored = [theta_eval(z, chi) for z, chi in cases]
+    assert all(cut.factor is not None for z, _ in cases for cut in z._theta_lattice.cuts.values())
     monkeypatch.setattr(theta, "_EXP_RANGE", 0)
-    for (u, z, chi), want in zip(cases, factored):
+    for (z, chi), want in zip(cases, factored):
         fresh = SiegelPoint(z.mat)
-        got = theta_eval(u, fresh, chi)
+        got = theta_eval(fresh, chi)
         assert all(cut.factor is None for cut in fresh._theta_lattice.cuts.values())
-        assert abs(got - want) < 1e-14 * abs(want)  # rounding scales with |Theta|, here up to 107
+        assert abs(got - want) < 1e-14 * abs(want)  # rounding scales with |Theta|, here up to 1.8
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -139,7 +126,7 @@ def test_tail_bound_closed_form_matches_quadrature(g):
 
 def test_certified_cut_meets_its_budget():
     z = random_siegel(np.random.default_rng(25))
-    theta_eval(0.0, z, zero_char(2))
+    theta_eval(z, zero_char(2))
     cut = z._theta_lattice.cuts[1e-12]
     assert cut.tail <= 0.5e-12 and cut.rounding <= 0.5e-12
     # bisected to 1/32: a slightly shorter radius would miss the budget
@@ -163,7 +150,7 @@ def test_factored_sum_within_tail_plus_rounding():
     for z, reach in zip(points, (7, 18)):
         zm = mp.matrix(z.mat.tolist())
         for chi in (zero_char(2), Characteristic.make([F(1, 3), F(2, 3)], [F(2, 3), F(1, 3)])):
-            got = theta_eval(0, z, chi)
+            got = theta_eval(z, chi)
             r0, r1, s0, s1 = (mp.mpf(v.numerator) / v.denominator for v in chi.r + chi.s)
             want = mp.mpf(0)
             for x in np.ndindex(2 * reach + 1, 2 * reach + 1):
@@ -191,7 +178,7 @@ def test_range_guard_keeps_large_imaginary_parts_finite(z):
     # here the factors exp(2 pi i y_j t_j) would overflow (|y_j| = 2, sum_l |Im Z_jl| >= 300): term by term instead
     zp = SiegelPoint(z)
     for chi in all_characteristics(3, 2):
-        got = theta_eval(0, zp, chi)
+        got = theta_eval(zp, chi)
         want = direct_sum(z, chi, 3)
         assert np.isfinite(got)
         assert abs(got - want) <= 1e-11 * abs(want)  # exponents near -100 leave about 100 eps
@@ -201,10 +188,9 @@ def test_range_guard_keeps_large_imaginary_parts_finite(z):
 def test_sign_symmetry():
     rng = np.random.default_rng(3)
     z = random_siegel(rng)
-    u = rng.uniform(-0.4, 0.4, 2) + 1j * rng.uniform(-0.2, 0.2, 2)
     chi = Characteristic.make([F(1, 5), F(3, 5)], [F(2, 5), F(4, 5)])
     neg = chi.neg()
-    assert abs(theta_eval(-u, z, neg) - theta_eval(u, z, chi)) < 1e-12
+    assert abs(theta_eval(z, neg) - theta_eval(z, chi)) < 1e-12
 
 
 def test_translation_by_integers():
@@ -214,8 +200,8 @@ def test_translation_by_integers():
     shifted = Characteristic.make([F(1, 4) + 2, F(3, 4) - 1], [F(1, 2) + 1, F(1, 4) + 3])
     reduced, phase = shifted.reduce()
     assert reduced == chi
-    lhs = theta_eval(0.0, z, shifted)
-    rhs = phase.value() * theta_eval(0.0, z, chi)
+    lhs = theta_eval(z, shifted)
+    rhs = phase.value() * theta_eval(z, chi)
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -245,7 +231,7 @@ def test_sigma_minus_nulls_vanish():
     z = random_siegel(rng)
     for chi in all_characteristics(2, 2):
         if chi.in_sigma_minus():
-            assert abs(theta_eval(0.0, z, chi)) < 1e-12
+            assert abs(theta_eval(z, chi)) < 1e-12
 
 
 def test_all_characteristics_counts():
@@ -271,7 +257,7 @@ def test_phi_eval_guard_and_consistency():
     chi = Characteristic.make([F(1, 4), 0], [0, F(1, 4)])
     null = theta_null(z)
     direct = phi_eval(chi, z)
-    assert abs(direct - theta_eval(0.0, z, chi) / null) < 1e-13
+    assert abs(direct - theta_eval(z, chi) / null) < 1e-13
     assert abs(phi_eval(chi, z, null_value=null) - direct) < 1e-15
     with pytest.raises(ValueError):
         phi_eval(chi, z, null_value=1e-12)
@@ -280,8 +266,8 @@ def test_phi_eval_guard_and_consistency():
 def test_settings_tolerance_tightens_radius():
     z = SiegelPoint(np.eye(2) * 0.15j)
     chi = zero_char(2)
-    loose = theta_eval(0.0, z, chi, settings=EvalSettings(tol=1e-6))
-    tight = theta_eval(0.0, z, chi, settings=EvalSettings(tol=1e-14))
+    loose = theta_eval(z, chi, settings=EvalSettings(tol=1e-6))
+    tight = theta_eval(z, chi, settings=EvalSettings(tol=1e-14))
     assert abs(loose - tight) < 1e-6
 
 
@@ -294,7 +280,7 @@ def test_settings_reject_tolerances_that_are_not_positive_finite(tol):
 def test_small_imaginary_part_rejected():
     z = SiegelPoint(np.eye(2) * 1e-7j)  # needs a truncation radius far beyond MAX_RADIUS = 200
     with pytest.raises(ValueError, match="truncation radius exceeds 200"):
-        theta_eval(0.0, z, zero_char(2), settings=EvalSettings(tol=1e-12))
+        theta_eval(z, zero_char(2), settings=EvalSettings(tol=1e-12))
 
 
 def test_random_siegel_is_valid():
@@ -304,13 +290,6 @@ def test_random_siegel_is_valid():
         assert isinstance(z, SiegelPoint)
         assert z.min_im_eig > 0
         assert np.allclose(z.mat, z.mat.T)
-
-
-def test_scalar_and_vector_u_agree():
-    rng = np.random.default_rng(6)
-    z = random_siegel(rng)
-    chi = Characteristic.make([F(1, 3), 0], [0, F(1, 3)])
-    assert theta_eval(0.0, z, chi) == theta_eval(np.zeros(2), z, chi)
 
 
 # -- the integer representation against the Fraction definitions -------------
