@@ -422,7 +422,7 @@ def _usable_sample(rng, env, n, chi) -> _WordSample:
                 continue
             (null_z, (base,)), (_, (moved,)) = at_z, at_w
             return _WordSample(gamma, z, null_z, base, moved)
-    raise RuntimeError("no usable word/point pair for the cross-check")
+    raise RuntimeError("no usable word/point pair in 64 words")
 
 
 def check_multiplier_cross(env: HarnessEnv):

@@ -195,7 +195,7 @@ class SiegelPoint:
         self.mat = z
         self.g = z.shape[0]
         self.min_im_eig = float(eigs.min())
-        self._theta_lattice = None  # filled by theta on the first evaluation
+        self._theta_cuts = {}  # tolerance -> theta._Cut, built by theta on the first evaluation at that tolerance
 
     def __repr__(self):
         return f"SiegelPoint(g={self.g}, min_im_eig={self.min_im_eig:.4g})"

@@ -186,82 +186,67 @@ def _rounding_bound(z_rows: list[list[complex]], rho: float, reach_y: int, ops: 
 
 @dataclass(frozen=True)
 class _Cut:
-    """The candidate points y of one certified truncation, ready to sum.
+    """One certified truncation of the theta series at one SiegelPoint and tolerance, ready to sum.
 
+    It is built from T, the scaled Cholesky factor with |Tv|^2 = pi tv Im(Z) v,
+    and rho = sqrt(pi min_im_eig), a lower bound on the shortest vector of T Z^g.
     axes[j] lists the y_j of the box of candidates.  When the range guard of
     theta_eval holds, factor is E(y) = exp(pi i tyZy) on that box, zero off
     the candidates, and points and quad are None; otherwise factor is None and
     points and quad list the candidates (as complex rows) and their phases
-    pi i tyZy.  radius is R, and tail and rounding bound the omitted terms and
-    the floating-point error (see theta_eval).
+    pi i tyZy.  z_rows is Z as nested lists for the per-call arithmetic.
+    radius is R, and tail and rounding bound the omitted terms and the
+    floating-point error (see theta_eval).  Only geometry is kept, never a
+    theta value.
     """
 
     axes: tuple[np.ndarray, ...]
     factor: np.ndarray | None
     points: np.ndarray | None
     quad: np.ndarray | None
+    z_rows: list[list[complex]]
     radius: float
     tail: float
     rounding: float
 
 
-class _Lattice:
-    """The truncation geometry of one SiegelPoint, built on its first evaluation.
-
-    T is the scaled Cholesky factor with |Tv|^2 = pi tv Im(Z) v, and
-    rho = sqrt(pi min_im_eig) is a lower bound on the shortest vector of T Z^g.
-    `cut(tol)` builds one certified cut per tolerance and keeps it (see
-    theta_eval for the bounds).  Z is also kept as nested lists for the
-    per-call arithmetic.  Only geometry is kept, never a theta value.
-    """
-
-    def __init__(self, zp: SiegelPoint) -> None:
-        self.z, self.g = zp.mat, zp.g
-        y = zp.mat.imag
-        self.t = math.sqrt(math.pi) * np.linalg.cholesky(y).T
-        self.y_inv = np.linalg.inv(y)
-        self.rho = math.sqrt(math.pi * zp.min_im_eig)
-        self.z_rows = self.z.tolist()
-        self.y_row_sums = [sum(abs(v.imag) for v in row) for row in self.z_rows]  # sum_l |Im Z_jl|
-        self.cuts: dict[float, _Cut] = {}
-
-    def cut(self, tol: float) -> _Cut:
-        found = self.cuts.get(tol)
-        if found is None:
-            found = self.cuts[tol] = self._certified(tol)
-        return found
-
-    def _certified(self, tol: float) -> _Cut:
-        g, rho, target = self.g, self.rho, tol / 2
-        lo, hi = rho, rho + 1.0
-        while _tail_bound(hi, rho, g) > target:
-            lo, hi = hi, rho + 2 * (hi - rho)
-        while hi - lo > 1 / 32:
-            mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if _tail_bound(mid, rho, g) > target else (lo, mid)
-        # C covers the ellipsoid |T(y + f)| < R for every shift f (see theta_eval)
-        delta = math.sqrt(math.pi * sum(self.y_row_sums)) / 2
-        reach = hi + delta
-        half = [reach * math.sqrt(w / math.pi) for w in self.y_inv.diagonal().tolist()]  # its x-extent
-        if max(half) > MAX_RADIUS:
-            raise ValueError(f"truncation radius exceeds {MAX_RADIUS}; imaginary part too small")
-        low = [math.ceil(-0.5 - w) for w in half]
-        dims = [math.floor(-0.5 + w) - l + 1 for w, l in zip(half, low)]
-        grid = np.indices(dims).reshape(g, -1).T + low
-        inside = (((grid + 0.5) @ self.t.T) ** 2).sum(axis=1) < reach * reach
-        quad = 1j * np.pi * np.einsum("ij,jk,ik->i", grid, self.z, grid)
-        axes = tuple(np.arange(l, l + n, dtype=float) for l, n in zip(low, dims))
-        grow = 2 * math.pi * sum(max(-l, l + n - 1) * w for l, n, w in zip(low, dims, self.y_row_sums))
-        shrink = (reach + delta) ** 2  # bounds pi tyIm(Z)y on C: |Ty| <= |T(y + 1/2)| + delta
-        if grow + shrink + math.log(len(grid)) < _EXP_RANGE:
-            factor, points, quad = np.where(inside, np.exp(quad), 0).reshape(dims), None, None
-            ops, more = 8 * (g + 2) + math.sqrt(2) * (2 * sum(dims) + 2), 0
-        else:
-            factor, points, quad = None, grid[inside].astype(complex), quad[inside]
-            ops, more = len(points) + 7, g + 2
-        reach_y = max(max(-l - 1, l + n - 1) for l, n in zip(low, dims))
-        rounding = _rounding_bound(self.z_rows, rho, reach_y, ops, more)
-        return _Cut(axes, factor, points, quad, hi, _tail_bound(hi, rho, g), rounding)
+def _certified(zp: SiegelPoint, tol: float) -> _Cut:
+    """The certified cut of zp at tolerance tol (see theta_eval for the bounds)."""
+    z, g, y = zp.mat, zp.g, zp.mat.imag
+    t_mat = math.sqrt(math.pi) * np.linalg.cholesky(y).T
+    y_inv = np.linalg.inv(y)
+    rho, target = math.sqrt(math.pi * zp.min_im_eig), tol / 2
+    z_rows = z.tolist()
+    y_row_sums = [sum(abs(v.imag) for v in row) for row in z_rows]  # sum_l |Im Z_jl|
+    lo, hi = rho, rho + 1.0
+    while _tail_bound(hi, rho, g) > target:
+        lo, hi = hi, rho + 2 * (hi - rho)
+    while hi - lo > 1 / 32:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if _tail_bound(mid, rho, g) > target else (lo, mid)
+    # C covers the ellipsoid |T(y + f)| < R for every shift f (see theta_eval)
+    delta = math.sqrt(math.pi * sum(y_row_sums)) / 2
+    reach = hi + delta
+    half = [reach * math.sqrt(w / math.pi) for w in y_inv.diagonal().tolist()]  # its x-extent
+    if max(half) > MAX_RADIUS:
+        raise ValueError(f"truncation radius exceeds {MAX_RADIUS}; imaginary part too small")
+    low = [math.ceil(-0.5 - w) for w in half]
+    dims = [math.floor(-0.5 + w) - l + 1 for w, l in zip(half, low)]
+    grid = np.indices(dims).reshape(g, -1).T + low
+    inside = (((grid + 0.5) @ t_mat.T) ** 2).sum(axis=1) < reach * reach
+    quad = 1j * np.pi * np.einsum("ij,jk,ik->i", grid, z, grid)
+    axes = tuple(np.arange(l, l + n, dtype=float) for l, n in zip(low, dims))
+    grow = 2 * math.pi * sum(max(-l, l + n - 1) * w for l, n, w in zip(low, dims, y_row_sums))
+    shrink = (reach + delta) ** 2  # bounds pi tyIm(Z)y on C: |Ty| <= |T(y + 1/2)| + delta
+    if grow + shrink + math.log(len(grid)) < _EXP_RANGE:
+        factor, points, quad = np.where(inside, np.exp(quad), 0).reshape(dims), None, None
+        ops, more = 8 * (g + 2) + math.sqrt(2) * (2 * sum(dims) + 2), 0
+    else:
+        factor, points, quad = None, grid[inside].astype(complex), quad[inside]
+        ops, more = len(points) + 7, g + 2
+    reach_y = max(max(-l - 1, l + n - 1) for l, n in zip(low, dims))
+    rounding = _rounding_bound(z_rows, rho, reach_y, ops, more)
+    return _Cut(axes, factor, points, quad, z_rows, hi, _tail_bound(hi, rho, g), rounding)
 
 
 def theta_eval(z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:
@@ -346,13 +331,15 @@ def theta_eval(z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTINGS
         raise ValueError(f"characteristic has genus {chi.g}, the point has genus {g}")
     den = chi.den
     shift = [(v % den) / den for v in chi.num[:g]]  # frac(r), one rounding whatever r
-    s = [v / den for v in chi.num[g:]]
-    if zp._theta_lattice is None:
-        zp._theta_lattice = _Lattice(zp)
-    lat = zp._theta_lattice
-    cut = lat.cut(settings.tol)
+    try:
+        s = [v / den for v in chi.num[g:]]
+    except OverflowError:
+        raise ValueError("characteristic has an s entry too large for a float") from None
+    cut = zp._theta_cuts.get(settings.tol)
+    if cut is None:
+        cut = zp._theta_cuts[settings.tol] = _certified(zp, settings.tol)
     # with v = y + shift: pi i tvZv + 2 pi i tvs = pi i tyZy + 2 pi i ty t + const
-    t = [sum(map(operator.mul, row, shift), c) for row, c in zip(lat.z_rows, s)]
+    t = [sum(map(operator.mul, row, shift), c) for row, c in zip(cut.z_rows, s)]
     const = 1j * math.pi * sum(map(operator.mul, shift, map(operator.add, t, s)))
     if cut.factor is None:
         return complex(np.exp(cut.quad + cut.points @ (2j * np.pi * np.array(t)) + const).sum())

@@ -199,16 +199,31 @@ CAUGHT = [
     # the candidate set without the shift allowance delta
     (
         THETA,
-        "delta = math.sqrt(math.pi * sum(self.y_row_sums)) / 2",
+        "delta = math.sqrt(math.pi * sum(y_row_sums)) / 2",
         "delta = 0.0",
         ["tests/test_harness.py::test_passing_families_pass_at_seed_5"],
     ),
     # one cut per point, whatever the tolerance
     (
         THETA,
-        "found = self.cuts.get(tol)",
-        "found = next(iter(self.cuts.values()), None)",
+        "cut = zp._theta_cuts.get(settings.tol)",
+        "cut = next(iter(zp._theta_cuts.values()), None)",
         ["tests/test_theta.py::test_truncation_geometry_is_kept_per_tolerance"],
+    ),
+    # the cut rebuilt on every call: theta_eval never stores what it builds
+    (
+        THETA,
+        "cut = zp._theta_cuts[settings.tol] = _certified(zp, settings.tol)",
+        "cut = _certified(zp, settings.tol)",
+        ["tests/test_theta.py::test_one_cut_per_point_and_tolerance"],
+    ),
+    # no overflow guard on s: a huge s entry escapes the CLI as OverflowError, a traceback
+    (
+        THETA,
+        "    try:\n        s = [v / den for v in chi.num[g:]]\n    except OverflowError:\n"
+        '        raise ValueError("characteristic has an s entry too large for a float") from None\n',
+        "    s = [v / den for v in chi.num[g:]]\n",
+        ["tests/test_cli.py::test_bad_characteristic_exits_2[args4-invalid input: characteristic has an s entry too large for a float]"],
     ),
 ]
 

@@ -185,6 +185,7 @@ def test_tolerances_that_are_not_positive_finite_exit_2(args):
         (["action", "--x", "1 0 0 0 0", "--p", "3", "--char", "1/0 0 0 0"], "invalid input: zero denominator"),
         (["theta", "--char", "", "--at", "i"], "invalid input: characteristic needs a positive even number"),
         (["theta", "--char", "1/2 0 0", "--at", "i"], "invalid input: characteristic needs a positive even number"),
+        (["theta", "--char", "0 0 1e400 0", "--at", "i"], "invalid input: characteristic has an s entry too large for a float"),
     ],
 )
 def test_bad_characteristic_exits_2(args, message, capsys):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -61,7 +62,7 @@ def wide_sum_error(z, chi, tol=1e-12):
     """
     certified = theta_eval(z, chi, EvalSettings(tol))
     wide = theta_eval(z, chi, EvalSettings(1e-30))
-    assert all(cut.factor is not None for cut in z._theta_lattice.cuts.values())
+    assert all(cut.factor is not None for cut in z._theta_cuts.values())
     return abs(certified - wide)
 
 
@@ -89,6 +90,24 @@ def test_truncation_geometry_is_kept_per_tolerance():
     assert wide_sum_error(z, chi, tol=1e-14) < 1e-14
 
 
+def test_one_cut_per_point_and_tolerance(monkeypatch):
+    # a theta table at one point builds its cut once; each new tolerance builds one more, a seen one none
+    built = []
+    certified = theta._certified
+    monkeypatch.setattr(theta, "_certified", lambda zp, tol: built.append(tol) or certified(zp, tol))
+    z = random_siegel(np.random.default_rng(32))
+    theta_null(z)
+    for chi in all_characteristics(3, 2):
+        phi_eval(chi, z)
+    assert built == [1e-12]
+    loose = EvalSettings(1e-6)
+    theta_null(z, loose)
+    theta_eval(z, zero_char(2))
+    phi_eval(zero_char(2), z, loose)
+    assert built == [1e-12, 1e-6]
+    assert set(z._theta_cuts) == {1e-12, 1e-6}
+
+
 def test_understated_tail_fails_the_comparison(monkeypatch):
     # the comparisons above can fail: with a tail bound 1e-12 too small the cut is too short
     tail_bound = theta._tail_bound
@@ -105,12 +124,12 @@ def test_summation_paths_agree(monkeypatch):
     chi3 = Characteristic.make([F(1, 3), 0, F(2, 3)], [0, F(1, 3), F(1, 3)])
     cases = [(random_siegel(rng), chi2), (random_siegel(rng, base=0.1), chi2), (random_siegel(rng, 3), chi3)]
     factored = [theta_eval(z, chi) for z, chi in cases]
-    assert all(cut.factor is not None for z, _ in cases for cut in z._theta_lattice.cuts.values())
+    assert all(cut.factor is not None for z, _ in cases for cut in z._theta_cuts.values())
     monkeypatch.setattr(theta, "_EXP_RANGE", 0)
     for (z, chi), want in zip(cases, factored):
         fresh = SiegelPoint(z.mat)
         got = theta_eval(fresh, chi)
-        assert all(cut.factor is None for cut in fresh._theta_lattice.cuts.values())
+        assert all(cut.factor is None for cut in fresh._theta_cuts.values())
         assert abs(got - want) < 1e-14 * abs(want)  # rounding scales with |Theta|, here up to 1.8
 
 
@@ -127,17 +146,17 @@ def test_tail_bound_closed_form_matches_quadrature(g):
 def test_certified_cut_meets_its_budget():
     z = random_siegel(np.random.default_rng(25))
     theta_eval(z, zero_char(2))
-    cut = z._theta_lattice.cuts[1e-12]
+    cut = z._theta_cuts[1e-12]
     assert cut.tail <= 0.5e-12 and cut.rounding <= 0.5e-12
     # bisected to 1/32: a slightly shorter radius would miss the budget
-    assert theta._tail_bound(cut.radius - 1 / 32, z._theta_lattice.rho, 2) > 0.5e-12
+    assert theta._tail_bound(cut.radius - 1 / 32, math.sqrt(math.pi * z.min_im_eig), 2) > 0.5e-12
 
 
 def test_well_conditioned_cuts_are_factored():
     zs = [build_context().z0, random_siegel(np.random.default_rng(26)), random_siegel(np.random.default_rng(27), 3)]
     for z in zs:
         theta_null(z)
-        cut = z._theta_lattice.cuts[1e-12]
+        cut = z._theta_cuts[1e-12]
         assert cut.factor is not None and cut.points is None
         assert cut.factor.shape == tuple(len(axis) for axis in cut.axes)
         assert 0 < np.count_nonzero(cut.factor) < cut.factor.size
@@ -157,7 +176,7 @@ def test_factored_sum_within_tail_plus_rounding():
                 v = [x[0] - reach + r0, x[1] - reach + r1]
                 quad = sum(v[j] * zm[j, k] * v[k] for j in range(2) for k in range(2))
                 want += mp.exp(1j * mp.pi * quad + 2j * mp.pi * (v[0] * s0 + v[1] * s1))
-            cut = z._theta_lattice.cuts[1e-12]
+            cut = z._theta_cuts[1e-12]
             assert cut.factor is not None
             assert abs(got - complex(want)) <= cut.tail + cut.rounding
 
@@ -182,7 +201,7 @@ def test_range_guard_keeps_large_imaginary_parts_finite(z):
         want = direct_sum(z, chi, 3)
         assert np.isfinite(got)
         assert abs(got - want) <= 1e-11 * abs(want)  # exponents near -100 leave about 100 eps
-    assert zp._theta_lattice.cuts[1e-12].factor is None
+    assert zp._theta_cuts[1e-12].factor is None
 
 
 def test_sign_symmetry():
