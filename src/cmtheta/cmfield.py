@@ -11,13 +11,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 import numpy as np
 
 from .action import ActionResult, _act_phi_known
 from .exact import CycloElem, RootOfUnity, orbit_product, orbit_sum, solve_exact
-from .symplectic import SiegelPoint, _columns, _g_multiplier, _similitude
+from .symplectic import SiegelPoint, _g_multiplier, _similitude
 from .theta import Characteristic, DEFAULT_SETTINGS, EvalSettings, phi_eval, theta_null
 
 
@@ -30,45 +29,76 @@ def _basis() -> list[CycloElem]:
     return [z**2, z**4, z, z + z**3]
 
 
-def field_norm(x: CycloElem) -> Fraction:
-    """Norm from Q(zeta_5) down to Q, exact."""
+def _require_q5(x: CycloElem) -> None:
     if x.n != 5:
         raise ValueError(f"expected an element of Q(zeta_5), got one of Q(zeta_{x.n})")
+
+
+def _integral_num(x: CycloElem) -> tuple[int, ...]:
+    """The integer coefficients of x on 1, zeta, zeta^2, zeta^3; ValueError unless x is integral in Q(zeta_5)."""
+    _require_q5(x)
+    if x.den != 1:
+        raise ValueError("x must be an algebraic integer")
+    return x.num
+
+
+def field_norm(x: CycloElem) -> Fraction:
+    """Norm from Q(zeta_5) down to Q, exact."""
+    _require_q5(x)
     return orbit_product(x, (1, 2, 3, 4)).rational_value()
+
+
+def _reflex_num(c) -> list[int]:
+    # x * sigma_3(x) for x = sum_i c_i zeta^i, on the power basis: c_i c_j lands on zeta^(i + 3j),
+    # and zeta^4 = -1 - zeta - zeta^2 - zeta^3
+    e = [0] * 5
+    for i, ci in enumerate(c):
+        if ci:
+            for j, cj in enumerate(c):
+                e[(i + 3 * j) % 5] += ci * cj
+    return [v - e[4] for v in e[:4]]
 
 
 def reflex_norm(x: CycloElem) -> CycloElem:
     """phi*(x) = x^(phi_1^{-1}) x^(phi_2^{-1}) = x * sigma_3(x)."""
-    if x.n != 5:
-        raise ValueError(f"expected an element of Q(zeta_5), got one of Q(zeta_{x.n})")
-    return x * x.galois(3)
+    _require_q5(x)
+    return CycloElem._make(5, _reflex_num(x.num), x.den * x.den)
 
 
 @lru_cache(maxsize=None)
 def _h_table() -> tuple[tuple[int, ...], ...]:
-    # entry 4j + k lists h(zeta^i)[j, k] for i = 0..3, by exact solves on the CM basis
+    # column-major: entry 4k + j lists h(zeta^i)[j, k] for i = 0..3, by exact solves on the CM basis
     basis = _basis()
     bmat = [[basis[k].coeffs[i] for k in range(4)] for i in range(4)]
     hs = []
     for i in range(4):
         zi = CycloElem.zeta(5, i)
-        rows = [solve_exact(bmat, list((zi * xj).coeffs)) for xj in basis]
-        hs.append([int(v) for row in rows for v in row])
-    return tuple(zip(*hs))
+        hs.append([solve_exact(bmat, list((zi * xj).coeffs)) for xj in basis])
+    return tuple(tuple(int(h[j][k]) for h in hs) for k in range(4) for j in range(4))
+
+
+def _h_columns(c) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """The top and bottom halves of the columns of h(x), in the layout of symplectic._columns.
+
+    c holds the integer power-basis coefficients of x; h is Z-linear in x, so
+    h(x) = sum_i c_i h(zeta^i).
+    """
+    c0, c1, c2, c3 = c
+    h = [c0 * a + c1 * b + c2 * d + c3 * e for a, b, d, e in _h_table()]
+    return tuple(zip(h[0::4], h[1::4])), tuple(zip(h[2::4], h[3::4]))
+
+
+def _matrix(cols) -> np.ndarray:
+    return np.array([t + b for t, b in zip(*cols)], dtype=object).T
 
 
 def h_map(x: CycloElem) -> np.ndarray:
     """The 4x4 integer matrix with x*xi_j = sum_k h[j,k] xi_k on the CM basis.
 
     x must be an algebraic integer of Q(zeta_5), that is integral on the power
-    basis; raises ValueError otherwise.  h is Z-linear in x, so
-    h(x) = sum_i c_i h(zeta^i) over the integer power-basis coefficients c_i of x.
+    basis; raises ValueError otherwise.
     """
-    if x.n != 5:
-        raise ValueError(f"expected an element of Q(zeta_5), got one of Q(zeta_{x.n})")
-    if x.den != 1:
-        raise ValueError("h_map needs an algebraic integer")
-    return np.array([sum(map(mul, x.num, entry)) for entry in _h_table()], dtype=object).reshape(4, 4)
+    return _matrix(_h_columns(_integral_num(x)))
 
 
 def riemann_form(x: CycloElem, y: CycloElem) -> Fraction:
@@ -107,9 +137,10 @@ def is_odd_prime(p: int) -> bool:
 class GaloisActor:
     """An integral x of Q(zeta_5) packaged as a level-2p^2 symplectic actor.
 
-    h_matrix is the integral reflex-norm matrix h(phi*(x)), held once as the
-    columns symplectic._columns read; nu is its multiplier mod 2p^2 when it
-    lies in G_{2p^2}, and None otherwise; norm is N(x).
+    h_matrix is the integral reflex-norm matrix h(phi*(x)), held once as
+    tuples of Python-int column halves in the layout symplectic._columns reads,
+    so an actor shared by shared_actor cannot be changed; nu is its multiplier
+    mod 2p^2 when it lies in G_{2p^2}, and None otherwise; norm is N(x).
     """
 
     p: int
@@ -120,7 +151,7 @@ class GaloisActor:
     @property
     def h_matrix(self) -> np.ndarray:
         """h(phi*(x)) as an integer matrix (dtype=object)."""
-        return np.array([t + b for t, b in zip(*self._cols)], dtype=object).T
+        return _matrix(self._cols)
 
     @property
     def in_group(self) -> bool:
@@ -131,9 +162,7 @@ class GaloisActor:
     def build(cls, x: CycloElem, p: int) -> "GaloisActor":
         if not is_odd_prime(p):
             raise ValueError(f"p = {p} must be an odd prime")
-        if x.den != 1:
-            raise ValueError("actor must be an algebraic integer")
-        cols = _columns(h_map(reflex_norm(x)))
+        cols = _h_columns(_reflex_num(_integral_num(x)))
         # E(ra, rb) = r conj(r) E(a, b) with r conj(r) = N(x) for r = phi*(x): the norm is h's similitude
         return cls(p=p, _cols=cols, nu=_g_multiplier(*cols, 2 * p * p), norm=_similitude(*cols))
 
@@ -171,9 +200,23 @@ def standard_actors(p: int) -> tuple[CycloElem, CycloElem]:
     return 1 + 2 * p * z, 1 + 2 * p * (z**2 - z**3 + z**4)
 
 
+_ACTOR_CACHE_SIZE = 64  # artin_action and verify reuse the two standard actors of each prime; 64 holds 32 primes
+_actors: dict = {}  # (x, p) -> GaloisActor, least recently used first
+
+
+def shared_actor(x: CycloElem, p: int) -> GaloisActor:
+    """GaloisActor.build(x, p), built once while (x, p) is among the _ACTOR_CACHE_SIZE most recently used."""
+    key = (x, p)
+    actor = _actors.pop(key, None) or GaloisActor.build(x, p)
+    _actors[key] = actor
+    if len(_actors) > _ACTOR_CACHE_SIZE:
+        del _actors[next(iter(_actors))]
+    return actor
+
+
 def artin_action(x: CycloElem, p: int, chi: Characteristic) -> ActionResult:
-    """The simulated Artin action of (x) on Phi_chi(Z0); see GaloisActor.act."""
-    return GaloisActor.build(x, p).act(chi)
+    """The simulated Artin action of (x) on Phi_chi(Z0), through shared_actor; see GaloisActor.act."""
+    return shared_actor(x, p).act(chi)
 
 
 def closed_phase(which: int, chi: Characteristic, p: int) -> RootOfUnity:

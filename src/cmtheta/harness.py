@@ -18,12 +18,12 @@ import numpy as np
 
 from .action import act_iota_inv, act_phi, act_power_family
 from .cmfield import (
-    GaloisActor,
     belong_criterion,
     build_context,
     closed_phase,
     is_odd_prime,
     riemann_form,
+    shared_actor,
     standard_actors,
 )
 from .exact import CycloElem, RootOfUnity, orbit_sum, rel_trace_norm, unit_residues
@@ -129,23 +129,15 @@ class Report:
 
 
 class HarnessEnv:
-    """Shared lazy state: the CM context, evaluation settings and the standard actors."""
+    """Shared lazy state: the CM context and evaluation settings."""
 
     def __init__(self, config: SuiteConfig):
         self.config = config
         self.settings = EvalSettings(tol=config.theta_tol)
-        self._actors: dict[int, tuple[GaloisActor, GaloisActor]] = {}
 
     @cached_property
     def ctx(self):
         return build_context(self.settings)
-
-    def standard_actors(self, p: int) -> tuple[GaloisActor, GaloisActor]:
-        """The two actors of cmfield.standard_actors(p), built once per run."""
-        found = self._actors.get(p)
-        if found is None:
-            found = self._actors[p] = tuple(GaloisActor.build(x, p) for x in standard_actors(p))
-        return found
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +560,7 @@ def check_reflex_congruences(env: HarnessEnv):
     ok = True
     for p in env.config.primes:
         level = 2 * p * p
-        a1, a2 = env.standard_actors(p)
+        a1, a2 = (shared_actor(x, p) for x in standard_actors(p))
         ok &= bool(((a1.h_matrix - _expected_h2(p)) % level == 0).all())
         ok &= bool(((a2.h_matrix - _expected_h3(p)) % level == 0).all())
         ok &= a1.nu == (1 - 2 * p) % level and a2.nu == (1 - 2 * p) % level
@@ -585,7 +577,7 @@ def check_artin_closed_form(env: HarnessEnv):
             grid = [(a, b, c, d) for a in range(3) for b in range(3) for c in range(3) for d in range(3)]
         else:
             grid = [tuple(int(v) for v in rng.integers(0, p, 4)) for _ in range(30)]
-        actors = list(zip((1, 2), env.standard_actors(p)))
+        actors = [(which, shared_actor(x, p)) for which, x in zip((1, 2), standard_actors(p))]
         for a, b, c, d in grid:
             chi = Characteristic.from_den([a, b], [c, d], p)
             for which, actor in actors:

@@ -32,7 +32,7 @@ WORKERS = min(2, os.cpu_count() or 1)  # pytest subprocesses at a time
 
 MODULARITY, THETA = "src/cmtheta/modularity.py", "src/cmtheta/theta.py"
 CMFIELD, EXACT = "src/cmtheta/cmfield.py", "src/cmtheta/exact.py"
-SYMPLECTIC = "src/cmtheta/symplectic.py"
+SYMPLECTIC, CLI = "src/cmtheta/symplectic.py", "src/cmtheta/cli.py"
 
 CAUGHT = [
     # gamma_multiplier without the n a.b term of X
@@ -158,12 +158,29 @@ CAUGHT = [
             "tests/test_cli.py::test_action_rejects_non_prime_p[9]",
         ],
     ),
-    # h_map of a non-integral x read off its numerators alone
+    # h_map and GaloisActor.build of a non-integral x read off its numerators alone
     (
         CMFIELD,
-        '    if x.den != 1:\n        raise ValueError("h_map needs an algebraic integer")\n',
+        '    if x.den != 1:\n        raise ValueError("x must be an algebraic integer")\n',
         "",
         ["tests/test_cmfield.py::test_actor_first_row_and_build_guards"],
+    ),
+    # the reflex norm through sigma_2 instead of sigma_3 = phi_2^{-1}
+    (
+        CMFIELD,
+        "e[(i + 3 * j) % 5] += ci * cj",
+        "e[(i + 2 * j) % 5] += ci * cj",
+        [
+            "tests/test_cmfield.py::test_reflex_norm",
+            "tests/test_cmfield.py::test_actor_build_matches_definitional_composition",
+        ],
+    ),
+    # shared actors keyed on x alone: x at a second prime gets the actor of the first
+    (
+        CMFIELD,
+        "key = (x, p)",
+        "key = x",
+        ["tests/test_cmfield.py::test_shared_actor_is_per_prime"],
     ),
     # the factored theta sum without its constant factor e^const
     (
@@ -217,13 +234,20 @@ CAUGHT = [
         "cut = _certified(zp, settings.tol)",
         ["tests/test_theta.py::test_one_cut_per_point_and_tolerance"],
     ),
-    # no overflow guard on s: a huge s entry escapes the CLI as OverflowError, a traceback
+    # no overflow guard on s: a huge s entry escapes theta_eval as OverflowError
     (
         THETA,
         "    try:\n        s = [v / den for v in chi.num[g:]]\n    except OverflowError:\n"
         '        raise ValueError("characteristic has an s entry too large for a float") from None\n',
         "    s = [v / den for v in chi.num[g:]]\n",
-        ["tests/test_cli.py::test_bad_characteristic_exits_2[args4-invalid input: characteristic has an s entry too large for a float]"],
+        ["tests/test_theta.py::test_s_too_large_for_a_float_is_a_value_error"],
+    ),
+    # the CLI summing the characteristic as given: 10^300 in s is a float, and the sum loses its phase
+    (
+        CLI,
+        "    red, phase = chi.reduce()\n    theta = phase.value() * theta_eval(z, red, settings)\n",
+        "    theta = theta_eval(z, chi, settings)\n",
+        ["tests/test_cli.py::test_theta_reduces_a_huge_characteristic_exactly"],
     ),
 ]
 
@@ -244,6 +268,8 @@ def outcomes(tree: Path, nodes: list[str]) -> dict[str, bool]:
     subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--junitxml={report}", *nodes],
         cwd=tree,
+        # the named tests need no installed plugin, and loading them took about 2 s of each 3 s run
+        env=dict(os.environ, PYTEST_DISABLE_PLUGIN_AUTOLOAD="1"),
         capture_output=True,
         timeout=300,
     )

@@ -6,7 +6,7 @@ from operator import mul
 import numpy as np
 import pytest
 
-from cmtheta import symplectic
+from cmtheta import cmfield, symplectic
 from cmtheta.action import ActionResult, act_phi
 from cmtheta.cmfield import (
     GaloisActor,
@@ -19,6 +19,7 @@ from cmtheta.cmfield import (
     is_odd_prime,
     reflex_norm,
     riemann_form,
+    shared_actor,
     standard_actors,
 )
 from cmtheta.exact import CycloElem, RootOfUnity, solve_exact
@@ -264,11 +265,16 @@ def test_actor_build_matches_definitional_composition():
         ys = [CycloElem(5, [int(v) for v in rng.integers(-30, 31, 5)]) for _ in range(3)]
         cases += [(CycloElem(5, [0] * 5), p), *((x, p) for x in standard_actors(p))]
         cases += [(y, p) for y in ys] + [(2 * ys[0], p), (p * ys[1], p)]  # norms divisible by 2 and by p
+    basis = _basis()
     in_group = 0
     for x, p in cases:
         actor = GaloisActor.build(x, p)
-        h = h_map(reflex_norm(x))
-        assert (actor.h_matrix == h).all() and all(type(v) is int for v in actor.h_matrix.flat)
+        h = actor.h_matrix
+        assert all(type(v) is int for v in h.flat)
+        # the definition of h, in CycloElem arithmetic: r xi_j = sum_k h[j, k] xi_k for r = x sigma_3(x)
+        r = x * x.galois(3)
+        for j, xj in enumerate(basis):
+            assert r * xj == sum((h[j, k] * xk for k, xk in enumerate(basis)), CycloElem(5, [0]))
         assert actor.nu == g_group_multiplier(h, 2 * p * p)
         assert actor.norm == field_norm(x) and type(actor.norm) is int
         in_group += actor.in_group
@@ -276,6 +282,7 @@ def test_actor_build_matches_definitional_composition():
 
 
 def test_actor_reads_h_once(monkeypatch):
+    # build reads h(phi*(x)) straight off the Z-linear table as Python ints; act and belong read those
     calls = []
 
     def counted(m):
@@ -285,13 +292,59 @@ def test_actor_reads_h_once(monkeypatch):
     monkeypatch.setattr(symplectic, "intmat", counted)
     chi = Characteristic.from_den([1, 2], [3, 4], 5)
     for x in standard_actors(5):
-        calls.clear()
         actor = GaloisActor.build(x, 5)
-        assert len(calls) == 1
         for _ in range(3):
             actor.act(chi)
         actor.belong()
-        assert len(calls) == 1
+    assert calls == []
+
+
+def test_shared_actor_is_built_once_per_x_and_p(monkeypatch):
+    built = []
+    build = GaloisActor.build.__func__
+    monkeypatch.setattr(GaloisActor, "build", classmethod(lambda cls, x, p: built.append((x, p)) or build(cls, x, p)))
+    monkeypatch.setattr(cmfield, "_actors", {})
+    x1, x2 = standard_actors(5)
+    first = shared_actor(x1, 5)
+    assert shared_actor(1 + 10 * ZETA, 5) is first  # an equal x that is another object
+    assert shared_actor(x2, 5) is not first
+    assert built == [(x1, 5), (x2, 5)]
+    with pytest.raises(ValueError, match="odd prime"):
+        shared_actor(x1, 9)
+    assert len(cmfield._actors) == 2  # a failed build is not kept
+
+
+def test_shared_actor_is_per_prime(monkeypatch):
+    monkeypatch.setattr(cmfield, "_actors", {})
+    x = standard_actors(3)[0]  # 1 + 6 zeta, of norm 1111
+    a3, a7 = shared_actor(x, 3), shared_actor(x, 7)
+    assert a3 is not a7 and (a3.p, a7.p) == (3, 7)
+    assert a3.nu == GaloisActor.build(x, 3).nu == 13 and a7.nu == GaloisActor.build(x, 7).nu == 33
+    assert shared_actor(x, 3) is a3
+
+
+def test_shared_actor_keeps_the_most_recently_used(monkeypatch):
+    monkeypatch.setattr(cmfield, "_actors", {})
+    size = cmfield._ACTOR_CACHE_SIZE
+    xs = [1 + 2 * k * ZETA for k in range(size + 1)]
+    first = shared_actor(xs[0], 3)
+    for x in xs[1:size]:
+        shared_actor(x, 3)
+    assert shared_actor(xs[0], 3) is first  # a hit makes xs[0] the most recent, so xs[1] is next out
+    shared_actor(xs[size], 3)
+    assert len(cmfield._actors) == size
+    assert (xs[0], 3) in cmfield._actors and (xs[1], 3) not in cmfield._actors
+
+
+def test_artin_action_matches_a_fresh_actor_on_hits_and_misses(monkeypatch):
+    monkeypatch.setattr(cmfield, "_actors", {})
+    rng = np.random.default_rng(61)
+    for p in (3, 5, 7):
+        for x in (*standard_actors(p), 1 + 42 * ZETA):
+            for _ in range(2):  # a miss, then a hit
+                chi = Characteristic.from_den(*(list(map(int, rng.integers(0, p, 2))) for _ in range(2)), p)
+                assert artin_action(x, p, chi) == GaloisActor.build(x, p).act(chi)
+    assert len(cmfield._actors) == 9
 
 
 def test_belong_worked_examples():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cmtheta import harness
+from cmtheta import cmfield, harness
 from cmtheta.cmfield import GaloisActor, standard_actors
 from cmtheta.exact import CycloElem
 from cmtheta.harness import SUITE_NAMES, ConfigError, HarnessEnv, Report, SuiteConfig, run_suite
@@ -135,13 +135,14 @@ def test_artin_closed_form_builds_one_actor_per_prime_and_actor(monkeypatch):
         return build(cls, x, p)
 
     monkeypatch.setattr(GaloisActor, "build", classmethod(counted))
+    monkeypatch.setattr(cmfield, "_actors", {})  # no actor left from earlier tests
     ok, *_ = harness.check_artin_closed_form(HarnessEnv(SuiteConfig(primes=(3, 5, 7, 11, 13))))
     assert ok
     assert sorted(built) == [3, 3, 5, 5, 7, 7, 11, 11, 13, 13]
 
 
 def test_verify_builds_each_standard_actor_once(monkeypatch):
-    # reflex-congruences and artin-closed-form share the actors through HarnessEnv
+    # reflex-congruences and artin-closed-form share the actors through cmfield.shared_actor
     build = GaloisActor.build.__func__
     built = []
 
@@ -150,6 +151,7 @@ def test_verify_builds_each_standard_actor_once(monkeypatch):
         return build(cls, x, p)
 
     monkeypatch.setattr(GaloisActor, "build", classmethod(counted))
+    monkeypatch.setattr(cmfield, "_actors", {})
     primes = (3, 5, 7, 11, 13)
     report, code = run_suite(SuiteConfig(primes=primes, suites=("cm",)))
     assert code == 0

@@ -224,6 +224,13 @@ def test_translation_by_integers():
     assert abs(lhs - rhs) < 1e-12
 
 
+def test_s_too_large_for_a_float_is_a_value_error():
+    # theta_eval sums [r; s] as given, so an s past the float range is refused, not an OverflowError
+    chi = Characteristic.make([0, 0], [10**400, 0])
+    with pytest.raises(ValueError, match="s entry too large for a float"):
+        theta_eval(np.eye(2) * 1j, chi)
+
+
 def test_reduce_phase_value():
     chi = Characteristic.make([F(1, 4) + 1, F(3, 4)], [F(1, 2), F(1, 4)])
     reduced, phase = chi.reduce()
