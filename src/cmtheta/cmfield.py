@@ -20,13 +20,9 @@ from .symplectic import SiegelPoint, _g_multiplier, _similitude
 from .theta import Characteristic, DEFAULT_SETTINGS, EvalSettings, phi_eval, theta_null
 
 
-def _zeta() -> CycloElem:
-    return CycloElem.zeta(5)
-
-
-def _basis() -> list[CycloElem]:
-    z = _zeta()
-    return [z**2, z**4, z, z + z**3]
+_ZETA = CycloElem.zeta(5)
+_BASIS = (_ZETA**2, _ZETA**4, _ZETA, _ZETA + _ZETA**3)  # the CM basis xi_1..xi_4
+_XI = (_ZETA - _ZETA**4) / 5  # the xi of riemann_form
 
 
 def _require_q5(x: CycloElem) -> None:
@@ -68,12 +64,11 @@ def reflex_norm(x: CycloElem) -> CycloElem:
 @lru_cache(maxsize=None)
 def _h_table() -> tuple[tuple[int, ...], ...]:
     # column-major: entry 4k + j lists h(zeta^i)[j, k] for i = 0..3, by exact solves on the CM basis
-    basis = _basis()
-    bmat = [[basis[k].coeffs[i] for k in range(4)] for i in range(4)]
+    bmat = [[_BASIS[k].coeffs[i] for k in range(4)] for i in range(4)]
     hs = []
     for i in range(4):
         zi = CycloElem.zeta(5, i)
-        hs.append([solve_exact(bmat, list((zi * xj).coeffs)) for xj in basis])
+        hs.append([solve_exact(bmat, list((zi * xj).coeffs)) for xj in _BASIS])
     return tuple(tuple(int(h[j][k]) for h in hs) for k in range(4) for j in range(4))
 
 
@@ -103,9 +98,7 @@ def h_map(x: CycloElem) -> np.ndarray:
 
 def riemann_form(x: CycloElem, y: CycloElem) -> Fraction:
     """E(Phi(x), Phi(y)) = Tr_{K/Q}(xi * x * conj(y)) with xi = (zeta - zeta^4)/5, exact."""
-    z = _zeta()
-    xi = (z - z**4) / 5
-    return orbit_sum(xi * x * y.galois(4), (1, 2, 3, 4)).rational_value()
+    return orbit_sum(_XI * x * y.galois(4), (1, 2, 3, 4)).rational_value()
 
 
 @dataclass(frozen=True)
@@ -121,11 +114,10 @@ class CMContext:
 
 
 def build_context(settings: EvalSettings = DEFAULT_SETTINGS) -> CMContext:
-    basis = _basis()
-    omega = np.array([[b.embed(t) for b in basis] for t in (1, 2)])
+    omega = np.array([[b.embed(t) for b in _BASIS] for t in (1, 2)])
     w1, w2 = omega[:, :2], omega[:, 2:]
     z0 = SiegelPoint(np.linalg.solve(w2, w1))
-    return CMContext(basis=tuple(basis), z0=z0, settings=settings, null0=theta_null(z0, settings))
+    return CMContext(basis=_BASIS, z0=z0, settings=settings, null0=theta_null(z0, settings))
 
 
 def is_odd_prime(p: int) -> bool:
@@ -196,22 +188,13 @@ class GaloisActor:
 
 def standard_actors(p: int) -> tuple[CycloElem, CycloElem]:
     """The two distinguished actors x_1 = 1 + 2p zeta, x_2 = 1 + 2p(z^2 - z^3 + z^4)."""
-    z = _zeta()
-    return 1 + 2 * p * z, 1 + 2 * p * (z**2 - z**3 + z**4)
+    return 1 + 2 * p * _ZETA, 1 + 2 * p * (_ZETA**2 - _ZETA**3 + _ZETA**4)
 
 
-_ACTOR_CACHE_SIZE = 64  # artin_action and verify reuse the two standard actors of each prime; 64 holds 32 primes
-_actors: dict = {}  # (x, p) -> GaloisActor, least recently used first
-
-
+@lru_cache(maxsize=64)  # artin_action and verify reuse the two standard actors of each prime; 64 holds 32 primes
 def shared_actor(x: CycloElem, p: int) -> GaloisActor:
-    """GaloisActor.build(x, p), built once while (x, p) is among the _ACTOR_CACHE_SIZE most recently used."""
-    key = (x, p)
-    actor = _actors.pop(key, None) or GaloisActor.build(x, p)
-    _actors[key] = actor
-    if len(_actors) > _ACTOR_CACHE_SIZE:
-        del _actors[next(iter(_actors))]
-    return actor
+    """GaloisActor.build(x, p), kept while (x, p) is among the 64 most recently used; cache_info() counts the hits."""
+    return GaloisActor.build(x, p)
 
 
 def artin_action(x: CycloElem, p: int, chi: Characteristic) -> ActionResult:

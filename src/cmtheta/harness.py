@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -108,15 +108,7 @@ class Report:
             "theta_tol": sig(self.config.theta_tol),
             "suites": list(self.config.suites),
             "checks": [
-                {
-                    "name": r.name,
-                    "suite": r.suite,
-                    "status": r.status,
-                    "measured": sig(r.measured),
-                    "tolerance": sig(r.tolerance),
-                    "runtime_s": sig(r.runtime_s),
-                    "detail": r.detail,
-                }
+                {**asdict(r), "measured": sig(r.measured), "tolerance": sig(r.tolerance), "runtime_s": sig(r.runtime_s)}
                 for r in self.records
             ],
             "counts": {
@@ -316,7 +308,9 @@ def check_conjugation(env: HarnessEnv):
         den = int(rng.integers(0, 2)) + 3  # 3 or 4
         chi = _random_char(rng, den, exclude_sigma=False)
         lhs = env.ctx.phi(chi).conjugate()
-        rhs = phi_eval(Characteristic.make(chi.r, [-v for v in chi.s]), zbar, env.settings)
+        # [r; -s] summed reduced, times its exact phase: not the bitwise mirror of the left side, so theta errors show
+        red, phase = Characteristic.make(chi.r, [-v for v in chi.s]).reduce()
+        rhs = phase.value() * phi_eval(red, zbar, env.settings)
         worst = max(worst, abs(lhs - rhs))
     return worst < env.config.tol_numeric, worst, env.config.tol_numeric, "conj(Phi_[r;s](Z0)) = Phi_[r;-s](-conj(Z0))"
 

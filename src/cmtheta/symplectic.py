@@ -184,6 +184,8 @@ class SiegelPoint:
         z = np.asarray(mat, dtype=complex)
         if z.ndim != 2 or z.shape[0] != z.shape[1]:
             raise ValueError("Siegel point must be a square matrix")
+        if not np.isfinite(z).all():
+            raise ValueError("Siegel point has a non-finite entry")
         defect = np.abs(z - z.T).max()
         if defect > 1e-9 * max(1.0, np.abs(z).max()):
             raise ValueError(f"matrix is not symmetric (defect {defect:.3g})")
@@ -204,8 +206,10 @@ class SiegelPoint:
 def act_siegel(m, z) -> SiegelPoint:
     """gamma(Z) = (AZ + B)(CZ + D)^{-1} for gamma in GSp_2g^+; CZ + D must have rcond >= 1e-10."""
     zp = z.mat if isinstance(z, SiegelPoint) else np.asarray(z, dtype=complex)
-    m = intmat(m)
-    a, b, c, d = (blk.astype(float) for blk in blocks(m))
+    try:
+        a, b, c, d = (blk.astype(float) for blk in blocks(intmat(m)))
+    except OverflowError:
+        raise ValueError("matrix has an entry too large for a float") from None
     den = c @ zp + d
     sv = np.linalg.svd(den, compute_uv=False)
     if sv.min() / sv.max() < 1e-10:

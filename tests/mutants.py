@@ -175,12 +175,22 @@ CAUGHT = [
             "tests/test_cmfield.py::test_actor_build_matches_definitional_composition",
         ],
     ),
-    # shared actors keyed on x alone: x at a second prime gets the actor of the first
+    # shared_actor caching nothing: every call builds its actor again
     (
         CMFIELD,
-        "key = (x, p)",
-        "key = x",
-        ["tests/test_cmfield.py::test_shared_actor_is_per_prime"],
+        "@lru_cache(maxsize=64)",
+        "@lru_cache(maxsize=0)",
+        ["tests/test_cmfield.py::test_shared_actor_is_built_once_per_x_and_p"],
+    ),
+    # the Riemann form through zeta^2 - zeta^3 in place of xi's zeta - zeta^4
+    (
+        CMFIELD,
+        "_XI = (_ZETA - _ZETA**4) / 5",
+        "_XI = (_ZETA**2 - _ZETA**3) / 5",
+        [
+            "tests/test_cmfield.py::test_riemann_form_is_standard",
+            "tests/test_acceptance.py::test_riemann_form_on_cm_basis_is_standard_symplectic",
+        ],
     ),
     # the factored theta sum without its constant factor e^const
     (
@@ -188,6 +198,13 @@ CAUGHT = [
         "return complex(total) * cmath.exp(const)",
         "return complex(total)",
         ["tests/test_theta.py::test_summation_paths_agree"],
+    ),
+    # each axis exponent t_j scaled by 1.01: the conjugate side at [r; -s] reduced no longer mirrors the error
+    (
+        THETA,
+        "(2j * math.pi * t[j])",
+        "(2j * math.pi * t[j] * 1.01)",
+        ["tests/test_acceptance.py::test_conjugation_symmetry_at_cm_point"],
     ),
     # the axes contracted in the wrong order
     (

@@ -6,11 +6,11 @@ from operator import mul
 import numpy as np
 import pytest
 
-from cmtheta import cmfield, symplectic
+from cmtheta import symplectic
 from cmtheta.action import ActionResult, act_phi
 from cmtheta.cmfield import (
     GaloisActor,
-    _basis,
+    _BASIS,
     artin_action,
     belong_criterion,
     closed_phase,
@@ -52,9 +52,8 @@ def test_h_map_reference():
 
 def _h_map_by_solves(x):
     # the defining solve: row j of h(x) holds the CM-basis coordinates of x * xi_j
-    basis = _basis()
-    bmat = [[basis[k].coeffs[i] for k in range(4)] for i in range(4)]
-    return [solve_exact(bmat, list((x * xj).coeffs)) for xj in basis]
+    bmat = [[_BASIS[k].coeffs[i] for k in range(4)] for i in range(4)]
+    return [solve_exact(bmat, list((x * xj).coeffs)) for xj in _BASIS]
 
 
 def test_h_map_matches_solve_definition():
@@ -265,7 +264,6 @@ def test_actor_build_matches_definitional_composition():
         ys = [CycloElem(5, [int(v) for v in rng.integers(-30, 31, 5)]) for _ in range(3)]
         cases += [(CycloElem(5, [0] * 5), p), *((x, p) for x in standard_actors(p))]
         cases += [(y, p) for y in ys] + [(2 * ys[0], p), (p * ys[1], p)]  # norms divisible by 2 and by p
-    basis = _basis()
     in_group = 0
     for x, p in cases:
         actor = GaloisActor.build(x, p)
@@ -273,8 +271,8 @@ def test_actor_build_matches_definitional_composition():
         assert all(type(v) is int for v in h.flat)
         # the definition of h, in CycloElem arithmetic: r xi_j = sum_k h[j, k] xi_k for r = x sigma_3(x)
         r = x * x.galois(3)
-        for j, xj in enumerate(basis):
-            assert r * xj == sum((h[j, k] * xk for k, xk in enumerate(basis)), CycloElem(5, [0]))
+        for j, xj in enumerate(_BASIS):
+            assert r * xj == sum((h[j, k] * xk for k, xk in enumerate(_BASIS)), CycloElem(5, [0]))
         assert actor.nu == g_group_multiplier(h, 2 * p * p)
         assert actor.norm == field_norm(x) and type(actor.norm) is int
         in_group += actor.in_group
@@ -299,11 +297,18 @@ def test_actor_reads_h_once(monkeypatch):
     assert calls == []
 
 
-def test_shared_actor_is_built_once_per_x_and_p(monkeypatch):
+@pytest.fixture
+def fresh_actors():
+    """shared_actor emptied before and after the test, so its counts are the test's own."""
+    shared_actor.cache_clear()
+    yield
+    shared_actor.cache_clear()
+
+
+def test_shared_actor_is_built_once_per_x_and_p(monkeypatch, fresh_actors):
     built = []
     build = GaloisActor.build.__func__
     monkeypatch.setattr(GaloisActor, "build", classmethod(lambda cls, x, p: built.append((x, p)) or build(cls, x, p)))
-    monkeypatch.setattr(cmfield, "_actors", {})
     x1, x2 = standard_actors(5)
     first = shared_actor(x1, 5)
     assert shared_actor(1 + 10 * ZETA, 5) is first  # an equal x that is another object
@@ -311,11 +316,10 @@ def test_shared_actor_is_built_once_per_x_and_p(monkeypatch):
     assert built == [(x1, 5), (x2, 5)]
     with pytest.raises(ValueError, match="odd prime"):
         shared_actor(x1, 9)
-    assert len(cmfield._actors) == 2  # a failed build is not kept
+    assert shared_actor.cache_info().currsize == 2  # a failed build is not kept
 
 
-def test_shared_actor_is_per_prime(monkeypatch):
-    monkeypatch.setattr(cmfield, "_actors", {})
+def test_shared_actor_is_per_prime(fresh_actors):
     x = standard_actors(3)[0]  # 1 + 6 zeta, of norm 1111
     a3, a7 = shared_actor(x, 3), shared_actor(x, 7)
     assert a3 is not a7 and (a3.p, a7.p) == (3, 7)
@@ -323,28 +327,43 @@ def test_shared_actor_is_per_prime(monkeypatch):
     assert shared_actor(x, 3) is a3
 
 
-def test_shared_actor_keeps_the_most_recently_used(monkeypatch):
-    monkeypatch.setattr(cmfield, "_actors", {})
-    size = cmfield._ACTOR_CACHE_SIZE
+def test_shared_actor_keeps_the_most_recently_used(fresh_actors):
+    size = shared_actor.cache_info().maxsize
     xs = [1 + 2 * k * ZETA for k in range(size + 1)]
     first = shared_actor(xs[0], 3)
     for x in xs[1:size]:
         shared_actor(x, 3)
     assert shared_actor(xs[0], 3) is first  # a hit makes xs[0] the most recent, so xs[1] is next out
     shared_actor(xs[size], 3)
-    assert len(cmfield._actors) == size
-    assert (xs[0], 3) in cmfield._actors and (xs[1], 3) not in cmfield._actors
+    assert shared_actor.cache_info()[:] == (1, size + 1, size, size)  # hits, misses, maxsize, currsize
+    assert shared_actor(xs[0], 3) is first
+    assert shared_actor.cache_info().hits == 2
+    shared_actor(xs[1], 3)
+    assert shared_actor.cache_info().misses == size + 2
 
 
-def test_artin_action_matches_a_fresh_actor_on_hits_and_misses(monkeypatch):
-    monkeypatch.setattr(cmfield, "_actors", {})
+def test_artin_action_matches_a_fresh_actor_on_hits_and_misses(fresh_actors):
     rng = np.random.default_rng(61)
     for p in (3, 5, 7):
         for x in (*standard_actors(p), 1 + 42 * ZETA):
             for _ in range(2):  # a miss, then a hit
                 chi = Characteristic.from_den(*(list(map(int, rng.integers(0, p, 2))) for _ in range(2)), p)
                 assert artin_action(x, p, chi) == GaloisActor.build(x, p).act(chi)
-    assert len(cmfield._actors) == 9
+    assert shared_actor.cache_info()[:] == (9, 9, 64, 9)
+
+
+def test_artin_action_reuses_the_standard_actors(fresh_actors):
+    # the reuse the artin workload relies on: N calls on 10 standard actors build each once
+    rng = np.random.default_rng(67)
+    calls = 0
+    for p in (3, 5, 7, 11, 13):
+        for which, x in enumerate(standard_actors(p), 1):
+            for _ in range(8):
+                chi = Characteristic.from_den(*(list(map(int, rng.integers(0, p, 2))) for _ in range(2)), p)
+                assert artin_action(x, p, chi) == ActionResult(closed_phase(which, chi, p), chi)
+                calls += 1
+    assert shared_actor.cache_info().hits == calls - 10
+    assert shared_actor.cache_info().misses == 10
 
 
 def test_belong_worked_examples():

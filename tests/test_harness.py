@@ -135,7 +135,7 @@ def test_artin_closed_form_builds_one_actor_per_prime_and_actor(monkeypatch):
         return build(cls, x, p)
 
     monkeypatch.setattr(GaloisActor, "build", classmethod(counted))
-    monkeypatch.setattr(cmfield, "_actors", {})  # no actor left from earlier tests
+    cmfield.shared_actor.cache_clear()  # no actor left from earlier tests
     ok, *_ = harness.check_artin_closed_form(HarnessEnv(SuiteConfig(primes=(3, 5, 7, 11, 13))))
     assert ok
     assert sorted(built) == [3, 3, 5, 5, 7, 7, 11, 11, 13, 13]
@@ -151,7 +151,7 @@ def test_verify_builds_each_standard_actor_once(monkeypatch):
         return build(cls, x, p)
 
     monkeypatch.setattr(GaloisActor, "build", classmethod(counted))
-    monkeypatch.setattr(cmfield, "_actors", {})
+    cmfield.shared_actor.cache_clear()
     primes = (3, 5, 7, 11, 13)
     report, code = run_suite(SuiteConfig(primes=primes, suites=("cm",)))
     assert code == 0

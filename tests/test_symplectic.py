@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf, nan
 
 import numpy as np
 import pytest
@@ -150,6 +150,20 @@ def test_siegel_point_validation():
     m = np.eye(2) * 1j + np.array([[0, 1e-13], [0, 0]])
     z = SiegelPoint(m)
     assert np.allclose(z.mat, z.mat.T)
+
+
+@pytest.mark.parametrize("bad", [complex(0, inf), complex(nan, 1)])
+def test_siegel_point_rejects_non_finite_entries(bad):
+    # an inf once met the symmetry test as inf - inf (a RuntimeWarning) and then failed as "min eig -0"
+    with pytest.raises(ValueError, match="non-finite entry"):
+        SiegelPoint([[bad, 0], [0, 1j]])
+
+
+def test_act_siegel_rejects_entries_too_large_for_a_float():
+    m = identity(4)
+    m[0, 1] = 10**400
+    with pytest.raises(ValueError, match="too large for a float"):
+        act_siegel(m, 1j * np.eye(2))
 
 
 def test_siegel_point_matrix_is_read_only():
