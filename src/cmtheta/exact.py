@@ -196,8 +196,7 @@ class CycloElem:
         """Exact inverse: the product of the other Galois conjugates over the norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        rest = orbit_product(self, unit_residues(self.n)[1:])
-        return rest * (1 / (self * rest).rational_value())
+        return orbit_inverse(self, unit_residues(self.n)[1:])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -291,6 +290,12 @@ def orbit_product(a: CycloElem, residues) -> CycloElem:
     for t in residues:
         total = total * a.galois(t)
     return total
+
+
+def orbit_inverse(a: CycloElem, others) -> CycloElem:
+    """a^-1 for nonzero a, where a times the product of sigma_t(a) over `others` is rational."""
+    rest = orbit_product(a, others)
+    return rest * (1 / (a * rest).rational_value())
 
 
 def is_subgroup(n: int, residues) -> bool:

@@ -670,9 +670,12 @@ def check_random_towers(env: HarnessEnv):
         ne, me = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         eps2 = combine_norm(tower, ca, cb, cc, cd, ne, me)
         ok &= is_primitive(eps2, tower)
+        # a x + b and N_{L/K(x)}((c y + d)^m) lie in K(x), so the relative norm keeps only (a x + b)^(n ell)
+        ok &= tower.norm_mid(eps2) == (ca * tower.x + cb) ** (ne * tower.ell)
     if built < 20:
         raise RuntimeError(f"only {built} towers of degree > 1 in 200 draws")
-    return ok, None, None, "20 randomized cyclotomic towers: combinator outputs primitive, exact"
+    detail = "20 randomized cyclotomic towers: combinator outputs primitive, relative trace and norm identities exact"
+    return ok, None, None, detail
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import CycloElem, is_subgroup, orbit_product, orbit_sum
+from .exact import CycloElem, is_subgroup, orbit_inverse, orbit_product, orbit_sum, unit_residues
 
 
 def subgroup_generated(n: int, gens) -> frozenset[int]:
@@ -33,8 +33,37 @@ def subgroup_generated(n: int, gens) -> frozenset[int]:
 
 
 def stabilizer(a: CycloElem, within) -> frozenset[int]:
-    """Elements of `within` whose Galois action fixes a."""
-    return frozenset(t for t in within if a.galois(t) == a)
+    """Elements of `within` whose Galois action fixes a.
+
+    Stab(a) is a subgroup of (Z/n)^*, so each residue is tested at most once:
+    `fixed` is a subgroup known to fix a and `moved` a union of its cosets known
+    to move a.  Neither holds a non-unit, so sigma_t of a non-unit t is always
+    applied, and raises.
+    """
+    n = a.n
+    within = tuple(within)
+    fixed, moved, gens = {1}, set(), []
+    for t in within:
+        r = t % n
+        if r in fixed or r in moved:
+            continue
+        if a.galois(r) == a:
+            gens.append(r)
+            fixed = subgroup_generated(n, gens)
+            moved = {(m * f) % n for m in moved for f in fixed}
+        else:
+            moved |= {(r * f) % n for f in fixed}
+    return frozenset(t for t in within if t % n in fixed)
+
+
+def _coset_reps(n: int, group, sub) -> list[int]:
+    """The smallest residue of each coset of sub in group, in increasing order, so 1 comes first."""
+    reps, covered = [], set()
+    for t in sorted(group):
+        if t not in covered:
+            reps.append(t)
+            covered |= {(t * h) % n for h in sub}
+    return reps
 
 
 @dataclass(frozen=True)
@@ -76,12 +105,12 @@ class AbelianTower:
         return len(self.base_h) // len(self.fixer_l)
 
     def _reps(self) -> list[int]:
-        reps, covered = [], set()
-        for t in sorted(self.mid_h):
-            if t not in covered:
-                reps.append(t)
-                covered |= {(t * h) % self.conductor for h in self.fixer_l}
-        return reps
+        """Representatives of Gal(L/K(x)), the identity first."""
+        return _coset_reps(self.conductor, self.mid_h, self.fixer_l)
+
+    def _inverse_in_l(self, e: CycloElem) -> CycloElem:
+        """e^-1 for nonzero e in L, from its [L:Q] - 1 other conjugates, one per coset of fixer_l in (Z/n)^*."""
+        return orbit_inverse(e, _coset_reps(self.conductor, unit_residues(self.conductor), self.fixer_l)[1:])
 
     def _require_in_l(self, e: CycloElem) -> None:
         if stabilizer(e, self.fixer_l) != self.fixer_l:
@@ -117,7 +146,8 @@ def combine_trace(t: AbelianTower, a, b) -> CycloElem:
     b = CycloElem.from_rational(t.conductor, b) if isinstance(b, (int, Fraction)) else b.lift(t.conductor)
     if a.is_zero() or b.is_zero():
         raise ValueError("coefficients must be nonzero")
-    if stabilizer(a, t.base_h) != t.base_h or stabilizer(b, t.base_h) != t.base_h:
+    # Q lies in K, so only an irrational coefficient needs its stabilizer
+    if any(not c.is_rational() and stabilizer(c, t.base_h) != t.base_h for c in (a, b)):
         raise ValueError("a and b must lie in the base field")
     return a * t.x + b * (t.ell * t.y - t.trace_mid(t.y))
 
@@ -136,4 +166,10 @@ def combine_norm(t: AbelianTower, a: int, b: int, c: int, d: int, n: int = 1, m:
         raise ValueError("x and y must be integral")
     ax_b = a * t.x + b
     cy_d = c * t.y + d
-    return ax_b**n * cy_d ** (-m * t.ell) * t.norm_mid(cy_d**m)
+    # N_{L/K(x)}(u) = u * (the other conjugates of u), so u^-ell N(u) = u^(1 - ell) * (the others)
+    u = cy_d**m if m > 0 else t._inverse_in_l(cy_d) ** -m
+    t._require_in_l(u)
+    eps = orbit_product(u, t._reps()[1:])
+    if t.ell > 1:
+        eps = eps * t._inverse_in_l(u) ** (t.ell - 1)
+    return (ax_b**n if n > 0 else t._inverse_in_l(ax_b) ** -n) * eps

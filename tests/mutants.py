@@ -33,6 +33,7 @@ WORKERS = min(2, os.cpu_count() or 1)  # pytest subprocesses at a time
 MODULARITY, THETA = "src/cmtheta/modularity.py", "src/cmtheta/theta.py"
 CMFIELD, EXACT = "src/cmtheta/cmfield.py", "src/cmtheta/exact.py"
 SYMPLECTIC, CLI = "src/cmtheta/symplectic.py", "src/cmtheta/cli.py"
+PRIMGEN = "src/cmtheta/primgen.py"
 
 CAUGHT = [
     # gamma_multiplier without the n a.b term of X
@@ -265,6 +266,30 @@ CAUGHT = [
         "    red, phase = chi.reduce()\n    theta = phase.value() * theta_eval(z, red, settings)\n",
         "    theta = theta_eval(z, chi, settings)\n",
         ["tests/test_cli.py::test_theta_reduces_a_huge_characteristic_exactly"],
+    ),
+    # the stabilizer's moved cosets not widened when the fixing subgroup grows: residues known to move are applied
+    (
+        PRIMGEN,
+        "            moved = {(m * f) % n for m in moved for f in fixed}\n",
+        "",
+        ["tests/test_primgen.py::test_stabilizer_skips_residues_known_to_move"],
+    ),
+    # the norm combinator without its u^(1 - ell) factor: still primitive, but not the combinator
+    (
+        PRIMGEN,
+        "        eps = eps * t._inverse_in_l(u) ** (t.ell - 1)\n",
+        "        pass\n",
+        [
+            "tests/test_primgen.py::test_combine_norm_matches_reference_formula",
+            "tests/test_harness.py::test_primgen_suite_passes",
+        ],
+    ),
+    # the inverse inside L multiplying the identity coset too: e itself among "the others"
+    (
+        PRIMGEN,
+        "self.fixer_l)[1:])",
+        "self.fixer_l))",
+        ["tests/test_primgen.py::test_combine_norm_matches_reference_formula"],
     ),
 ]
 

@@ -19,7 +19,7 @@ from cmtheta.cli import main
 from cmtheta.cmfield import belong_criterion, field_norm
 from cmtheta.exact import CycloElem, _poly_divide_exact, unit_residues
 from cmtheta.modularity import gamma_multiplier
-from cmtheta.primgen import make_tower
+from cmtheta.primgen import make_tower, stabilizer
 from cmtheta.symplectic import identity, intmat, special_gamma
 from cmtheta.theta import Characteristic
 
@@ -71,6 +71,7 @@ def probes(tmp: Path) -> dict:
         "non_symplectic_multiplier": raised(lambda: gamma_multiplier(not_symplectic, half, 2)),
         "level": [raised(lambda: f(upper, half_half, n)) for n in (0, -2) for f in (gamma_multiplier, act_power_family)],
         "tower_membership": [raised(lambda: tower.trace_mid(z8)), raised(lambda: tower.norm_mid(z8))],
+        "stabilizer_non_unit": raised(lambda: stabilizer(CycloElem.from_rational(8, 3), [1, 2])),
         "cli_odd_level": cli(["modularity", str(odd_level)]),
         "cli_even_p": cli(["action", "--x", "1 2 2 0 0", "--p", "4", "--char", "1/4 0 0 0"]),
     }

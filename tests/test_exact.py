@@ -16,6 +16,7 @@ from cmtheta.exact import (
     cyclotomic_coeffs,
     euler_phi,
     is_subgroup,
+    orbit_inverse,
     orbit_product,
     orbit_sum,
     rel_trace_norm,
@@ -64,6 +65,13 @@ def test_inverse_and_division():
     assert a / 2 == a * Fraction(1, 2)
     with pytest.raises(ZeroDivisionError):
         CycloElem.from_rational(7, 0).inverse()
+
+
+def test_orbit_inverse_over_a_subfield():
+    # sqrt(2) = zeta_8 + zeta_8^7 lies in the fixed field of {1, 7}; its one other conjugate is sigma_3
+    z = CycloElem.zeta(8)
+    r2 = z + z**7
+    assert orbit_inverse(r2, [3]) == r2.inverse() == Fraction(1, 2) * r2
 
 
 def test_normalised_representation():

@@ -1,6 +1,9 @@
+import random
+from fractions import Fraction
+
 import pytest
 
-from cmtheta.exact import CycloElem, unit_residues
+from cmtheta.exact import CycloElem, orbit_sum, unit_residues
 from cmtheta.primgen import (
     AbelianTower,
     combine_norm,
@@ -34,6 +37,52 @@ def test_stabilizer():
     assert stabilizer(CycloElem.from_rational(8, 3), units) == frozenset(units)
 
 
+def reference_stabilizer(a, within):
+    return frozenset(t for t in within if a.galois(t) == a)
+
+
+@pytest.mark.parametrize("n", [8, 12, 15, 16, 20, 24, 25])
+def test_stabilizer_matches_definition(n):
+    rng = random.Random(n)
+    units = unit_residues(n)
+    elems = [CycloElem.from_rational(n, 0), CycloElem.from_rational(n, Fraction(-3, 7))]
+    for _ in range(8):
+        sub = subgroup_generated(n, rng.sample(units, rng.randint(0, 2)))
+        elems.append(orbit_sum(CycloElem.zeta(n, rng.randrange(1, n)), sub) + rng.randint(-2, 2))
+    withins = [
+        units,
+        subgroup_generated(n, [rng.choice(units)]),
+        rng.sample(units, len(units) // 2),  # not a subgroup in general
+        [t + n for t in units],  # unreduced residues come back as given
+        rng.sample(units, len(units)),
+    ]
+    for a in elems:
+        for within in withins:
+            assert stabilizer(a, within) == reference_stabilizer(a, within)
+
+
+def test_stabilizer_skips_residues_known_to_move(monkeypatch):
+    # a = zeta_15 + zeta_15^4 is fixed by {1, 4}.  sigma_2 moves a, and once sigma_4 fixes it,
+    # 8 = 2 * 4 lies in the moved coset 2 * {1, 4}: sigma_8 is never applied.
+    applied = []
+    galois = CycloElem.galois
+    monkeypatch.setattr(CycloElem, "galois", lambda self, t: applied.append(t) or galois(self, t))
+    z = CycloElem.zeta(15)
+    assert stabilizer(z + z**4, unit_residues(15)) == frozenset({1, 4})
+    assert applied == [2, 4, 7, 11]
+
+
+def test_stabilizer_rejects_non_units_even_for_rationals():
+    for a in (CycloElem.zeta(8), CycloElem.from_rational(8, 3), CycloElem.from_rational(8, 0)):
+        with pytest.raises(ValueError):
+            stabilizer(a, [1, 3, 2])
+
+
+def test_stabilizer_non_unit_check_survives_optimize_flag(optimized):
+    # stabilizer(3, [1, 2]) in Q(zeta_8)
+    assert optimized["stabilizer_non_unit"] == "ValueError"
+
+
 def test_surrogate_tower_invariants():
     t = surrogate_tower()
     assert t.mid_h == frozenset({1, 7})
@@ -62,6 +111,41 @@ def test_surrogate_norm_combinator():
     assert eps == (3 * t.x + 1) * (3 * t.y + 1) ** -2 * 10
     assert is_primitive(eps, t)
     assert is_primitive(combine_norm(t, 3, 1, 3, 1, n=2, m=1), t)
+
+
+def orbit_tower(n, base_gen, x_gen):
+    """x the orbit sum of zeta_n over <x_gen>, y = zeta_n^3, over the fixed field of <base_gen>."""
+    x = orbit_sum(CycloElem.zeta(n), subgroup_generated(n, [x_gen]))
+    return make_tower(n, subgroup_generated(n, [base_gen]), x, CycloElem.zeta(n, 3))
+
+
+def reference_norm(t, a, b, c, d, n, m):
+    # the combinator as first written, inverting in the whole of Q(zeta_n)
+    return (a * t.x + b) ** n * (c * t.y + d) ** (-m * t.ell) * t.norm_mid((c * t.y + d) ** m)
+
+
+def test_reps_start_at_the_identity():
+    towers = [surrogate_tower(), orbit_tower(12, 5, 1), orbit_tower(15, 2, 2), orbit_tower(20, 13, 3)]
+    for t in towers:
+        reps = t._reps()
+        assert reps[0] == 1 and len(reps) == t.ell
+
+
+def test_combine_norm_matches_reference_formula():
+    towers = [
+        surrogate_tower(),
+        orbit_tower(12, 5, 1),
+        orbit_tower(15, 2, 1),
+        orbit_tower(15, 2, 2),
+        orbit_tower(16, 3, 3),
+        orbit_tower(20, 13, 3),
+    ]
+    assert sorted({t.ell for t in towers}) == [1, 2, 4]
+    for t in towers:
+        for coeffs in ((3, 1, 5, 2), (-7, 3, 3, -1)):
+            for n in (-2, -1, 1, 2):
+                for m in (-2, -1, 1, 2):
+                    assert combine_norm(t, *coeffs, n, m) == reference_norm(t, *coeffs, n, m)
 
 
 def test_combine_trace_validation():
