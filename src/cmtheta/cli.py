@@ -104,7 +104,8 @@ def main(argv=None) -> int:
 
     v = sub.add_parser("verify", help="run the verification suites and emit a JSON report")
     v.add_argument("--p", type=int, nargs="+", default=[3, 5, 7], metavar="P", help="odd primes for the CM checks")
-    v.add_argument("--tol", type=float, default=1e-8, help="numeric comparison tolerance")
+    four = "conjugation-at-cm-point, passing-family-invariance, multiplier-cross-validation and reality-locus"
+    v.add_argument("--tol", type=float, default=1e-8, help=f"tolerance of {four}; other checks are fixed or exact")
     v.add_argument("--theta-tol", type=float, default=1e-12, help="absolute theta-series tolerance")
     v.add_argument("--seed", type=int, default=20260815, help="PRNG seed for the randomized checks")
     v.add_argument("--suite", nargs="+", choices=SUITE_NAMES, default=list(SUITE_NAMES), help="suites to run")

@@ -10,7 +10,8 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 
 def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
@@ -209,13 +210,11 @@ class CycloElem:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        result = CycloElem.from_rational(self.n, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        result = self if k else CycloElem.from_rational(self.n, 1)
+        for bit in bin(k)[3:]:  # the bits after the leading one, most significant first
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other):
@@ -286,10 +285,9 @@ def orbit_sum(a: CycloElem, residues) -> CycloElem:
 
 
 def orbit_product(a: CycloElem, residues) -> CycloElem:
-    total = CycloElem.from_rational(a.n, 1)
-    for t in residues:
-        total = total * a.galois(t)
-    return total
+    """Product of sigma_t(a) over t in residues, with one product fewer than there are residues; 1 for none."""
+    conjugates = [a.galois(t) for t in residues]
+    return reduce(mul, conjugates) if conjugates else CycloElem.from_rational(a.n, 1)
 
 
 def orbit_inverse(a: CycloElem, others) -> CycloElem:

@@ -12,7 +12,9 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import product
+from operator import matmul
 
 import numpy as np
 
@@ -111,10 +113,7 @@ class Report:
                 {**asdict(r), "measured": sig(r.measured), "tolerance": sig(r.tolerance), "runtime_s": sig(r.runtime_s)}
                 for r in self.records
             ],
-            "counts": {
-                "pass": sum(r.status == "pass" for r in self.records),
-                "fail": sum(r.status == "fail" for r in self.records),
-            },
+            "counts": {status: sum(r.status == status for r in self.records) for status in ("pass", "fail")},
             "passed": self.passed,
         }
         return json.dumps(payload, indent=2)
@@ -134,6 +133,36 @@ class HarnessEnv:
 
 # ---------------------------------------------------------------------------
 # helpers
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """What one check measured, made by `_within`, `_above` or `_exact`; only `run_suite` turns it into a status."""
+
+    passed: bool
+    measured: float | None
+    tolerance: float | None
+    detail: str
+
+
+def _within(worst, tol: float, detail: str) -> Outcome:
+    return Outcome(worst < tol, float(worst), tol, detail)
+
+
+def _above(value, floor: float, detail: str) -> Outcome:
+    return Outcome(value > floor, float(value), floor, detail)
+
+
+def _exact(failures: list, detail: str) -> Outcome:
+    """Passes when no case failed; a failure names the count and the first failing case."""
+    if failures:
+        detail += f"; {len(failures)} failing, first: {failures[0]}"
+    return Outcome(not failures, None, None, detail)
+
+
+def _failing(cases: dict) -> list:
+    """The labels of the cases (label -> holds) that do not hold."""
+    return [label for label, holds in cases.items() if not holds]
 
 
 def _rng(env: HarnessEnv, salt: int) -> np.random.Generator:
@@ -183,10 +212,7 @@ def _guarded_phis(env, chis, z, null_floor: float, band=(0.0, math.inf)):
 
 def _power_product(terms, phis) -> complex:
     """prod_i phis[i]^m_i over the (chi, m) terms of a family."""
-    value = 1 + 0j
-    for (_, m), v in zip(terms, phis):
-        value *= v**m
-    return value
+    return math.prod(v**m for (_, m), v in zip(terms, phis))
 
 
 def _random_passing_family(rng, n: int) -> ThetaProduct:
@@ -222,9 +248,8 @@ def _random_failing_family(rng, n: int):
         for kind in ("upper", "lower", "mixed"):
             for j, k in ((1, 1), (2, 2), (1, 2)):
                 gam = special_gamma(kind, j, k, n)
-                mult = gamma_multiplier(gam, prod, n)
-                if mult != RootOfUnity.one():
-                    return prod, gam, mult
+                if gamma_multiplier(gam, prod, n) != RootOfUnity.one():
+                    return prod, gam
         # no witness among the distinguished generators (possible but rare); resample
     raise RuntimeError("no failing family with a generator witness in 32 draws")
 
@@ -249,8 +274,7 @@ def _family_value_guarded(rng, env, prod, factor_band, value_band, tries: int = 
 def check_theta_reference(env: HarnessEnv):
     val = theta_eval(np.eye(2) * 1j, zero_char(2), env.settings)
     ref = 1.1803405990160964  # (pi^(1/4) / Gamma(3/4))^2
-    measured = abs(val - ref)
-    return measured < 1e-10, measured, 1e-10, "theta null at iI2 vs closed-form reference"
+    return _within(abs(val - ref), 1e-10, "theta null at iI2 vs closed-form reference")
 
 
 def check_translation_formula(env: HarnessEnv):
@@ -269,9 +293,8 @@ def check_translation_formula(env: HarnessEnv):
         lhs = theta_eval(z, shifted, env.settings)
         phase = RootOfUnity(sum((rv * bv for rv, bv in zip(chi.r, b)), Fraction(0))).value()
         rhs = phase * theta_eval(z, chi, env.settings)
-        rel = abs(lhs - rhs) / max(abs(rhs), 1e-30)
-        worst = max(worst, rel)
-    return worst < 1e-9, worst, 1e-9, "theta translation covariance, 100 random (Z,r,s,a,b)"
+        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
+    return _within(worst, 1e-9, "theta translation covariance, 100 random (Z,r,s,a,b)")
 
 
 def check_sign_symmetry(env: HarnessEnv):
@@ -283,7 +306,7 @@ def check_sign_symmetry(env: HarnessEnv):
         lhs = theta_eval(z, chi.neg(), env.settings)
         rhs = theta_eval(z, chi, env.settings)
         worst = max(worst, abs(lhs - rhs))
-    return worst < 1e-10, worst, 1e-10, "Theta(Z;-r,-s) = Theta(Z;r,s), 20 random inputs"
+    return _within(worst, 1e-10, "Theta(Z;-r,-s) = Theta(Z;r,s), 20 random inputs")
 
 
 def check_sigma_minus(env: HarnessEnv):
@@ -296,7 +319,7 @@ def check_sigma_minus(env: HarnessEnv):
         z = random_siegel(rng)
         for chi in odd_chars:
             worst = max(worst, abs(theta_eval(z, chi, env.settings)))
-    return worst < 1e-10, worst, 1e-10, "all 6 odd half-integral theta nulls vanish at 5 random Z"
+    return _within(worst, 1e-10, "all 6 odd half-integral theta nulls vanish at 5 random Z")
 
 
 def check_conjugation(env: HarnessEnv):
@@ -312,7 +335,7 @@ def check_conjugation(env: HarnessEnv):
         red, phase = Characteristic.make(chi.r, [-v for v in chi.s]).reduce()
         rhs = phase.value() * phi_eval(red, zbar, env.settings)
         worst = max(worst, abs(lhs - rhs))
-    return worst < env.config.tol_numeric, worst, env.config.tol_numeric, "conj(Phi_[r;s](Z0)) = Phi_[r;-s](-conj(Z0))"
+    return _within(worst, env.config.tol_numeric, "conj(Phi_[r;s](Z0)) = Phi_[r;-s](-conj(Z0))")
 
 
 # ---------------------------------------------------------------------------
@@ -320,17 +343,9 @@ def check_conjugation(env: HarnessEnv):
 
 
 def check_single_2n(env: HarnessEnv):
-    bad = 0
-    total = 0
-    for n in (2, 4):
-        for chi in all_characteristics(n, 2):
-            if chi.in_sigma_minus():
-                continue
-            total += 1
-            prod = theta_product(n, [(chi, 2 * n)])
-            if prod.terms and not check_family(prod).ok:
-                bad += 1
-    return bad == 0, float(bad), 0.0, f"single constant to the power 2N passes check_family ({total} cases)"
+    cases = [(n, chi) for n in (2, 4) for chi in all_characteristics(n, 2) if not chi.in_sigma_minus()]
+    failures = [f"N={n}, chi={chi}" for n, chi in cases if not check_family(theta_product(n, [(chi, 2 * n)])).ok]
+    return _exact(failures, f"single constant to the power 2N passes check_family ({len(cases)} cases)")
 
 
 def check_passing_families(env: HarnessEnv):
@@ -340,25 +355,25 @@ def check_passing_families(env: HarnessEnv):
     for n in (2, 4):
         for _ in range(10):
             prod = _random_passing_family(rng, n)
-            zs = []
-            base = []
-            for _ in range(3):
-                # no lower value bound: with absolute comparisons, tiny products are harmless
-                z, val = _family_value_guarded(rng, env, prod, tries=240, factor_band=(0.1, 2.5), value_band=(1e-12, 2.0))
-                zs.append(z)
-                base.append(val)
+            # no lower value bound: with absolute comparisons, tiny products are harmless
+            points = [
+                _family_value_guarded(rng, env, prod, tries=240, factor_band=(0.1, 2.5), value_band=(1e-12, 2.0))
+                for _ in range(3)
+            ]
             chis = [chi for chi, _ in prod.terms]
             for _ in range(20):
                 gamma = _gamma_word(rng, n)
-                for z, val in zip(zs, base):
+                for z, val in points:
                     w = _image(gamma, z)
                     at_w = None if w is None else _guarded_phis(env, chis, w, 0.3, (0.05, 5.0))
                     if at_w is None:
                         continue
                     worst = max(worst, abs(_power_product(prod.terms, at_w[1]) - val))
                     compared += 1
+    if compared < 400:
+        raise RuntimeError(f"only {compared} well-conditioned comparisons, below the floor of 400")
     detail = f"passing families are Gamma(N)-invariant ({compared} well-conditioned comparisons)"
-    return worst < env.config.tol_numeric and compared >= 400, worst, env.config.tol_numeric, detail
+    return _within(worst, env.config.tol_numeric, detail)
 
 
 def check_failing_families(env: HarnessEnv):
@@ -367,7 +382,7 @@ def check_failing_families(env: HarnessEnv):
     for n in (2, 4):
         for _ in range(10):
             for _ in range(16):  # the ratio test is forgiving; only degenerate families are resampled
-                prod, gam, mult = _random_failing_family(rng, n)
+                prod, gam = _random_failing_family(rng, n)
                 try:
                     z, val = _family_value_guarded(rng, env, prod, factor_band=(0.01, 20.0), value_band=(1e-6, 1e6))
                     break
@@ -378,7 +393,7 @@ def check_failing_families(env: HarnessEnv):
             w = act_siegel(gam, z)
             moved = eval_product(prod, w, env.settings)
             closest = min(closest, abs(moved / val - 1))
-    return closest > 1e-3, closest, 1e-3, "failing families have a generator witness with ratio far from 1"
+    return _above(closest, 1e-3, "failing families have a generator witness with ratio far from 1")
 
 
 @dataclass
@@ -420,23 +435,21 @@ def check_multiplier_cross(env: HarnessEnv):
         smp = _usable_sample(rng, env, n, chi)
         mult = gamma_multiplier(smp.gamma, chi, n)
         worst = max(worst, abs(smp.moved / smp.base - mult.value()))
-    return worst < env.config.tol_numeric, worst, env.config.tol_numeric, "congruence multiplier vs numeric ratio, 100 words"
+    return _within(worst, env.config.tol_numeric, "congruence multiplier vs numeric ratio, 100 words")
 
 
 def check_odd_action_overlap(env: HarnessEnv):
     rng = _rng(env, 11)
-    agree = True
-    cases = 0
+    failures = []
     for m in (3, 5):
         level = 2 * m * m
-        for _ in range(20):
+        for i in range(20):
             gamma = _gamma_word(rng, level, max_len=2)
             chi = _random_char(rng, m, exclude_sigma=False)
             res = act_phi(gamma, chi, m).canonical()
-            mult = gamma_multiplier(gamma, chi, level)
-            agree = agree and res.chi_out == chi and res.multiplier == mult
-            cases += 1
-    return agree, None, None, f"act_phi == congruence multiplier on {cases} Gamma(2M^2) words, exact"
+            if res.chi_out != chi or res.multiplier != gamma_multiplier(gamma, chi, level):
+                failures.append(f"M={m}, word {i}, chi={chi}")
+    return _exact(failures, "act_phi == congruence multiplier on 40 Gamma(2M^2) words, exact")
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +458,7 @@ def check_odd_action_overlap(env: HarnessEnv):
 
 def check_power_family_words(env: HarnessEnv):
     rng = _rng(env, 52)
-    ok = True
+    failures = []
     for i in range(50):
         n = (2, 4)[i % 2]
         factors = []
@@ -455,16 +468,15 @@ def check_power_family_words(env: HarnessEnv):
                 factors.append(iota(a, 2, n))
             else:
                 factors.append(_gamma_word(rng, n, max_len=1))
-        word = identity(4)
-        for f in factors:
-            word = word @ f
+        word = reduce(matmul, factors, identity(4))
         chi = _random_char(rng, n, exclude_sigma=False)
         via_word = act_power_family(word, chi, n)
         step = chi
         for f in factors:  # transpose(f1 f2 ...) applies t(f1) first
             step = act_power_family(f, step, n)
-        ok = ok and via_word == step
-    return ok, None, None, "50 random G_N words: action composes factorwise, exact"
+        if via_word != step:
+            failures.append(f"word {i}, N={n}, chi={chi}")
+    return _exact(failures, "50 random G_N words: action composes factorwise, exact")
 
 
 def check_power_family_numeric(env: HarnessEnv):
@@ -479,24 +491,27 @@ def check_power_family_numeric(env: HarnessEnv):
         lhs = smp.moved**power
         rhs = phi_eval(out, smp.z, env.settings, null_value=smp.null_z) ** power
         worst = max(worst, abs(lhs / rhs - 1))
-    return worst < 1e-7, worst, 1e-7, "2N^2-th powers move by characteristic bookkeeping alone (Gamma(N) words)"
+    return _within(worst, 1e-7, "2N^2-th powers move by characteristic bookkeeping alone (Gamma(N) words)")
 
 
 def check_iota_twist(env: HarnessEnv):
-    ok = True
     chi = Characteristic.from_den([1, 0], [1, 2], 3)
-    ok &= act_iota_inv(1, chi) == chi.reduce()[0]
-    minus = act_iota_inv(-1, chi)
-    ok &= minus == Characteristic.make(chi.r, [(-v) % 1 for v in chi.s])
+    cases = {
+        "iota(1) fixes chi": act_iota_inv(1, chi) == chi.reduce()[0],
+        "iota(-1) maps s to -s": act_iota_inv(-1, chi) == Characteristic.make(chi.r, [(-v) % 1 for v in chi.s]),
+    }
+    failures = _failing(cases)
     for n in (4, 6, 18):
         units = unit_residues(n)
         for a in units:
             for b in units:
                 lhs = iota(a, 2, n) @ iota(b, 2, n) % n
                 rhs = iota(a * b % n, 2, n) % n
-                ok &= bool((lhs == rhs).all())
-            ok &= sympl_multiplier(iota(a, 2, n), modulus=n) == pow(a, -1, n)
-    return ok, None, None, "iota examples: identity, s -> -s, homomorphism, nu = a^{-1}"
+                if not (lhs == rhs).all():
+                    failures.append(f"iota({a}) iota({b}) != iota({a * b % n}) mod {n}")
+            if sympl_multiplier(iota(a, 2, n), modulus=n) != pow(a, -1, n):
+                failures.append(f"nu(iota({a})) != {a}^-1 mod {n}")
+    return _exact(failures, "iota examples: identity, s -> -s, homomorphism, nu = a^{-1}")
 
 
 # ---------------------------------------------------------------------------
@@ -506,83 +521,63 @@ def check_iota_twist(env: HarnessEnv):
 def check_riemann_matrix(env: HarnessEnv):
     ctx = env.ctx
     expect = jmat(2)
-    gram_ok = all(
-        riemann_form(bj, bk) == expect[j, k] for j, bj in enumerate(ctx.basis) for k, bk in enumerate(ctx.basis)
-    )
-    skew_ok = all(riemann_form(b, b) == 0 for b in ctx.basis)
-    return gram_ok and skew_ok, None, None, "[E(Phi(xi_j), Phi(xi_k))] = J, exact"
+    basis = list(enumerate(ctx.basis))
+    failures = [f"entry ({j}, {k})" for j, bj in basis for k, bk in basis if riemann_form(bj, bk) != expect[j, k]]
+    return _exact(failures, "[E(Phi(xi_j), Phi(xi_k))] = J, exact")
 
 
 def check_cm_point(env: HarnessEnv):
     ctx = env.ctx
     beta = intmat([[0, 0, 1, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 1, 0, 0]])
     if not is_symplectic(beta):
-        return False, None, 1e-10, "beta not symplectic"
+        raise RuntimeError("beta is not symplectic")
     moved = act_siegel(beta, ctx.z0)
-    measured = float(np.abs(moved.mat + ctx.z0.mat.conjugate()).max())
-    return measured < 1e-10, measured, 1e-10, "beta(Z0) = -conj(Z0); Z0 valid in H_2"
+    return _within(np.abs(moved.mat + ctx.z0.mat.conjugate()).max(), 1e-10, "beta(Z0) = -conj(Z0); Z0 valid in H_2")
 
 
 def check_theta_null_bound(env: HarnessEnv):
-    measured = abs(env.ctx.null0)
-    return measured > 0.1, measured, 0.1, "theta null at Z0 exceeds lower bound 0.1"
+    return _above(abs(env.ctx.null0), 0.1, "theta null at Z0 exceeds lower bound 0.1")
 
 
-def _expected_h2(p: int):
-    return intmat(
-        [
-            [1 - 2 * p, -2 * p, -2 * p, 0],
-            [0, 1 - 2 * p, 0, -2 * p],
-            [2 * p, 2 * p, 1, 0],
-            [2 * p, 4 * p, 2 * p, 1],
-        ]
-    )
-
-
-def _expected_h3(p: int):
-    return intmat(
-        [
-            [1 + 2 * p, 6 * p, -2 * p, 4 * p],
-            [-4 * p, 1 - 2 * p, 4 * p, -2 * p],
-            [2 * p, -2 * p, 1 - 4 * p, 4 * p],
-            [-2 * p, -4 * p, -6 * p, 1],
-        ]
-    )
+# the standard actors' reflex matrices are I + 2p K mod 2p^2, with one K per actor
+_REFLEX_STEPS = (
+    intmat([[-1, -1, -1, 0], [0, -1, 0, -1], [1, 1, 0, 0], [1, 2, 1, 0]]),
+    intmat([[1, 3, -1, 2], [-2, -1, 2, -1], [1, -1, -2, 2], [-1, -2, -3, 0]]),
+)
 
 
 def check_reflex_congruences(env: HarnessEnv):
-    ok = True
+    failures = []
     for p in env.config.primes:
         level = 2 * p * p
-        a1, a2 = (shared_actor(x, p) for x in standard_actors(p))
-        ok &= bool(((a1.h_matrix - _expected_h2(p)) % level == 0).all())
-        ok &= bool(((a2.h_matrix - _expected_h3(p)) % level == 0).all())
-        ok &= a1.nu == (1 - 2 * p) % level and a2.nu == (1 - 2 * p) % level
-        ok &= a1.in_group and a2.in_group
-    return ok, None, None, f"reflex matrices and nu match their mod-2p^2 targets, p in {env.config.primes}"
+        for which, (x, step) in enumerate(zip(standard_actors(p), _REFLEX_STEPS), 1):
+            actor = shared_actor(x, p)
+            cases = {
+                "reflex matrix": ((actor.h_matrix - identity(4) - 2 * p * step) % level == 0).all(),
+                "nu": actor.nu == (1 - 2 * p) % level,
+                "in the group": actor.in_group,
+            }
+            failures += [f"p={p}, actor {which}: {label}" for label in _failing(cases)]
+    return _exact(failures, f"reflex matrices and nu match their mod-2p^2 targets, p in {env.config.primes}")
 
 
 def check_artin_closed_form(env: HarnessEnv):
     rng = _rng(env, 72)
-    ok = True
+    primes = env.config.primes
+    failures = []
     cases = 0
-    for p in env.config.primes:
-        if p == 3:
-            grid = [(a, b, c, d) for a in range(3) for b in range(3) for c in range(3) for d in range(3)]
-        else:
-            grid = [tuple(int(v) for v in rng.integers(0, p, 4)) for _ in range(30)]
+    for p in primes:
+        grid = product(range(3), repeat=4) if p == 3 else [[int(v) for v in rng.integers(0, p, 4)] for _ in range(30)]
         actors = [(which, shared_actor(x, p)) for which, x in zip((1, 2), standard_actors(p))]
         for a, b, c, d in grid:
             chi = Characteristic.from_den([a, b], [c, d], p)
             for which, actor in actors:
                 res = actor.act(chi)
-                ok &= res.chi_out == chi and res.multiplier == closed_phase(which, chi, p)
+                if res.chi_out != chi or res.multiplier != closed_phase(which, chi, p):
+                    failures.append(f"p={p}, chi={chi}, actor {which}")
                 cases += 1
-    detail = (
-        f"simulated Artin action fixes chi with the closed-form phase, p in {env.config.primes} "
-        f"({cases} cases), exact"
-    )
-    return ok, None, None, detail
+    detail = f"simulated Artin action fixes chi with the closed-form phase, p in {primes} ({cases} cases), exact"
+    return _exact(failures, detail)
 
 
 def check_reality(env: HarnessEnv):
@@ -597,19 +592,20 @@ def check_reality(env: HarnessEnv):
                 phase = RootOfUnity(-sum((rv * sv for rv, sv in zip(r, s)), Fraction(0)) / 2).value()
                 val = phase * theta_eval(ctx.z0, chi, env.settings) / ctx.null0
                 worst = max(worst, abs(val.imag))
-    return worst < env.config.tol_numeric, worst, env.config.tol_numeric, "e(-trs/2) Phi_[r;s](Z0) is real on the CM locus"
+    return _within(worst, env.config.tol_numeric, "e(-trs/2) Phi_[r;s](Z0) is real on the CM locus")
 
 
 def check_belong_example(env: HarnessEnv):
     res = belong_criterion([1, 2, 2, 0, 0], 7)
-    ok = res.first_row == (-1, 0, 0, -2) and res.value == -6 and res.value_mod_p != 0
-    for p in (11, 13):
-        ok &= belong_criterion([1, 2, 2, 0, 0], p).value_mod_p != 0
     triv = belong_criterion([1, 0, 0, 0, 0], 7)
-    ok &= triv.first_row == (1, 0, 0, 0) and triv.value == 0
     lone = belong_criterion([1, 2, 0, 0, 0], 7)
-    ok &= lone.first_row == (-1, -2, 2, 0) and lone.value == 0
-    return ok, None, None, "first-row criterion on the worked examples, exact"
+    cases = {
+        "x = (1, 2, 2, 0, 0), p = 7": res.first_row == (-1, 0, 0, -2) and res.value == -6 and res.value_mod_p != 0,
+        **{f"x = (1, 2, 2, 0, 0), p = {p}": belong_criterion([1, 2, 2, 0, 0], p).value_mod_p != 0 for p in (11, 13)},
+        "x = (1, 0, 0, 0, 0), p = 7": triv.first_row == (1, 0, 0, 0) and triv.value == 0,
+        "x = (1, 2, 0, 0, 0), p = 7": lone.first_row == (-1, -2, 2, 0) and lone.value == 0,
+    }
+    return _exact(_failing(cases), "first-row criterion on the worked examples, exact")
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +618,8 @@ def check_trace_norm_example(env: HarnessEnv):
     tr = rel_trace_norm(z25, sub, "trace")
     nm = rel_trace_norm(3 * z25 + 1, sub, "norm")
     expect = 243 * CycloElem.zeta(5) + 1
-    ok = tr.is_zero() and nm == expect.lift(25)
-    return ok, None, None, "Tr(zeta_25) = 0 and N(3 zeta_25 + 1) = 243 zeta_5 + 1 over the degree-5 step"
+    failures = _failing({"Tr(zeta_25)": tr.is_zero(), "N(3 zeta_25 + 1)": nm == expect.lift(25)})
+    return _exact(failures, "Tr(zeta_25) = 0 and N(3 zeta_25 + 1) = 243 zeta_5 + 1 over the degree-5 step")
 
 
 def check_surrogate_tower(env: HarnessEnv):
@@ -631,20 +627,23 @@ def check_surrogate_tower(env: HarnessEnv):
     x = z8 + z8**7
     y = z8**2
     tower = make_tower(8, unit_residues(8), x, y)
-    ok = tower.ell == 2 and tower.degree == 4
     eps = combine_trace(tower, 1, 1)
-    ok &= eps == x + 2 * y and is_primitive(eps, tower)
-    ok &= tower.trace_mid(eps) == 1 * tower.x * tower.ell
     eps2 = combine_norm(tower, 3, 1, 3, 1, 1, 1)
-    ok &= is_primitive(eps2, tower)
-    ok &= tower.norm_mid(3 * tower.y + 1) == CycloElem.from_rational(8, 10)
-    return ok, None, None, "Q(zeta_8) tower: both combinators primitive, trace identity exact"
+    cases = {
+        "ell = 2 and degree 4": tower.ell == 2 and tower.degree == 4,
+        "trace combinator = x + 2y": eps == x + 2 * y,
+        "trace combinator primitive": is_primitive(eps, tower),
+        "relative trace of the trace combinator": tower.trace_mid(eps) == 1 * tower.x * tower.ell,
+        "norm combinator primitive": is_primitive(eps2, tower),
+        "relative norm of 3y + 1": tower.norm_mid(3 * tower.y + 1) == CycloElem.from_rational(8, 10),
+    }
+    return _exact(_failing(cases), "Q(zeta_8) tower: both combinators primitive, trace identity exact")
 
 
 def check_random_towers(env: HarnessEnv):
     rng = _rng(env, 13)
     conductors = (8, 12, 15, 16, 20, 24)
-    ok = True
+    failures = []
     trace_coeffs = (1, -1, 2, -2, Fraction(1, 5))
     norm_pairs = ((3, 1), (5, 2), (-7, 3))
     built = 0
@@ -663,19 +662,22 @@ def check_random_towers(env: HarnessEnv):
         a = trace_coeffs[int(rng.integers(0, len(trace_coeffs)))]
         b = trace_coeffs[int(rng.integers(0, len(trace_coeffs)))]
         eps = combine_trace(tower, a, b)
-        ok &= is_primitive(eps, tower)
-        ok &= tower.trace_mid(eps) == a * tower.x * tower.ell
         (ca, cb) = norm_pairs[int(rng.integers(0, 3))]
         (cc, cd) = norm_pairs[int(rng.integers(0, 3))]
         ne, me = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         eps2 = combine_norm(tower, ca, cb, cc, cd, ne, me)
-        ok &= is_primitive(eps2, tower)
-        # a x + b and N_{L/K(x)}((c y + d)^m) lie in K(x), so the relative norm keeps only (a x + b)^(n ell)
-        ok &= tower.norm_mid(eps2) == (ca * tower.x + cb) ** (ne * tower.ell)
+        cases = {
+            "trace combinator primitive": is_primitive(eps, tower),
+            "relative trace": tower.trace_mid(eps) == a * tower.x * tower.ell,
+            "norm combinator primitive": is_primitive(eps2, tower),
+            # a x + b and N_{L/K(x)}((c y + d)^m) lie in K(x), so the relative norm keeps only (a x + b)^(n ell)
+            "relative norm": tower.norm_mid(eps2) == (ca * tower.x + cb) ** (ne * tower.ell),
+        }
+        failures += [f"tower {built} (n={n}): {label}" for label in _failing(cases)]
     if built < 20:
         raise RuntimeError(f"only {built} towers of degree > 1 in 200 draws")
     detail = "20 randomized cyclotomic towers: combinator outputs primitive, relative trace and norm identities exact"
-    return ok, None, None, detail
+    return _exact(failures, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -729,18 +731,10 @@ def run_suite(config: SuiteConfig) -> tuple[Report, int]:
         for name, fn in CHECKS[suite]:
             start = time.perf_counter()
             try:
-                ok, measured, tolerance, detail = fn(env)
+                out = fn(env)
             except Exception as exc:  # a crash is a failure, not an abort
-                ok, measured, tolerance, detail = False, None, None, f"exception: {exc!r}"
-            report.records.append(
-                CheckResult(
-                    name=name,
-                    suite=suite,
-                    status="pass" if ok else "fail",
-                    measured=None if measured is None else float(measured),
-                    tolerance=tolerance,
-                    runtime_s=time.perf_counter() - start,
-                    detail=detail,
-                )
-            )
+                out = Outcome(False, None, None, f"exception: {exc!r}")
+            status = "pass" if out.passed else "fail"
+            runtime = time.perf_counter() - start
+            report.records.append(CheckResult(name, suite, status, out.measured, out.tolerance, runtime, out.detail))
     return report, (0 if report.passed else 1)

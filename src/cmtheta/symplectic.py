@@ -215,4 +215,10 @@ def act_siegel(m, z) -> SiegelPoint:
     if sv.min() / sv.max() < 1e-10:
         raise ValueError(f"CZ + D nearly singular (rcond {sv.min() / sv.max():.3g})")
     w = (a @ zp + b) @ np.linalg.inv(den)
-    return SiegelPoint(w)
+    try:
+        return SiegelPoint(w)
+    except ValueError:
+        # for gamma in Sp_2g, lambda_min(Im gamma(Z)) <= lambda_max(Im Z) / sigma_max(CZ + D)^2
+        if np.linalg.eigvalsh(zp.imag).max() / sv.max() / sv.max() < np.finfo(float).tiny:
+            raise ValueError("gamma(Z) is outside the float range: Im gamma(Z) underflows") from None
+        raise

@@ -33,7 +33,7 @@ WORKERS = min(2, os.cpu_count() or 1)  # pytest subprocesses at a time
 MODULARITY, THETA = "src/cmtheta/modularity.py", "src/cmtheta/theta.py"
 CMFIELD, EXACT = "src/cmtheta/cmfield.py", "src/cmtheta/exact.py"
 SYMPLECTIC, CLI = "src/cmtheta/symplectic.py", "src/cmtheta/cli.py"
-PRIMGEN = "src/cmtheta/primgen.py"
+PRIMGEN, HARNESS = "src/cmtheta/primgen.py", "src/cmtheta/harness.py"
 
 CAUGHT = [
     # gamma_multiplier without the n a.b term of X
@@ -290,6 +290,30 @@ CAUGHT = [
         "self.fixer_l)[1:])",
         "self.fixer_l))",
         ["tests/test_primgen.py::test_combine_norm_matches_reference_formula"],
+    ),
+    # the judge passing a deviation at or above its tolerance, and failing one below it
+    (
+        HARNESS,
+        "Outcome(worst < tol,",
+        "Outcome(worst > tol,",
+        [
+            "tests/test_acceptance.py::test_odd_half_integral_theta_nulls_vanish",
+            "tests/test_harness.py::test_unattainable_tolerance_fails_closed",
+        ],
+    ),
+    # the judge passing a separation at or below its floor, and failing one above it
+    (
+        HARNESS,
+        "Outcome(value > floor,",
+        "Outcome(value < floor,",
+        ["tests/test_acceptance.py::test_theta_null_at_cm_point_stays_away_from_zero"],
+    ),
+    # the judge passing an exact check whatever cases failed
+    (
+        HARNESS,
+        "Outcome(not failures,",
+        "Outcome(True,",
+        ["tests/test_harness.py::test_exact_failure_names_its_count_and_first_case"],
     ),
 ]
 

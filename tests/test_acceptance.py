@@ -10,9 +10,9 @@ from cmtheta import harness
 
 
 def run(check, env):
-    ok, measured, tolerance, detail = check(env)
-    assert ok, f"{check.__name__}: measured={measured!r} tolerance={tolerance!r} ({detail})"
-    return measured, tolerance
+    out = check(env)
+    assert out.passed, f"{check.__name__}: measured={out.measured!r} tolerance={out.tolerance!r} ({out.detail})"
+    return out.measured, out.tolerance
 
 
 def test_riemann_form_on_cm_basis_is_standard_symplectic(env):

@@ -57,6 +57,38 @@ def test_power_relations():
     assert sum((z**k for k in range(1, 5)), CycloElem.from_rational(5, 0)) == -1
 
 
+def test_powers_and_orbit_products_multiply_no_unit(monkeypatch):
+    z = CycloElem.zeta(25)
+    a = 2 + z - 3 * z**7
+    by_hand = [CycloElem.from_rational(25, 1)]
+    for _ in range(6):
+        by_hand.append(by_hand[-1] * a)
+    conjugates = [a.galois(t) for t in (2, 3, 7, 11)]
+    inv_squared = a.inverse() * a.inverse()
+    products = []
+    mul = CycloElem.__mul__
+
+    def counted(x, y):
+        products.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(CycloElem, "__mul__", counted)
+
+    def count(compute):
+        products.clear()
+        value = compute()
+        return value, len(products)
+
+    for k, expected in ((0, 0), (1, 0), (2, 1), (5, 3), (6, 3)):
+        assert count(lambda: a**k) == (by_hand[k], expected)
+    assert count(lambda: orbit_product(a, ())) == (1, 0)
+    for k in range(1, 5):
+        value, made = count(lambda: orbit_product(a, (2, 3, 7, 11)[:k]))
+        assert made == k - 1
+        assert value == math.prod(conjugates[1:k], start=conjugates[0])
+    assert a**-2 == inv_squared
+
+
 def test_inverse_and_division():
     z = CycloElem.zeta(7)
     a = 1 + z + 3 * z**2

@@ -1,10 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from cmtheta import cmfield, harness
 from cmtheta.cmfield import GaloisActor, standard_actors
-from cmtheta.exact import CycloElem
+from cmtheta.exact import CycloElem, RootOfUnity
 from cmtheta.harness import SUITE_NAMES, ConfigError, HarnessEnv, Report, SuiteConfig, run_suite
 from cmtheta.modularity import FamilyCheck
 
@@ -69,6 +70,64 @@ def test_unattainable_tolerance_fails_closed():
     assert exact.status == "pass"
 
 
+# the tolerance each check reports; the four of TOL_NUMERIC follow --tol, None marks an exact check
+TOL_NUMERIC = ("conjugation-at-cm-point", "passing-family-invariance", "multiplier-cross-validation", "reality-locus")
+FIXED_TOLERANCES = {
+    "theta-reference-value": 1e-10,
+    "translation-formula-fuzz": 1e-9,
+    "sign-symmetry": 1e-10,
+    "odd-characteristic-vanishing": 1e-10,
+    "single-constant-power-2N": None,
+    "failing-family-witness": 1e-3,
+    "odd-action-vs-congruence-multiplier": None,
+    "power-family-word-composition": None,
+    "power-family-numeric": 1e-7,
+    "iota-twist-examples": None,
+    "riemann-form-matrix": None,
+    "cm-point-equation": 1e-10,
+    "theta-null-lower-bound": 0.1,
+    "reflex-matrix-congruences": None,
+    "artin-closed-form": None,
+    "first-row-criterion-example": None,
+    "cyclotomic-trace-norm-example": None,
+    "surrogate-tower": None,
+    "random-towers": None,
+}
+
+
+@pytest.mark.parametrize("tol", [1e-9, 3e-9])
+def test_tol_numeric_governs_exactly_four_checks(tol):
+    # at 1e-9 translation-formula-fuzz's fixed tolerance coincides with --tol; 3e-9 separates them
+    report, code = run_suite(SuiteConfig(tol_numeric=tol))
+    assert code == 0
+    assert {r.name: r.tolerance for r in report.records} == {**FIXED_TOLERANCES, **dict.fromkeys(TOL_NUMERIC, tol)}
+
+
+def test_too_few_comparisons_fail_passing_families_by_their_floor(monkeypatch):
+    monkeypatch.setattr(harness, "_image", lambda gamma, z: None)  # no image is well-conditioned
+    monkeypatch.setitem(harness.CHECKS, "modularity", [("passing-family-invariance", harness.check_passing_families)])
+    report, code = run_suite(SuiteConfig(suites=("modularity",)))
+    assert code == 1
+    (record,) = report.records
+    assert record.status == "fail"
+    assert record.measured is None
+    assert "only 0 well-conditioned comparisons, below the floor of 400" in record.detail
+
+
+def test_exact_failure_names_its_count_and_first_case(monkeypatch):
+    closed_phase = harness.closed_phase
+    half = RootOfUnity(Fraction(1, 2))
+    monkeypatch.setattr(harness, "closed_phase", lambda which, chi, p: closed_phase(which, chi, p) * half)
+    monkeypatch.setitem(harness.CHECKS, "cm", [("artin-closed-form", harness.check_artin_closed_form)])
+    report, code = run_suite(SuiteConfig(suites=("cm",)))
+    assert code == 1
+    (record,) = report.records
+    assert record.status == "fail"
+    assert record.measured is None and record.tolerance is None
+    # every case fails: 3^4 grid points at p = 3 and 30 draws at p = 5 and 7, each under two actors
+    assert record.detail.endswith("(282 cases), exact; 282 failing, first: p=3, chi=[0 0; 0 0], actor 1")
+
+
 def test_reports_are_deterministic_for_fixed_seed():
     config = SuiteConfig(suites=("theta",), seed=7)
     first, _ = run_suite(config)
@@ -112,8 +171,8 @@ def test_multiplier_cross_check_passes_at_seed_7():
     # at seed 7 one sample meets eight level-4 words in a row for which no
     # well-conditioned image point is found; the sampler must keep drawing
     env = HarnessEnv(SuiteConfig(seed=7))
-    ok, measured, tolerance, _ = harness.check_multiplier_cross(env)
-    assert ok and measured < tolerance
+    out = harness.check_multiplier_cross(env)
+    assert out.passed and out.measured < out.tolerance
 
 
 def test_exhausted_sampler_is_a_failed_check(monkeypatch):
@@ -136,8 +195,7 @@ def test_artin_closed_form_builds_one_actor_per_prime_and_actor(monkeypatch):
 
     monkeypatch.setattr(GaloisActor, "build", classmethod(counted))
     cmfield.shared_actor.cache_clear()  # no actor left from earlier tests
-    ok, *_ = harness.check_artin_closed_form(HarnessEnv(SuiteConfig(primes=(3, 5, 7, 11, 13))))
-    assert ok
+    assert harness.check_artin_closed_form(HarnessEnv(SuiteConfig(primes=(3, 5, 7, 11, 13)))).passed
     assert sorted(built) == [3, 3, 5, 5, 7, 7, 11, 11, 13, 13]
 
 
@@ -169,18 +227,18 @@ def test_belong_example_evaluates_each_criterion_once(monkeypatch):
         return belong(x, p)
 
     monkeypatch.setattr(harness, "belong_criterion", counted)
-    ok, measured, tolerance, detail = harness.check_belong_example(HarnessEnv(SuiteConfig()))
-    assert ok and measured is None and tolerance is None
-    assert detail == "first-row criterion on the worked examples, exact"
+    out = harness.check_belong_example(HarnessEnv(SuiteConfig()))
+    assert out.passed and out.measured is None and out.tolerance is None
+    assert out.detail == "first-row criterion on the worked examples, exact"
     assert len(seen) == len(set(seen)) == 5
 
 
 def test_passing_families_pass_at_seed_5():
     # at seed 5 one family needs more than 60 draws for a well-conditioned base point
     env = HarnessEnv(SuiteConfig(seed=5))
-    ok, measured, tolerance, detail = harness.check_passing_families(env)
-    assert ok and measured < tolerance
-    assert "767 well-conditioned comparisons" in detail
+    out = harness.check_passing_families(env)
+    assert out.passed and out.measured < out.tolerance
+    assert "767 well-conditioned comparisons" in out.detail
 
 
 def test_failing_family_sampler_is_bounded(monkeypatch):

@@ -166,6 +166,14 @@ def test_act_siegel_rejects_entries_too_large_for_a_float():
         act_siegel(m, 1j * np.eye(2))
 
 
+def test_act_siegel_names_the_float_range_for_an_image_below_it():
+    # the true image of iI has Im = 10^-600 I, which underflows to 0: the point is not to blame
+    m = identity(4)
+    m[2, 0] = m[3, 1] = 10**300
+    with pytest.raises(ValueError, match="outside the float range"):
+        act_siegel(m, 1j * np.eye(2))
+
+
 def test_siegel_point_matrix_is_read_only():
     # theta keeps truncation geometry on the point, so its matrix must not change
     m = np.eye(2) * 1j
