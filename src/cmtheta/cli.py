@@ -44,9 +44,7 @@ def _cmd_theta(args) -> int:
         z, null = ctx.z0, ctx.null0
     else:
         z, null = SiegelPoint(np.eye(chi.g) * 1j), None
-    # Theta(Z; r + a, s + b) = e(r.b) Theta(Z; r, s): sum at the reduced characteristic, whatever the size of s
-    red, phase = chi.reduce()
-    theta = phase.value() * theta_eval(z, red, settings)
+    theta = theta_eval(z, chi, settings)
     print(f"theta = {theta.real:.15g}{theta.imag:+.15g}j")
     if not chi.in_sigma_minus():
         phi = divide_by_null(theta, theta_null(z, settings) if null is None else null)

@@ -279,9 +279,8 @@ def check_theta_reference(env: HarnessEnv):
 
 def check_translation_formula(env: HarnessEnv):
     rng = _rng(env, 14)
-    worst = 0.0
+    failures = []
     for _ in range(100):
-        z = random_siegel(rng)
         g = 2
         chi = Characteristic.make(
             [Fraction(int(v), 24) for v in rng.integers(-48, 48, g)],
@@ -290,11 +289,10 @@ def check_translation_formula(env: HarnessEnv):
         a = [int(v) for v in rng.integers(-3, 4, g)]
         b = [int(v) for v in rng.integers(-3, 4, g)]
         shifted = Characteristic.make([rv + av for rv, av in zip(chi.r, a)], [sv + bv for sv, bv in zip(chi.s, b)])
-        lhs = theta_eval(z, shifted, env.settings)
-        phase = RootOfUnity(sum((rv * bv for rv, bv in zip(chi.r, b)), Fraction(0))).value()
-        rhs = phase * theta_eval(z, chi, env.settings)
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
-    return _within(worst, 1e-9, "theta translation covariance, 100 random (Z,r,s,a,b)")
+        red, phase = chi.reduce()
+        if shifted.reduce() != (red, phase * RootOfUnity(sum(rv * bv for rv, bv in zip(chi.r, b)))):
+            failures.append(f"chi={chi}, a={a}, b={b}")
+    return _exact(failures, "translation formula on reduce, the phase theta_eval applies: e(r.b), 100 random (r,s,a,b)")
 
 
 def check_sign_symmetry(env: HarnessEnv):
@@ -331,9 +329,8 @@ def check_conjugation(env: HarnessEnv):
         den = int(rng.integers(0, 2)) + 3  # 3 or 4
         chi = _random_char(rng, den, exclude_sigma=False)
         lhs = env.ctx.phi(chi).conjugate()
-        # [r; -s] summed reduced, times its exact phase: not the bitwise mirror of the left side, so theta errors show
-        red, phase = Characteristic.make(chi.r, [-v for v in chi.s]).reduce()
-        rhs = phase.value() * phi_eval(red, zbar, env.settings)
+        # theta_eval sums [r; -s] reduced, times its exact phase: not the mirror of the left side, so theta errors show
+        rhs = phi_eval(Characteristic.make(chi.r, [-v for v in chi.s]), zbar, env.settings)
         worst = max(worst, abs(lhs - rhs))
     return _within(worst, env.config.tol_numeric, "conj(Phi_[r;s](Z0)) = Phi_[r;-s](-conj(Z0))")
 

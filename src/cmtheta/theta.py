@@ -95,7 +95,8 @@ class Characteristic:
         return Characteristic(tuple(-v for v in self.num), self.den)
 
     def is_canonical(self) -> bool:
-        return all(0 <= v < self.den for v in self.num)
+        """Whether [r; s] lies in [0,1)^2g; one min and one max, since theta_eval asks on every call."""
+        return 0 <= min(self.num) and max(self.num) < self.den
 
     def reduce(self) -> tuple["Characteristic", RootOfUnity]:
         """Translate into [0,1)^2g, returning the multiplier it costs.
@@ -245,20 +246,21 @@ def _certified(zp: SiegelPoint, tol: float) -> _Cut:
         factor, points, quad = None, grid[inside].astype(complex), quad[inside]
         ops, more = len(points) + 7, g + 2
     reach_y = max(max(-l - 1, l + n - 1) for l, n in zip(low, dims))
-    rounding = _rounding_bound(z_rows, rho, reach_y, ops, more)
+    rounding = _rounding_bound(z_rows, rho, reach_y, ops + 24, more)  # + 24: the phase of a reduced call
     return _Cut(axes, factor, points, quad, z_rows, hi, _tail_bound(hi, rho, g), rounding)
 
 
 def theta_eval(z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:
-    """Theta(Z; r, s), off by at most tol/2 + the cut's rounding bound for |s_j| <= 1.
+    """Theta(Z; r, s), off by at most tol/2 + the cut's rounding bound, for every [r; s].
 
-    Larger |s_j| have no stated bound yet: they enter tau and kappa beyond what
-    the stored rounding bound assumes (see Rounding below).  [r; s] is summed
-    as given, not reduced into [0, 1)^2g.
+    [r; s] = [r' + a; s' + b], with [r'; s'] in [0, 1)^2g and a, b integral, is
+    summed at [r'; s'] times the exact phase e(r'.b), both from
+    Characteristic.reduce on the integer numerators, whatever the size of s.
+    So below, r and s lie in [0, 1)^g.
 
-    The sum runs over v = y + r - floor(r), y in one integer candidate set C.
-    The term at v has modulus exp(-|T(y + f)|^2), with f = frac(r) in
-    [0, 1)^g and T the scaled Cholesky factor of Im Z: |Tv|^2 = pi tv Im(Z) v.
+    The sum runs over v = y + r, y in one integer candidate set C.  The term at
+    v has modulus exp(-|T(y + f)|^2), with f = r and T the scaled Cholesky
+    factor of Im Z: |Tv|^2 = pi tv Im(Z) v.
     C, the radius R and both error bounds are built once per SiegelPoint and
     tolerance and kept on the point; no theta value is kept.
 
@@ -277,7 +279,7 @@ def theta_eval(z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTINGS
     >= |Te|^2 for e in [-1/2, 1/2]^g, C = {y : |T(y + 1/2)| < R + delta}
     covers the ellipsoid |T(y + f)| < R for every shift f.
 
-    Order of summation.  With shift = frac(r) and t = Z shift + s, the
+    Order of summation.  With shift = r and t = Z shift + s, the
     exponent at v = y + shift is pi i tyZy + 2 pi i sum_j y_j t_j + const,
     const = pi i t(shift) (t + s): a fixed quadratic part and a part
     linear in each y_j.  The cut keeps E(y) = exp(pi i tyZy) on the box
@@ -305,7 +307,9 @@ def theta_eval(z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTINGS
       most 2 n_j u times the sum of the moduli of its products, in any order,
       so the axis adds sqrt(2) 2 n_j.  The product with exp(const) adds
       sqrt(2) 2.  Summed one by one instead, a = |C| + 7: one exponential and
-      a sum of |C| terms.
+      a sum of |C| terms.  A reduced call multiplies by its phase e(q), q in
+      [0, 1): 2 pi q, three roundings, moves it by at most 6 pi u, cmath.exp
+      adds 2u and the product sqrt(2) 2u, so every cut adds 24 to a.
     - An argument formed along at most m roundings is off by at most m u
       times the same expression with every input replaced by its modulus, and
       moves its exponential by as much, relatively; float pi counts as one
@@ -319,9 +323,9 @@ def theta_eval(z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTINGS
     then factors into the sums M_k = sum_y exp(-rho^2 d(y)^2) |y|^k,
     k = 0, 1, 2, over -K-1 <= y <= K.  The cut's `rounding` is
     u M0^(g-2) (A M0^2 + m_E pi (D M2 M0 + (S - D) M1^2) + m_w 2 pi (S + g) M1 M0),
-    with S = sum_jk |Z_jk|, D = sum_j |Z_jj| and A = a + m_c pi (S + 2g).  This
-    takes tau_j = sum_l |Z_jl| + 1 and kappa = pi sum_j (tau_j + 1), the values
-    for |s_j| <= 1; a larger s enters through tau and kappa.  `rounding` is not
+    with S = sum_jk |Z_jk|, D = sum_j |Z_jj| and A = a + m_c pi (S + 2g).  It
+    takes tau_j = sum_l |Z_jl| + 1 and kappa = pi sum_j (tau_j + 1), which bound
+    them on every call, as shift and s lie in [0, 1)^g.  `rounding` is not
     capped: where it exceeds tol/2 (large boxes, small rho, tiny tol) the call
     still runs and tail + rounding is the bound that holds.
     """
@@ -329,12 +333,12 @@ def theta_eval(z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTINGS
     g = zp.g
     if chi.g != g:
         raise ValueError(f"characteristic has genus {chi.g}, the point has genus {g}")
+    if not chi.is_canonical():
+        red, phase = chi.reduce()
+        return phase.value() * theta_eval(zp, red, settings)
     den = chi.den
-    shift = [(v % den) / den for v in chi.num[:g]]  # frac(r), one rounding whatever r
-    try:
-        s = [v / den for v in chi.num[g:]]
-    except OverflowError:
-        raise ValueError("characteristic has an s entry too large for a float") from None
+    shift = [v / den for v in chi.num[:g]]
+    s = [v / den for v in chi.num[g:]]
     cut = zp._theta_cuts.get(settings.tol)
     if cut is None:
         cut = zp._theta_cuts[settings.tol] = _certified(zp, settings.tol)

@@ -32,7 +32,7 @@ WORKERS = min(2, os.cpu_count() or 1)  # pytest subprocesses at a time
 
 MODULARITY, THETA = "src/cmtheta/modularity.py", "src/cmtheta/theta.py"
 CMFIELD, EXACT = "src/cmtheta/cmfield.py", "src/cmtheta/exact.py"
-SYMPLECTIC, CLI = "src/cmtheta/symplectic.py", "src/cmtheta/cli.py"
+SYMPLECTIC = "src/cmtheta/symplectic.py"
 PRIMGEN, HARNESS = "src/cmtheta/primgen.py", "src/cmtheta/harness.py"
 
 CAUGHT = [
@@ -224,12 +224,25 @@ CAUGHT = [
             "tests/test_theta.py::test_range_guard_keeps_large_imaginary_parts_finite[z1]",
         ],
     ),
-    # the sum over v = y + r instead of y + frac(r): an unreduced r moves it off the candidate set
+    # theta_eval summing every characteristic as given: an unreduced r moves the sum off the candidate set
     (
         THETA,
-        "shift = [(v % den) / den for v in chi.num[:g]]",
-        "shift = [v / den for v in chi.num[:g]]",
-        ["tests/test_acceptance.py::test_translation_formula_fuzz"],
+        "    if not chi.is_canonical():\n",
+        "    if False:\n",
+        [
+            "tests/test_theta.py::test_translation_by_integers",
+            "tests/test_theta.py::test_huge_s_is_reduced_exactly",
+        ],
+    ),
+    # theta_eval summing the reduced characteristic without its phase e(r.b)
+    (
+        THETA,
+        "return phase.value() * theta_eval(zp, red, settings)",
+        "return theta_eval(zp, red, settings)",
+        [
+            "tests/test_theta.py::test_translation_by_integers",
+            "tests/test_cli.py::test_theta_reduces_a_huge_characteristic_exactly",
+        ],
     ),
     # the candidate set without the shift allowance delta
     (
@@ -251,21 +264,6 @@ CAUGHT = [
         "cut = zp._theta_cuts[settings.tol] = _certified(zp, settings.tol)",
         "cut = _certified(zp, settings.tol)",
         ["tests/test_theta.py::test_one_cut_per_point_and_tolerance"],
-    ),
-    # no overflow guard on s: a huge s entry escapes theta_eval as OverflowError
-    (
-        THETA,
-        "    try:\n        s = [v / den for v in chi.num[g:]]\n    except OverflowError:\n"
-        '        raise ValueError("characteristic has an s entry too large for a float") from None\n',
-        "    s = [v / den for v in chi.num[g:]]\n",
-        ["tests/test_theta.py::test_s_too_large_for_a_float_is_a_value_error"],
-    ),
-    # the CLI summing the characteristic as given: 10^300 in s is a float, and the sum loses its phase
-    (
-        CLI,
-        "    red, phase = chi.reduce()\n    theta = phase.value() * theta_eval(z, red, settings)\n",
-        "    theta = theta_eval(z, chi, settings)\n",
-        ["tests/test_cli.py::test_theta_reduces_a_huge_characteristic_exactly"],
     ),
     # the stabilizer's moved cosets not widened when the fixing subgroup grows: residues known to move are applied
     (
@@ -290,6 +288,13 @@ CAUGHT = [
         "self.fixer_l)[1:])",
         "self.fixer_l))",
         ["tests/test_primgen.py::test_combine_norm_matches_reference_formula"],
+    ),
+    # the exact translation check expecting e(r.a) in place of e(r.b)
+    (
+        HARNESS,
+        "zip(chi.r, b)))):",
+        "zip(chi.r, a)))):",
+        ["tests/test_acceptance.py::test_translation_formula_fuzz"],
     ),
     # the judge passing a deviation at or above its tolerance, and failing one below it
     (

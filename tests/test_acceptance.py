@@ -80,5 +80,5 @@ def test_primitive_generator_combinators(env):
 
 
 def test_translation_formula_fuzz(env):
-    measured, _ = run(harness.check_translation_formula, env)
-    assert measured < 1e-9
+    measured, tol = run(harness.check_translation_formula, env)
+    assert measured is None and tol is None  # exact: reduce's phase against e(r.b) as exponents

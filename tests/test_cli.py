@@ -13,6 +13,8 @@ from cmtheta.cli import main
 from cmtheta.cmfield import GaloisActor
 from cmtheta.symplectic import SiegelPoint
 
+from test_theta import direct_sum
+
 
 def test_verify_primgen(capsys):
     code = main(["verify", "--suite", "primgen", "--seed", "3"])
@@ -67,8 +69,8 @@ def test_theta_reduces_a_huge_characteristic_exactly(capsys):
     assert "theta = 1.1803405990161+0j" in outs[0]
     assert outs[0] == outs[1] == outs[2]
     assert outs[3] == outs[4]
-    # against the unreduced sum, which theta_eval takes as given
-    direct = theta.theta_eval(SiegelPoint(1j * np.eye(2)), theta.Characteristic.parse(["1/3", "0", "1", "0"]))
+    # against the term-by-term sum at [1/3 0; 1 0], unreduced: a wrong phase or shift moves the printed value
+    direct = direct_sum(1j * np.eye(2), theta.Characteristic.parse(["1/3", "0", "1", "0"]), 8)
     assert abs(complex(outs[4].split()[2]) - direct) < 1e-12
 
 

@@ -213,22 +213,42 @@ def test_sign_symmetry():
 
 
 def test_translation_by_integers():
+    # theta_eval sums the reduced characteristic times e(r.b); the reference sums the shifted one term by term
     rng = np.random.default_rng(4)
     z = random_siegel(rng)
     chi = Characteristic.make([F(1, 4), F(3, 4)], [F(1, 2), F(1, 4)])
-    shifted = Characteristic.make([F(1, 4) + 2, F(3, 4) - 1], [F(1, 2) + 1, F(1, 4) + 3])
+    # r moved by (4, -3): summed unreduced, the candidate set misses terms and the sum moves by 0.05
+    shifted = Characteristic.make([F(1, 4) + 4, F(3, 4) - 3], [F(1, 2) + 1, F(1, 4) + 3])
     reduced, phase = shifted.reduce()
     assert reduced == chi
-    lhs = theta_eval(z, shifted)
-    rhs = phase.value() * theta_eval(z, chi)
-    assert abs(lhs - rhs) < 1e-12
+    assert phase == RootOfUnity(F(1, 2))  # e(1/4 + 9/4): a dropped phase flips the sign
+    assert abs(theta_eval(z, shifted) - direct_sum(z.mat, shifted, 12)) < 1e-12
 
 
-def test_s_too_large_for_a_float_is_a_value_error():
-    # theta_eval sums [r; s] as given, so an s past the float range is refused, not an OverflowError
-    chi = Characteristic.make([0, 0], [10**400, 0])
-    with pytest.raises(ValueError, match="s entry too large for a float"):
-        theta_eval(np.eye(2) * 1j, chi)
+def test_huge_s_is_reduced_exactly():
+    # 10^300 and 10^400 are integers, so [0 0; s 0] is the theta null, reduced on the numerators, never a float
+    z = SiegelPoint(1j * np.eye(2))
+    for big in (10**300, 10**400):
+        chi = Characteristic.make([0, 0], [big, 0])
+        assert abs(theta_eval(z, chi) - 1.1803405990161) < 1e-12
+        assert abs(phi_eval(chi, z) - 1) < 1e-15
+    # 10^300 = 1 mod 3: both characteristics reduce to [1/3 0; 0 0] with the phase e(1/3)
+    far = theta_eval(z, Characteristic.make([F(1, 3), 0], [10**300, 0]))
+    assert far == theta_eval(z, Characteristic.make([F(1, 3), 0], [1, 0]))
+
+
+def test_only_a_non_canonical_characteristic_is_reduced(monkeypatch):
+    # a canonical call skips reduce after one test of its numerators; a non-canonical one reduces once
+    calls = []
+    reduce = Characteristic.reduce
+    monkeypatch.setattr(Characteristic, "reduce", lambda chi: calls.append(chi) or reduce(chi))
+    z = random_siegel(np.random.default_rng(33))
+    for chi in all_characteristics(5, 2):
+        phi_eval(chi, z)
+    assert calls == []
+    chi = Characteristic.make([F(6, 5), 0], [F(-1, 5), 0])
+    phi_eval(chi, z)
+    assert calls == [chi]
 
 
 def test_reduce_phase_value():
