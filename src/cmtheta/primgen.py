@@ -149,7 +149,7 @@ def combine_trace(t: AbelianTower, a, b) -> CycloElem:
     # Q lies in K, so only an irrational coefficient needs its stabilizer
     if any(not c.is_rational() and stabilizer(c, t.base_h) != t.base_h for c in (a, b)):
         raise ValueError("a and b must lie in the base field")
-    return a * t.x + b * (t.ell * t.y - t.trace_mid(t.y))
+    return a * t.x + b * (t.ell * t.y - orbit_sum(t.y, t._reps()))  # y lies in L by construction
 
 
 def combine_norm(t: AbelianTower, a: int, b: int, c: int, d: int, n: int = 1, m: int = 1) -> CycloElem:
@@ -167,8 +167,7 @@ def combine_norm(t: AbelianTower, a: int, b: int, c: int, d: int, n: int = 1, m:
     ax_b = a * t.x + b
     cy_d = c * t.y + d
     # N_{L/K(x)}(u) = u * (the other conjugates of u), so u^-ell N(u) = u^(1 - ell) * (the others)
-    u = cy_d**m if m > 0 else t._inverse_in_l(cy_d) ** -m
-    t._require_in_l(u)
+    u = cy_d**m if m > 0 else t._inverse_in_l(cy_d) ** -m  # in L: cy + d is, and so is its inverse there
     eps = orbit_product(u, t._reps()[1:])
     if t.ell > 1:
         eps = eps * t._inverse_in_l(u) ** (t.ell - 1)

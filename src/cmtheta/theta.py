@@ -22,26 +22,39 @@ from .exact import RootOfUnity
 from .symplectic import SiegelPoint
 
 
-@dataclass(frozen=True)
 class Characteristic:
     """A rational theta characteristic [r; s], held exactly.
 
     Stored as integer numerators `num` (the g entries of r, then the g entries
     of s) over one positive common denominator `den`, with gcd(den, *num) = 1,
-    so equal characteristics have equal fields and hashes.  `r` and `s` read
-    the entries back as Fraction tuples; `scaled(n)` gives the integer vector
+    so equal characteristics have equal fields and hashes.  Whether [r; s] lies
+    in [0,1)^2g is decided once, when it is built.  `r` and `s` read the
+    entries back as Fraction tuples; `scaled(n)` gives the integer vector
     n [r; s] that the congruence layers work with.
     """
 
-    num: tuple[int, ...]
-    den: int
+    __slots__ = ("num", "den", "_canonical")
 
-    def __post_init__(self):
-        if self.den <= 0:
-            raise ValueError(f"denominator must be positive, got {self.den}")
-        k = math.gcd(self.den, *self.num)
-        object.__setattr__(self, "num", tuple(operator.index(v) // k for v in self.num))
-        object.__setattr__(self, "den", self.den // k)
+    def __init__(self, num, den: int) -> None:
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
+        num = tuple(map(operator.index, num))
+        k = math.gcd(den, *num)
+        if k != 1:
+            num, den = tuple(v // k for v in num), den // k
+        self._set(num, den)
+
+    def _set(self, num: tuple[int, ...], den: int) -> None:
+        self.num = num
+        self.den = den
+        self._canonical = not num or (0 <= min(num) and max(num) < den)
+
+    @classmethod
+    def _make(cls, num: tuple[int, ...], den: int) -> "Characteristic":
+        """num / den for a tuple of ints num and an int den > 0 with gcd(den, *num) = 1, taken as given."""
+        out = cls.__new__(cls)
+        out._set(num, den)
+        return out
 
     @classmethod
     def make(cls, r, s) -> "Characteristic":
@@ -92,11 +105,11 @@ class Characteristic:
         return [v * q for v in self.num]
 
     def neg(self) -> "Characteristic":
-        return Characteristic(tuple(-v for v in self.num), self.den)
+        return Characteristic._make(tuple(-v for v in self.num), self.den)
 
     def is_canonical(self) -> bool:
-        """Whether [r; s] lies in [0,1)^2g; one min and one max, since theta_eval asks on every call."""
-        return 0 <= min(self.num) and max(self.num) < self.den
+        """Whether [r; s] lies in [0,1)^2g."""
+        return self._canonical
 
     def reduce(self) -> tuple["Characteristic", RootOfUnity]:
         """Translate into [0,1)^2g, returning the multiplier it costs.
@@ -107,12 +120,24 @@ class Characteristic:
         """
         den, g = self.den, self.g
         phase = sum((rv % den) * (sv // den) for rv, sv in zip(self.num[:g], self.num[g:]))
-        return Characteristic(tuple(v % den for v in self.num), den), RootOfUnity._make(phase, den)
+        # gcd(den, v mod den) = gcd(den, v), so the reduced numerators need no normalising
+        return Characteristic._make(tuple(v % den for v in self.num), den), RootOfUnity._make(phase, den)
 
     def in_sigma_minus(self) -> bool:
         """Half-integral characteristics whose theta constant vanishes identically."""
         g = self.g
         return self.den == 2 and sum(a * b for a, b in zip(self.num[:g], self.num[g:])) % 2 == 1
+
+    def __eq__(self, other):
+        if not isinstance(other, Characteristic):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __repr__(self):
+        return f"Characteristic(num={self.num!r}, den={self.den!r})"
 
     def __str__(self):
         row = lambda vs: " ".join(str(v) for v in vs)
@@ -143,6 +168,7 @@ NULL_THRESHOLD = 1e-8  # divide_by_null refuses a smaller theta null
 MAX_RADIUS = 200  # theta_eval refuses a truncation ellipsoid reaching further along any axis
 EPS = float(np.finfo(float).eps)
 _EXP_RANGE = -math.log(np.finfo(float).tiny)  # exp(-x) is a normal float for 0 <= x < 708.4
+_TWO_PI_I = 2j * math.pi
 
 
 def _tail_bound(big_r: float, rho: float, g: int) -> float:
@@ -329,33 +355,37 @@ def theta_eval(z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTINGS
     capped: where it exceeds tol/2 (large boxes, small rho, tiny tol) the call
     still runs and tail + rounding is the bound that holds.
     """
-    zp = z if isinstance(z, SiegelPoint) else SiegelPoint(z)
+    return _theta(z if isinstance(z, SiegelPoint) else SiegelPoint(z), chi, settings.tol)
+
+
+def _theta(zp: SiegelPoint, chi: Characteristic, tol: float) -> complex:
+    """theta_eval at a SiegelPoint and a tolerance: the one sum that theta_eval, theta_null and phi_eval call."""
     g = zp.g
-    if chi.g != g:
+    if len(chi.num) != 2 * g:
         raise ValueError(f"characteristic has genus {chi.g}, the point has genus {g}")
-    if not chi.is_canonical():
+    if not chi._canonical:
         red, phase = chi.reduce()
-        return phase.value() * theta_eval(zp, red, settings)
+        return phase.value() * _theta(zp, red, tol)
     den = chi.den
-    shift = [v / den for v in chi.num[:g]]
-    s = [v / den for v in chi.num[g:]]
-    cut = zp._theta_cuts.get(settings.tol)
+    x = [v / den for v in chi.num]  # shift = r is its first g entries; each map below stops there
+    s = x[g:]
+    cut = zp._theta_cuts.get(tol)
     if cut is None:
-        cut = zp._theta_cuts[settings.tol] = _certified(zp, settings.tol)
+        cut = zp._theta_cuts[tol] = _certified(zp, tol)
     # with v = y + shift: pi i tvZv + 2 pi i tvs = pi i tyZy + 2 pi i ty t + const
-    t = [sum(map(operator.mul, row, shift), c) for row, c in zip(cut.z_rows, s)]
-    const = 1j * math.pi * sum(map(operator.mul, shift, map(operator.add, t, s)))
+    t = [sum(map(operator.mul, row, x), c) for row, c in zip(cut.z_rows, s)]
+    const = 1j * math.pi * sum(map(operator.mul, x, map(operator.add, t, s)))
     if cut.factor is None:
-        return complex(np.exp(cut.quad + cut.points @ (2j * np.pi * np.array(t)) + const).sum())
+        return complex(np.exp(cut.quad + cut.points @ (_TWO_PI_I * np.array(t)) + const).sum())
     total = cut.factor
     for j in range(g - 1, -1, -1):
-        total = total.dot(np.exp(cut.axes[j] * (2j * math.pi * t[j])))
+        total = total.dot(np.exp(cut.axes[j] * (_TWO_PI_I * t[j])))
     return complex(total) * cmath.exp(const)
 
 
 def theta_null(z, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:
     zp = z if isinstance(z, SiegelPoint) else SiegelPoint(z)
-    return theta_eval(zp, zero_char(zp.g), settings)
+    return _theta(zp, zero_char(zp.g), settings.tol)
 
 
 def phi_eval(
@@ -367,7 +397,7 @@ def phi_eval(
     """The theta constant Phi_[r;s](Z); pass null_value to reuse a denominator."""
     zp = z if isinstance(z, SiegelPoint) else SiegelPoint(z)
     den = theta_null(zp, settings) if null_value is None else null_value
-    return divide_by_null(theta_eval(zp, chi, settings), den)
+    return divide_by_null(_theta(zp, chi, settings.tol), den)
 
 
 def divide_by_null(value: complex, null: complex) -> complex:

@@ -203,8 +203,8 @@ CAUGHT = [
     # each axis exponent t_j scaled by 1.01: the conjugate side at [r; -s] reduced no longer mirrors the error
     (
         THETA,
-        "(2j * math.pi * t[j])",
-        "(2j * math.pi * t[j] * 1.01)",
+        "(_TWO_PI_I * t[j])",
+        "(_TWO_PI_I * t[j] * 1.01)",
         ["tests/test_acceptance.py::test_conjugation_symmetry_at_cm_point"],
     ),
     # the axes contracted in the wrong order
@@ -224,25 +224,42 @@ CAUGHT = [
             "tests/test_theta.py::test_range_guard_keeps_large_imaginary_parts_finite[z1]",
         ],
     ),
-    # theta_eval summing every characteristic as given: an unreduced r moves the sum off the candidate set
+    # _theta summing every characteristic as given: an unreduced r moves the sum off the candidate set
     (
         THETA,
-        "    if not chi.is_canonical():\n",
+        "    if not chi._canonical:\n",
         "    if False:\n",
         [
             "tests/test_theta.py::test_translation_by_integers",
             "tests/test_theta.py::test_huge_s_is_reduced_exactly",
         ],
     ),
-    # theta_eval summing the reduced characteristic without its phase e(r.b)
+    # _theta summing the reduced characteristic without its phase e(r.b)
     (
         THETA,
-        "return phase.value() * theta_eval(zp, red, settings)",
-        "return theta_eval(zp, red, settings)",
+        "return phase.value() * _theta(zp, red, tol)",
+        "return _theta(zp, red, tol)",
         [
             "tests/test_theta.py::test_translation_by_integers",
             "tests/test_cli.py::test_theta_reduces_a_huge_characteristic_exactly",
         ],
+    ),
+    # every characteristic flagged canonical when built: _theta sums an unreduced one as given
+    (
+        THETA,
+        "        self._canonical = not num or (0 <= min(num) and max(num) < den)\n",
+        "        self._canonical = True\n",
+        [
+            "tests/test_theta.py::test_translation_by_integers",
+            "tests/test_theta.py::test_huge_s_is_reduced_exactly",
+        ],
+    ),
+    # the constructor keeping a common factor of den and num: equal characteristics with unequal fields
+    (
+        THETA,
+        "        if k != 1:\n            num, den = tuple(v // k for v in num), den // k\n",
+        "",
+        ["tests/test_theta.py::test_unreduced_numerators_normalise"],
     ),
     # the candidate set without the shift allowance delta
     (
@@ -254,15 +271,15 @@ CAUGHT = [
     # one cut per point, whatever the tolerance
     (
         THETA,
-        "cut = zp._theta_cuts.get(settings.tol)",
+        "cut = zp._theta_cuts.get(tol)",
         "cut = next(iter(zp._theta_cuts.values()), None)",
         ["tests/test_theta.py::test_truncation_geometry_is_kept_per_tolerance"],
     ),
-    # the cut rebuilt on every call: theta_eval never stores what it builds
+    # the cut rebuilt on every call: _theta never stores what it builds
     (
         THETA,
-        "cut = zp._theta_cuts[settings.tol] = _certified(zp, settings.tol)",
-        "cut = _certified(zp, settings.tol)",
+        "cut = zp._theta_cuts[tol] = _certified(zp, tol)",
+        "cut = _certified(zp, tol)",
         ["tests/test_theta.py::test_one_cut_per_point_and_tolerance"],
     ),
     # the stabilizer's moved cosets not widened when the fixing subgroup grows: residues known to move are applied

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import cmtheta
-from cmtheta import cli, theta
+from cmtheta import theta
 from cmtheta.cli import main
 from cmtheta.cmfield import GaloisActor
 from cmtheta.symplectic import SiegelPoint
@@ -132,16 +132,16 @@ def test_action_builds_one_actor(monkeypatch, capsys):
 
 @pytest.mark.parametrize("at", ["i", "cm"])
 def test_theta_builds_one_point_and_one_null(at, monkeypatch, capsys):
+    # theta_eval, theta_null and phi_eval all sum through theta._theta, so it counts every evaluation
     points, evals = [], []
-    init, theta_eval = SiegelPoint.__init__, theta.theta_eval
+    init, sum_theta = SiegelPoint.__init__, theta._theta
     monkeypatch.setattr(SiegelPoint, "__init__", lambda self, mat: points.append(mat) or init(self, mat))
 
     def counted(*args):
         evals.append(args[1])
-        return theta_eval(*args)
+        return sum_theta(*args)
 
-    monkeypatch.setattr(theta, "theta_eval", counted)
-    monkeypatch.setattr(cli, "theta_eval", counted)
+    monkeypatch.setattr(theta, "_theta", counted)
     assert main(["theta", "--char", "1/2 0 0 1/2", "--at", at]) == 0
     assert len(points) == 1
     assert len(evals) == 2  # theta null once, Theta_chi once for both theta and phi

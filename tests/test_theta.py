@@ -238,7 +238,7 @@ def test_huge_s_is_reduced_exactly():
 
 
 def test_only_a_non_canonical_characteristic_is_reduced(monkeypatch):
-    # a canonical call skips reduce after one test of its numerators; a non-canonical one reduces once
+    # a canonical call skips reduce on the flag its characteristic set when built; a non-canonical one reduces once
     calls = []
     reduce = Characteristic.reduce
     monkeypatch.setattr(Characteristic, "reduce", lambda chi: calls.append(chi) or reduce(chi))
@@ -394,6 +394,19 @@ def test_reduce_matches_fraction_reference(raw):
 
 
 @hsettings(max_examples=80, deadline=None)
+@given(raw_chars)
+def test_canonical_flag_is_set_when_built(raw):
+    chi = Characteristic.from_den(*raw)
+    red = chi.reduce()[0]
+    assert chi.is_canonical() == all(0 <= v < chi.den for v in chi.num)
+    assert red.is_canonical() and all(0 <= v < red.den for v in red.num)
+    # reduce skips normalising: it must equal, and hash like, the normalising constructor's result
+    built = Characteristic(tuple(v % chi.den for v in chi.num), chi.den)
+    assert red == built and hash(red) == hash(built)
+    assert (red.num, red.den) == (built.num, built.den)
+
+
+@hsettings(max_examples=80, deadline=None)
 @given(raw_chars, st.integers(1, 24))
 def test_scaled_raises_exactly_off_the_lattice(raw, n):
     chi = Characteristic.from_den(*raw)
@@ -419,6 +432,21 @@ def test_unreduced_numerators_normalise():
         Characteristic.from_den([1, 0], [0], 2)
     with pytest.raises(ValueError):
         Characteristic.make([F(1, 2)], [0, 0])
+    # numerators are read through operator.index: a float or a Fraction is a TypeError, never truncated
+    with pytest.raises(TypeError):
+        Characteristic((0.5, 0, 0, 0), 1)
+    with pytest.raises(TypeError):
+        Characteristic((F(1, 2), 0, 0, 0), 1)
+    assert repr(chi) == "Characteristic(num=(1, 0, 0, 0), den=2)"
+
+
+def test_genus_mismatch_is_a_value_error():
+    z = 1j * np.eye(2)
+    for chi in (zero_char(1), zero_char(3), Characteristic.make([F(7, 3)], [F(-1, 3)])):
+        with pytest.raises(ValueError, match="genus"):
+            theta_eval(z, chi)
+        with pytest.raises(ValueError, match="genus"):
+            phi_eval(chi, z)
 
 
 @pytest.mark.parametrize("n", [2, 4])
