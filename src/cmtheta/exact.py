@@ -11,7 +11,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import mul
+from operator import add, mul
 
 
 def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
@@ -177,12 +177,15 @@ class CycloElem:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, CycloElem) and other.n == self.n:
+            a, b = self, other
+        elif isinstance(other, (int, Fraction)):
             q = Fraction(other)
             return CycloElem._make(self.n, [c * q.numerator for c in self.num], self.den * q.denominator)
-        a, b = self._pair(self, other)
-        if a is None:
-            return NotImplemented
+        else:
+            a, b = self._pair(self, other)
+            if a is None:
+                return NotImplemented
         bs = [(j, y) for j, y in enumerate(b.num) if y]
         prod = [0] * (2 * len(a.num) - 1)
         for i, x in enumerate(a.num):
@@ -254,7 +257,12 @@ class CycloElem:
         return Fraction(self.num[0], self.den)
 
     def galois(self, t: int) -> "CycloElem":
-        """Apply sigma_t : zeta -> zeta^t.  Requires gcd(t, n) = 1."""
+        """Apply sigma_t : zeta -> zeta^t.  Requires gcd(t, n) = 1.
+
+        The image is built directly, not renormalised: every `_sparse_powers` row is
+        reduced, so it is already on the power basis, and sigma_t maps Z[zeta_n] onto itself,
+        so it keeps den and the gcd of the numerators.
+        """
         if math.gcd(t, self.n) != 1:
             raise ValueError(f"sigma_{t} is not an automorphism of Q(zeta_{self.n})")
         rows = _sparse_powers(self.n)
@@ -263,7 +271,9 @@ class CycloElem:
             if c:
                 for k, v in rows[(j * t) % self.n]:
                     out[k] += c * v
-        return CycloElem._make(self.n, out, self.den)
+        image = CycloElem.__new__(CycloElem)
+        image.n, image.num, image.den = self.n, tuple(out), self.den
+        return image
 
     def embed(self, t: int = 1) -> complex:
         """Numerical value under zeta -> exp(2*pi*i*t/n)."""
@@ -277,11 +287,11 @@ class CycloElem:
 
 
 def orbit_sum(a: CycloElem, residues) -> CycloElem:
-    """Sum of sigma_t(a) over t in residues."""
-    total = CycloElem.from_rational(a.n, 0)
+    """Sum of sigma_t(a) over t in residues, normalised once: every conjugate has den a.den."""
+    total = [0] * len(a.num)
     for t in residues:
-        total = total + a.galois(t)
-    return total
+        total = list(map(add, total, a.galois(t).num))
+    return CycloElem._make(a.n, total, a.den)
 
 
 def orbit_product(a: CycloElem, residues) -> CycloElem:

@@ -643,6 +643,7 @@ def check_random_towers(env: HarnessEnv):
     failures = []
     trace_coeffs = (1, -1, 2, -2, Fraction(1, 5))
     norm_pairs = ((3, 1), (5, 2), (-7, 3))
+    norm_exps = (-2, -1, 1, 2)
     built = 0
     for _ in range(200):
         if built == 20:
@@ -661,7 +662,8 @@ def check_random_towers(env: HarnessEnv):
         eps = combine_trace(tower, a, b)
         (ca, cb) = norm_pairs[int(rng.integers(0, 3))]
         (cc, cd) = norm_pairs[int(rng.integers(0, 3))]
-        ne, me = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        ne = norm_exps[int(rng.integers(0, 4))]  # ne < 0 inverts a x + b in K(x), me < 0 inverts c y + d in L
+        me = norm_exps[int(rng.integers(0, 4))]
         eps2 = combine_norm(tower, ca, cb, cc, cd, ne, me)
         cases = {
             "trace combinator primitive": is_primitive(eps, tower),
@@ -673,7 +675,10 @@ def check_random_towers(env: HarnessEnv):
         failures += [f"tower {built} (n={n}): {label}" for label in _failing(cases)]
     if built < 20:
         raise RuntimeError(f"only {built} towers of degree > 1 in 200 draws")
-    detail = "20 randomized cyclotomic towers: combinator outputs primitive, relative trace and norm identities exact"
+    detail = (
+        "20 randomized cyclotomic towers, norm exponents in {-2, -1, 1, 2}: combinator outputs primitive, "
+        "relative trace and norm identities exact"
+    )
     return _exact(failures, detail)
 
 

@@ -47,7 +47,7 @@ def stabilizer(a: CycloElem, within) -> frozenset[int]:
         r = t % n
         if r in fixed or r in moved:
             continue
-        if a.galois(r) == a:
+        if a.galois(r).num == a.num:  # sigma_r keeps den
             gens.append(r)
             fixed = subgroup_generated(n, gens)
             moved = {(m * f) % n for m in moved for f in fixed}
@@ -104,13 +104,24 @@ class AbelianTower:
         """[L : K]."""
         return len(self.base_h) // len(self.fixer_l)
 
+    @cached_property
     def _reps(self) -> list[int]:
         """Representatives of Gal(L/K(x)), the identity first."""
         return _coset_reps(self.conductor, self.mid_h, self.fixer_l)
 
+    @cached_property
+    def _mid_others(self) -> list[int]:
+        """Representatives of the cosets of mid_h in (Z/n)^* other than mid_h itself."""
+        return _coset_reps(self.conductor, unit_residues(self.conductor), self.mid_h)[1:]
+
+    def _inverse_in_mid(self, e: CycloElem) -> CycloElem:
+        """e^-1 for nonzero e in K(x), from its [K(x):Q] - 1 other conjugates."""
+        return orbit_inverse(e, self._mid_others)
+
     def _inverse_in_l(self, e: CycloElem) -> CycloElem:
-        """e^-1 for nonzero e in L, from its [L:Q] - 1 other conjugates, one per coset of fixer_l in (Z/n)^*."""
-        return orbit_inverse(e, _coset_reps(self.conductor, unit_residues(self.conductor), self.fixer_l)[1:])
+        """e^-1 for nonzero e in L: e times its ell - 1 other conjugates over K(x) is N_{L/K(x)}(e), in K(x)."""
+        rest = orbit_product(e, self._reps[1:])
+        return rest * self._inverse_in_mid(e * rest)
 
     def _require_in_l(self, e: CycloElem) -> None:
         if stabilizer(e, self.fixer_l) != self.fixer_l:
@@ -119,12 +130,12 @@ class AbelianTower:
     def trace_mid(self, e: CycloElem) -> CycloElem:
         """Tr_{L/K(x)}(e) for e in L, via coset representatives."""
         self._require_in_l(e)
-        return orbit_sum(e, self._reps())
+        return orbit_sum(e, self._reps)
 
     def norm_mid(self, e: CycloElem) -> CycloElem:
         """N_{L/K(x)}(e) for e in L."""
         self._require_in_l(e)
-        return orbit_product(e, self._reps())
+        return orbit_product(e, self._reps)
 
 
 def make_tower(conductor: int, base_h, x: CycloElem, y: CycloElem) -> AbelianTower:
@@ -149,7 +160,7 @@ def combine_trace(t: AbelianTower, a, b) -> CycloElem:
     # Q lies in K, so only an irrational coefficient needs its stabilizer
     if any(not c.is_rational() and stabilizer(c, t.base_h) != t.base_h for c in (a, b)):
         raise ValueError("a and b must lie in the base field")
-    return a * t.x + b * (t.ell * t.y - orbit_sum(t.y, t._reps()))  # y lies in L by construction
+    return a * t.x + b * (t.ell * t.y - orbit_sum(t.y, t._reps))  # y lies in L by construction
 
 
 def combine_norm(t: AbelianTower, a: int, b: int, c: int, d: int, n: int = 1, m: int = 1) -> CycloElem:
@@ -165,10 +176,12 @@ def combine_norm(t: AbelianTower, a: int, b: int, c: int, d: int, n: int = 1, m:
     if t.x.den != 1 or t.y.den != 1:
         raise ValueError("x and y must be integral")
     ax_b = a * t.x + b
+    power = ax_b**n if n > 0 else t._inverse_in_mid(ax_b) ** -n  # a x + b lies in K(x)
+    if t.ell == 1:
+        return power  # L = K(x), so u^-ell N_{L/K(x)}(u) = 1
     cy_d = c * t.y + d
-    # N_{L/K(x)}(u) = u * (the other conjugates of u), so u^-ell N(u) = u^(1 - ell) * (the others)
     u = cy_d**m if m > 0 else t._inverse_in_l(cy_d) ** -m  # in L: cy + d is, and so is its inverse there
-    eps = orbit_product(u, t._reps()[1:])
-    if t.ell > 1:
-        eps = eps * t._inverse_in_l(u) ** (t.ell - 1)
-    return (ax_b**n if n > 0 else t._inverse_in_l(ax_b) ** -n) * eps
+    # with rest the other conjugates of u over K(x), N_{L/K(x)}(u) = u rest lies in K(x), and
+    # u^-ell N(u) = u^(1 - ell) rest = rest^ell N(u)^-(ell - 1), inverted in K(x)
+    rest = orbit_product(u, t._reps[1:])
+    return power * rest**t.ell * t._inverse_in_mid(u * rest) ** (t.ell - 1)

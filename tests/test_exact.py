@@ -1,6 +1,7 @@
 import ast
 import cmath
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -132,6 +133,44 @@ def test_mixed_order_arithmetic():
     assert abs(a.embed() - (cmath.exp(1j * cmath.pi) + cmath.exp(2j * cmath.pi / 3))) < 1e-14
     b = CycloElem.zeta(5)
     assert (b.lift(15)) == b  # equality coerces through the compositum
+    assert CycloElem.zeta(3) * b == CycloElem.zeta(15, 8) == b * CycloElem.zeta(3).lift(15)
+
+
+ORDERS = [8, 12, 15, 16, 20, 24, 25]
+
+
+def content_elems(n):
+    """Seeded elements of Q(zeta_n), some with numerator content > 1 over an odd den, some rational."""
+    rng = random.Random(n)
+    elems = [CycloElem.zeta(n, k) for k in (1, 2, n - 1)]
+    elems += [CycloElem.from_rational(n, q) for q in (0, 3, Fraction(-2, 9))]
+    for den in (1, 2, 3, 15, 45):
+        for _ in range(3):
+            # more powers than phi(n), so the numerators are reduced mod Phi_n first
+            elems.append(CycloElem._make(n, [2 * rng.randint(-4, 4) for _ in range(n)], den))
+    assert any(math.gcd(*a.num) > 1 and a.den % 2 for a in elems)
+    return elems
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_galois_image_keeps_content_and_den(n):
+    # sigma_t maps Z[zeta_n] onto itself, so the image is built without renormalising
+    for a in content_elems(n):
+        for t in unit_residues(n):
+            image = a.galois(t)
+            rebuilt = CycloElem._make(n, list(image.num), image.den)
+            assert (image.n, image.num, image.den) == (rebuilt.n, rebuilt.num, rebuilt.den)
+            assert abs(image.embed() - a.embed(t)) < 1e-9
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_orbit_sum_is_the_sum_of_the_conjugates(n):
+    units = unit_residues(n)
+    for a in content_elems(n):
+        for residues in ((), (1,), units[1::2], units):
+            by_hand = sum((a.galois(t) for t in residues), CycloElem.from_rational(n, 0))
+            total = orbit_sum(a, residues)
+            assert (total.n, total.num, total.den) == (by_hand.n, by_hand.num, by_hand.den)
 
 
 def test_galois_action():

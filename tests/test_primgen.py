@@ -127,12 +127,12 @@ def reference_norm(t, a, b, c, d, n, m):
 def test_reps_start_at_the_identity():
     towers = [surrogate_tower(), orbit_tower(12, 5, 1), orbit_tower(15, 2, 2), orbit_tower(20, 13, 3)]
     for t in towers:
-        reps = t._reps()
+        reps = t._reps
         assert reps[0] == 1 and len(reps) == t.ell
 
 
-def test_combine_norm_matches_reference_formula():
-    towers = [
+def norm_towers():
+    return [
         surrogate_tower(),
         orbit_tower(12, 5, 1),
         orbit_tower(15, 2, 1),
@@ -140,12 +140,32 @@ def test_combine_norm_matches_reference_formula():
         orbit_tower(16, 3, 3),
         orbit_tower(20, 13, 3),
     ]
+
+
+def test_combine_norm_matches_reference_formula():
+    towers = norm_towers()
     assert sorted({t.ell for t in towers}) == [1, 2, 4]
     for t in towers:
         for coeffs in ((3, 1, 5, 2), (-7, 3, 3, -1)):
             for n in (-2, -1, 1, 2):
                 for m in (-2, -1, 1, 2):
                     assert combine_norm(t, *coeffs, n, m) == reference_norm(t, *coeffs, n, m)
+
+
+def test_inverse_in_l_goes_down_the_tower(monkeypatch):
+    # e times its ell - 1 other conjugates over K(x) lies in K(x), which inverts with [K(x):Q] - 1 more;
+    # inverting in L directly would take [L:Q] - 1 = ell [K(x):Q] - 1
+    applied = []
+    galois = CycloElem.galois
+    monkeypatch.setattr(CycloElem, "galois", lambda self, t: applied.append(t) or galois(self, t))
+    for t in norm_towers():
+        mid_degree = len(unit_residues(t.conductor)) // len(t.mid_h)
+        assert len(t._reps) == t.ell and len(t._mid_others) == mid_degree - 1  # built before counting
+        for e in (3 * t.y + 1, -7 * t.y + 3 + t.x * t.y, Fraction(1, 2) * t.y - 5):
+            applied.clear()
+            inverse = t._inverse_in_l(e)
+            assert len(applied) == (t.ell - 1) + (mid_degree - 1)
+            assert e * inverse == 1
 
 
 def test_combine_trace_validation():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -179,6 +180,56 @@ def test_factored_sum_within_tail_plus_rounding():
             cut = z._theta_cuts[1e-12]
             assert cut.factor is not None
             assert abs(got - complex(want)) <= cut.tail + cut.rounding
+
+
+def per_term_rounding(zp, cut, r, s):
+    """u sum_y |term(y)| (a + m_E pi |y|^t|Z||y| + m_w 2 pi sum_j tau_j |y_j| + m_c kappa) over the cut's candidates.
+
+    The first-order model of theta_eval's docstring at shift r and s, before it is bounded over every shift.
+    """
+    z, g = zp.mat, zp.g
+    if cut.factor is not None:
+        ys = np.argwhere(cut.factor != 0) + [axis[0] for axis in cut.axes]
+        a, more = 8 * (g + 2) + math.sqrt(2) * (2 * sum(cut.factor.shape) + 2) + 24, 0
+    else:
+        ys = cut.points.real
+        a, more = len(ys) + 7 + 24, g + 2
+    v = ys + r
+    modulus = np.exp(-np.pi * np.einsum("ij,jk,ik->i", v, z.imag, v))
+    abs_z, abs_y = np.abs(z), np.abs(ys)
+    tau = abs_z @ r + s
+    kappa = np.pi * np.sum(r * (tau + s))
+    per_term = (
+        a
+        + (g * g + 3 + more) * np.pi * np.einsum("ij,jk,ik->i", abs_y, abs_z, abs_y)
+        + (g + 5 + more) * 2 * np.pi * (abs_y @ tau)
+        + (2 * g + 5 + more) * kappa
+    )
+    return theta.EPS / 2 * float(modulus @ per_term)
+
+
+def test_rounding_bound_dominates_per_term_model():
+    # the closed form bounds the per-term sum for every shift at once; at each of these points it is 1.2 to 9.4
+    # times the sum at the closest shift: a bound 10 times too small fails at every one of them
+    points = [
+        SiegelPoint(np.array([[0.2 + 0.05j]])),
+        SiegelPoint(np.array([[0.1 + 0.05j, 0.3 + 0.01j], [0.3 + 0.01j, -0.2 + 0.4j]])),
+        *(random_siegel(np.random.default_rng(seed), g, base) for seed, g, base in ((2, 2, 0.04), (4, 2, 0.05))),
+        *(random_siegel(np.random.default_rng(seed), g, base) for seed, g, base in ((5, 3, 0.05), (7, 3, 0.8))),
+        random_siegel(np.random.default_rng(8), 1),
+        random_siegel(np.random.default_rng(6), 2),
+        random_siegel(np.random.default_rng(9), 2, base=0.2),
+        SiegelPoint(300j * np.eye(2) + 0.25),  # summed term by term
+        SiegelPoint(np.array([[0.3 + 250j, -0.1 + 120j], [-0.1 + 120j, 0.2 + 260j]])),
+    ]
+    assert sum(zp.min_im_eig <= 0.06 for zp in points) == 4
+    for zp in points:
+        theta_null(zp)
+        cut = zp._theta_cuts[1e-12]
+        for r in itertools.product((0, 0.25, 0.5, 0.75, 0.999), repeat=zp.g):
+            for s in (0, 0.999):
+                assert cut.rounding >= per_term_rounding(zp, cut, np.array(r), np.full(zp.g, s))
+    assert {cut.factor is None for zp in points for cut in zp._theta_cuts.values()} == {False, True}
 
 
 def direct_sum(z, chi, radius):
