@@ -23,6 +23,8 @@ from .cmfield import (
     belong_criterion,
     build_context,
     closed_phase,
+    field_norm,
+    h_map,
     is_odd_prime,
     riemann_form,
     shared_actor,
@@ -100,8 +102,8 @@ class Report:
         return all(r.status == "pass" for r in self.records)
 
     def to_json(self) -> str:
-        def sig(x):
-            return None if x is None else float(f"{x:.15g}")
+        def sig(x):  # None, or NaN or inf, is null: the report stays strict JSON
+            return float(f"{x:.15g}") if x is not None and math.isfinite(x) else None
 
         payload = {
             "seed": self.config.seed,
@@ -145,12 +147,16 @@ class Outcome:
     detail: str
 
 
-def _within(worst, tol: float, detail: str) -> Outcome:
-    return Outcome(worst < tol, float(worst), tol, detail)
+def _within(deviations, tol: float, detail: str) -> Outcome:
+    """Passes when every deviation is below tol; np.max keeps a NaN, and a NaN is not below tol."""
+    worst = float(np.max(deviations))
+    return Outcome(worst < tol, worst, tol, detail)
 
 
-def _above(value, floor: float, detail: str) -> Outcome:
-    return Outcome(value > floor, float(value), floor, detail)
+def _above(values, floor: float, detail: str) -> Outcome:
+    """Passes when every value is above floor; np.min keeps a NaN, and a NaN is not above floor."""
+    closest = float(np.min(values))
+    return Outcome(closest > floor, closest, floor, detail)
 
 
 def _exact(failures: list, detail: str) -> Outcome:
@@ -165,18 +171,32 @@ def _failing(cases: dict) -> list:
     return [label for label, holds in cases.items() if not holds]
 
 
+def _refuses(fn, *args) -> bool:
+    """Whether fn(*args) raises ValueError."""
+    try:
+        fn(*args)
+    except ValueError:
+        return True
+    return False
+
+
 def _rng(env: HarnessEnv, salt: int) -> np.random.Generator:
     return np.random.default_rng([env.config.seed, salt])
 
 
+def _draws(budget: int, what: str):
+    """The loop of every sampler: budget draws, then the one RuntimeError of a sampler that found no `what`."""
+    yield from range(budget)
+    raise RuntimeError(f"no {what} in {budget} draws")
+
+
 def _random_char(rng, den: int, exclude_sigma: bool = True) -> Characteristic:
-    for _ in range(64):
+    for _ in _draws(64, "characteristic outside Sigma^-"):
         chi = Characteristic.from_den(
             [int(v) for v in rng.integers(0, den, 2)], [int(v) for v in rng.integers(0, den, 2)], den
         )
         if not (exclude_sigma and chi.in_sigma_minus()):
             return chi
-    raise RuntimeError("no characteristic outside Sigma^- in 64 draws")
 
 
 def _gamma_word(rng, n: int, max_len: int = 3):
@@ -216,7 +236,7 @@ def _power_product(terms, phis) -> complex:
 
 
 def _random_passing_family(rng, n: int) -> ThetaProduct:
-    for _ in range(32):
+    for _ in _draws(32, "moderate passing family"):
         terms = []
         for _ in range(int(rng.integers(1, 3))):
             chi = _random_char(rng, n)
@@ -231,12 +251,11 @@ def _random_passing_family(rng, n: int) -> ThetaProduct:
             if not check_family(prod).ok:
                 raise RuntimeError("a family built from exponent-2n terms and partner pairs fails check_family")
             return prod
-    raise RuntimeError("no moderate passing family in 32 draws")
 
 
 def _random_failing_family(rng, n: int):
     """A random family failing check_family together with an exact generator witness."""
-    for _ in range(32):
+    for _ in _draws(32, "failing family with a generator witness"):
         terms = []
         for _ in range(int(rng.integers(1, 4))):
             chi = _random_char(rng, n)
@@ -251,12 +270,11 @@ def _random_failing_family(rng, n: int):
                 if gamma_multiplier(gam, prod, n) != RootOfUnity.one():
                     return prod, gam
         # no witness among the distinguished generators (possible but rare); resample
-    raise RuntimeError("no failing family with a generator witness in 32 draws")
 
 
 def _family_value_guarded(rng, env, prod, factor_band, value_band, tries: int = 60):
     # pick a point where every factor and the product are well away from 0 and infinity
-    for _ in range(tries):
+    for _ in _draws(tries, "well-conditioned point for the family"):
         z = random_siegel(rng)
         at_z = _guarded_phis(env, [chi for chi, _ in prod.terms], z, 0.5, factor_band)
         if at_z is None:
@@ -264,7 +282,6 @@ def _family_value_guarded(rng, env, prod, factor_band, value_band, tries: int = 
         value = _power_product(prod.terms, at_z[1])
         if value_band[0] < abs(value) < value_band[1]:
             return z, value
-    raise RuntimeError("no well-conditioned point found for family")
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +291,12 @@ def _family_value_guarded(rng, env, prod, factor_band, value_band, tries: int = 
 def check_theta_reference(env: HarnessEnv):
     val = theta_eval(np.eye(2) * 1j, zero_char(2), env.settings)
     ref = 1.1803405990160964  # (pi^(1/4) / Gamma(3/4))^2
-    return _within(abs(val - ref), 1e-10, "theta null at iI2 vs closed-form reference")
+    # at 200i I2 the factored sum would leave the float range, so the terms are summed one by one;
+    # n = (0, 0) and (-1, 0) give 2 e^(-50 pi), and the next terms are e^(-200 pi) smaller
+    far = theta_eval(np.eye(2) * 200j, Characteristic.from_den([1, 0], [0, 0], 2), env.settings)
+    deviations = [abs(val - ref), abs(far / (2 * math.exp(-50 * math.pi)) - 1)]
+    detail = "theta null at iI2 vs closed-form reference; Theta[1/2 0; 0 0](200i I2) vs 2e^(-50 pi), relative"
+    return _within(deviations, 1e-10, detail)
 
 
 def check_translation_formula(env: HarnessEnv):
@@ -297,14 +319,14 @@ def check_translation_formula(env: HarnessEnv):
 
 def check_sign_symmetry(env: HarnessEnv):
     rng = _rng(env, 3)
-    worst = 0.0
+    deviations = []
     for _ in range(20):
         z = random_siegel(rng)
         chi = _random_char(rng, int(rng.integers(2, 7)), exclude_sigma=False)
         lhs = theta_eval(z, chi.neg(), env.settings)
         rhs = theta_eval(z, chi, env.settings)
-        worst = max(worst, abs(lhs - rhs))
-    return _within(worst, 1e-10, "Theta(Z;-r,-s) = Theta(Z;r,s), 20 random inputs")
+        deviations.append(abs(lhs - rhs))
+    return _within(deviations, 1e-10, "Theta(Z;-r,-s) = Theta(Z;r,s), 20 random inputs")
 
 
 def check_sigma_minus(env: HarnessEnv):
@@ -312,27 +334,26 @@ def check_sigma_minus(env: HarnessEnv):
     odd_chars = [chi for chi in all_characteristics(2, 2) if chi.in_sigma_minus()]
     if len(odd_chars) != 6:
         raise RuntimeError(f"expected 6 odd half-integral characteristics, found {len(odd_chars)}")
-    worst = 0.0
+    deviations = []
     for _ in range(5):
         z = random_siegel(rng)
-        for chi in odd_chars:
-            worst = max(worst, abs(theta_eval(z, chi, env.settings)))
-    return _within(worst, 1e-10, "all 6 odd half-integral theta nulls vanish at 5 random Z")
+        deviations += [abs(theta_eval(z, chi, env.settings)) for chi in odd_chars]
+    return _within(deviations, 1e-10, "all 6 odd half-integral theta nulls vanish at 5 random Z")
 
 
 def check_conjugation(env: HarnessEnv):
     rng = _rng(env, 7)
     z0 = env.ctx.z0
     zbar = type(z0)(-z0.mat.conjugate())
-    worst = 0.0
+    deviations = []
     for _ in range(20):
         den = int(rng.integers(0, 2)) + 3  # 3 or 4
         chi = _random_char(rng, den, exclude_sigma=False)
         lhs = env.ctx.phi(chi).conjugate()
         # theta_eval sums [r; -s] reduced, times its exact phase: not the mirror of the left side, so theta errors show
         rhs = phi_eval(Characteristic.make(chi.r, [-v for v in chi.s]), zbar, env.settings)
-        worst = max(worst, abs(lhs - rhs))
-    return _within(worst, env.config.tol_numeric, "conj(Phi_[r;s](Z0)) = Phi_[r;-s](-conj(Z0))")
+        deviations.append(abs(lhs - rhs))
+    return _within(deviations, env.config.tol_numeric, "conj(Phi_[r;s](Z0)) = Phi_[r;-s](-conj(Z0))")
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +368,7 @@ def check_single_2n(env: HarnessEnv):
 
 def check_passing_families(env: HarnessEnv):
     rng = _rng(env, 81)
-    worst = 0.0
-    compared = 0
+    deviations = []
     for n in (2, 4):
         for _ in range(10):
             prod = _random_passing_family(rng, n)
@@ -365,46 +385,37 @@ def check_passing_families(env: HarnessEnv):
                     at_w = None if w is None else _guarded_phis(env, chis, w, 0.3, (0.05, 5.0))
                     if at_w is None:
                         continue
-                    worst = max(worst, abs(_power_product(prod.terms, at_w[1]) - val))
-                    compared += 1
+                    deviations.append(abs(_power_product(prod.terms, at_w[1]) - val))
+    compared = len(deviations)
     if compared < 400:
         raise RuntimeError(f"only {compared} well-conditioned comparisons, below the floor of 400")
     detail = f"passing families are Gamma(N)-invariant ({compared} well-conditioned comparisons)"
-    return _within(worst, env.config.tol_numeric, detail)
+    return _within(deviations, env.config.tol_numeric, detail)
 
 
 def check_failing_families(env: HarnessEnv):
     rng = _rng(env, 82)
-    closest = math.inf
+    separations = []
     for n in (2, 4):
         for _ in range(10):
-            for _ in range(16):  # the ratio test is forgiving; only degenerate families are resampled
+            # the ratio test is forgiving; only degenerate families are resampled
+            for _ in _draws(16, "failing family with a well-conditioned point"):
                 prod, gam = _random_failing_family(rng, n)
                 try:
                     z, val = _family_value_guarded(rng, env, prod, factor_band=(0.01, 20.0), value_band=(1e-6, 1e6))
                     break
                 except RuntimeError:
                     continue
-            else:
-                raise RuntimeError("no well-conditioned point for 16 failing families")
             w = act_siegel(gam, z)
             moved = eval_product(prod, w, env.settings)
-            closest = min(closest, abs(moved / val - 1))
-    return _above(closest, 1e-3, "failing families have a generator witness with ratio far from 1")
+            separations.append(abs(moved / val - 1))
+    return _above(separations, 1e-3, "failing families have a generator witness with ratio far from 1")
 
 
-@dataclass
-class _WordSample:
-    gamma: object
-    z: object
-    null_z: complex
-    base: complex
-    moved: complex
-
-
-def _usable_sample(rng, env, n, chi) -> _WordSample:
-    """A random generator word and point with Phi(chi) well-conditioned at z and gamma z."""
-    for _ in range(64):
+def _usable_sample(rng, env, n, chi):
+    """(gamma, z, theta_null(z), Phi_chi(z), Phi_chi(gamma z)) for a random generator word gamma and point z
+    with Phi_chi well-conditioned at z and gamma z."""
+    for _ in _draws(64, "usable word/point pair"):
         gamma = _gamma_word(rng, n)
         for _ in range(30):
             for _ in range(10):
@@ -419,20 +430,18 @@ def _usable_sample(rng, env, n, chi) -> _WordSample:
             if at_w is None:
                 continue
             (null_z, (base,)), (_, (moved,)) = at_z, at_w
-            return _WordSample(gamma, z, null_z, base, moved)
-    raise RuntimeError("no usable word/point pair in 64 words")
+            return gamma, z, null_z, base, moved
 
 
 def check_multiplier_cross(env: HarnessEnv):
     rng = _rng(env, 10)
-    worst = 0.0
+    deviations = []
     for i in range(100):
         n = (2, 4)[i % 2]
         chi = _random_char(rng, n)
-        smp = _usable_sample(rng, env, n, chi)
-        mult = gamma_multiplier(smp.gamma, chi, n)
-        worst = max(worst, abs(smp.moved / smp.base - mult.value()))
-    return _within(worst, env.config.tol_numeric, "congruence multiplier vs numeric ratio, 100 words")
+        gamma, _, _, base, moved = _usable_sample(rng, env, n, chi)
+        deviations.append(abs(moved / base - gamma_multiplier(gamma, chi, n).value()))
+    return _within(deviations, env.config.tol_numeric, "congruence multiplier vs numeric ratio, 100 words")
 
 
 def check_odd_action_overlap(env: HarnessEnv):
@@ -440,13 +449,24 @@ def check_odd_action_overlap(env: HarnessEnv):
     failures = []
     for m in (3, 5):
         level = 2 * m * m
+        bent = identity(4)
+        bent[0, 0] += level  # I mod level, but not symplectic
+        cases = {f"Gamma({level}) refuses I + {level} E_11": _refuses(gamma_multiplier, bent, zero_char(2), level)}
+        # h(zeta^2) and h(zeta^4) are symplectic; their tAC diagonals are even and their tBD diagonals odd
+        for k in (2, 4):
+            cases[f"G_{level} refuses h(zeta^{k})"] = _refuses(act_phi, h_map(CycloElem.zeta(5, k)), zero_char(2), m)
+        failures += [f"M={m}: {label}" for label in _failing(cases)]
         for i in range(20):
             gamma = _gamma_word(rng, level, max_len=2)
             chi = _random_char(rng, m, exclude_sigma=False)
             res = act_phi(gamma, chi, m).canonical()
             if res.chi_out != chi or res.multiplier != gamma_multiplier(gamma, chi, level):
                 failures.append(f"M={m}, word {i}, chi={chi}")
-    return _exact(failures, "act_phi == congruence multiplier on 40 Gamma(2M^2) words, exact")
+    detail = (
+        "act_phi == congruence multiplier on 40 Gamma(2M^2) words, exact; "
+        "Gamma(2M^2) refuses I + 2M^2 E_11, act_phi refuses h(zeta^2) and h(zeta^4)"
+    )
+    return _exact(failures, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +500,13 @@ def check_power_family_numeric(env: HarnessEnv):
     rng = _rng(env, 53)
     n = 2
     power = 2 * n * n
-    worst = 0.0
+    deviations = []
     for _ in range(15):
         chi = _random_char(rng, n)
-        smp = _usable_sample(rng, env, n, chi)
-        out = act_power_family(smp.gamma, chi, n)
-        lhs = smp.moved**power
-        rhs = phi_eval(out, smp.z, env.settings, null_value=smp.null_z) ** power
-        worst = max(worst, abs(lhs / rhs - 1))
-    return _within(worst, 1e-7, "2N^2-th powers move by characteristic bookkeeping alone (Gamma(N) words)")
+        gamma, z, null_z, _, moved = _usable_sample(rng, env, n, chi)
+        rhs = phi_eval(act_power_family(gamma, chi, n), z, env.settings, null_value=null_z) ** power
+        deviations.append(abs(moved**power / rhs - 1))
+    return _within(deviations, 1e-7, "2N^2-th powers move by characteristic bookkeeping alone (Gamma(N) words)")
 
 
 def check_iota_twist(env: HarnessEnv):
@@ -529,7 +547,7 @@ def check_cm_point(env: HarnessEnv):
     if not is_symplectic(beta):
         raise RuntimeError("beta is not symplectic")
     moved = act_siegel(beta, ctx.z0)
-    return _within(np.abs(moved.mat + ctx.z0.mat.conjugate()).max(), 1e-10, "beta(Z0) = -conj(Z0); Z0 valid in H_2")
+    return _within(np.abs(moved.mat + ctx.z0.mat.conjugate()), 1e-10, "beta(Z0) = -conj(Z0); Z0 valid in H_2")
 
 
 def check_theta_null_bound(env: HarnessEnv):
@@ -552,10 +570,12 @@ def check_reflex_congruences(env: HarnessEnv):
             cases = {
                 "reflex matrix": ((actor.h_matrix - identity(4) - 2 * p * step) % level == 0).all(),
                 "nu": actor.nu == (1 - 2 * p) % level,
+                "norm": actor.norm == field_norm(x),
                 "in the group": actor.in_group,
             }
             failures += [f"p={p}, actor {which}: {label}" for label in _failing(cases)]
-    return _exact(failures, f"reflex matrices and nu match their mod-2p^2 targets, p in {env.config.primes}")
+    detail = f"reflex matrices and nu match their mod-2p^2 targets, the norm is N(x), p in {env.config.primes}"
+    return _exact(failures, detail)
 
 
 def check_artin_closed_form(env: HarnessEnv):
@@ -579,7 +599,7 @@ def check_artin_closed_form(env: HarnessEnv):
 
 def check_reality(env: HarnessEnv):
     ctx = env.ctx
-    worst = 0.0
+    deviations = []
     for p in (3, 5):
         for a in range(p):
             for b in range(p):
@@ -588,8 +608,8 @@ def check_reality(env: HarnessEnv):
                 chi = Characteristic.make(r, s)
                 phase = RootOfUnity(-sum((rv * sv for rv, sv in zip(r, s)), Fraction(0)) / 2).value()
                 val = phase * theta_eval(ctx.z0, chi, env.settings) / ctx.null0
-                worst = max(worst, abs(val.imag))
-    return _within(worst, env.config.tol_numeric, "e(-trs/2) Phi_[r;s](Z0) is real on the CM locus")
+                deviations.append(abs(val.imag))
+    return _within(deviations, env.config.tol_numeric, "e(-trs/2) Phi_[r;s](Z0) is real on the CM locus")
 
 
 def check_belong_example(env: HarnessEnv):

@@ -51,7 +51,10 @@ CAUGHT = [
         MODULARITY,
         '    if not _gamma_member(*cols, n):\n        raise ValueError(f"gamma is not in Gamma({n})")\n',
         "",
-        ["tests/test_modularity.py::test_multiplier_requires_congruence"],
+        [
+            "tests/test_modularity.py::test_multiplier_requires_congruence",
+            "tests/test_acceptance.py::test_odd_action_matches_congruence_multiplier_and_refuses_non_members",
+        ],
     ),
     # gamma_multiplier without the level rule: n = 0 divides by zero, n = -2 floors the move wrongly
     (
@@ -68,6 +71,7 @@ CAUGHT = [
         [
             "tests/test_modularity.py::test_multiplier_requires_congruence",
             "tests/test_symplectic.py::test_multiplier",
+            "tests/test_acceptance.py::test_odd_action_matches_congruence_multiplier_and_refuses_non_members",
         ],
     ),
     # check_family with the rs congruence taken mod n/2
@@ -92,7 +96,10 @@ CAUGHT = [
         SYMPLECTIC,
         "for t, b in zip(tops, bots))",
         "for t, b in zip(tops[: len(tops) // 2], bots))",
-        ["tests/test_symplectic.py::test_g_group_multiplier"],
+        [
+            "tests/test_symplectic.py::test_g_group_multiplier",
+            "tests/test_acceptance.py::test_odd_action_matches_congruence_multiplier_and_refuses_non_members",
+        ],
     ),
     # the second closed Artin phase without its -6ad cross term
     (
@@ -106,7 +113,10 @@ CAUGHT = [
         CMFIELD,
         "norm=_similitude(*cols)",
         "norm=_similitude(*cols) % (2 * p * p)",
-        ["tests/test_cmfield.py::test_actor_build_matches_definitional_composition"],
+        [
+            "tests/test_cmfield.py::test_actor_build_matches_definitional_composition",
+            "tests/test_acceptance.py::test_reflex_norm_matrices_match_mod_2p_squared",
+        ],
     ),
     # the similitude with its sign flipped: (tM J M)[0, g] instead of -(tM J M)[0, g]
     (
@@ -222,6 +232,7 @@ CAUGHT = [
         [
             "tests/test_theta.py::test_range_guard_keeps_large_imaginary_parts_finite[z0]",
             "tests/test_theta.py::test_range_guard_keeps_large_imaginary_parts_finite[z1]",
+            "tests/test_acceptance.py::test_theta_reference_values_on_both_summation_paths",
         ],
     ),
     # _theta summing every characteristic as given: an unreduced r moves the sum off the candidate set
@@ -336,8 +347,8 @@ CAUGHT = [
     # the judge passing a deviation at or above its tolerance, and failing one below it
     (
         HARNESS,
-        "Outcome(worst < tol,",
-        "Outcome(worst > tol,",
+        "Outcome(worst < tol, worst,",
+        "Outcome(worst > tol, worst,",
         [
             "tests/test_acceptance.py::test_odd_half_integral_theta_nulls_vanish",
             "tests/test_harness.py::test_unattainable_tolerance_fails_closed",
@@ -346,8 +357,8 @@ CAUGHT = [
     # the judge passing a separation at or below its floor, and failing one above it
     (
         HARNESS,
-        "Outcome(value > floor,",
-        "Outcome(value < floor,",
+        "Outcome(closest > floor, closest,",
+        "Outcome(closest < floor, closest,",
         ["tests/test_acceptance.py::test_theta_null_at_cm_point_stays_away_from_zero"],
     ),
     # the judge passing an exact check whatever cases failed
@@ -356,6 +367,27 @@ CAUGHT = [
         "Outcome(not failures,",
         "Outcome(True,",
         ["tests/test_harness.py::test_exact_failure_names_its_count_and_first_case"],
+    ),
+    # the deviations folded with the builtin max: max([0.0, nan]) is 0.0, and a 2-D array has no order
+    (
+        HARNESS,
+        "worst = float(np.max(deviations))",
+        "worst = float(max(deviations))",
+        [
+            "tests/test_harness.py::test_judges_fold_a_nan_among_finite_values",
+            "tests/test_acceptance.py::test_cm_point_is_negated_by_integral_symplectic_beta",
+        ],
+    ),
+    # a sampler out of draws returning None instead of raising the error that names its budget
+    (
+        HARNESS,
+        '    raise RuntimeError(f"no {what} in {budget} draws")\n',
+        "    return\n",
+        [
+            "tests/test_harness.py::test_failing_family_sampler_is_bounded",
+            "tests/test_harness.py::test_exhausted_failing_family_resample_names_its_budget",
+            "tests/test_harness.py::test_exhausted_char_and_tower_budgets_are_failed_checks",
+        ],
     ),
     # a rounding bound 100 times too small: measured errors sit near 1e-16 and pass it, the per-term model does not
     (

@@ -15,6 +15,12 @@ def run(check, env):
     return out.measured, out.tolerance
 
 
+def test_theta_reference_values_on_both_summation_paths(env):
+    # theta null at iI2 takes the factored sum, Theta[1/2 0; 0 0](200i I2) the one-by-one sum
+    measured, tol = run(harness.check_theta_reference, env)
+    assert measured < tol == 1e-10
+
+
 def test_riemann_form_on_cm_basis_is_standard_symplectic(env):
     run(harness.check_riemann_matrix, env)
 
@@ -63,7 +69,10 @@ def test_odd_half_integral_theta_nulls_vanish(env):
 def test_multiplier_formula_cross_validates(env):
     measured, _ = run(harness.check_multiplier_cross, env)
     assert measured < 1e-8
-    run(harness.check_odd_action_overlap, env)  # exact roots-of-unity overlap
+
+
+def test_odd_action_matches_congruence_multiplier_and_refuses_non_members(env):
+    run(harness.check_odd_action_overlap, env)  # exact roots-of-unity overlap and ValueError refusals
 
 
 def test_first_row_congruence_criterion_worked_example(env):

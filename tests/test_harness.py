@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -260,3 +261,49 @@ def test_exhausted_char_and_tower_budgets_are_failed_checks(monkeypatch):
     assert chars.status == towers.status == "fail"
     assert "no characteristic outside Sigma^- in 64 draws" in chars.detail
     assert "only 0 towers of degree > 1 in 200 draws" in towers.detail
+
+
+def no_constant(name):
+    raise AssertionError(f"the report holds {name}, which strict JSON has no value for")
+
+
+# each check that folds many deviations, and the evaluation a NaN reaches it through; where
+# the sampler's guard sees the NaN first, the check fails by its exhausted budget instead
+@pytest.mark.parametrize(
+    "target, suite, name",
+    [
+        ("theta_eval", "theta", "sign-symmetry"),
+        ("theta_eval", "theta", "odd-characteristic-vanishing"),
+        ("theta_eval", "cm", "reality-locus"),
+        ("phi_eval", "theta", "conjugation-at-cm-point"),
+        ("phi_eval", "modularity", "passing-family-invariance"),
+        ("phi_eval", "modularity", "multiplier-cross-validation"),
+        ("phi_eval", "action", "power-family-numeric"),
+        ("eval_product", "modularity", "failing-family-witness"),
+    ],
+)
+def test_a_nan_deviation_fails_its_check(monkeypatch, target, suite, name):
+    monkeypatch.setattr(harness, target, lambda *args, **kwargs: complex(math.nan, math.nan))
+    monkeypatch.setitem(harness.CHECKS, suite, [(name, dict(harness.CHECKS[suite])[name])])
+    report, code = run_suite(SuiteConfig(suites=(suite,)))
+    assert code == 1
+    (record,) = report.records
+    assert record.status == "fail"
+    (entry,) = json.loads(report.to_json(), parse_constant=no_constant)["checks"]
+    assert entry["measured"] is None
+
+
+def test_judges_fold_a_nan_among_finite_values():
+    assert not harness._within([0.0, math.nan, 0.0], 1.0, "").passed
+    assert not harness._above([math.inf, math.nan, math.inf], 0.0, "").passed
+    assert harness._within([0.0, 0.5], 1.0, "").measured == 0.5
+    assert harness._above([3.0, 2.0], 1.0, "").measured == 2.0
+
+
+def test_exhausted_failing_family_resample_names_its_budget(monkeypatch):
+    def no_point(*args, **kwargs):
+        raise RuntimeError("no well-conditioned point for the family")
+
+    monkeypatch.setattr(harness, "_family_value_guarded", no_point)
+    with pytest.raises(RuntimeError, match="no failing family with a well-conditioned point in 16 draws"):
+        harness.check_failing_families(HarnessEnv(SuiteConfig()))
