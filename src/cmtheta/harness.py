@@ -7,6 +7,7 @@ runtime fields.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import time
@@ -221,12 +222,22 @@ def _image(gamma, z):
     return w if w.min_im_eig >= 0.02 else None
 
 
+def _finite(value: complex, what: str, z) -> complex:
+    """value, or FloatingPointError naming it: a NaN or infinite value is a fault, not a point to resample."""
+    if not cmath.isfinite(value):
+        raise FloatingPointError(f"non-finite {what} {value} at a point with min_im_eig {z.min_im_eig:.3g}")
+    return value
+
+
 def _guarded_phis(env, chis, z, null_floor: float, band=(0.0, math.inf)):
-    """(theta_null(z), [Phi_chi(z)]), or None if |theta_null(z)| < null_floor or some |Phi_chi(z)| is outside band."""
-    null = theta_null(z, env.settings)
+    """(theta_null(z), [Phi_chi(z)]), or None if |theta_null(z)| < null_floor or some |Phi_chi(z)| is outside band.
+
+    A non-finite null or Phi raises FloatingPointError, which no sampler catches.
+    """
+    null = _finite(theta_null(z, env.settings), "theta null", z)
     if abs(null) < null_floor:
         return None
-    phis = [phi_eval(chi, z, env.settings, null_value=null) for chi in chis]
+    phis = [_finite(phi_eval(chi, z, env.settings, null_value=null), f"Phi_{chi}", z) for chi in chis]
     return (null, phis) if all(band[0] < abs(v) < band[1] for v in phis) else None
 
 

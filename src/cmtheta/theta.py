@@ -217,17 +217,23 @@ class _Cut:
 
     It is built from T, the scaled Cholesky factor with |Tv|^2 = pi tv Im(Z) v,
     and rho = sqrt(pi min_im_eig), a lower bound on the shortest vector of T Z^g.
-    axes[j] lists the y_j of the box of candidates.  When the range guard of
-    theta_eval holds, factor is E(y) = exp(pi i tyZy) on that box, zero off
-    the candidates, and points and quad are None; otherwise factor is None and
-    points and quad list the candidates (as complex rows) and their phases
-    pi i tyZy.  z_rows is Z as nested lists for the per-call arithmetic.
-    radius is R, and tail and rounding bound the omitted terms and the
-    floating-point error (see theta_eval).  Only geometry is kept, never a
+    The box of candidates has n_j = dims[j] coordinates y_j along axis j.  When
+    the range guard of theta_eval holds, coords stacks them in one matrix of
+    n_0 + ... + n_(g-1) rows, axis 0 first, and g columns, with y_j in column j
+    and zero elsewhere; its entries are real, held as complex numbers so that
+    its product with the complex vector of exponents casts nothing.  factor is
+    then E(y) = exp(pi i tyZy) on the box, zero off the candidates, as a matrix
+    of n_0 ... n_(g-2) rows (1 at g = 1), one per y_0, ..., y_(g-2) in C order,
+    and n_(g-1) columns.  points and quad are None.  Otherwise coords and factor
+    are None and points and quad list the candidates (as complex rows) and
+    their phases pi i tyZy.  z_rows is Z as nested lists for the per-call
+    arithmetic.  radius is R, and tail and rounding bound the omitted terms and
+    the floating-point error (see theta_eval).  Only geometry is kept, never a
     theta value.
     """
 
-    axes: tuple[np.ndarray, ...]
+    dims: tuple[int, ...]
+    coords: np.ndarray | None
     factor: np.ndarray | None
     points: np.ndarray | None
     quad: np.ndarray | None
@@ -262,18 +268,21 @@ def _certified(zp: SiegelPoint, tol: float) -> _Cut:
     grid = np.indices(dims).reshape(g, -1).T + low
     inside = (((grid + 0.5) @ t_mat.T) ** 2).sum(axis=1) < reach * reach
     quad = 1j * np.pi * np.einsum("ij,jk,ik->i", grid, z, grid)
-    axes = tuple(np.arange(l, l + n, dtype=float) for l, n in zip(low, dims))
     grow = 2 * math.pi * sum(max(-l, l + n - 1) * w for l, n, w in zip(low, dims, y_row_sums))
     shrink = (reach + delta) ** 2  # bounds pi tyIm(Z)y on C: |Ty| <= |T(y + 1/2)| + delta
     if grow + shrink + math.log(len(grid)) < _EXP_RANGE:
-        factor, points, quad = np.where(inside, np.exp(quad), 0).reshape(dims), None, None
+        coords = np.zeros((sum(dims), g), complex)
+        for j, (l, n) in enumerate(zip(low, dims)):
+            start = sum(dims[:j])
+            coords[start : start + n, j] = np.arange(l, l + n)
+        factor, points, quad = np.where(inside, np.exp(quad), 0).reshape(-1, dims[-1]), None, None
         ops, more = 8 * (g + 2) + math.sqrt(2) * (2 * sum(dims) + 2), 0
     else:
-        factor, points, quad = None, grid[inside].astype(complex), quad[inside]
+        coords, factor, points, quad = None, None, grid[inside].astype(complex), quad[inside]
         ops, more = len(points) + 7, g + 2
     reach_y = max(max(-l - 1, l + n - 1) for l, n in zip(low, dims))
     rounding = _rounding_bound(z_rows, rho, reach_y, ops + 24, more)  # + 24: the phase of a reduced call
-    return _Cut(axes, factor, points, quad, z_rows, hi, _tail_bound(hi, rho, g), rounding)
+    return _Cut(tuple(dims), coords, factor, points, quad, z_rows, hi, _tail_bound(hi, rho, g), rounding)
 
 
 def theta_eval(z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:
@@ -309,9 +318,14 @@ def theta_eval(z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTINGS
     exponent at v = y + shift is pi i tyZy + 2 pi i sum_j y_j t_j + const,
     const = pi i t(shift) (t + s): a fixed quadratic part and a part
     linear in each y_j.  The cut keeps E(y) = exp(pi i tyZy) on the box
-    n_0 x ... x n_(g-1) of C's coordinate ranges, zero off C.  A call forms
-    w_j(y_j) = exp(2 pi i y_j t_j) along each axis and contracts
-    (E . w_(g-1) . ... . w_0) exp(const): sum_j n_j exponentials, not |C|.
+    n_0 x ... x n_(g-1) of C's coordinate ranges, zero off C, as a matrix
+    with one column per y_(g-1).  A call forms every w_j(y_j) =
+    exp(2 pi i y_j t_j) in one exponential of the cut's stacked coordinates
+    times the vector [2 pi i t_j]; each exponent is the one product
+    y_j (2 pi i t_j), as the other columns add exact zeros.  It then
+    contracts the last axis first, with one BLAS matrix-vector product per
+    axis and a reshape between them: (E . w_(g-1) . ... . w_0) exp(const),
+    sum_j n_j exponentials, not |C|.
 
     Range guard.  Im t = Im(Z) f, so |w_j(y_j)| <= exp(2 pi |y_j| sum_l
     |Im Z_jl|) for every characteristic: at most exp(G) in product over
@@ -377,10 +391,11 @@ def _theta(zp: SiegelPoint, chi: Characteristic, tol: float) -> complex:
     const = 1j * math.pi * sum(map(operator.mul, x, map(operator.add, t, s)))
     if cut.factor is None:
         return complex(np.exp(cut.quad + cut.points @ (_TWO_PI_I * np.array(t)) + const).sum())
-    total = cut.factor
-    for j in range(g - 1, -1, -1):
-        total = total.dot(np.exp(cut.axes[j] * (_TWO_PI_I * t[j])))
-    return complex(total) * cmath.exp(const)
+    w = np.exp(cut.coords.dot(np.array([_TWO_PI_I * v for v in t])))  # w_0(y_0), ..., w_(g-1)(y_(g-1)), stacked
+    total, end = cut.factor, len(w)
+    for n in reversed(cut.dims):  # the last axis first, one matrix-vector product each
+        total, end = total.reshape(-1, n).dot(w[end - n : end]), end - n
+    return complex(total[0]) * cmath.exp(const)
 
 
 def theta_null(z, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:

@@ -206,23 +206,30 @@ CAUGHT = [
     # the factored theta sum without its constant factor e^const
     (
         THETA,
-        "return complex(total) * cmath.exp(const)",
-        "return complex(total)",
+        "return complex(total[0]) * cmath.exp(const)",
+        "return complex(total[0])",
         ["tests/test_theta.py::test_summation_paths_agree"],
     ),
     # each axis exponent t_j scaled by 1.01: the conjugate side at [r; -s] reduced no longer mirrors the error
     (
         THETA,
-        "(_TWO_PI_I * t[j])",
-        "(_TWO_PI_I * t[j] * 1.01)",
+        "np.array([_TWO_PI_I * v for v in t])",
+        "np.array([_TWO_PI_I * v * 1.01 for v in t])",
         ["tests/test_acceptance.py::test_conjugation_symmetry_at_cm_point"],
     ),
-    # the axes contracted in the wrong order
+    # the axes contracted in the wrong order: the last axis of E against w_0, the first stacked
     (
         THETA,
-        "for j in range(g - 1, -1, -1):",
-        "for j in range(g):",
+        ".dot(w[end - n : end])",
+        ".dot(w[len(w) - end : len(w) - end + n])",
         ["tests/test_theta.py::test_summation_paths_agree"],
+    ),
+    # each reshape by the wrong axis length: the same sum while all axes have one length
+    (
+        THETA,
+        "for n in reversed(cut.dims):",
+        "for n in cut.dims:",
+        ["tests/test_theta.py::test_unequal_axes_match_product_of_genus_one_sums"],
     ),
     # no range guard: every cut factored
     (

@@ -268,7 +268,10 @@ def no_constant(name):
 
 
 # each check that folds many deviations, and the evaluation a NaN reaches it through; where
-# the sampler's guard sees the NaN first, the check fails by its exhausted budget instead
+# the sampler's guard sees the NaN first, it names the non-finite value instead of resampling
+SAMPLED = {"passing-family-invariance", "multiplier-cross-validation", "power-family-numeric"}
+
+
 @pytest.mark.parametrize(
     "target, suite, name",
     [
@@ -291,6 +294,18 @@ def test_a_nan_deviation_fails_its_check(monkeypatch, target, suite, name):
     assert record.status == "fail"
     (entry,) = json.loads(report.to_json(), parse_constant=no_constant)["checks"]
     assert entry["measured"] is None
+    if name in SAMPLED:
+        assert "FloatingPointError('non-finite Phi_[" in record.detail
+        assert "(nan+nanj) at a point with min_im_eig 0." in record.detail
+
+
+def test_a_non_finite_theta_null_is_named_not_resampled(monkeypatch):
+    monkeypatch.setattr(harness, "theta_null", lambda *args, **kwargs: complex(math.inf, 0.0))
+    monkeypatch.setitem(harness.CHECKS, "action", [("power-family-numeric", harness.check_power_family_numeric)])
+    report, code = run_suite(SuiteConfig(suites=("action",)))
+    assert code == 1
+    (record,) = report.records
+    assert "FloatingPointError('non-finite theta null (inf+0j) at a point with min_im_eig 0." in record.detail
 
 
 def test_judges_fold_a_nan_among_finite_values():

@@ -118,12 +118,47 @@ def test_understated_tail_fails_the_comparison(monkeypatch):
     assert wide_sum_error(z, chi) > 1e-12
 
 
+# diagonal, so Theta factors into genus-1 sums; its axes have 18, 10 and 6 candidates
+UNEQUAL_AXES = 1j * np.diag([0.3, 1.0, 2.5])
+
+
+def genus_one_sum(y, r, s, reach=30):
+    """Theta(iy; r, s) at genus 1, summed in 30-digit mpmath over |n| <= reach."""
+    mp.mp.dps = 30
+    r, s = mp.mpf(r.numerator) / r.denominator, mp.mpf(s.numerator) / s.denominator
+    return complex(
+        mp.fsum(mp.exp(-mp.pi * mp.mpf(y) * (n + r) ** 2 + 2j * mp.pi * (n + r) * s) for n in range(-reach, reach + 1))
+    )
+
+
+def test_unequal_axes_match_product_of_genus_one_sums():
+    # a contraction that reshapes by the wrong axis length passes at equal axis lengths, not here
+    zp = SiegelPoint(UNEQUAL_AXES)
+    chis = [
+        zero_char(3),
+        Characteristic.make([F(1, 3), 0, F(2, 3)], [F(1, 2), F(1, 3), 0]),
+        Characteristic.make([F(1, 2), F(1, 5), F(3, 4)], [F(2, 3), F(1, 4), F(4, 5)]),
+        Characteristic.make([F(7, 8), F(1, 2), 0], [0, F(5, 6), F(1, 7)]),
+    ]
+    for chi in chis:
+        got = theta_eval(zp, chi)
+        want = math.prod(genus_one_sum(y, r, s) for y, r, s in zip((0.3, 1.0, 2.5), chi.r, chi.s))
+        assert abs(got - want) < 1e-14 * abs(want)
+    cut = zp._theta_cuts[1e-12]
+    assert cut.factor is not None and len(set(cut.dims)) == 3
+
+
 def test_summation_paths_agree(monkeypatch):
     # with no exponent range left the guard sends every cut term by term; both paths give the same sum
     rng = np.random.default_rng(31)
     chi2 = Characteristic.make([F(1, 3), F(2, 3)], [F(1, 5), 0])
     chi3 = Characteristic.make([F(1, 3), 0, F(2, 3)], [0, F(1, 3), F(1, 3)])
-    cases = [(random_siegel(rng), chi2), (random_siegel(rng, base=0.1), chi2), (random_siegel(rng, 3), chi3)]
+    cases = [
+        (random_siegel(rng), chi2),
+        (random_siegel(rng, base=0.1), chi2),
+        (random_siegel(rng, 3), chi3),
+        (SiegelPoint(UNEQUAL_AXES), chi3),
+    ]
     factored = [theta_eval(z, chi) for z, chi in cases]
     assert all(cut.factor is not None for z, _ in cases for cut in z._theta_cuts.values())
     monkeypatch.setattr(theta, "_EXP_RANGE", 0)
@@ -159,7 +194,9 @@ def test_well_conditioned_cuts_are_factored():
         theta_null(z)
         cut = z._theta_cuts[1e-12]
         assert cut.factor is not None and cut.points is None
-        assert cut.factor.shape == tuple(len(axis) for axis in cut.axes)
+        assert cut.factor.shape == (math.prod(cut.dims[:-1]), cut.dims[-1])
+        assert cut.factor.size == math.prod(cut.dims)
+        assert cut.coords.shape == (sum(cut.dims), z.g)
         assert 0 < np.count_nonzero(cut.factor) < cut.factor.size
 
 
@@ -189,8 +226,9 @@ def per_term_rounding(zp, cut, r, s):
     """
     z, g = zp.mat, zp.g
     if cut.factor is not None:
-        ys = np.argwhere(cut.factor != 0) + [axis[0] for axis in cut.axes]
-        a, more = 8 * (g + 2) + math.sqrt(2) * (2 * sum(cut.factor.shape) + 2) + 24, 0
+        low = cut.coords.real[np.cumsum((0, *cut.dims[:-1])), range(g)]  # the first y_j of each axis
+        ys = np.argwhere(cut.factor.reshape(cut.dims) != 0) + low
+        a, more = 8 * (g + 2) + math.sqrt(2) * (2 * sum(cut.dims) + 2) + 24, 0
     else:
         ys = cut.points.real
         a, more = len(ys) + 7 + 24, g + 2
