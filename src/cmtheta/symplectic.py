@@ -88,6 +88,12 @@ def _gamma_member(tops, bots, n: int) -> bool:
 
 
 def _g_multiplier(tops, bots, n: int) -> int | None:
+    """nu mod n if the matrix with these column halves (see _columns) lies in G_n, else None.
+
+    G_n is GSp_2g mod n (any unit multiplier) with even diagonals of tAC and
+    tBD; S_n is its part with nu = 1.  This is the one statement of the rule.
+    Parity is read off the matrix; for even n it is independent of the choice of lift.
+    """
     nu = _multiplier(tops, bots, n)
     # column j contributes (tAC)[j, j] for j < g and (tBD)[j - g, j - g] after
     return nu if nu is not None and not any(sum(map(mul, t, b)) % 2 for t, b in zip(tops, bots)) else None
@@ -119,16 +125,6 @@ def check_level(n: int) -> None:
     """Raise ValueError unless n is a positive even integer: the one rule for a level of Gamma(n) or a family."""
     if n % 2 or n <= 0:
         raise ValueError(f"level must be a positive even integer, got {n}")
-
-
-def g_group_multiplier(m, n: int) -> int | None:
-    """nu mod n if m lies in G_n, else None.
-
-    G_n is GSp_2g mod n (any unit multiplier) with even diagonals of tAC and
-    tBD; S_n is its part with nu = 1.  This is the one statement of the rule.
-    Parity is read off m; for even n it is independent of the choice of lift.
-    """
-    return _g_multiplier(*_columns(m), n)
 
 
 def iota(a: int, g: int, modulus: int) -> np.ndarray:

@@ -166,6 +166,7 @@ class EvalSettings:
 DEFAULT_SETTINGS = EvalSettings()
 NULL_THRESHOLD = 1e-8  # divide_by_null refuses a smaller theta null
 MAX_RADIUS = 200  # theta_eval refuses a truncation ellipsoid reaching further along any axis
+MAX_CANDIDATES = 10**6  # theta_eval refuses a candidate box with more points: its arrays would pass ~100 MB
 EPS = float(np.finfo(float).eps)
 _EXP_RANGE = -math.log(np.finfo(float).tiny)  # exp(-x) is a normal float for 0 <= x < 708.4
 _TWO_PI_I = 2j * math.pi
@@ -265,6 +266,8 @@ def _certified(zp: SiegelPoint, tol: float) -> _Cut:
         raise ValueError(f"truncation radius exceeds {MAX_RADIUS}; imaginary part too small")
     low = [math.ceil(-0.5 - w) for w in half]
     dims = [math.floor(-0.5 + w) - l + 1 for w, l in zip(half, low)]
+    if math.prod(dims) > MAX_CANDIDATES:
+        raise ValueError(f"truncation box has {math.prod(dims)} candidates at genus {g}, more than {MAX_CANDIDATES}")
     grid = np.indices(dims).reshape(g, -1).T + low
     inside = (((grid + 0.5) @ t_mat.T) ** 2).sum(axis=1) < reach * reach
     quad = 1j * np.pi * np.einsum("ij,jk,ik->i", grid, z, grid)

@@ -7,8 +7,10 @@ from hypothesis import given, settings as hsettings, strategies as st
 from cmtheta.action import ActionResult, _transpose_apply, act_iota_inv, act_phi, act_power_family
 from cmtheta.exact import RootOfUnity
 from cmtheta.modularity import gamma_multiplier
-from cmtheta.symplectic import _columns, g_group_multiplier, identity, intmat, iota, jmat, special_gamma, sympl_multiplier
+from cmtheta.symplectic import _columns, _g_multiplier, identity, intmat, iota, jmat, special_gamma
 from cmtheta.theta import Characteristic
+
+from reference import fraction_act_phi, fraction_transpose_apply
 
 
 def test_iota_inv_scales_s():
@@ -93,15 +95,6 @@ def test_act_phi_congruence_overlap():
         assert res.multiplier == gamma_multiplier(gamma, chi, level)
 
 
-def fraction_transpose_apply(alpha, chi):
-    """t(alpha) [r; s] in Fraction arithmetic, as first written: the reference."""
-    col = chi.r + chi.s
-    at = intmat(alpha).T
-    g = chi.g
-    out = [sum((F(int(at[i, j])) * col[j] for j in range(2 * g)), F(0)) for i in range(2 * g)]
-    return Characteristic.make(out[:g], out[g:])
-
-
 @hsettings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(-50, 50), min_size=16, max_size=16),
@@ -112,15 +105,6 @@ def test_transpose_apply_matches_fraction_reference(entries, nums, den):
     alpha = intmat(np.array(entries, dtype=object).reshape(4, 4))
     chi = Characteristic.from_den(nums[:2], nums[2:], den)
     assert _transpose_apply(_columns(alpha), chi) == fraction_transpose_apply(alpha, chi)
-
-
-def fraction_act_phi(alpha, chi, m):
-    """act_phi with the transpose taken in Fraction arithmetic, as first written: the reference."""
-    moved = fraction_transpose_apply(alpha, chi)
-    a = sympl_multiplier(alpha, modulus=2 * m * m)
-    before = sum((rv * a * sv for rv, sv in zip(chi.r, chi.s)), F(0))
-    after = sum((rv * sv for rv, sv in zip(moved.r, moved.s)), F(0))
-    return ActionResult(RootOfUnity((before - after) / 2), moved)
 
 
 def test_act_phi_matches_fraction_transpose():
@@ -139,7 +123,7 @@ def test_act_phi_matches_fraction_transpose():
                 else:
                     alpha = alpha @ special_gamma(kinds[rng.integers(0, 3)], int(rng.integers(1, 3)), int(rng.integers(1, 3)), 2)
             alpha = alpha % level
-            assert g_group_multiplier(alpha, level) is not None
+            assert _g_multiplier(*_columns(alpha), level) is not None
             chi = Characteristic.from_den(rng.integers(-m, 2 * m, 2).tolist(), rng.integers(-m, 2 * m, 2).tolist(), m)
             assert act_phi(alpha, chi, m) == fraction_act_phi(alpha, chi, m)
 

@@ -13,7 +13,7 @@ from cmtheta.cli import main
 from cmtheta.cmfield import GaloisActor
 from cmtheta.symplectic import SiegelPoint
 
-from test_theta import direct_sum
+from reference import direct_sum
 
 
 def test_verify_primgen(capsys):
@@ -169,6 +169,12 @@ def test_action_rejects_norm_not_prime_to_2p(capsys):
 def test_theta_rejects_genus_mismatch(capsys):
     assert main(["theta", "--char", "0 0 0 1/2 0 0", "--at", "cm"]) == 2
     assert "genus" in capsys.readouterr().err
+
+
+def test_theta_refuses_an_oversized_candidate_box(capsys):
+    # at iI_10 the truncation box holds 6.2e10 candidates: an input error, not a MemoryError traceback
+    assert main(["theta", "--at", "i", "--char", " ".join(["0"] * 10 + ["1/2"] + ["0"] * 9)]) == 2
+    assert "invalid input: truncation box has 61917364224 candidates at genus 10" in capsys.readouterr().err
 
 
 def test_validation_survives_optimize_flag(optimized):

@@ -22,9 +22,11 @@ from cmtheta.cmfield import (
     shared_actor,
     standard_actors,
 )
-from cmtheta.exact import CycloElem, RootOfUnity, solve_exact
-from cmtheta.symplectic import act_siegel, g_group_multiplier, intmat, is_symplectic, jmat
+from cmtheta.exact import CycloElem, RootOfUnity
+from cmtheta.symplectic import _columns, _g_multiplier, act_siegel, intmat, is_symplectic, jmat
 from cmtheta.theta import Characteristic, theta_eval
+
+from reference import h_map_by_solves, paper_first_row
 
 ZETA = CycloElem.zeta(5)
 
@@ -50,18 +52,12 @@ def test_h_map_reference():
     assert (h_map(CycloElem.from_rational(5, 1)) == np.eye(4, dtype=int)).all()
 
 
-def _h_map_by_solves(x):
-    # the defining solve: row j of h(x) holds the CM-basis coordinates of x * xi_j
-    bmat = [[_BASIS[k].coeffs[i] for k in range(4)] for i in range(4)]
-    return [solve_exact(bmat, list((x * xj).coeffs)) for xj in _BASIS]
-
-
 def test_h_map_matches_solve_definition():
     rng = np.random.default_rng(23)
     for _ in range(20):
         x = CycloElem(5, [int(v) for v in rng.integers(-9, 10, 4)])
         h = h_map(x)
-        assert [[h[j, k] for k in range(4)] for j in range(4)] == _h_map_by_solves(x)
+        assert [[h[j, k] for k in range(4)] for j in range(4)] == h_map_by_solves(x)
         assert all(type(v) is int for v in h.flat)
 
 
@@ -140,16 +136,6 @@ def test_standard_actor_congruences():
         assert a1.nu == a2.nu == (1 - 2 * p) % level
         assert a1.in_group and a2.in_group
         assert math.gcd(a1.norm, 2 * p) == 1
-
-
-def paper_first_row(coords):
-    """The paper's quadratic forms for the first row (a, b, c, d) of h(phi*(x)), x on 1, zeta, ..., zeta^4."""
-    a0, a1, a2, a3, a4 = coords
-    a = a0 * a0 - a0 * a1 - a0 * a3 + a1 * a2 + a1 * a3 - a1 * a4 - a2 * a2 + a2 * a4
-    b = -a0 * a1 + a0 * a2 - a0 * a3 + a0 * a4 + a1 * a2 - a2 * a2 + a3 * a3 - a3 * a4
-    c = -a0 * a1 - a0 * a2 + a0 * a3 + a0 * a4 + a1 * a1 - a1 * a3 + a2 * a4 - a4 * a4
-    d = a0 * a2 - a0 * a3 + a1 * a3 - a1 * a4 - a2 * a2 + a2 * a3 - a3 * a4 + a4 * a4
-    return a, b, c, d
 
 
 def test_first_row_matches_paper_quadratic_forms():
@@ -273,7 +259,7 @@ def test_actor_build_matches_definitional_composition():
         r = x * x.galois(3)
         for j, xj in enumerate(_BASIS):
             assert r * xj == sum((h[j, k] * xk for k, xk in enumerate(_BASIS)), CycloElem(5, [0]))
-        assert actor.nu == g_group_multiplier(h, 2 * p * p)
+        assert actor.nu == _g_multiplier(*_columns(h), 2 * p * p)
         assert actor.norm == field_norm(x) and type(actor.norm) is int
         in_group += actor.in_group
     assert 20 <= in_group < len(cases)

@@ -26,6 +26,8 @@ from cmtheta.exact import (
 )
 from cmtheta.primgen import stabilizer
 
+from reference import reference_exponent
+
 
 def test_euler_phi():
     assert [euler_phi(n) for n in (1, 2, 3, 4, 5, 8, 12, 25)] == [1, 1, 2, 2, 4, 4, 4, 20]
@@ -281,11 +283,6 @@ def test_root_of_unity():
     assert RootOfUnity(Fraction(9, 4)) == i  # reduced mod 1
     assert RootOfUnity(Fraction(9, 4)) == RootOfUnity._make(1, 4)
     assert (i / i) == RootOfUnity.one()
-
-
-def reference_exponent(q) -> Fraction:
-    """e(q) as a Fraction mod 1, the form RootOfUnity first kept: the reference."""
-    return Fraction(q) % 1
 
 
 def assert_phase(u: RootOfUnity, q) -> None:

@@ -13,8 +13,10 @@ from cmtheta.modularity import (
     parse,
     theta_product,
 )
-from cmtheta.symplectic import act_siegel, blocks, identity, intmat, jmat, special_gamma
+from cmtheta.symplectic import act_siegel, identity, jmat, special_gamma
 from cmtheta.theta import Characteristic, phi_eval, random_siegel
+
+from reference import fraction_exponent
 
 
 def chi4(rn, sn):
@@ -101,21 +103,6 @@ def test_multiplier_reference_values():
     assert gamma_multiplier(
         special_gamma("lower", 1, 2, 2), Characteristic.make([0, 0], [F(1, 2), F(1, 2)]), 2
     ) == RootOfUnity(F(1, 2))
-
-
-def fraction_exponent(gamma, chi, n):
-    """The multiplier exponent in Fraction matrices, as first written: the reference."""
-    gamma = intmat(gamma)
-    over = np.vectorize(lambda v: v // n, otypes=[object])(gamma - identity(gamma.shape[0]))
-    a0, b0, c0, d0 = blocks(over)
-    nr = np.array([int(n * v) for v in chi.r], dtype=object)
-    ns = np.array([int(n * v) for v in chi.s], dtype=object)
-    m_rr = -b0.T + n * (a0 @ b0.T)
-    m_ss = c0 + n * (c0 @ d0.T)
-    m_rs = a0 + F(n, 2) * (a0 @ d0.T + d0.T @ a0 + b0 @ c0.T - b0.T @ c0)
-    return F(
-        -F(1, 2 * n) * (nr @ (m_rr @ nr)) - F(1, 2 * n) * (ns @ (m_ss @ ns)) - F(1, n) * (nr @ (m_rs @ ns))
-    )
 
 
 def gamma_word(rng, n, g=2):

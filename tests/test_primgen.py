@@ -14,6 +14,8 @@ from cmtheta.primgen import (
     subgroup_generated,
 )
 
+from reference import reference_norm, reference_stabilizer
+
 
 def surrogate_tower():
     z8 = CycloElem.zeta(8)
@@ -35,10 +37,6 @@ def test_stabilizer():
     assert stabilizer(z8 + z8**7, units) == frozenset({1, 7})
     assert stabilizer(z8**2, units) == frozenset({1, 5})
     assert stabilizer(CycloElem.from_rational(8, 3), units) == frozenset(units)
-
-
-def reference_stabilizer(a, within):
-    return frozenset(t for t in within if a.galois(t) == a)
 
 
 @pytest.mark.parametrize("n", [8, 12, 15, 16, 20, 24, 25])
@@ -117,11 +115,6 @@ def orbit_tower(n, base_gen, x_gen):
     """x the orbit sum of zeta_n over <x_gen>, y = zeta_n^3, over the fixed field of <base_gen>."""
     x = orbit_sum(CycloElem.zeta(n), subgroup_generated(n, [x_gen]))
     return make_tower(n, subgroup_generated(n, [base_gen]), x, CycloElem.zeta(n, 3))
-
-
-def reference_norm(t, a, b, c, d, n, m):
-    # the combinator as first written, inverting in the whole of Q(zeta_n)
-    return (a * t.x + b) ** n * (c * t.y + d) ** (-m * t.ell) * t.norm_mid((c * t.y + d) ** m)
 
 
 def test_reps_start_at_the_identity():

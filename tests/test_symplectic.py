@@ -1,4 +1,3 @@
-from fractions import Fraction
 from math import gcd, inf, nan
 
 import numpy as np
@@ -7,9 +6,10 @@ import pytest
 from cmtheta import action, modularity, symplectic
 from cmtheta.symplectic import (
     SiegelPoint,
+    _columns,
+    _g_multiplier,
     act_siegel,
     blocks,
-    g_group_multiplier,
     identity,
     in_gamma,
     intmat,
@@ -20,6 +20,8 @@ from cmtheta.symplectic import (
     sympl_multiplier,
 )
 from cmtheta.theta import Characteristic
+
+from reference import block_special_gamma, reference_memberships
 
 
 def test_jmat():
@@ -69,19 +71,6 @@ def test_special_gamma_reference_matrix():
     assert (mx == intmat([[1, 0, 0, 0], [0, -1, 0, 2], [0, 0, 1, 0], [0, -2, 0, 3]])).all()
 
 
-def block_special_gamma(kind, j, k, n, g):
-    """special_gamma as first written, with np.block: the reference."""
-    a0 = np.zeros((g, g), dtype=object)
-    a0[j - 1, k - 1] = a0[k - 1, j - 1] = 1
-    i, z, na = identity(g), np.zeros((g, g), dtype=object), n * a0
-    shapes = {
-        "upper": [[i, na], [z, i]],
-        "lower": [[i, z], [na, i]],
-        "mixed": [[i - na, na], [-na, i + na]],
-    }
-    return np.block(shapes[kind])
-
-
 def test_special_gamma_matches_block_reference():
     for g in (2, 3):
         for n in (1, 2, 4, 50):
@@ -107,25 +96,25 @@ def test_special_gamma_membership():
 
 
 def test_group_memberships():
-    assert g_group_multiplier(identity(4), 6) == 1  # in S_6
-    assert g_group_multiplier(iota(5, 2, modulus=6), 6) is not None  # in G_6
-    assert g_group_multiplier(iota(5, 2, modulus=6), 6) != 1  # not in S_6: nu = 5 != 1
+    assert _g_multiplier(*_columns(identity(4)), 6) == 1  # in S_6
+    assert _g_multiplier(*_columns(iota(5, 2, modulus=6)), 6) is not None  # in G_6
+    assert _g_multiplier(*_columns(iota(5, 2, modulus=6)), 6) != 1  # not in S_6: nu = 5 != 1
     assert is_symplectic(jmat(2))
     assert in_gamma(identity(4), 4)
     assert not in_gamma(special_gamma("upper", 1, 1, 2), 4)
     lower = special_gamma("lower", 1, 1, 1)  # symplectic, but tAC has an odd diagonal
     assert is_symplectic(lower)
-    assert g_group_multiplier(lower, 6) is None  # in neither G_6 nor S_6
+    assert _g_multiplier(*_columns(lower), 6) is None  # in neither G_6 nor S_6
 
 
 def test_g_group_multiplier():
-    assert g_group_multiplier(identity(4), 6) == 1
-    assert g_group_multiplier(iota(5, 2, modulus=6), 6) == 5
-    assert g_group_multiplier(special_gamma("mixed", 1, 2, 2), 6) == 1
-    assert g_group_multiplier(intmat(np.diag([1, 1, 2, 2])), 4) is None  # nu = 2 is no unit
+    assert _g_multiplier(*_columns(identity(4)), 6) == 1
+    assert _g_multiplier(*_columns(iota(5, 2, modulus=6)), 6) == 5
+    assert _g_multiplier(*_columns(special_gamma("mixed", 1, 2, 2)), 6) == 1
+    assert _g_multiplier(*_columns(intmat(np.diag([1, 1, 2, 2]))), 4) is None  # nu = 2 is no unit
     for kind in ("lower", "upper"):  # symplectic, but tAC (lower) or tBD (upper) has an odd diagonal
         m = special_gamma(kind, 1, 1, 1)
-        assert sympl_multiplier(m, modulus=6) == 1 and g_group_multiplier(m, 6) is None
+        assert sympl_multiplier(m, modulus=6) == 1 and _g_multiplier(*_columns(m), 6) is None
 
 
 def test_multiplier_is_multiplicative_mod_n():
@@ -230,26 +219,6 @@ def test_identity_is_a_fresh_exact_matrix():
     assert all(type(v) is int for v in z.flat)
 
 
-def fraction_form(m):
-    """tM J M in Fractions, by the definition: the reference for the membership kernel."""
-    rows = [[Fraction(v) for v in row] for row in m.tolist()]
-    size, g = len(rows), len(rows) // 2
-    j = [[-1 if k == i + g else 1 if i == k + g else 0 for k in range(size)] for i in range(size)]
-    jm = [[sum(j[i][a] * rows[a][k] for a in range(size)) for k in range(size)] for i in range(size)]
-    return [[sum(rows[a][i] * jm[a][k] for a in range(size)) for k in range(size)] for i in range(size)], j
-
-
-def reference_memberships(m, n):
-    """(sympl_multiplier, in_gamma, whether tAC and tBD have even diagonals) of m at modulus n from fraction_form."""
-    t, j = fraction_form(m)
-    size, g = len(t), len(t) // 2
-    nu = int(-t[0][g]) % n
-    units = gcd(nu, n) == 1 and all((t[i][k] - nu * j[i][k]) % n == 0 for i in range(size) for k in range(size))
-    congruent = all((m[i, k] - (i == k)) % n == 0 for i in range(size) for k in range(size))
-    diag = [sum(Fraction(m[a, c] * m[a + g, c]) for a in range(g)) for c in range(size)]  # tAC then tBD
-    return nu if units else None, t == j and congruent, all(v % 2 == 0 for v in diag)
-
-
 def test_membership_kernel_matches_fraction_reference():
     rng = np.random.default_rng(29)
     kinds = ("upper", "lower", "mixed")
@@ -268,7 +237,7 @@ def test_membership_kernel_matches_fraction_reference():
                 nu, member, even = reference_memberships(m, n)
                 assert sympl_multiplier(m, modulus=n) == nu
                 assert in_gamma(m, n) == member
-                assert g_group_multiplier(m, n) == (nu if even else None)
+                assert _g_multiplier(*_columns(m), n) == (nu if even else None)
                 seen["gamma"] += member
                 seen["g_group"] += nu is not None and even and not member
                 seen["outside"] += nu is None or not even
@@ -276,9 +245,16 @@ def test_membership_kernel_matches_fraction_reference():
 
 
 def test_membership_rejects_matrices_that_are_not_2g_square():
+    chi2, chi3 = Characteristic.from_den([1, 0], [0, 1], 2), Characteristic.from_den([1, 2], [0, 1], 3)
+    calls = (
+        lambda m: sympl_multiplier(m, 4),
+        lambda m: in_gamma(m, 2),
+        lambda m: action.act_power_family(m, chi2, 2),  # the G_n reads
+        lambda m: action.act_phi(m, chi3, 3),
+    )
     for rows in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0, 0], [0, 1, 0, 0]], [[1]]):
-        for call in (lambda m: sympl_multiplier(m, 4), lambda m: in_gamma(m, 2), lambda m: g_group_multiplier(m, 2)):
-            with pytest.raises(ValueError):
+        for call in calls:
+            with pytest.raises(ValueError, match="2g x 2g"):
                 call(rows)
 
 
@@ -298,7 +274,6 @@ def test_membership_converts_once(monkeypatch):
         "sympl_multiplier": lambda: sympl_multiplier(gamma, 4),
         "in_gamma": lambda: in_gamma(gamma, 4),
         "is_symplectic": lambda: is_symplectic(gamma),
-        "g_group_multiplier": lambda: g_group_multiplier(gamma, 4),
         "act_siegel": lambda: act_siegel(gamma, 1j * np.eye(2)),
         "gamma_multiplier": lambda: modularity.gamma_multiplier(gamma, chi4, 4),
         "act_power_family": lambda: action.act_power_family(gamma, chi4, 4),

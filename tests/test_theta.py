@@ -22,6 +22,8 @@ from cmtheta.theta import (
     zero_char,
 )
 
+from reference import direct_sum, fraction_in_sigma_minus, fraction_reduce, genus_one_sum, per_term_rounding
+
 
 def test_null_value_at_i_identity():
     # theta(0, iI_2; 0, 0) = (pi^{1/4} / Gamma(3/4))^2, computed independently
@@ -122,15 +124,6 @@ def test_understated_tail_fails_the_comparison(monkeypatch):
 UNEQUAL_AXES = 1j * np.diag([0.3, 1.0, 2.5])
 
 
-def genus_one_sum(y, r, s, reach=30):
-    """Theta(iy; r, s) at genus 1, summed in 30-digit mpmath over |n| <= reach."""
-    mp.mp.dps = 30
-    r, s = mp.mpf(r.numerator) / r.denominator, mp.mpf(s.numerator) / s.denominator
-    return complex(
-        mp.fsum(mp.exp(-mp.pi * mp.mpf(y) * (n + r) ** 2 + 2j * mp.pi * (n + r) * s) for n in range(-reach, reach + 1))
-    )
-
-
 def test_unequal_axes_match_product_of_genus_one_sums():
     # a contraction that reshapes by the wrong axis length passes at equal axis lengths, not here
     zp = SiegelPoint(UNEQUAL_AXES)
@@ -219,33 +212,6 @@ def test_factored_sum_within_tail_plus_rounding():
             assert abs(got - complex(want)) <= cut.tail + cut.rounding
 
 
-def per_term_rounding(zp, cut, r, s):
-    """u sum_y |term(y)| (a + m_E pi |y|^t|Z||y| + m_w 2 pi sum_j tau_j |y_j| + m_c kappa) over the cut's candidates.
-
-    The first-order model of theta_eval's docstring at shift r and s, before it is bounded over every shift.
-    """
-    z, g = zp.mat, zp.g
-    if cut.factor is not None:
-        low = cut.coords.real[np.cumsum((0, *cut.dims[:-1])), range(g)]  # the first y_j of each axis
-        ys = np.argwhere(cut.factor.reshape(cut.dims) != 0) + low
-        a, more = 8 * (g + 2) + math.sqrt(2) * (2 * sum(cut.dims) + 2) + 24, 0
-    else:
-        ys = cut.points.real
-        a, more = len(ys) + 7 + 24, g + 2
-    v = ys + r
-    modulus = np.exp(-np.pi * np.einsum("ij,jk,ik->i", v, z.imag, v))
-    abs_z, abs_y = np.abs(z), np.abs(ys)
-    tau = abs_z @ r + s
-    kappa = np.pi * np.sum(r * (tau + s))
-    per_term = (
-        a
-        + (g * g + 3 + more) * np.pi * np.einsum("ij,jk,ik->i", abs_y, abs_z, abs_y)
-        + (g + 5 + more) * 2 * np.pi * (abs_y @ tau)
-        + (2 * g + 5 + more) * kappa
-    )
-    return theta.EPS / 2 * float(modulus @ per_term)
-
-
 def test_rounding_bound_dominates_per_term_model():
     # the closed form bounds the per-term sum for every shift at once; at each of these points it is 1.2 to 9.4
     # times the sum at the closest shift: a bound 10 times too small fails at every one of them
@@ -268,14 +234,6 @@ def test_rounding_bound_dominates_per_term_model():
             for s in (0, 0.999):
                 assert cut.rounding >= per_term_rounding(zp, cut, np.array(r), np.full(zp.g, s))
     assert {cut.factor is None for zp in points for cut in zp._theta_cuts.values()} == {False, True}
-
-
-def direct_sum(z, chi, radius):
-    """Theta(0, Z; r, s) summed term by term over |x_j| <= radius, the reference."""
-    g = chi.g
-    r, s = np.array(chi.r, dtype=float), np.array(chi.s, dtype=float)
-    v = np.indices((2 * radius + 1,) * g).reshape(g, -1).T - radius + r
-    return complex(np.exp(1j * np.pi * np.einsum("ij,jk,ik->i", v, z, v) + 2j * np.pi * (v @ s)).sum())
 
 
 @pytest.mark.parametrize(
@@ -418,6 +376,13 @@ def test_small_imaginary_part_rejected():
         theta_eval(z, zero_char(2), settings=EvalSettings(tol=1e-12))
 
 
+@pytest.mark.parametrize("scale, g", [(1, 10), (0.001, 3), (0.01, 4)])
+def test_oversized_candidate_box_rejected(scale, g):
+    # MAX_RADIUS allows all three; their boxes hold 6.2e10, 1.3e7 and 3.7e7 candidates, refused before any is built
+    with pytest.raises(ValueError, match=f"candidates at genus {g}, more than 1000000"):
+        theta_eval(SiegelPoint(scale * 1j * np.eye(g)), zero_char(g))
+
+
 def test_random_siegel_is_valid():
     rng = np.random.default_rng(2)
     for _ in range(10):
@@ -428,24 +393,6 @@ def test_random_siegel_is_valid():
 
 
 # -- the integer representation against the Fraction definitions -------------
-
-
-def fraction_reduce(chi):
-    """Characteristic.reduce on Fraction rows, as first written: the reference."""
-    r_red = [v % 1 for v in chi.r]
-    s_red = [v % 1 for v in chi.s]
-    b = [v - w for v, w in zip(chi.s, s_red)]
-    phase = sum((rv * bv for rv, bv in zip(r_red, b)), F(0))
-    return Characteristic.make(r_red, s_red), RootOfUnity(phase)
-
-
-def fraction_in_sigma_minus(chi):
-    """Characteristic.in_sigma_minus on Fraction rows, as first written: the reference."""
-    two_r = [2 * v for v in chi.r]
-    two_s = [2 * v for v in chi.s]
-    if any(v.denominator != 1 for v in two_r + two_s):
-        return False
-    return sum(int(a) * int(b) for a, b in zip(two_r, two_s)) % 2 == 1
 
 
 raw_chars = st.integers(1, 3).flatmap(
