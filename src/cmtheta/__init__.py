@@ -5,7 +5,13 @@ error-bounded theta series, a modularity criterion for products of theta
 constants, group actions on characteristics, the Q(zeta_5) CM apparatus, and
 primitive-generator combinators for abelian extensions, together with a
 verification harness exposed on the command line as `cmtheta`.
+
+`import cmtheta` loads only the layers the CM context is built from (`exact`,
+`symplectic`, `theta`, `action`, `cmfield`); the names from `modularity`,
+`primgen` and `harness` resolve on first use, through a PEP 562 `__getattr__`.
 """
+
+import importlib
 
 from .exact import CycloElem, RootOfUnity, cyclotomic_coeffs, rel_trace_norm, unit_residues
 from .symplectic import (
@@ -31,14 +37,6 @@ from .theta import (
     theta_null,
     zero_char,
 )
-from .modularity import (
-    ThetaProduct,
-    check_family,
-    eval_product,
-    gamma_multiplier,
-    parse,
-    theta_product,
-)
 from .action import ActionResult, act_iota_inv, act_phi, act_power_family
 from .cmfield import (
     CMContext,
@@ -53,16 +51,26 @@ from .cmfield import (
     riemann_form,
     standard_actors,
 )
-from .primgen import (
-    AbelianTower,
-    combine_norm,
-    combine_trace,
-    is_primitive,
-    make_tower,
-    stabilizer,
-    subgroup_generated,
-)
-from .harness import Report, SuiteConfig, run_suite
+
+# name -> module, for the names whose modules `import cmtheta` leaves unloaded
+_LAZY = {
+    name: module
+    for module, names in (
+        ("modularity", "ThetaProduct check_family eval_product gamma_multiplier parse theta_product"),
+        ("primgen", "AbelianTower combine_norm combine_trace is_primitive make_tower stabilizer subgroup_generated"),
+        ("harness", "Report SuiteConfig run_suite"),
+    )
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    """A lazy name, read from its module on every access: nothing is cached here, so a rebinding there shows."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
 
 __version__ = "0.1.0"
 

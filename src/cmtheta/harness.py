@@ -330,14 +330,22 @@ def check_translation_formula(env: HarnessEnv):
 
 def check_sign_symmetry(env: HarnessEnv):
     rng = _rng(env, 3)
-    deviations = []
+    deviations, drawn = [], []
     for _ in range(20):
         z = random_siegel(rng)
         chi = _random_char(rng, int(rng.integers(2, 7)), exclude_sigma=False)
         lhs = theta_eval(z, chi.neg(), env.settings)
         rhs = theta_eval(z, chi, env.settings)
         deviations.append(abs(lhs - rhs))
-    return _within(deviations, 1e-10, "Theta(Z;-r,-s) = Theta(Z;r,s), 20 random inputs")
+        drawn.append((z, chi, rhs))
+    # the shifts are drawn after the signs' inputs; summed unreduced, r + a moves the sum off its candidate set
+    for z, chi, value in drawn:
+        a, b = ([int(v) for v in rng.integers(-4, 5, 2)] for _ in range(2))
+        shifted = Characteristic.make([rv + av for rv, av in zip(chi.r, a)], [sv + bv for sv, bv in zip(chi.s, b)])
+        phase = RootOfUnity(sum(rv * bv for rv, bv in zip(chi.r, b)))
+        deviations.append(abs(theta_eval(z, shifted, env.settings) - phase.value() * value))
+    detail = "Theta(Z;-r,-s) = Theta(Z;r,s) and Theta(Z;r+a,s+b) = e(r.b) Theta(Z;r,s) for integer |a|,|b| <= 4"
+    return _within(deviations, 1e-10, detail + ", 20 random inputs each")
 
 
 def check_sigma_minus(env: HarnessEnv):

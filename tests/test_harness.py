@@ -129,6 +129,13 @@ def test_exact_failure_names_its_count_and_first_case(monkeypatch):
     assert record.detail.endswith("(282 cases), exact; 282 failing, first: p=3, chi=[0 0; 0 0], actor 1")
 
 
+def test_sign_symmetry_compares_integer_shifts_with_their_exact_phase(env):
+    # 20 sign pairs, then 20 shifted characteristics; summed unreduced, a shift deviates by order 1
+    outcome = harness.check_sign_symmetry(env)
+    assert outcome.passed and outcome.measured < 1e-13
+    assert "Theta(Z;r+a,s+b) = e(r.b) Theta(Z;r,s) for integer |a|,|b| <= 4" in outcome.detail
+
+
 def test_reports_are_deterministic_for_fixed_seed():
     config = SuiteConfig(suites=("theta",), seed=7)
     first, _ = run_suite(config)

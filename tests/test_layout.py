@@ -1,5 +1,10 @@
-"""Two layout rules: src/ keeps only what src/ calls, and the tests keep their references in one module."""
+"""Layout rules: src/ keeps only what src/ calls, the tests keep their references in one module, and
+`import cmtheta` loads only the layers the CM context is built from."""
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cmtheta
@@ -22,7 +27,9 @@ def unreferenced(paths, kept):
 
 
 def test_src_keeps_only_what_src_calls_or_exports():
-    assert unreferenced(sorted(SRC.glob("*.py")), kept=cmtheta.__all__) == []
+    # __getattr__ is called by the import system for a missing package attribute (PEP 562)
+    kept = {*cmtheta.__all__, "__getattr__"}
+    assert unreferenced(sorted(SRC.glob("*.py")), kept=kept) == []
 
 
 def test_tests_import_no_test_module_and_every_reference():
@@ -43,3 +50,41 @@ def test_tests_import_no_test_module_and_every_reference():
     assert crossings == []
     # a reference no test imports is dead, unless another reference calls it
     assert unreferenced([TESTS / "reference.py"], kept=imported) == []
+
+
+IMPORT_PROBE = """
+import json, sys
+import cmtheta
+cmtheta.build_context()
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "cmtheta")
+try:
+    cmtheta.no_such_name
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+values = {name: getattr(cmtheta, name) for name in cmtheta.__all__}
+star = {}
+exec("from cmtheta import *", star)
+print(json.dumps({
+    "loaded": loaded,
+    "missing": missing,
+    "homes": {name: value.__module__ for name, value in values.items()},
+    "same": [name for name, value in values.items() if getattr(sys.modules[value.__module__], name) is value],
+    "star": [name for name in cmtheta.__all__ if star.get(name) is values[name]],
+    "namespace": sorted(vars(cmtheta)),
+}))
+"""
+
+
+def test_import_loads_the_context_layers_and_resolves_the_rest_on_use():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    facts = json.loads(proc.stdout)
+    layers = {"cmtheta.exact", "cmtheta.symplectic", "cmtheta.theta", "cmtheta.action", "cmtheta.cmfield"}
+    assert facts["loaded"] == sorted({"cmtheta", *layers})
+    assert facts["missing"] == "module 'cmtheta' has no attribute 'no_such_name'"
+    assert facts["same"] == facts["star"] == cmtheta.__all__
+    lazy = {name for name, home in facts["homes"].items() if home not in layers}
+    assert {facts["homes"][name] for name in lazy} == {"cmtheta.modularity", "cmtheta.primgen", "cmtheta.harness"}
+    assert not lazy & set(facts["namespace"])  # read through __getattr__ each time, never stored in the package
