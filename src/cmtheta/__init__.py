@@ -8,7 +8,8 @@ verification harness exposed on the command line as `cmtheta`.
 
 `import cmtheta` loads only the layers the CM context is built from (`exact`,
 `symplectic`, `theta`, `action`, `cmfield`); the names from `modularity`,
-`primgen` and `harness` resolve on first use, through a PEP 562 `__getattr__`.
+`primgen` and `harness` resolve on first use, through a PEP 562 `__getattr__`,
+and `dir(cmtheta)` lists them through the module `__dir__`.
 """
 
 import importlib
@@ -70,6 +71,11 @@ def __getattr__(name: str):
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    """The loaded names and the lazy ones, listed without importing their modules."""
+    return sorted({*globals(), *_LAZY})
 
 
 __version__ = "0.1.0"

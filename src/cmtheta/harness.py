@@ -264,8 +264,14 @@ def _random_passing_family(rng, n: int) -> ThetaProduct:
             return prod
 
 
-def _random_failing_family(rng, n: int):
-    """A random family failing check_family together with an exact generator witness."""
+def _witness(prod: ThetaProduct, n: int):
+    """The first distinguished generator of Gamma(n) whose multiplier on prod is not 1, or None."""
+    gammas = (special_gamma(kind, j, k, n) for kind in ("upper", "lower", "mixed") for j, k in ((1, 1), (2, 2), (1, 2)))
+    return next((gam for gam in gammas if gamma_multiplier(gam, prod, n) != RootOfUnity.one()), None)
+
+
+def _random_failing_family(rng, n: int) -> ThetaProduct:
+    """A random family failing check_family; one with no `_witness` (possible but rare) is resampled."""
     for _ in _draws(32, "failing family with a generator witness"):
         terms = []
         for _ in range(int(rng.integers(1, 4))):
@@ -273,26 +279,24 @@ def _random_failing_family(rng, n: int):
             m = int(rng.integers(1, 4)) * (1 if rng.random() < 0.7 else -1)
             terms.append((chi, m))
         prod = theta_product(n, terms)
-        if not prod.terms or check_family(prod).ok:
-            continue
-        for kind in ("upper", "lower", "mixed"):
-            for j, k in ((1, 1), (2, 2), (1, 2)):
-                gam = special_gamma(kind, j, k, n)
-                if gamma_multiplier(gam, prod, n) != RootOfUnity.one():
-                    return prod, gam
-        # no witness among the distinguished generators (possible but rare); resample
+        if prod.terms and not check_family(prod).ok and _witness(prod, n) is not None:
+            return prod
 
 
-def _family_value_guarded(rng, env, prod, factor_band, value_band, tries: int = 60):
-    # pick a point where every factor and the product are well away from 0 and infinity
-    for _ in _draws(tries, "well-conditioned point for the family"):
-        z = random_siegel(rng)
-        at_z = _guarded_phis(env, [chi for chi, _ in prod.terms], z, 0.5, factor_band)
-        if at_z is None:
-            continue
-        value = _power_product(prod.terms, at_z[1])
-        if value_band[0] < abs(value) < value_band[1]:
-            return z, value
+def _family_with_points(rng, env, draw, n: int, count: int, tries: int, factor_band, value_band, what: str):
+    """(prod, points): a family prod = draw(rng, n) and count points (z, prod(z)) at which every factor is in
+    factor_band and the product in value_band; a family with fewer such points in its tries draws is redrawn."""
+    for _ in _draws(16, what):
+        prod = draw(rng, n)
+        points = []
+        for _ in range(tries):
+            z = random_siegel(rng)
+            at_z = _guarded_phis(env, [chi for chi, _ in prod.terms], z, 0.5, factor_band)
+            value = None if at_z is None else _power_product(prod.terms, at_z[1])
+            if value is not None and value_band[0] < abs(value) < value_band[1]:
+                points.append((z, value))
+                if len(points) == count:
+                    return prod, points
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +394,10 @@ def check_passing_families(env: HarnessEnv):
     deviations = []
     for n in (2, 4):
         for _ in range(10):
-            prod = _random_passing_family(rng, n)
-            # no lower value bound: with absolute comparisons, tiny products are harmless
-            points = [
-                _family_value_guarded(rng, env, prod, tries=240, factor_band=(0.1, 2.5), value_band=(1e-12, 2.0))
-                for _ in range(3)
-            ]
+            prod, points = _family_with_points(
+                rng, env, _random_passing_family, n, 3, 720, (0.1, 2.5), (1e-12, 2.0),
+                "passing family with 3 well-conditioned points",
+            )
             chis = [chi for chi, _ in prod.terms]
             for _ in range(20):
                 gamma = _gamma_word(rng, n)
@@ -418,14 +420,11 @@ def check_failing_families(env: HarnessEnv):
     for n in (2, 4):
         for _ in range(10):
             # the ratio test is forgiving; only degenerate families are resampled
-            for _ in _draws(16, "failing family with a well-conditioned point"):
-                prod, gam = _random_failing_family(rng, n)
-                try:
-                    z, val = _family_value_guarded(rng, env, prod, factor_band=(0.01, 20.0), value_band=(1e-6, 1e6))
-                    break
-                except RuntimeError:
-                    continue
-            w = act_siegel(gam, z)
+            prod, [(z, val)] = _family_with_points(
+                rng, env, _random_failing_family, n, 1, 60, (0.01, 20.0), (1e-6, 1e6),
+                "failing family with a well-conditioned point",
+            )
+            w = act_siegel(_witness(prod, n), z)
             moved = eval_product(prod, w, env.settings)
             separations.append(abs(moved / val - 1))
     return _above(separations, 1e-3, "failing families have a generator witness with ratio far from 1")

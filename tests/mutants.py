@@ -394,9 +394,16 @@ CAUGHT = [
         "    return\n",
         [
             "tests/test_harness.py::test_failing_family_sampler_is_bounded",
-            "tests/test_harness.py::test_exhausted_failing_family_resample_names_its_budget",
+            "tests/test_harness.py::test_exhausted_family_resamples_name_their_budget",
             "tests/test_harness.py::test_exhausted_char_and_tower_budgets_are_failed_checks",
         ],
+    ),
+    # a family kept whatever its points: no family is redrawn, and at seed 134 one has no point above the floor
+    (
+        HARNESS,
+        "    for _ in _draws(16, what):\n",
+        "    for _ in _draws(1, what):\n",
+        ["tests/test_harness.py::test_passing_families_pass_at_seed_134"],
     ),
     # a rounding bound 100 times too small: measured errors sit near 1e-16 and pass it, the per-term model does not
     (

@@ -27,8 +27,8 @@ def unreferenced(paths, kept):
 
 
 def test_src_keeps_only_what_src_calls_or_exports():
-    # __getattr__ is called by the import system for a missing package attribute (PEP 562)
-    kept = {*cmtheta.__all__, "__getattr__"}
+    # the import system calls __getattr__ for a missing package attribute, and dir() calls __dir__ (PEP 562)
+    kept = {*cmtheta.__all__, "__getattr__", "__dir__"}
     assert unreferenced(sorted(SRC.glob("*.py")), kept=kept) == []
 
 
@@ -56,6 +56,7 @@ IMPORT_PROBE = """
 import json, sys
 import cmtheta
 cmtheta.build_context()
+listed = dir(cmtheta)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "cmtheta")
 try:
     cmtheta.no_such_name
@@ -67,6 +68,7 @@ star = {}
 exec("from cmtheta import *", star)
 print(json.dumps({
     "loaded": loaded,
+    "listed": listed,
     "missing": missing,
     "homes": {name: value.__module__ for name, value in values.items()},
     "same": [name for name, value in values.items() if getattr(sys.modules[value.__module__], name) is value],
@@ -82,7 +84,8 @@ def test_import_loads_the_context_layers_and_resolves_the_rest_on_use():
     assert proc.returncode == 0, proc.stderr
     facts = json.loads(proc.stdout)
     layers = {"cmtheta.exact", "cmtheta.symplectic", "cmtheta.theta", "cmtheta.action", "cmtheta.cmfield"}
-    assert facts["loaded"] == sorted({"cmtheta", *layers})
+    assert facts["loaded"] == sorted({"cmtheta", *layers})  # read after dir(), so dir() loaded no lazy module
+    assert set(cmtheta.__all__) <= set(facts["listed"])
     assert facts["missing"] == "module 'cmtheta' has no attribute 'no_such_name'"
     assert facts["same"] == facts["star"] == cmtheta.__all__
     lazy = {name for name, home in facts["homes"].items() if home not in layers}
