@@ -8,9 +8,6 @@ import numpy as np
 
 from .cmfield import GaloisActor, build_context
 from .exact import CycloElem, rel_trace_norm, unit_residues
-from .harness import SUITE_NAMES, SuiteConfig, run_suite
-from .modularity import check_family, parse
-from .primgen import combine_norm, combine_trace, is_primitive, make_tower
 from .symplectic import SiegelPoint
 from .theta import Characteristic, EvalSettings, divide_by_null, theta_eval, theta_null
 
@@ -20,12 +17,14 @@ def _parse_char(text: str) -> Characteristic:
 
 
 def _cmd_verify(args) -> int:
+    from .harness import SUITE_NAMES, SuiteConfig, run_suite
+
     config = SuiteConfig(
         primes=tuple(args.p),
         tol_numeric=args.tol,
         theta_tol=args.theta_tol,
         seed=args.seed,
-        suites=tuple(args.suite),
+        suites=tuple(args.suite or SUITE_NAMES),  # run_suite checks the names
     )
     report, code = run_suite(config)
     text = report.to_json()
@@ -55,6 +54,8 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_modularity(args) -> int:
+    from .modularity import check_family, parse
+
     with open(args.file) as fh:
         prod = parse(fh.read())
     result = check_family(prod)
@@ -82,6 +83,8 @@ def _cmd_action(args) -> int:
 
 
 def _cmd_primgen(args) -> int:
+    from .primgen import combine_norm, combine_trace, is_primitive, make_tower
+
     z25 = CycloElem.zeta(25)
     sub = tuple((1 + 5 * k) % 25 for k in range(5))
     print(f"Tr(zeta_25) over the {{1+5k}} subgroup = {rel_trace_norm(z25, sub, 'trace')}")
@@ -106,7 +109,7 @@ def main(argv=None) -> int:
     v.add_argument("--tol", type=float, default=1e-8, help=f"tolerance of {four}; other checks are fixed or exact")
     v.add_argument("--theta-tol", type=float, default=1e-12, help="absolute theta-series tolerance")
     v.add_argument("--seed", type=int, default=20260815, help="PRNG seed for the randomized checks")
-    v.add_argument("--suite", nargs="+", choices=SUITE_NAMES, default=list(SUITE_NAMES), help="suites to run")
+    v.add_argument("--suite", nargs="+", help="suites to run (default: all)")
     v.add_argument("--out", metavar="PATH", help="also write the report to this file")
     v.set_defaults(fn=_cmd_verify, what="configuration")
 

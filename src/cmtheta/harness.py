@@ -79,7 +79,7 @@ class SuiteConfig:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         unknown = set(self.suites) - set(SUITE_NAMES)
         if unknown:
-            raise ConfigError(f"unknown suites: {sorted(unknown)}")
+            raise ConfigError(f"unknown suites: {sorted(unknown)}; the suites are {', '.join(SUITE_NAMES)}")
 
 
 @dataclass

@@ -34,6 +34,7 @@ MODULARITY, THETA = "src/cmtheta/modularity.py", "src/cmtheta/theta.py"
 CMFIELD, EXACT = "src/cmtheta/cmfield.py", "src/cmtheta/exact.py"
 SYMPLECTIC = "src/cmtheta/symplectic.py"
 PRIMGEN, HARNESS = "src/cmtheta/primgen.py", "src/cmtheta/harness.py"
+CLI = "src/cmtheta/cli.py"
 
 CAUGHT = [
     # gamma_multiplier without the n a.b term of X
@@ -404,6 +405,21 @@ CAUGHT = [
         "    for _ in _draws(16, what):\n",
         "    for _ in _draws(1, what):\n",
         ["tests/test_harness.py::test_passing_families_pass_at_seed_134"],
+    ),
+    # SuiteConfig.validate without its suite-name check: `--suite nonsense` runs no check and exits 0
+    (
+        HARNESS,
+        "        unknown = set(self.suites) - set(SUITE_NAMES)\n        if unknown:\n"
+        '            raise ConfigError(f"unknown suites: {sorted(unknown)}; the suites are {\', \'.join(SUITE_NAMES)}")\n',
+        "",
+        ["tests/test_cli.py::test_verify_rejects_unknown_suite"],
+    ),
+    # the CLI loading the harness at start-up, so `cmtheta theta` and `cmtheta action` load it too
+    (
+        CLI,
+        "from .exact import CycloElem, rel_trace_norm, unit_residues\n",
+        "from . import harness\nfrom .exact import CycloElem, rel_trace_norm, unit_residues\n",
+        ["tests/test_layout.py::test_import_loads_the_context_layers_and_resolves_the_rest_on_use"],
     ),
     # a rounding bound 100 times too small: measured errors sit near 1e-16 and pass it, the per-term model does not
     (

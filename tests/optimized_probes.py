@@ -4,7 +4,7 @@ The `optimized` fixture in conftest.py runs this file as `python -O` on the
 source tree and hands each test the outcome of its probe.  A probe records the
 class name of what a call raised, or None if it returned, so a check made only
 by an `assert` shows up as None.  CLI probes go through `cli.main` and record
-the exit code and stderr.
+the exit code, stdout and stderr.
 """
 import contextlib
 import io
@@ -35,13 +35,13 @@ def raised(call):
 
 
 def cli(args):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(args)
         except Exception as exc:  # a traceback instead of an exit code
             code = repr(exc)
-    return [code, err.getvalue()]
+    return [code, out.getvalue(), err.getvalue()]
 
 
 def probes(tmp: Path) -> dict:
@@ -74,6 +74,14 @@ def probes(tmp: Path) -> dict:
         "stabilizer_non_unit": raised(lambda: stabilizer(CycloElem.from_rational(8, 3), [1, 2])),
         "cli_odd_level": cli(["modularity", str(odd_level)]),
         "cli_even_p": cli(["action", "--x", "1 2 2 0 0", "--p", "4", "--char", "1/4 0 0 0"]),
+        "cli_huge_s": cli(["theta", "--at", "i", "--char", "0 0 1e400 0"]),
+        "cli_genus_3": cli(["theta", "--at", "i", "--char", "1/3 0 2/3 1/2 1/3 0"]),
+        "cli_shifted_r": [cli(["theta", "--char", "1/3 2/3 0 1/3"]), cli(["theta", "--char", "13/3 -7/3 0 1/3"])],
+        "cli_oversized_box": cli(["theta", "--at", "i", "--char", " ".join(["0"] * 10 + ["1/2"] + ["0"] * 9)]),
+        "cli_primgen": cli(["primgen"]),
+        "cli_impossible_tol": cli(["verify", "--suite", "modularity", "--p", "3", "--tol", "1e-30"]),
+        "cli_cm_primes_17_to_31": cli(["verify", "--suite", "cm", "--p", "17", "19", "23", "29", "31"]),
+        "cli_primgen_seeds_1_42": [cli(["verify", "--suite", "primgen", "--seed", seed]) for seed in ("1", "42")],
     }
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import cmtheta
-from cmtheta import theta
+from cmtheta import harness, theta
 from cmtheta.cli import main
 from cmtheta.cmfield import GaloisActor
 from cmtheta.symplectic import SiegelPoint
@@ -47,9 +47,25 @@ def test_verify_rejects_negative_seed(seed, capsys):
     assert captured.out == ""  # no report whose checks seem to fail
 
 
-def test_verify_rejects_unknown_suite():
-    with pytest.raises(SystemExit):  # argparse rejects the choice itself
-        main(["verify", "--suite", "nonsense"])
+def test_verify_rejects_unknown_suite(capsys):
+    # argparse takes any name: SuiteConfig.validate alone checks them, and its error names the valid ones
+    assert main(["verify", "--suite", "nonsense"]) == 2
+    captured = capsys.readouterr()
+    message = "unknown suites: ['nonsense']; the suites are theta, modularity, action, cm, primgen"
+    assert captured.err == f"invalid configuration: {message}\n"
+    assert captured.out == ""
+
+
+def test_verify_without_suite_runs_every_suite(monkeypatch, capsys):
+    configs = []
+    monkeypatch.setattr(harness, "run_suite", lambda config: configs.append(config) or (harness.Report(config), 0))
+    assert main(["verify"]) == 0
+    assert [c.suites for c in configs] == [("theta", "modularity", "action", "cm", "primgen")]
+
+
+def test_verify_theta_suite_at_a_finer_theta_tolerance(capsys):
+    assert main(["verify", "--suite", "theta", "--tol", "1e-8", "--theta-tol", "1e-10", "--seed", "7"]) == 0
+    assert json.loads(capsys.readouterr().out)["theta_tol"] == 1e-10
 
 
 def test_theta_at_i(capsys):
@@ -178,11 +194,57 @@ def test_theta_refuses_an_oversized_candidate_box(capsys):
 
 
 def test_validation_survives_optimize_flag(optimized):
-    code, err = optimized["cli_odd_level"]  # `modularity` on a product file of odd level
+    code, _, err = optimized["cli_odd_level"]  # `modularity` on a product file of odd level
     assert code == 2, err
     assert "level must be a positive even integer" in err
-    code, err = optimized["cli_even_p"]  # `action --p 4`
+    code, _, err = optimized["cli_even_p"]  # `action --p 4`
     assert code == 2, err
+    code, _, err = optimized["cli_oversized_box"]  # 6.2e10 candidates at iI_10: a 4.5 TiB box if built
+    assert code == 2, err
+    assert "truncation box has 61917364224 candidates" in err
+
+
+@pytest.mark.parametrize(
+    "probe, line",
+    [
+        # 1e400 is an integer s beyond the float range, so [0; s] reduces to the theta null
+        ("cli_huge_s", "theta = 1.1803405990161+0j"),
+        # at iI3 Theta is prod_j theta(i; r_j, s_j); summed in 30-digit mpmath that is
+        # 0.20791095542904192337 + 0.36011233825328891624i, on the factored path
+        ("cli_genus_3", "theta = 0.207910955429042+0.360112338253289j"),
+        # that tower has ell = 2, so the combinator inverts N_{L/K(x)}(3y + 1) inside K(x)
+        ("cli_primgen", "norm combinator:   -4/5 - 21/5*z8 - 3/5*z8^2 + 3/5*z8^3  (primitive: True)"),
+    ],
+)
+def test_cli_prints_the_exact_line_under_optimize_flag(probe, line, optimized):
+    code, out, err = optimized[probe]
+    assert code == 0, err
+    assert line in out.splitlines()
+
+
+def test_theta_prints_the_same_digits_for_r_and_r_plus_4_minus_3_under_optimize_flag(optimized):
+    # b = 0, so the phase is e(0) = 1 exactly; a characteristic summed unreduced prints other digits
+    (code, out, err), (shifted_code, shifted_out, shifted_err) = optimized["cli_shifted_r"]
+    assert code == shifted_code == 0, err + shifted_err
+    assert out.startswith("theta = ")
+    assert out == shifted_out
+
+
+@pytest.mark.parametrize(
+    "probe, expected",
+    [
+        ("cli_impossible_tol", 1),  # --suite modularity --p 3 --tol 1e-30: no computed deviation is that small
+        ("cli_cm_primes_17_to_31", 0),  # --suite cm at primes beyond the default list
+    ],
+)
+def test_verify_exit_code_under_optimize_flag(probe, expected, optimized):
+    code, out, err = optimized[probe]
+    assert code == expected, err or out
+
+
+def test_verify_primgen_suite_at_seeds_1_and_42_under_optimize_flag(optimized):
+    for code, out, err in optimized["cli_primgen_seeds_1_42"]:
+        assert code == 0, err or out
 
 
 @pytest.mark.parametrize(
