@@ -222,9 +222,14 @@ def _image(gamma, z):
     return w if w.min_im_eig >= 0.02 else None
 
 
-def _finite(value: complex, what: str, z) -> complex:
-    """value, or FloatingPointError naming it: a NaN or infinite value is a fault, not a point to resample."""
+def _finite(value: complex, chi, z) -> complex:
+    """value, or FloatingPointError naming Phi_chi, or the theta null if chi is None.
+
+    A NaN or infinite value is a fault, not a point to resample.  The name is
+    formatted only then: a Characteristic prints through four Fractions.
+    """
     if not cmath.isfinite(value):
+        what = "theta null" if chi is None else f"Phi_{chi}"
         raise FloatingPointError(f"non-finite {what} {value} at a point with min_im_eig {z.min_im_eig:.3g}")
     return value
 
@@ -234,10 +239,10 @@ def _guarded_phis(env, chis, z, null_floor: float, band=(0.0, math.inf)):
 
     A non-finite null or Phi raises FloatingPointError, which no sampler catches.
     """
-    null = _finite(theta_null(z, env.settings), "theta null", z)
+    null = _finite(theta_null(z, env.settings), None, z)
     if abs(null) < null_floor:
         return None
-    phis = [_finite(phi_eval(chi, z, env.settings, null_value=null), f"Phi_{chi}", z) for chi in chis]
+    phis = [_finite(phi_eval(chi, z, env.settings, null_value=null), chi, z) for chi in chis]
     return (null, phis) if all(band[0] < abs(v) < band[1] for v in phis) else None
 
 

@@ -15,6 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 import numpy as np
 
@@ -169,7 +170,7 @@ MAX_RADIUS = 200  # theta_eval refuses a truncation ellipsoid reaching further a
 MAX_CANDIDATES = 10**6  # theta_eval refuses a candidate box with more points: its arrays would pass ~100 MB
 EPS = float(np.finfo(float).eps)
 _EXP_RANGE = -math.log(np.finfo(float).tiny)  # exp(-x) is a normal float for 0 <= x < 708.4
-_TWO_PI_I = 2j * math.pi
+_PI_I, _TWO_PI_I = 1j * math.pi, 2j * math.pi
 
 
 def _tail_bound(big_r: float, rho: float, g: int) -> float:
@@ -212,6 +213,36 @@ def _rounding_bound(z_rows: list[list[complex]], rho: float, reach_y: int, ops: 
     return EPS / 2 * bound * m0 ** (g - 2)
 
 
+def _radius(rho: float, g: int, target: float) -> tuple[float, float]:
+    """(R, _tail_bound(R, rho, g)) for the least R = rho + m/32, m >= 1, whose tail bound is at most target.
+
+    The bound falls as R grows and is near exp(-(R - rho)^2) there, so the
+    search starts at the grid point nearest rho + sqrt(-log target), doubles
+    its step until it has a failing m below a passing one, and bisects
+    between them: about 6 bounds per cut.  m = 0 (R = rho) always fails.
+    """
+
+    def bound(m: int) -> float:
+        return _tail_bound(rho + m / 32, rho, g) if m > 0 else math.inf
+
+    depth = -math.log(target) if target > 0 else _EXP_RANGE
+    start = max(1, round(32 * math.sqrt(max(depth, 0.0))))
+    step, tail = 1, bound(start)
+    if tail > target:  # gallop up to a passing m
+        lo, hi = start, start + 1
+        while (tail := bound(hi)) > target:
+            lo, hi, step = hi, hi + 2 * step, 2 * step
+    else:  # gallop down to a failing m
+        lo, hi = start - 1, start
+        while (low_tail := bound(lo)) <= target:
+            lo, hi, tail, step = max(0, lo - 2 * step), lo, low_tail, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        mid_tail = bound(mid)
+        lo, hi, tail = (mid, hi, tail) if mid_tail > target else (lo, mid, mid_tail)
+    return rho + hi / 32, tail
+
+
 @dataclass(frozen=True)
 class _Cut:
     """One certified truncation of the theta series at one SiegelPoint and tolerance, ready to sum.
@@ -225,17 +256,21 @@ class _Cut:
     its product with the complex vector of exponents casts nothing.  factor is
     then E(y) = exp(pi i tyZy) on the box, zero off the candidates, as a matrix
     of n_0 ... n_(g-2) rows (1 at g = 1), one per y_0, ..., y_(g-2) in C order,
-    and n_(g-1) columns.  points and quad are None.  Otherwise coords and factor
-    are None and points and quad list the candidates (as complex rows) and
-    their phases pi i tyZy.  z_rows is Z as nested lists for the per-call
-    arithmetic.  radius is R, and tail and rounding bound the omitted terms and
-    the floating-point error (see theta_eval).  Only geometry is kept, never a
-    theta value.
+    and n_(g-1) columns.  last is the slice of coords' rows, and so of the
+    stacked exponents, on axis g-1; inner holds (n_j, the slice of axis j) for
+    j = g-2, ..., 0, the order a call contracts them in.  points and quad are
+    None.  Otherwise coords, factor, last and inner are None and points and
+    quad list the candidates (as complex rows) and their phases pi i tyZy.
+    z_rows is Z as nested lists for the per-call arithmetic.  radius is R,
+    and tail and rounding bound the omitted terms and the floating-point error
+    (see theta_eval).  Only geometry is kept, never a theta value.
     """
 
     dims: tuple[int, ...]
     coords: np.ndarray | None
     factor: np.ndarray | None
+    last: slice | None
+    inner: tuple[tuple[int, slice], ...] | None
     points: np.ndarray | None
     quad: np.ndarray | None
     z_rows: list[list[complex]]
@@ -252,15 +287,10 @@ def _certified(zp: SiegelPoint, tol: float) -> _Cut:
     rho, target = math.sqrt(math.pi * zp.min_im_eig), tol / 2
     z_rows = z.tolist()
     y_row_sums = [sum(abs(v.imag) for v in row) for row in z_rows]  # sum_l |Im Z_jl|
-    lo, hi = rho, rho + 1.0
-    while _tail_bound(hi, rho, g) > target:
-        lo, hi = hi, rho + 2 * (hi - rho)
-    while hi - lo > 1 / 32:
-        mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if _tail_bound(mid, rho, g) > target else (lo, mid)
+    radius, tail = _radius(rho, g, target)
     # C covers the ellipsoid |T(y + f)| < R for every shift f (see theta_eval)
     delta = math.sqrt(math.pi * sum(y_row_sums)) / 2
-    reach = hi + delta
+    reach = radius + delta
     half = [reach * math.sqrt(w / math.pi) for w in y_inv.diagonal().tolist()]  # its x-extent
     if max(half) > MAX_RADIUS:
         raise ValueError(f"truncation radius exceeds {MAX_RADIUS}; imaginary part too small")
@@ -275,17 +305,20 @@ def _certified(zp: SiegelPoint, tol: float) -> _Cut:
     shrink = (reach + delta) ** 2  # bounds pi tyIm(Z)y on C: |Ty| <= |T(y + 1/2)| + delta
     if grow + shrink + math.log(len(grid)) < _EXP_RANGE:
         coords = np.zeros((sum(dims), g), complex)
+        slices = []
         for j, (l, n) in enumerate(zip(low, dims)):
-            start = sum(dims[:j])
-            coords[start : start + n, j] = np.arange(l, l + n)
+            slices.append(slice(sum(dims[:j]), sum(dims[: j + 1])))
+            coords[slices[j], j] = np.arange(l, l + n)
+        last, inner = slices[-1], tuple(zip(dims[-2::-1], slices[-2::-1]))
         factor, points, quad = np.where(inside, np.exp(quad), 0).reshape(-1, dims[-1]), None, None
         ops, more = 8 * (g + 2) + math.sqrt(2) * (2 * sum(dims) + 2), 0
     else:
-        coords, factor, points, quad = None, None, grid[inside].astype(complex), quad[inside]
+        coords = factor = last = inner = None
+        points, quad = grid[inside].astype(complex), quad[inside]
         ops, more = len(points) + 7, g + 2
     reach_y = max(max(-l - 1, l + n - 1) for l, n in zip(low, dims))
     rounding = _rounding_bound(z_rows, rho, reach_y, ops + 24, more)  # + 24: the phase of a reduced call
-    return _Cut(tuple(dims), coords, factor, points, quad, z_rows, hi, _tail_bound(hi, rho, g), rounding)
+    return _Cut(tuple(dims), coords, factor, last, inner, points, quad, z_rows, radius, tail, rounding)
 
 
 def theta_eval(z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:
@@ -312,7 +345,7 @@ def theta_eval(z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTINGS
     total at most vol(B_{rho/2})^-1 times the integral of exp(-(|q| - rho/2)^2)
     over |q| >= R - rho/2, which in polar coordinates is
     g (2/rho)^g int_{R-rho/2}^inf exp(-(t - rho/2)^2) t^(g-1) dt  (_tail_bound).
-    R is bisected so that this is at most tol/2.  Since
+    R is the least rho + m/32 at which this is at most tol/2 (_radius).  Since
     |T(y + f)| >= |T(y + 1/2)| - delta, with delta^2 = pi sum_jk |Im Z_jk| / 4
     >= |Te|^2 for e in [-1/2, 1/2]^g, C = {y : |T(y + 1/2)| < R + delta}
     covers the ellipsoid |T(y + f)| < R for every shift f.
@@ -324,11 +357,13 @@ def theta_eval(z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTINGS
     n_0 x ... x n_(g-1) of C's coordinate ranges, zero off C, as a matrix
     with one column per y_(g-1).  A call forms every w_j(y_j) =
     exp(2 pi i y_j t_j) in one exponential of the cut's stacked coordinates
-    times the vector [2 pi i t_j]; each exponent is the one product
-    y_j (2 pi i t_j), as the other columns add exact zeros.  It then
-    contracts the last axis first, with one BLAS matrix-vector product per
-    axis and a reshape between them: (E . w_(g-1) . ... . w_0) exp(const),
-    sum_j n_j exponentials, not |C|.
+    times the list [2 pi i t_j], which the product converts as np.array
+    would; each exponent is the one product y_j (2 pi i t_j), as the other
+    columns add exact zeros.  It then contracts the last axis
+    first, with one BLAS matrix-vector product per axis on the slice of w the
+    cut keeps for it: the stored matrix E against w_(g-1) as it is, and each
+    later axis after a reshape of the partial sum, giving
+    (E . w_(g-1) . ... . w_0) exp(const) from sum_j n_j exponentials, not |C|.
 
     Range guard.  Im t = Im(Z) f, so |w_j(y_j)| <= exp(2 pi |y_j| sum_l
     |Im Z_jl|) for every characteristic: at most exp(G) in product over
@@ -390,15 +425,15 @@ def _theta(zp: SiegelPoint, chi: Characteristic, tol: float) -> complex:
     if cut is None:
         cut = zp._theta_cuts[tol] = _certified(zp, tol)
     # with v = y + shift: pi i tvZv + 2 pi i tvs = pi i tyZy + 2 pi i ty t + const
-    t = [sum(map(operator.mul, row, x), c) for row, c in zip(cut.z_rows, s)]
-    const = 1j * math.pi * sum(map(operator.mul, x, map(operator.add, t, s)))
+    t = [sum(map(mul, row, x), c) for row, c in zip(cut.z_rows, s)]
+    const = _PI_I * sum(map(mul, x, map(add, t, s)))
     if cut.factor is None:
         return complex(np.exp(cut.quad + cut.points @ (_TWO_PI_I * np.array(t)) + const).sum())
-    w = np.exp(cut.coords.dot(np.array([_TWO_PI_I * v for v in t])))  # w_0(y_0), ..., w_(g-1)(y_(g-1)), stacked
-    total, end = cut.factor, len(w)
-    for n in reversed(cut.dims):  # the last axis first, one matrix-vector product each
-        total, end = total.reshape(-1, n).dot(w[end - n : end]), end - n
-    return complex(total[0]) * cmath.exp(const)
+    w = np.exp(cut.coords.dot([_TWO_PI_I * v for v in t]))  # w_0(y_0), ..., w_(g-1)(y_(g-1)), stacked
+    total = cut.factor.dot(w[cut.last])  # the last axis first, one matrix-vector product each
+    for n, rows in cut.inner:
+        total = total.reshape(-1, n).dot(w[rows])
+    return total.item() * cmath.exp(const)
 
 
 def theta_null(z, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:

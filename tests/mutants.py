@@ -207,30 +207,50 @@ CAUGHT = [
     # the factored theta sum without its constant factor e^const
     (
         THETA,
-        "return complex(total[0]) * cmath.exp(const)",
-        "return complex(total[0])",
+        "return total.item() * cmath.exp(const)",
+        "return total.item()",
         ["tests/test_theta.py::test_summation_paths_agree"],
     ),
     # each axis exponent t_j scaled by 1.01: the conjugate side at [r; -s] reduced no longer mirrors the error
     (
         THETA,
-        "np.array([_TWO_PI_I * v for v in t])",
-        "np.array([_TWO_PI_I * v * 1.01 for v in t])",
+        "cut.coords.dot([_TWO_PI_I * v for v in t])",
+        "cut.coords.dot([_TWO_PI_I * v * 1.01 for v in t])",
         ["tests/test_acceptance.py::test_conjugation_symmetry_at_cm_point"],
     ),
     # the axes contracted in the wrong order: the last axis of E against w_0, the first stacked
     (
         THETA,
-        ".dot(w[end - n : end])",
-        ".dot(w[len(w) - end : len(w) - end + n])",
+        "last, inner = slices[-1], tuple(zip(dims[-2::-1], slices[-2::-1]))",
+        "last, inner = slices[0], tuple(zip(dims[-2::-1], slices[1:]))",
         ["tests/test_theta.py::test_summation_paths_agree"],
+    ),
+    # each axis j < g - 1 contracted with its neighbour j + 1's slice of the stacked exponents
+    (
+        THETA,
+        "tuple(zip(dims[-2::-1], slices[-2::-1]))",
+        "tuple(zip(dims[-2::-1], slices[:0:-1]))",
+        [
+            "tests/test_theta.py::test_contraction_matches_reshaped_reference",
+            "tests/test_theta.py::test_summation_paths_agree",
+        ],
     ),
     # each reshape by the wrong axis length: the same sum while all axes have one length
     (
         THETA,
-        "for n in reversed(cut.dims):",
-        "for n in cut.dims:",
+        "tuple(zip(dims[-2::-1], slices[-2::-1]))",
+        "tuple(zip(dims[:0:-1], slices[-2::-1]))",
         ["tests/test_theta.py::test_unequal_axes_match_product_of_genus_one_sums"],
+    ),
+    # the radius search stopping one grid step early: a bracket of two steps is left, its upper end returned
+    (
+        THETA,
+        "    while hi - lo > 1:\n",
+        "    while hi - lo > 2:\n",
+        [
+            "tests/test_theta.py::test_radius_search_matches_doubling_reference",
+            "tests/test_theta.py::test_radius_search_keeps_the_candidates",
+        ],
     ),
     # no range guard: every cut factored
     (

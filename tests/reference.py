@@ -5,7 +5,9 @@ arithmetic in place of integer numerators, a term-by-term or high-precision sum
 in place of a factored one, a solve in place of a table.  Tests import what
 they need from here; no test module imports another.
 """
+import cmath
 import math
+import operator
 from fractions import Fraction
 from fractions import Fraction as F
 from math import gcd
@@ -93,6 +95,45 @@ def per_term_rounding(zp, cut, r, s):
         + (2 * g + 5 + more) * kappa
     )
     return theta.EPS / 2 * float(modulus @ per_term)
+
+
+def doubling_radius(rho, g, target):
+    """The truncation radius as first searched, the reference.
+
+    From rho + 1 the distance to rho doubles until the tail bound is at most
+    target, then the bracket is bisected until its float width is at most 1/32.
+    That width test can round up once, so the search sometimes takes one more
+    halving and returns a point half a grid step below rho + m/32.
+    """
+    lo, hi = rho, rho + 1.0
+    while theta._tail_bound(hi, rho, g) > target:
+        lo, hi = hi, rho + 2 * (hi - rho)
+    while hi - lo > 1 / 32:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if theta._tail_bound(mid, rho, g) > target else (lo, mid)
+    return hi
+
+
+def reshaped_contraction(cut, chi):
+    """Theta at a factored cut as first contracted, the reference.
+
+    The exponents go through np.array, every axis (the last too) is contracted
+    after a reshape, and each axis's rows of the stacked exponents are found
+    from dims.  A non-canonical chi is reduced first, as theta_eval does.
+    """
+    if not chi.is_canonical():
+        red, phase = chi.reduce()
+        return phase.value() * reshaped_contraction(cut, red)
+    g = chi.g
+    x = [v / chi.den for v in chi.num]
+    s = x[g:]
+    t = [sum(map(operator.mul, row, x), c) for row, c in zip(cut.z_rows, s)]
+    const = 1j * math.pi * sum(map(operator.mul, x, map(operator.add, t, s)))
+    w = np.exp(cut.coords.dot(np.array([2j * math.pi * v for v in t])))
+    total, end = cut.factor, len(w)
+    for n in reversed(cut.dims):
+        total, end = total.reshape(-1, n).dot(w[end - n : end]), end - n
+    return complex(total[0]) * cmath.exp(const)
 
 
 def direct_sum(z, chi, radius):

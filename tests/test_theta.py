@@ -22,7 +22,15 @@ from cmtheta.theta import (
     zero_char,
 )
 
-from reference import direct_sum, fraction_in_sigma_minus, fraction_reduce, genus_one_sum, per_term_rounding
+from reference import (
+    direct_sum,
+    doubling_radius,
+    fraction_in_sigma_minus,
+    fraction_reduce,
+    genus_one_sum,
+    per_term_rounding,
+    reshaped_contraction,
+)
 
 
 def test_null_value_at_i_identity():
@@ -179,6 +187,78 @@ def test_certified_cut_meets_its_budget():
     assert cut.tail <= 0.5e-12 and cut.rounding <= 0.5e-12
     # bisected to 1/32: a slightly shorter radius would miss the budget
     assert theta._tail_bound(cut.radius - 1 / 32, math.sqrt(math.pi * z.min_im_eig), 2) > 0.5e-12
+
+
+def test_radius_search_matches_doubling_reference(monkeypatch):
+    # the least grid point rho + m/32 meeting tol/2, with its bound kept, in about 6 bounds against the reference's 11
+    bound, calls = theta._tail_bound, []
+    monkeypatch.setattr(theta, "_tail_bound", lambda *args: calls.append(args) or bound(*args))
+    made = referenced = 0
+    for g, tol, rho in itertools.product((1, 2, 3), (1e-6, 1e-12, 1e-15), np.linspace(0.05, 3, 60).tolist()):
+        before = len(calls)
+        want = doubling_radius(rho, g, tol / 2)
+        between = len(calls)
+        got, tail = theta._radius(rho, g, tol / 2)
+        referenced, made = referenced + between - before, made + len(calls) - between
+        steps = round((got - rho) * 32)
+        assert got == rho + steps / 32 and tail == bound(got, rho, g) <= tol / 2
+        assert steps == 1 or bound(rho + (steps - 1) / 32, rho, g) > tol / 2
+        if abs(got - want) > 1e-12:  # the reference's float width test rounded up and it halved once more
+            assert got - want == pytest.approx(1 / 64, abs=1e-12) and bound(want, rho, g) <= tol / 2
+    assert made < 0.7 * referenced
+
+
+def test_radius_search_keeps_the_candidates(monkeypatch):
+    # the reference's radius to rounding, so the same axis lengths and candidates, on both summation paths
+    rng = np.random.default_rng(41)
+    # rho about 0.05 at genus 1, then a point summed term by term
+    points = [SiegelPoint(np.array([[0.1 + 0.0008j]])), SiegelPoint(300j * np.eye(2) + 0.25)]
+    points += [random_siegel(rng, g, base) for g in (1, 2, 3) for base in (0.02, 0.1, 0.5, 1.5, 2.8)]
+    tols = (1e-6, 1e-12, 1e-15)
+    cuts = [theta._certified(zp, tol) for zp in points for tol in tols]
+
+    def reference_radius(rho, g, target):
+        radius = doubling_radius(rho, g, target)
+        return radius, theta._tail_bound(radius, rho, g)
+
+    monkeypatch.setattr(theta, "_radius", reference_radius)
+    wants = [theta._certified(zp, tol) for zp in points for tol in tols]
+    assert {cut.factor is None for cut in cuts} == {False, True}
+    for got, want in zip(cuts, wants):
+        assert got.radius == pytest.approx(want.radius, abs=1e-12) and got.dims == want.dims
+        assert got.tail == pytest.approx(want.tail, rel=1e-12)
+        if got.factor is None:
+            assert np.array_equal(got.points, want.points)
+        else:
+            assert np.array_equal(got.factor != 0, want.factor != 0)
+
+
+def test_contraction_matches_reshaped_reference():
+    # bit for bit: the stored slices and the exponent list give the products the reshaping contraction gives
+    rng = np.random.default_rng(43)
+    points = [
+        random_siegel(rng, 1),
+        build_context().z0,
+        random_siegel(rng, 2),
+        SiegelPoint(np.array([[0.13 + 0.02j, 0.21], [0.21, -0.4 + 0.7j]])),  # min_im_eig 0.02
+        random_siegel(rng, 3),
+        SiegelPoint(UNEQUAL_AXES),
+    ]
+    assert points[3].min_im_eig == 0.02
+    for zp in points:
+        g = zp.g
+        chis = [
+            zero_char(g),
+            Characteristic.from_den(range(1, g + 1), range(g, 0, -1), 7),
+            Characteristic.from_den([9] * g, [-4, 13, 22][:g], 5),  # non-canonical: reduced with a phase
+        ]
+        assert not chis[2].is_canonical()
+        for chi in chis:
+            assert theta_eval(zp, chi) == reshaped_contraction(zp._theta_cuts[1e-12], chi)
+        cut = zp._theta_cuts[1e-12]
+        starts = np.cumsum((0, *cut.dims)).tolist()
+        assert cut.factor is not None and cut.last == slice(starts[-2], starts[-1])
+        assert cut.inner == tuple((cut.dims[j], slice(starts[j], starts[j + 1])) for j in reversed(range(g - 1)))
 
 
 def test_well_conditioned_cuts_are_factored():
