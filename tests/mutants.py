@@ -8,27 +8,33 @@ Each entry is (file, old text, new text, node ids).  For every entry the runner
 copies src/, tests/ and pyproject.toml to a temporary directory, replaces the
 one occurrence of the old text there and runs only the named tests.  The copy is
 needed because pytest's `pythonpath = ["src"]` would otherwise import the
-unmutated tree.  A caught mutant must fail every named test.  An expected
-survivor must pass them all, so a check that starts catching it shows up too.
-The named tests must pass on the unmutated tree first.  Exits 1 if any mutant
-behaves other than listed.  Entries run in up to two pytest subprocesses at
-once, never more than there are CPUs, and each prints its own time.
+unmutated tree, and because some tests (the `optimized` fixture) start
+interpreters that read src/ from disk.  A caught mutant must fail every named
+test.  An expected survivor must pass them all, so a check that starts catching
+it shows up too.  The named tests must pass on the unmutated tree first.  Exits
+1 if any mutant behaves other than listed.
+
+Each entry, and the unmutated run queued first, runs in-process in a fresh
+child of a fork server that has imported hypothesis, mpmath, numpy and pytest,
+two children at a time at most: the child makes the copy, changes into it and
+calls `pytest.main` on the named tests, reading each outcome from pytest's
+reports.  The runner never imports cmtheta or a test module, and a child that
+finds cmtheta imported raises RuntimeError.  An entry that takes over 300 s
+ends the run with an error.  Each entry prints its time, the last line the run's.
 """
 from __future__ import annotations
 
+import multiprocessing
 import os
 import shutil
-import subprocess
 import sys
 import tempfile
 import time
-import xml.etree.ElementTree as ET
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKERS = min(2, os.cpu_count() or 1)  # pytest subprocesses at a time
+WORKERS = min(2, os.cpu_count() or 1)  # entries run at a time, each in its own forked child
+TIMEOUT = 300  # seconds an entry may take before the run ends with an error
 
 MODULARITY, THETA = "src/cmtheta/modularity.py", "src/cmtheta/theta.py"
 CMFIELD, EXACT = "src/cmtheta/cmfield.py", "src/cmtheta/exact.py"
@@ -453,73 +459,72 @@ CAUGHT = [
 SURVIVORS = []  # none today: an entry here must pass every test named with it
 
 
-def outcomes(tree: Path, nodes: list[str]) -> dict[str, bool]:
-    """Pass (True) or not for each named test, run in tree; a test that did not run counts as not passed."""
-    report = tree / "report.xml"
-    subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--junitxml={report}", *nodes],
-        cwd=tree,
-        # the named tests need no installed plugin, and loading them took about 2 s of each 3 s run
-        env=dict(os.environ, PYTEST_DISABLE_PLUGIN_AUTOLOAD="1"),
-        capture_output=True,
-        timeout=300,
-    )
-    ran = {}
-    if report.exists():
-        for case in ET.parse(report).iter("testcase"):
-            path = case.get("classname", "").replace(".", "/") + ".py"
-            ran[f"{path}::{case.get('name')}"] = not any(c.tag in ("failure", "error", "skipped") for c in case)
-    return {node: ran.get(node, False) for node in nodes}
+class Passed:
+    """A pytest plugin: the node ids whose call ran and whose every phase passed."""
+
+    def __init__(self):
+        self.nodes = set()
+
+    def pytest_runtest_logreport(self, report):
+        if not report.passed:
+            self.nodes.discard(report.nodeid)
+        elif report.when == "call":
+            self.nodes.add(report.nodeid)
 
 
-def copy_tree(dest: Path) -> None:
+def run(job) -> tuple[dict[str, bool], float]:
+    """Copy the tree, apply the mutation if any, and run the named tests in this fresh child: pass (True)
+    or not for each, a test that did not run counting as not passed, and the seconds taken."""
+    tree, mutation, nodes = job
+    if "cmtheta" in sys.modules:  # pytest would test the tree this child imported before
+        raise RuntimeError("a child ran a second entry: each entry needs a fresh child")
+    start = time.perf_counter()
     skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info")
     for name in ("src", "tests"):
-        shutil.copytree(ROOT / name, dest / name, ignore=skip)
-    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
-
-
-def run_entry(tmp: Path, i: int, entry) -> tuple[list[str], float]:
-    """Run one entry in its own mutated copy: the named tests that behave other than listed, and the seconds taken."""
-    (path, old, new, nodes), caught = entry
-    start = time.perf_counter()
-    tree = tmp / f"m{i}"
-    copy_tree(tree)
-    target = tree / path
-    target.write_text(target.read_text().replace(old, new))
-    passed = outcomes(tree, nodes)
-    shutil.rmtree(tree)
-    return [n for n, ok in passed.items() if ok == caught], time.perf_counter() - start
+        shutil.copytree(ROOT / name, tree / name, ignore=skip)
+    shutil.copy2(ROOT / "pyproject.toml", tree / "pyproject.toml")
+    if mutation:
+        path, old, new = mutation
+        (tree / path).write_text((tree / path).read_text().replace(old, new))
+    os.chdir(tree)
+    import pytest  # preloaded by the fork server
+    passed = Passed()
+    pytest.main(["-p", "no:cacheprovider", "-p", "no:terminal", *nodes], plugins=[passed])
+    return {node: node in passed.nodes for node in nodes}, time.perf_counter() - start
 
 
 def main() -> int:
+    start = time.perf_counter()
     entries = [(m, True) for m in CAUGHT] + [(m, False) for m in SURVIVORS]
-    bad = 0
-    for (path, old, _, _), _ in entries:
-        count = (ROOT / path).read_text().count(old)
+    counts = [(path, old, (ROOT / path).read_text().count(old)) for (path, old, _, _), _ in entries]
+    for path, old, count in counts:
         if count != 1:
             print(f"STALE  {path}: old text occurs {count} times: {old!r}")
-            bad += 1
-    if bad:
+    if any(count != 1 for _, _, count in counts):
         return 1
-    with tempfile.TemporaryDirectory() as tmp:
-        base = Path(tmp) / "base"
-        copy_tree(base)
+    # the fork server imports numpy with one BLAS thread, and the named tests need no installed plugin
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
+    forkserver = multiprocessing.get_context("forkserver")  # its server, unlike this process, runs no thread
+    forkserver.set_forkserver_preload(["hypothesis", "mpmath", "numpy", "pytest"])
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp, forkserver.Pool(WORKERS, maxtasksperchild=1) as pool:
         nodes = sorted({n for (_, _, _, ns), _ in entries for n in ns})
-        broken = [n for n, ok in outcomes(base, nodes).items() if not ok]
+        jobs = [(Path(tmp, "base"), None, nodes)]
+        jobs += [(Path(tmp, f"m{i}"), (path, old, new), ns) for i, ((path, old, new, ns), _) in enumerate(entries)]
+        results = pool.imap(run, jobs, chunksize=1)  # one child per job, so a child imports one tree
+        broken = [n for n, ok in results.next(TIMEOUT)[0].items() if not ok]
         if broken:
             print("the named tests must pass on the unmutated tree:", *broken, sep="\n  ")
             return 1
-        with ThreadPoolExecutor(WORKERS) as pool:
-            results = pool.map(partial(run_entry, Path(tmp)), range(len(entries)), entries)
-            for ((path, old, _, _), caught), (wrong, seconds) in zip(entries, results):
-                verdict = "ok" if not wrong else "WRONG"
-                kind = "caught" if caught else "survives"
-                print(f"{verdict:5}  {kind:8}  {seconds:4.1f}s  {path}: {old.strip()[:60]!r}", flush=True)
-                for n in wrong:
-                    print(f"         {'passed' if caught else 'failed'}: {n}")
-                bad += bool(wrong)
-    print(f"{len(entries) - bad} of {len(entries)} mutants behave as listed")
+        for (path, old, _, _), caught in entries:
+            passed, seconds = results.next(TIMEOUT)
+            wrong = [n for n, ok in passed.items() if ok == caught]
+            kind = "caught" if caught else "survives"
+            print(f"{'WRONG' if wrong else 'ok':5}  {kind:8}  {seconds:4.1f}s  {path}: {old.strip()[:60]!r}", flush=True)
+            for n in wrong:
+                print(f"         {'passed' if caught else 'failed'}: {n}")
+            bad += bool(wrong)
+    print(f"{len(entries) - bad} of {len(entries)} mutants behave as listed ({time.perf_counter() - start:.0f} s)")
     return 1 if bad else 0
 
 

@@ -1,10 +1,13 @@
-"""Input checks that must still fire under `python -O`, run in one interpreter.
+"""Input checks that must still fire under `python -O`, and what `import cmtheta` loads, run in one interpreter.
 
 The `optimized` fixture in conftest.py runs this file as `python -O` on the
-source tree and hands each test the outcome of its probe.  A probe records the
-class name of what a call raised, or None if it returned, so a check made only
-by an `assert` shows up as None.  CLI probes go through `cli.main` and record
-the exit code, stdout and stderr.
+source tree and hands each test the outcome of its probe.  The import facts
+come first, before anything imports a lazy layer: what `import cmtheta`,
+`build_context()` and `dir()` load, what the `theta` and `action` commands add,
+and how each exported name resolves.  A probe records the class name of what a
+call raised, or None if it returned, so a check made only by an `assert` shows
+up as None.  CLI probes go through `cli.main` and record the exit code, stdout
+and stderr.
 """
 import contextlib
 import io
@@ -14,16 +17,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from cmtheta.action import act_power_family
-from cmtheta.cli import main
-from cmtheta.cmfield import belong_criterion, field_norm
-from cmtheta.exact import CycloElem, _poly_divide_exact, unit_residues
-from cmtheta.modularity import gamma_multiplier
-from cmtheta.primgen import make_tower, stabilizer
-from cmtheta.symplectic import identity, intmat, special_gamma
-from cmtheta.theta import Characteristic
-
-MPMATH_LOADED = "mpmath" in sys.modules  # after importing the package and its CLI, before any call
+import cmtheta
 
 
 def raised(call):
@@ -35,6 +29,7 @@ def raised(call):
 
 
 def cli(args):
+    from cmtheta.cli import main  # imported here, so the import snapshot sees no CLI
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -44,7 +39,47 @@ def cli(args):
     return [code, out.getvalue(), err.getvalue()]
 
 
+def imports() -> dict:
+    """What `import cmtheta` loads and exports, and what the `theta` and `action` commands add: run first."""
+    cmtheta.build_context()
+    listed = dir(cmtheta)
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "cmtheta")  # after dir(), so what dir() loads shows
+    codes = [
+        cli(["theta", "--at", "i", "--char", "0 0 0 0"])[0],
+        cli(["action", "--x", "1 2 2 0 0", "--p", "7", "--char", "1/7 0 0 2/7"])[0],
+    ]
+    loaded_by_cli = sorted(m for m in sys.modules if m.split(".")[0] == "cmtheta")
+    try:
+        cmtheta.no_such_name
+        missing = None
+    except AttributeError as exc:
+        missing = str(exc)
+    values = {name: getattr(cmtheta, name) for name in cmtheta.__all__}
+    star = {}
+    exec("from cmtheta import *", star)
+    return {
+        "loaded": loaded,
+        "codes": codes,
+        "loaded_by_cli": loaded_by_cli,
+        "listed": listed,
+        "missing": missing,
+        "homes": {name: value.__module__ for name, value in values.items()},
+        "same": [name for name, value in values.items() if getattr(sys.modules[value.__module__], name) is value],
+        "star": [name for name in cmtheta.__all__ if star.get(name) is values[name]],
+        "namespace": sorted(vars(cmtheta)),
+        "mpmath_loaded": "mpmath" in sys.modules,  # with every layer and the CLI loaded
+    }
+
+
 def probes(tmp: Path) -> dict:
+    from cmtheta.action import act_power_family
+    from cmtheta.cmfield import belong_criterion, field_norm
+    from cmtheta.exact import CycloElem, _poly_divide_exact, unit_residues
+    from cmtheta.modularity import gamma_multiplier
+    from cmtheta.primgen import make_tower, stabilizer
+    from cmtheta.symplectic import identity, intmat, special_gamma
+    from cmtheta.theta import Characteristic
+
     odd_level = tmp / "fam.txt"
     odd_level.write_text("2 3\n6 1/3 0 0 0\n")
     z8 = CycloElem.zeta(8)
@@ -54,8 +89,6 @@ def probes(tmp: Path) -> dict:
     not_symplectic[0, 0] = 3  # = I mod 2
     upper, half_half = special_gamma("upper", 1, 2, 2), Characteristic.make([Fraction(1, 2), 0], [0, Fraction(1, 2)])
     return {
-        "optimize": sys.flags.optimize,
-        "mpmath_loaded": MPMATH_LOADED,
         "cyclo_input_checks": [
             raised(lambda: CycloElem.zeta(10).galois(5)),
             raised(lambda: CycloElem.zeta(5).lift(7)),
@@ -86,5 +119,6 @@ def probes(tmp: Path) -> dict:
 
 
 if __name__ == "__main__":
+    facts = {"optimize": sys.flags.optimize, "imports": imports()}  # before probes() imports the lazy layers
     with tempfile.TemporaryDirectory() as tmp:
-        print(json.dumps(probes(Path(tmp))))
+        print(json.dumps({**facts, **probes(Path(tmp))}))

@@ -270,7 +270,7 @@ def test_rational_value_check_survives_optimize_flag(optimized):
 
 
 def test_import_leaves_mpmath_unloaded(optimized):
-    assert not optimized["mpmath_loaded"], "importing cmtheta loaded mpmath"
+    assert not optimized["imports"]["mpmath_loaded"], "importing cmtheta loaded mpmath"
 
 
 def test_root_of_unity():

@@ -1,10 +1,6 @@
 """Layout rules: src/ keeps only what src/ calls, the tests keep their references in one module, and
 `import cmtheta` loads only the layers the CM context is built from, as do the `theta` and `action` commands."""
 import ast
-import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import cmtheta
@@ -52,48 +48,8 @@ def test_tests_import_no_test_module_and_every_reference():
     assert unreferenced([TESTS / "reference.py"], kept=imported) == []
 
 
-IMPORT_PROBE = """
-import contextlib, io, json, sys
-import cmtheta
-cmtheta.build_context()
-listed = dir(cmtheta)
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "cmtheta")
-from cmtheta.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [
-        main(["theta", "--at", "i", "--char", "0 0 0 0"]),
-        main(["action", "--x", "1 2 2 0 0", "--p", "7", "--char", "1/7 0 0 2/7"]),
-    ]
-loaded_by_cli = sorted(m for m in sys.modules if m.split(".")[0] == "cmtheta")
-try:
-    cmtheta.no_such_name
-    missing = None
-except AttributeError as exc:
-    missing = str(exc)
-values = {name: getattr(cmtheta, name) for name in cmtheta.__all__}
-star = {}
-exec("from cmtheta import *", star)
-print(json.dumps({
-    "optimize": sys.flags.optimize,
-    "loaded": loaded,
-    "codes": codes,
-    "loaded_by_cli": loaded_by_cli,
-    "listed": listed,
-    "missing": missing,
-    "homes": {name: value.__module__ for name, value in values.items()},
-    "same": [name for name, value in values.items() if getattr(sys.modules[value.__module__], name) is value],
-    "star": [name for name in cmtheta.__all__ if star.get(name) is values[name]],
-    "namespace": sorted(vars(cmtheta)),
-}))
-"""
-
-
-def test_import_loads_the_context_layers_and_resolves_the_rest_on_use():
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    proc = subprocess.run([sys.executable, "-O", "-c", IMPORT_PROBE], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    facts = json.loads(proc.stdout)
-    assert facts["optimize"] == 1, "the probe ran without -O"
+def test_import_loads_the_context_layers_and_resolves_the_rest_on_use(optimized):
+    facts = optimized["imports"]  # taken under -O before anything imports a lazy layer
     layers = {"cmtheta.exact", "cmtheta.symplectic", "cmtheta.theta", "cmtheta.action", "cmtheta.cmfield"}
     assert facts["loaded"] == sorted({"cmtheta", *layers})  # read after dir(), so dir() loaded no lazy module
     # the parser, `theta` and `action` need no lazy layer: the CLI imports each in the subcommand that runs it
