@@ -171,7 +171,7 @@ class CycloElem:
         return CycloElem._make(self.n, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, CycloElem) else -Fraction(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -118,11 +118,6 @@ class AbelianTower:
         """e^-1 for nonzero e in K(x), from its [K(x):Q] - 1 other conjugates."""
         return orbit_inverse(e, self._mid_others)
 
-    def _inverse_in_l(self, e: CycloElem) -> CycloElem:
-        """e^-1 for nonzero e in L: e times its ell - 1 other conjugates over K(x) is N_{L/K(x)}(e), in K(x)."""
-        rest = orbit_product(e, self._reps[1:])
-        return rest * self._inverse_in_mid(e * rest)
-
     def _require_in_l(self, e: CycloElem) -> None:
         if stabilizer(e, self.fixer_l) != self.fixer_l:
             raise ValueError("element is not in L")
@@ -179,9 +174,10 @@ def combine_norm(t: AbelianTower, a: int, b: int, c: int, d: int, n: int = 1, m:
     power = ax_b**n if n > 0 else t._inverse_in_mid(ax_b) ** -n  # a x + b lies in K(x)
     if t.ell == 1:
         return power  # L = K(x), so u^-ell N_{L/K(x)}(u) = 1
-    cy_d = c * t.y + d
-    u = cy_d**m if m > 0 else t._inverse_in_l(cy_d) ** -m  # in L: cy + d is, and so is its inverse there
-    # with rest the other conjugates of u over K(x), N_{L/K(x)}(u) = u rest lies in K(x), and
-    # u^-ell N(u) = u^(1 - ell) rest = rest^ell N(u)^-(ell - 1), inverted in K(x)
-    rest = orbit_product(u, t._reps[1:])
-    return power * rest**t.ell * t._inverse_in_mid(u * rest) ** (t.ell - 1)
+    # with v = cy + d and rest its ell - 1 other conjugates over K(x), N = v rest = N_{L/K(x)}(v) lies in K(x);
+    # u = v^m gives u^-ell N(u) = (v^-ell N)^m, with v^-ell N = rest^ell N^-(ell - 1) and its inverse v^ell N^-1
+    v = c * t.y + d
+    rest = orbit_product(v, t._reps[1:])
+    inv = t._inverse_in_mid(v * rest)
+    f = rest**t.ell * inv ** (t.ell - 1) if m > 0 else v**t.ell * inv
+    return power * f ** abs(m)

@@ -336,15 +336,22 @@ CAUGHT = [
         "",
         ["tests/test_primgen.py::test_stabilizer_skips_residues_known_to_move"],
     ),
-    # the norm combinator without its u^(1 - ell) factor: still primitive, but not the combinator
+    # the norm combinator without its (v^-ell N)^|m| factor: still primitive, but not the combinator
     (
         PRIMGEN,
-        "    return power * rest**t.ell * t._inverse_in_mid(u * rest) ** (t.ell - 1)\n",
+        "    return power * f ** abs(m)\n",
         "    return power * rest\n",
         [
             "tests/test_primgen.py::test_combine_norm_matches_reference_formula",
             "tests/test_harness.py::test_primgen_suite_passes",
         ],
+    ),
+    # the m < 0 factor without its v^ell: N^-1 alone
+    (
+        PRIMGEN,
+        "else v**t.ell * inv",
+        "else inv",
+        ["tests/test_primgen.py::test_combine_norm_matches_reference_formula"],
     ),
     # the inverse inside K(x) multiplying the identity coset too: e itself among "the others"
     (
@@ -353,15 +360,15 @@ CAUGHT = [
         "self.mid_h)",
         [
             "tests/test_primgen.py::test_combine_norm_matches_reference_formula",
-            "tests/test_primgen.py::test_inverse_in_l_goes_down_the_tower",
+            "tests/test_primgen.py::test_combine_norm_forms_each_conjugate_once_for_either_sign_of_m",
         ],
     ),
-    # the inverse inside L over all [L:Q] - 1 other conjugates: the same value from more conjugates
+    # N inverted over all phi(n) - 1 other conjugates in Q(zeta_n), not its [K(x):Q] - 1: the same value from more
     (
         PRIMGEN,
-        "        rest = orbit_product(e, self._reps[1:])\n        return rest * self._inverse_in_mid(e * rest)\n",
-        "        return orbit_inverse(e, _coset_reps(self.conductor, unit_residues(self.conductor), self.fixer_l)[1:])\n",
-        ["tests/test_primgen.py::test_inverse_in_l_goes_down_the_tower"],
+        "inv = t._inverse_in_mid(v * rest)",
+        "inv = (v * rest).inverse()",
+        ["tests/test_primgen.py::test_combine_norm_forms_each_conjugate_once_for_either_sign_of_m"],
     ),
     # orbit_sum dropping the common denominator of the conjugates
     (

@@ -113,6 +113,11 @@ def probes(tmp: Path) -> dict:
         "cli_oversized_box": cli(["theta", "--at", "i", "--char", " ".join(["0"] * 10 + ["1/2"] + ["0"] * 9)]),
         "cli_primgen": cli(["primgen"]),
         "cli_impossible_tol": cli(["verify", "--suite", "modularity", "--p", "3", "--tol", "1e-30"]),
+        "cli_bad_tolerances": [
+            cli(["theta", "--char", "1/2 1/2 0 0", "--at", "i", "--tol", "-1"]),
+            cli(["verify", "--suite", "primgen", "--theta-tol", "nan"]),
+            cli(["verify", "--suite", "primgen", "--tol", "inf"]),
+        ],
         "cli_cm_primes_17_to_31": cli(["verify", "--suite", "cm", "--p", "17", "19", "23", "29", "31"]),
         "cli_primgen_seeds_1_42": [cli(["verify", "--suite", "primgen", "--seed", seed]) for seed in ("1", "42")],
     }

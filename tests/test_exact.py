@@ -136,6 +136,11 @@ def test_mixed_order_arithmetic():
     b = CycloElem.zeta(5)
     assert (b.lift(15)) == b  # equality coerces through the compositum
     assert CycloElem.zeta(3) * b == CycloElem.zeta(15, 8) == b * CycloElem.zeta(3).lift(15)
+    # only a CycloElem, an int or a Fraction mixes with a CycloElem, whatever the operator
+    refused = (lambda: b + 0.5, lambda: b * 0.5, lambda: b / 0.5, lambda: 0.5 - b, lambda: b - 0.5, lambda: b - "1/3")
+    for call in refused:
+        with pytest.raises(TypeError):
+            call()
 
 
 ORDERS = [8, 12, 15, 16, 20, 24, 25]

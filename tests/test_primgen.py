@@ -145,20 +145,19 @@ def test_combine_norm_matches_reference_formula():
                     assert combine_norm(t, *coeffs, n, m) == reference_norm(t, *coeffs, n, m)
 
 
-def test_inverse_in_l_goes_down_the_tower(monkeypatch):
-    # e times its ell - 1 other conjugates over K(x) lies in K(x), which inverts with [K(x):Q] - 1 more;
-    # inverting in L directly would take [L:Q] - 1 = ell [K(x):Q] - 1
+def test_combine_norm_forms_each_conjugate_once_for_either_sign_of_m(monkeypatch):
+    # v = cy + d times its ell - 1 other conjugates over K(x) lies in K(x), which inverts with [K(x):Q] - 1 more;
+    # so either sign of m forms (ell - 1) + ([K(x):Q] - 1) conjugates, and ell = 1 forms none
     applied = []
     galois = CycloElem.galois
     monkeypatch.setattr(CycloElem, "galois", lambda self, t: applied.append(t) or galois(self, t))
     for t in norm_towers():
         mid_degree = len(unit_residues(t.conductor)) // len(t.mid_h)
         assert len(t._reps) == t.ell and len(t._mid_others) == mid_degree - 1  # built before counting
-        for e in (3 * t.y + 1, -7 * t.y + 3 + t.x * t.y, Fraction(1, 2) * t.y - 5):
+        for m in (-2, -1, 1, 2):
             applied.clear()
-            inverse = t._inverse_in_l(e)
-            assert len(applied) == (t.ell - 1) + (mid_degree - 1)
-            assert e * inverse == 1
+            combine_norm(t, 3, 1, 5, 2, 1, m)
+            assert len(applied) == ((t.ell - 1) + (mid_degree - 1) if t.ell > 1 else 0), (t.conductor, m)
 
 
 def test_combine_trace_validation():
