@@ -20,6 +20,14 @@ from pathlib import Path
 import cmtheta
 
 
+# Tolerances that are not positive finite; test_cli reads each outcome by its space-joined arguments.
+BAD_TOLERANCE_ARGS = [
+    ["theta", "--char", "1/2 1/2 0 0", "--at", "i", "--tol", "-1"],
+    ["verify", "--suite", "primgen", "--theta-tol", "nan"],
+    ["verify", "--suite", "primgen", "--tol", "inf"],
+]
+
+
 def raised(call):
     try:
         call()
@@ -113,11 +121,7 @@ def probes(tmp: Path) -> dict:
         "cli_oversized_box": cli(["theta", "--at", "i", "--char", " ".join(["0"] * 10 + ["1/2"] + ["0"] * 9)]),
         "cli_primgen": cli(["primgen"]),
         "cli_impossible_tol": cli(["verify", "--suite", "modularity", "--p", "3", "--tol", "1e-30"]),
-        "cli_bad_tolerances": [
-            cli(["theta", "--char", "1/2 1/2 0 0", "--at", "i", "--tol", "-1"]),
-            cli(["verify", "--suite", "primgen", "--theta-tol", "nan"]),
-            cli(["verify", "--suite", "primgen", "--tol", "inf"]),
-        ],
+        "cli_bad_tolerances": {" ".join(args): cli(args) for args in BAD_TOLERANCE_ARGS},
         "cli_cm_primes_17_to_31": cli(["verify", "--suite", "cm", "--p", "17", "19", "23", "29", "31"]),
         "cli_primgen_seeds_1_42": [cli(["verify", "--suite", "primgen", "--seed", seed]) for seed in ("1", "42")],
     }

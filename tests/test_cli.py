@@ -8,6 +8,7 @@ from cmtheta.cli import main
 from cmtheta.cmfield import GaloisActor
 from cmtheta.symplectic import SiegelPoint
 
+from optimized_probes import BAD_TOLERANCE_ARGS
 from reference import direct_sum
 
 
@@ -242,11 +243,12 @@ def test_verify_primgen_suite_at_seeds_1_and_42_under_optimize_flag(optimized):
         assert code == 0, err or out
 
 
-def test_tolerances_that_are_not_positive_finite_exit_2(optimized):
+@pytest.mark.parametrize("args", BAD_TOLERANCE_ARGS)
+def test_tolerances_that_are_not_positive_finite_exit_2(args, optimized):
     # run by the fixture's interpreter, whose timeout turns a truncation that never stops into a failure
-    for code, out, err in optimized["cli_bad_tolerances"]:
-        assert code == 2, err or out
-        assert "positive finite" in err
+    code, out, err = optimized["cli_bad_tolerances"][" ".join(args)]
+    assert code == 2, err or out
+    assert "positive finite" in err
 
 
 @pytest.mark.parametrize(
