@@ -27,8 +27,7 @@ class ActionResult:
 
 
 def _transpose_apply(cols, chi: Characteristic) -> Characteristic:
-    out = _transpose_times(*cols, chi.num)
-    return Characteristic.from_den(out[: chi.g], out[chi.g :], chi.den)
+    return Characteristic(_transpose_times(*cols, chi.num), chi.den)
 
 
 def act_iota_inv(a: int, chi: Characteristic) -> Characteristic:
@@ -63,16 +62,8 @@ def act_phi(alpha, chi: Characteristic, m: int) -> ActionResult:
     a = _g_multiplier(*cols, 2 * m * m)
     if a is None:
         raise ValueError("alpha is not in G_{2m^2}")
-    return _act_phi_known(cols, a, chi, m)
-
-
-def _act_phi_known(cols, a: int, chi: Characteristic, m: int) -> ActionResult:
-    """act_phi for alpha, read by _columns, known to lie in G_{2m^2} with multiplier a.
-
-    Raises ValueError unless chi lies in (1/m)Z^2g.
-    """
     x, g = chi.scaled(m), chi.g
     y = _transpose_times(*cols, x)
     before = a * sum(map(mul, x[:g], x[g:]))
     after = sum(map(mul, y[:g], y[g:]))
-    return ActionResult(RootOfUnity._make(before - after, 2 * m * m), Characteristic.from_den(y[:g], y[g:], m))
+    return ActionResult(RootOfUnity._make(before - after, 2 * m * m), Characteristic(y, m))

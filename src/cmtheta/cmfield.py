@@ -14,10 +14,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .action import ActionResult, _act_phi_known
+from .action import ActionResult
 from .exact import CycloElem, RootOfUnity, orbit_product, orbit_sum, solve_exact
-from .symplectic import SiegelPoint, _g_multiplier, _similitude
-from .theta import Characteristic, DEFAULT_SETTINGS, EvalSettings, phi_eval, theta_null
+from .symplectic import SiegelPoint, _g_multiplier, _similitude, _transpose_times
+from .theta import Characteristic, DEFAULT_SETTINGS, EvalSettings, _translation_shift, phi_eval, theta_null
 
 
 _ZETA = CycloElem.zeta(5)
@@ -161,15 +161,19 @@ class GaloisActor:
     def act(self, chi: Characteristic) -> ActionResult:
         """The simulated Artin action of (x) on Phi_chi(Z0), chi with denominator p.
 
-        Returns the total multiplier (including the translation phase of reducing
-        back into [0,1)) and the reduced characteristic.  Requires the norm of x
-        prime to 2p and the reflex-norm matrix to land in G_{2p^2}.
+        Returns act_phi(h, chi, p).canonical() from one move y = t(h) p chi, the phase of reducing y / p
+        included.  Requires the norm of x prime to 2p and the reflex-norm matrix to land in G_{2p^2}.
         """
         if math.gcd(self.norm, 2 * self.p) != 1:
             raise ValueError(f"norm {self.norm} of the actor is not prime to 2p = {2 * self.p}")
         if not self.in_group:
             raise ValueError("reflex-norm matrix is not in G_{2p^2}; criterion inapplicable")
-        return _act_phi_known(self._cols, self.nu, chi, self.p).canonical()
+        p = self.p
+        x = chi.scaled(p)
+        y = _transpose_times(*self._cols, x)  # raises unless g = 2, as h is 4 x 4
+        phase = self.nu * (x[0] * x[2] + x[1] * x[3]) - y[0] * y[2] - y[1] * y[3] + 2 * p * _translation_shift(y, p)
+        # the constructor divides out gcd(p, *y), so an image = 0 mod p collapses to denominator 1
+        return ActionResult(RootOfUnity._make(phase, 2 * p * p), Characteristic([v % p for v in y], p))
 
     def belong(self) -> BelongResult:
         """The first-row congruence test of belong_criterion on this actor."""

@@ -705,8 +705,8 @@ def check_random_towers(env: HarnessEnv):
         eps = combine_trace(tower, a, b)
         (ca, cb) = norm_pairs[int(rng.integers(0, 3))]
         (cc, cd) = norm_pairs[int(rng.integers(0, 3))]
-        ne = norm_exps[int(rng.integers(0, 4))]  # ne < 0 inverts a x + b in K(x), me < 0 inverts c y + d in L
-        me = norm_exps[int(rng.integers(0, 4))]
+        ne = norm_exps[int(rng.integers(0, 4))]  # ne < 0 inverts a x + b in K(x)
+        me = norm_exps[int(rng.integers(0, 4))]  # either sign of me inverts N_{L/K(x)}(c y + d) once, in K(x)
         eps2 = combine_norm(tower, ca, cb, cc, cd, ne, me)
         cases = {
             "trace combinator primitive": is_primitive(eps, tower),

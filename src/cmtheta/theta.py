@@ -119,10 +119,9 @@ class Characteristic:
         r the reduced row; so the value at self equals phase * value at the
         canonical representative.
         """
-        den, g = self.den, self.g
-        phase = sum((rv % den) * (sv // den) for rv, sv in zip(self.num[:g], self.num[g:]))
-        # gcd(den, v mod den) = gcd(den, v), so the reduced numerators need no normalising
-        return Characteristic._make(tuple(v % den for v in self.num), den), RootOfUnity._make(phase, den)
+        num, den = self.num, self.den
+        red = Characteristic._make(tuple(v % den for v in num), den)  # gcd(den, v mod den) = gcd(den, v), still 1
+        return red, RootOfUnity._make(_translation_shift(num, den), den)
 
     def in_sigma_minus(self) -> bool:
         """Half-integral characteristics whose theta constant vanishes identically."""
@@ -143,6 +142,12 @@ class Characteristic:
     def __str__(self):
         row = lambda vs: " ".join(str(v) for v in vs)
         return f"[{row(self.r)}; {row(self.s)}]"
+
+
+def _translation_shift(num, den: int) -> int:
+    """sum_j (r_j mod den)(s_j // den) for numerators num (r, then s) over den: the one statement of the
+    translation rule, theta at num / den is e(that / den) times theta at its reduction into [0,1)^2g."""
+    return sum((rv % den) * (sv // den) for rv, sv in zip(num, num[len(num) // 2 :]))  # zip stops after the r entries
 
 
 def zero_char(g: int) -> Characteristic:

@@ -135,6 +135,33 @@ CAUGHT = [
             "tests/test_symplectic.py::test_multiplier",
         ],
     ),
+    # the fused Artin action without the translation phase of reducing its image y / p
+    (
+        CMFIELD,
+        " + 2 * p * _translation_shift(y, p)",
+        "",
+        [
+            "tests/test_cmfield.py::test_fused_action_matches_the_raw_action_reduced",
+            "tests/test_cmfield.py::test_artin_matches_closed_form_exactly",
+        ],
+    ),
+    # the fused Artin action keeping denominator p for an image = 0 mod p: unequal to the integral characteristic 0
+    (
+        CMFIELD,
+        "Characteristic([v % p for v in y], p)",
+        "Characteristic._make(tuple(v % p for v in y), p)",
+        ["tests/test_cmfield.py::test_fused_action_matches_the_raw_action_reduced"],
+    ),
+    # the translation rule with % and // swapped: e((r // den)(s mod den) / den)
+    (
+        THETA,
+        "(rv % den) * (sv // den)",
+        "(rv // den) * (sv % den)",
+        [
+            "tests/test_cmfield.py::test_fused_action_matches_the_raw_action_reduced",
+            "tests/test_theta.py::test_translation_by_integers",
+        ],
+    ),
     # belong_criterion reading the second row of h
     (
         CMFIELD,

@@ -81,7 +81,7 @@ def imports() -> dict:
 
 def probes(tmp: Path) -> dict:
     from cmtheta.action import act_power_family
-    from cmtheta.cmfield import belong_criterion, field_norm
+    from cmtheta.cmfield import GaloisActor, belong_criterion, field_norm
     from cmtheta.exact import CycloElem, _poly_divide_exact, unit_residues
     from cmtheta.modularity import gamma_multiplier
     from cmtheta.primgen import make_tower, stabilizer
@@ -108,6 +108,10 @@ def probes(tmp: Path) -> dict:
             raised(lambda: field_norm(CycloElem.zeta(7))),
             raised(lambda: belong_criterion([1, Fraction(5, 2), 2, 0, 0], 7)),
             raised(lambda: belong_criterion([1, 2.9, 2, 0, 0], 7)),
+        ],
+        "actor_act_guards": [
+            raised(lambda: GaloisActor.build(x, 5).act(Characteristic.from_den([1, 0], [0, 1], 5)))
+            for x in (CycloElem.zeta(5) - 1, CycloElem.zeta(5))  # norm 5 shares p; h(zeta^4) is outside G_50
         ],
         "non_symplectic_multiplier": raised(lambda: gamma_multiplier(not_symplectic, half, 2)),
         "level": [raised(lambda: f(upper, half_half, n)) for n in (0, -2) for f in (gamma_multiplier, act_power_family)],

@@ -26,7 +26,7 @@ from cmtheta.exact import CycloElem, RootOfUnity
 from cmtheta.symplectic import _columns, _g_multiplier, act_siegel, intmat, is_symplectic, jmat
 from cmtheta.theta import Characteristic, theta_eval
 
-from reference import h_map_by_solves, paper_first_row
+from reference import fraction_act_phi, fraction_reduce, h_map_by_solves, paper_first_row
 
 ZETA = CycloElem.zeta(5)
 
@@ -220,12 +220,46 @@ def test_artin_rejects_bad_actors():
 
 
 def test_actor_act_rejects_bad_actors():
-    # the norm check lives in GaloisActor.act: building the actor succeeds, acting does not
+    # the checks live in GaloisActor.act: building the actor succeeds, acting does not; zeta has norm 1,
+    # prime to 2p, but h(phi*(zeta)) = h(zeta^4) fails the parity rule of G_{2p^2}
     chi = Characteristic.from_den([1, 0], [0, 1], 5)
-    for x in (ZETA - 1, CycloElem.from_rational(5, 2)):
+    bad = [(ZETA - 1, "not prime to 2p"), (CycloElem.from_rational(5, 2), "not prime to 2p"), (ZETA, "not in G_")]
+    for x, match in bad:
         actor = GaloisActor.build(x, 5)
-        with pytest.raises(ValueError, match="not prime to 2p"):
+        with pytest.raises(ValueError, match=match):
             actor.act(chi)
+
+
+def test_actor_act_guards_survive_optimize_flag(optimized):
+    # GaloisActor.act at p = 5 for x = zeta - 1 (norm 5, not prime to 2p) and x = zeta (h outside G_{2p^2})
+    assert optimized["actor_act_guards"] == ["ValueError", "ValueError"]
+
+
+def test_fused_action_matches_the_raw_action_reduced():
+    # act reduces its image in the same pass as the move; seeded examples, so a mutant fails fast
+    rng = np.random.default_rng(36)
+    collapsed = 0
+    for p in (3, 5, 7, 11, 13):
+        actors = []
+        for _ in range(400):
+            actor = GaloisActor.build(CycloElem(5, [int(v) for v in rng.integers(-4, 5, 4)]), p)
+            if actor.in_group and math.gcd(actor.norm, 2 * p) == 1:
+                actors.append(actor)
+            if len(actors) == 3:
+                break
+        assert len(actors) == 3, f"only {len(actors)} usable actors at p = {p} in 400 draws"
+        chis = [Characteristic([int(v) for v in rng.integers(-3 * p, 3 * p + 1, 4)], p) for _ in range(8)]
+        chis.append(Characteristic([p, -3 * p, 2 * p, 0], p))  # integral, so its image is 0 mod p
+        for actor in actors:
+            h = actor.h_matrix
+            for chi in chis:
+                got = actor.act(chi)
+                assert got == act_phi(h, chi, p).canonical()
+                raw = fraction_act_phi(h, chi, p)
+                red, extra = fraction_reduce(raw.chi_out)
+                assert got == ActionResult(raw.multiplier * extra, red)
+                collapsed += got.chi_out.den == 1
+    assert collapsed == 15  # the integral chi at each actor: its image collapses to denominator 1
 
 
 def test_actor_act_reuses_the_built_multiplier():
