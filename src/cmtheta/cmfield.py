@@ -11,12 +11,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
 from .action import ActionResult
 from .exact import CycloElem, RootOfUnity, orbit_product, orbit_sum, solve_exact
-from .symplectic import SiegelPoint, _g_multiplier, _similitude, _transpose_times
+from .symplectic import SiegelPoint, _g_member, _similitude, _transpose_times
 from .theta import Characteristic, DEFAULT_SETTINGS, EvalSettings, _translation_shift, phi_eval, theta_null
 
 
@@ -44,15 +45,12 @@ def field_norm(x: CycloElem) -> Fraction:
     return orbit_product(x, (1, 2, 3, 4)).rational_value()
 
 
-def _reflex_num(c) -> list[int]:
-    # x * sigma_3(x) for x = sum_i c_i zeta^i, on the power basis: c_i c_j lands on zeta^(i + 3j),
-    # and zeta^4 = -1 - zeta - zeta^2 - zeta^3
-    e = [0] * 5
-    for i, ci in enumerate(c):
-        if ci:
-            for j, cj in enumerate(c):
-                e[(i + 3 * j) % 5] += ci * cj
-    return [v - e[4] for v in e[:4]]
+def _reflex_num(num) -> list[int]:
+    # x * sigma_3(x) for x = a + b zeta + c zeta^2 + d zeta^3, on the power basis: the product of the coefficients
+    # of zeta^i and zeta^j lands on zeta^(i + 3j), and zeta^4 = -1 - zeta - zeta^2 - zeta^3
+    a, b, c, d = num
+    e4 = b * b + c * d + a * d  # the coefficient of zeta^4
+    return [a * a + b * (c + d) - e4, (a + d) * (b + c) - e4, c * (a + b) + d * d - e4, a * (b + d) + c * c - e4]
 
 
 def reflex_norm(x: CycloElem) -> CycloElem:
@@ -121,8 +119,8 @@ def build_context(settings: EvalSettings = DEFAULT_SETTINGS) -> CMContext:
 
 
 def is_odd_prime(p: int) -> bool:
-    """Whether p is an odd prime: the one rule for p in GaloisActor.build and SuiteConfig.validate."""
-    return p > 2 and p % 2 == 1 and all(p % q for q in range(3, math.isqrt(p) + 1, 2))
+    """Whether p is an odd prime integer: the one rule for p in GaloisActor.build and SuiteConfig.validate."""
+    return isinstance(p, Integral) and p > 2 and p % 2 == 1 and all(p % q for q in range(3, math.isqrt(p) + 1, 2))
 
 
 @dataclass(frozen=True)
@@ -131,8 +129,9 @@ class GaloisActor:
 
     h_matrix is the integral reflex-norm matrix h(phi*(x)), held once as
     tuples of Python-int column halves in the layout symplectic._columns reads,
-    so an actor shared by shared_actor cannot be changed; nu is its multiplier
-    mod 2p^2 when it lies in G_{2p^2}, and None otherwise; norm is N(x).
+    so an actor shared by shared_actor cannot be changed; norm is N(x), the
+    exact similitude of h, and nu is N(x) mod 2p^2 when h lies in G_{2p^2} by
+    the rule of symplectic._g_member, and None otherwise.
     """
 
     p: int
@@ -155,8 +154,9 @@ class GaloisActor:
         if not is_odd_prime(p):
             raise ValueError(f"p = {p} must be an odd prime")
         cols = _h_columns(_reflex_num(_integral_num(x)))
-        # E(ra, rb) = r conj(r) E(a, b) with r conj(r) = N(x) for r = phi*(x): the norm is h's similitude
-        return cls(p=p, _cols=cols, nu=_g_multiplier(*cols, 2 * p * p), norm=_similitude(*cols))
+        # E(ra, rb) = r conj(r) E(a, b) = N(x) E(a, b) for r = phi*(x): t(h) J h = N(x) J exactly, not tested here
+        norm = _similitude(*cols)
+        return cls(p=p, _cols=cols, nu=_g_member(*cols, norm, 2 * p * p), norm=norm)
 
     def act(self, chi: Characteristic) -> ActionResult:
         """The simulated Artin action of (x) on Phi_chi(Z0), chi with denominator p.

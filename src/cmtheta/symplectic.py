@@ -87,16 +87,21 @@ def _gamma_member(tops, bots, n: int) -> bool:
     )
 
 
-def _g_multiplier(tops, bots, n: int) -> int | None:
-    """nu mod n if the matrix with these column halves (see _columns) lies in G_n, else None.
+def _g_member(tops, bots, nu: int, n: int) -> int | None:
+    """nu mod n if the matrix with these column halves (see _columns), of similitude nu, lies in G_n, else None.
 
-    G_n is GSp_2g mod n (any unit multiplier) with even diagonals of tAC and
-    tBD; S_n is its part with nu = 1.  This is the one statement of the rule.
-    Parity is read off the matrix; for even n it is independent of the choice of lift.
+    G_n is GSp_2g mod n (any unit multiplier) with even diagonals of tAC and tBD; S_n is its part with nu = 1.
+    This is the one statement of the rule; the caller vouches for tM J M = nu J mod n.  Parity is read off
+    the matrix; for even n it is independent of the choice of lift.
     """
-    nu = _multiplier(tops, bots, n)
     # column j contributes (tAC)[j, j] for j < g and (tBD)[j - g, j - g] after
-    return nu if nu is not None and not any(sum(map(mul, t, b)) % 2 for t, b in zip(tops, bots)) else None
+    return nu % n if gcd(nu, n) == 1 and not any(sum(map(mul, t, b)) % 2 for t, b in zip(tops, bots)) else None
+
+
+def _g_multiplier(tops, bots, n: int) -> int | None:
+    """nu mod n if the matrix with these column halves lies in G_n, else None: tM J M = nu J mod n, then _g_member."""
+    nu = _multiplier(tops, bots, n)
+    return None if nu is None else _g_member(tops, bots, nu, n)
 
 
 def _transpose_times(tops, bots, x) -> list[int]:

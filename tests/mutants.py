@@ -98,6 +98,28 @@ CAUGHT = [
             "tests/test_action.py::test_transpose_apply_matches_fraction_reference",
         ],
     ),
+    # G_n membership without the parity rule: h(phi*(zeta)) = h(zeta^4), norm 1 and an odd diagonal, counts as a member
+    (
+        SYMPLECTIC,
+        " and not any(sum(map(mul, t, b)) % 2 for t, b in zip(tops, bots))",
+        "",
+        [
+            "tests/test_symplectic.py::test_g_group_multiplier",
+            "tests/test_cmfield.py::test_actor_membership_worked_examples",
+            "tests/test_cmfield.py::test_actor_act_rejects_bad_actors",
+        ],
+    ),
+    # G_n membership given a known similitude without the unit rule: an actor of norm 16 or 81 gets a multiplier;
+    # _g_multiplier keeps the unit test of _multiplier, so only GaloisActor.build goes wrong
+    (
+        SYMPLECTIC,
+        "gcd(nu, n) == 1 and ",
+        "",
+        [
+            "tests/test_cmfield.py::test_actor_membership_worked_examples",
+            "tests/test_cmfield.py::test_actor_nu_matches_the_full_membership_test",
+        ],
+    ),
     # G_n membership with the parity read over the first g columns only: tAC without tBD
     (
         SYMPLECTIC,
@@ -118,10 +140,11 @@ CAUGHT = [
     # the actor's norm read off nu, the similitude mod 2p^2, instead of the exact similitude
     (
         CMFIELD,
-        "norm=_similitude(*cols)",
-        "norm=_similitude(*cols) % (2 * p * p)",
+        "norm = _similitude(*cols)",
+        "norm = _similitude(*cols) % (2 * p * p)",
         [
             "tests/test_cmfield.py::test_actor_build_matches_definitional_composition",
+            "tests/test_cmfield.py::test_actor_norm_is_the_exact_similitude_of_h",
             "tests/test_acceptance.py::test_reflex_norm_matrices_match_mod_2p_squared",
         ],
     ),
@@ -193,6 +216,16 @@ CAUGHT = [
             "tests/test_cmfield.py::test_belong_rejects_non_integral_coordinates[coords1]",
         ],
     ),
+    # the rule for p without its integer test: a str p raises TypeError at p > 2, not ValueError
+    (
+        CMFIELD,
+        "isinstance(p, Integral) and ",
+        "",
+        [
+            "tests/test_cmfield.py::test_actor_first_row_and_build_guards",
+            "tests/test_harness.py::test_config_validation",
+        ],
+    ),
     # the rule for p testing only that p is odd
     (
         CMFIELD,
@@ -213,8 +246,10 @@ CAUGHT = [
     # the reflex norm through sigma_2 instead of sigma_3 = phi_2^{-1}
     (
         CMFIELD,
-        "e[(i + 3 * j) % 5] += ci * cj",
-        "e[(i + 2 * j) % 5] += ci * cj",
+        "    e4 = b * b + c * d + a * d  # the coefficient of zeta^4\n"
+        "    return [a * a + b * (c + d) - e4, (a + d) * (b + c) - e4, c * (a + b) + d * d - e4, a * (b + d) + c * c - e4]",
+        "    e4 = c * (a + b) + d * d\n"
+        "    return [a * a + b * (c + d) - e4, a * (b + d) + c * c - e4, (a + d) * (b + c) - e4, b * b + c * d + a * d - e4]",
         [
             "tests/test_cmfield.py::test_reflex_norm",
             "tests/test_cmfield.py::test_actor_build_matches_definitional_composition",

@@ -113,6 +113,10 @@ def probes(tmp: Path) -> dict:
             raised(lambda: GaloisActor.build(x, 5).act(Characteristic.from_den([1, 0], [0, 1], 5)))
             for x in (CycloElem.zeta(5) - 1, CycloElem.zeta(5))  # norm 5 shares p; h(zeta^4) is outside G_50
         ],
+        "float_p": [
+            raised(lambda: belong_criterion([1, 2, 2, 0, 0], 7.0)),
+            raised(lambda: GaloisActor.build(CycloElem.zeta(5), 7.0)),
+        ],
         "non_symplectic_multiplier": raised(lambda: gamma_multiplier(not_symplectic, half, 2)),
         "level": [raised(lambda: f(upper, half_half, n)) for n in (0, -2) for f in (gamma_multiplier, act_power_family)],
         "tower_membership": [raised(lambda: tower.trace_mid(z8)), raised(lambda: tower.norm_mid(z8))],

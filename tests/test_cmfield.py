@@ -6,7 +6,7 @@ from operator import mul
 import numpy as np
 import pytest
 
-from cmtheta import symplectic
+from cmtheta import cmfield, symplectic
 from cmtheta.action import ActionResult, act_phi
 from cmtheta.cmfield import (
     GaloisActor,
@@ -23,10 +23,10 @@ from cmtheta.cmfield import (
     standard_actors,
 )
 from cmtheta.exact import CycloElem, RootOfUnity
-from cmtheta.symplectic import _columns, _g_multiplier, act_siegel, intmat, is_symplectic, jmat
+from cmtheta.symplectic import _columns, _form_defects, _g_multiplier, act_siegel, intmat, is_symplectic, jmat
 from cmtheta.theta import Characteristic, theta_eval
 
-from reference import fraction_act_phi, fraction_reduce, h_map_by_solves, paper_first_row
+from reference import fraction_act_phi, fraction_reduce, h_map_by_solves, paper_first_row, reference_memberships
 
 ZETA = CycloElem.zeta(5)
 
@@ -158,6 +158,16 @@ def test_actor_first_row_and_build_guards():
         GaloisActor.build(ZETA, 9)  # odd, not prime
     with pytest.raises(ValueError):
         belong_criterion([1, 2, 0, 0], 3)  # four coordinates
+    chi = Characteristic.from_den([1, 0], [0, 1], 7)
+    for p in (7.0, "7", F(7)):  # not integers, however prime their value
+        assert not is_odd_prime(p)
+        for call in (lambda: belong_criterion([1, 2, 2, 0, 0], p), lambda: GaloisActor.build(ZETA, p)):
+            with pytest.raises(ValueError, match="odd prime"):
+                call()
+        with pytest.raises(ValueError, match="odd prime"):
+            artin_action(1 + 2 * ZETA, p, chi)
+    assert is_odd_prime(np.int64(7))
+    assert belong_criterion([1, 2, 2, 0, 0], np.int64(7)) == belong_criterion([1, 2, 2, 0, 0], 7)
 
 
 @pytest.mark.parametrize("coords", [[1, F(5, 2), 2, 0, 0], [1, 2.9, 2, 0, 0]])
@@ -170,6 +180,11 @@ def test_belong_rejects_non_integral_coordinates(coords):
 def test_cm_input_checks_survive_optimize_flag(optimized):
     # field_norm(CycloElem.zeta(7)), belong_criterion([1, 5/2, 2, 0, 0], 7) and belong_criterion([1, 2.9, 2, 0, 0], 7)
     assert optimized["cm_input_checks"] == ["ValueError", "ValueError", "ValueError"]
+
+
+def test_float_p_check_survives_optimize_flag(optimized):
+    # belong_criterion([1, 2, 2, 0, 0], 7.0) and GaloisActor.build(zeta, 7.0)
+    assert optimized["float_p"] == ["ValueError", "ValueError"]
 
 
 def test_artin_matches_closed_form_exactly():
@@ -297,6 +312,78 @@ def test_actor_build_matches_definitional_composition():
         assert actor.norm == field_norm(x) and type(actor.norm) is int
         in_group += actor.in_group
     assert 20 <= in_group < len(cases)
+
+
+def test_actor_membership_worked_examples():
+    # nu is N(x) mod 2p^2 when N(x) is prime to 2p and tAC, tBD have even diagonals; checked against the definition
+    two, three, five = (CycloElem.from_rational(5, v) for v in (2, 3, 5))
+    cases = [
+        (1 + 2 * ZETA, 7, 11),  # N = 11
+        (five, 7, 625 % 98),  # N = 625
+        (ZETA, 7, None),  # N = 1, but h(zeta^4) has an odd diagonal
+        (two, 7, None),  # N = 16 is even; the diagonals are even
+        (three, 3, None),  # N = 81 shares p; the diagonals are even
+        (five, 5, None),
+    ]
+    for x, p, nu in cases:
+        actor = GaloisActor.build(x, p)
+        assert actor.nu == nu
+        ref_nu, _, even = reference_memberships(actor.h_matrix, 2 * p * p)
+        assert actor.nu == (ref_nu if even else None)
+
+
+def test_actor_norm_is_the_exact_similitude_of_h():
+    # t(h) J h = N(x) J holds exactly, so build tests no form identity; here it is tested, at full size
+    rng = np.random.default_rng(370)
+    xs = [CycloElem(5, [int(v) for v in rng.integers(-30, 31, 5)]) for _ in range(40)]
+    for _ in range(40):  # coordinates near +-10**40
+        high, low = rng.integers(-9, 10, 5), rng.integers(-9, 10, 5)
+        xs.append(CycloElem(5, [int(v) * 10**40 + int(w) for v, w in zip(high, low)]))
+    norms = []
+    for x in xs:
+        actor = GaloisActor.build(x, 3)
+        assert actor.norm == field_norm(x)
+        assert not any(_form_defects(*actor._cols, actor.norm))
+        norms.append(actor.norm)
+    assert max(norms) > 10**150
+
+
+def test_actor_nu_matches_the_full_membership_test():
+    # the three outcomes of build against _g_multiplier, which also tests t(h) J h = nu J mod 2p^2
+    rng = np.random.default_rng(371)
+    primes = [q for q in range(3, 32) if is_odd_prime(q)]
+    outcomes = {"in group": 0, "odd diagonal": 0, "norm not prime to 2p": 0}
+    for _ in range(3000):
+        x = CycloElem(5, [int(v) for v in rng.integers(-30, 31, 5)])
+        p = primes[rng.integers(len(primes))]
+        actor = GaloisActor.build(x, p)
+        assert actor.nu == _g_multiplier(*actor._cols, 2 * p * p)
+        if math.gcd(actor.norm, 2 * p) != 1:
+            outcomes["norm not prime to 2p"] += 1
+        else:
+            outcomes["in group" if actor.in_group else "odd diagonal"] += 1
+    assert min(outcomes.values()) >= 300, outcomes
+
+
+def test_actor_build_takes_one_similitude_and_no_form_identity(monkeypatch):
+    calls = {"similitude": 0, "form": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    similitude = counted("similitude", symplectic._similitude)
+    monkeypatch.setattr(symplectic, "_similitude", similitude)
+    monkeypatch.setattr(cmfield, "_similitude", similitude)
+    monkeypatch.setattr(symplectic, "_form_defects", counted("form", symplectic._form_defects))
+    for x in standard_actors(7):
+        GaloisActor.build(x, 7)
+    assert calls == {"similitude": 2, "form": 0}
+    _g_multiplier(*GaloisActor.build(ZETA, 7)._cols, 98)  # the patches see the full membership test
+    assert calls["similitude"] == 4 and calls["form"] == 1
 
 
 def test_actor_reads_h_once(monkeypatch):

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cmtheta import cmfield, harness
@@ -46,6 +47,10 @@ def test_config_validation():
         run_suite(SuiteConfig(primes=(9,)))
     with pytest.raises(ConfigError):
         run_suite(SuiteConfig(primes=()))
+    for p in (7.0, "7", Fraction(7)):  # not integers
+        with pytest.raises(ConfigError, match="odd primes"):
+            SuiteConfig(primes=(3, p)).validate()
+    SuiteConfig(primes=(3, np.int64(7))).validate()
     with pytest.raises(ConfigError):
         run_suite(SuiteConfig(tol_numeric=-1e-8))
     with pytest.raises(ConfigError):
