@@ -8,10 +8,10 @@ of odd denominator, which carries an explicit root-of-unity multiplier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 
 from .exact import RootOfUnity
-from .symplectic import _columns, _g_multiplier, _transpose_times, check_level
+from .symplectic import _columns, _g_multiplier, check_level
 from .theta import Characteristic
 
 
@@ -26,8 +26,16 @@ class ActionResult:
         return ActionResult(self.multiplier * extra, red)
 
 
-def _transpose_apply(cols, chi: Characteristic) -> Characteristic:
-    return Characteristic(_transpose_times(*cols, chi.num), chi.den)
+def _move(cols, nu: int, x) -> tuple[list[int], int]:
+    """y = tM x and the phase nu tx_r.x_s - ty_r.y_s for x = m [r; s], M given by its column halves cols
+    (see symplectic._columns) with multiplier nu: M in G_{2m^2} takes Phi at x/m to e(phase / 2m^2) times Phi
+    at y/m (Igusa, Theta Functions, ch. V; Mumford, Tata Lectures on Theta I, II.5).  The one statement of the law."""
+    tops, bots = cols
+    if len(x) != len(tops):
+        raise ValueError(f"expected {len(tops)} entries to move, got {len(x)}")
+    y = [sum(map(mul, col, x)) for col in map(add, tops, bots)]  # entry j: column j of M dotted with x
+    g = len(x) // 2
+    return y, nu * sum(map(mul, x, x[g:])) - sum(map(mul, y, y[g:]))  # map stops after the r entries
 
 
 def act_iota_inv(a: int, chi: Characteristic) -> Characteristic:
@@ -46,15 +54,16 @@ def act_power_family(alpha, chi: Characteristic, n: int) -> Characteristic:
     cols = _columns(alpha)
     if _g_multiplier(*cols, n) is None:
         raise ValueError("alpha is not in G_n")
-    return _transpose_apply(cols, chi).reduce()[0]
+    # only the image: the phase over 2 chi.den^2 is trivial on 2n^2-th powers, as chi.den divides n
+    return Characteristic(_move(cols, 0, chi.num)[0], chi.den).reduce()[0]
 
 
 def act_phi(alpha, chi: Characteristic, m: int) -> ActionResult:
     """Action on a single Phi_[r;s] with odd denominator m, alpha in G_{2m^2}.
 
-    Returns the multiplier e((tr.a.s - tr'.s')/2) together with the raw image
-    [r'; s'] = t(alpha)[r; s]; canonical reduction (and its translation phase)
-    is left to the caller via ActionResult.canonical().
+    Returns the multiplier e((tr.a.s - tr'.s')/2) of _move together with the raw
+    image [r'; s'] = t(alpha)[r; s]; canonical reduction (and its translation
+    phase) is left to the caller via ActionResult.canonical().
     """
     if m % 2 == 0:
         raise ValueError("denominator must be odd")
@@ -62,8 +71,5 @@ def act_phi(alpha, chi: Characteristic, m: int) -> ActionResult:
     a = _g_multiplier(*cols, 2 * m * m)
     if a is None:
         raise ValueError("alpha is not in G_{2m^2}")
-    x, g = chi.scaled(m), chi.g
-    y = _transpose_times(*cols, x)
-    before = a * sum(map(mul, x[:g], x[g:]))
-    after = sum(map(mul, y[:g], y[g:]))
-    return ActionResult(RootOfUnity._make(before - after, 2 * m * m), Characteristic(y, m))
+    y, phase = _move(cols, a, chi.scaled(m))
+    return ActionResult(RootOfUnity._make(phase, 2 * m * m), Characteristic(y, m))

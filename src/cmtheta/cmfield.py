@@ -15,9 +15,9 @@ from numbers import Integral
 
 import numpy as np
 
-from .action import ActionResult
+from .action import ActionResult, _move
 from .exact import CycloElem, RootOfUnity, orbit_product, orbit_sum, solve_exact
-from .symplectic import SiegelPoint, _g_member, _similitude, _transpose_times
+from .symplectic import SiegelPoint, _g_member, _similitude
 from .theta import Characteristic, DEFAULT_SETTINGS, EvalSettings, _translation_shift, phi_eval, theta_null
 
 
@@ -169,9 +169,8 @@ class GaloisActor:
         if not self.in_group:
             raise ValueError("reflex-norm matrix is not in G_{2p^2}; criterion inapplicable")
         p = self.p
-        x = chi.scaled(p)
-        y = _transpose_times(*self._cols, x)  # raises unless g = 2, as h is 4 x 4
-        phase = self.nu * (x[0] * x[2] + x[1] * x[3]) - y[0] * y[2] - y[1] * y[3] + 2 * p * _translation_shift(y, p)
+        y, phase = _move(self._cols, self.nu, chi.scaled(p))  # raises unless g = 2, as h is 4 x 4
+        phase += 2 * p * _translation_shift(y, p)
         # the constructor divides out gcd(p, *y), so an image = 0 mod p collapses to denominator 1
         return ActionResult(RootOfUnity._make(phase, 2 * p * p), Characteristic([v % p for v in y], p))
 

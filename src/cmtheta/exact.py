@@ -379,10 +379,12 @@ class RootOfUnity:
         return Fraction(self.num, self.den)
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
+        if not isinstance(other, RootOfUnity):
+            return NotImplemented
         return RootOfUnity._make(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __truediv__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return RootOfUnity._make(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self * other**-1 if isinstance(other, RootOfUnity) else NotImplemented
 
     def __pow__(self, k: int) -> "RootOfUnity":
         return RootOfUnity._make(self.num * k, self.den)

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import product
+from numbers import Integral, Real
 from operator import matmul
 
 import numpy as np
@@ -73,10 +74,10 @@ class SuiteConfig:
     def validate(self) -> None:
         if not self.primes or not all(map(is_odd_prime, self.primes)):
             raise ConfigError("primes must be odd primes")
-        if not all(0 < tol < math.inf for tol in (self.tol_numeric, self.theta_tol)):
+        if not all(isinstance(tol, Real) and 0 < tol < math.inf for tol in (self.tol_numeric, self.theta_tol)):
             raise ConfigError("tolerances must be positive finite numbers")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         unknown = set(self.suites) - set(SUITE_NAMES)
         if unknown:
             raise ConfigError(f"unknown suites: {sorted(unknown)}; the suites are {', '.join(SUITE_NAMES)}")
@@ -104,11 +105,11 @@ class Report:
 
     def to_json(self) -> str:
         def sig(x):  # None, or NaN or inf, is null: the report stays strict JSON
-            return float(f"{x:.15g}") if x is not None and math.isfinite(x) else None
+            return float(f"{float(x):.15g}") if x is not None and math.isfinite(x) else None
 
-        payload = {
-            "seed": self.config.seed,
-            "primes": list(self.config.primes),
+        payload = {  # int() and float() turn a numpy scalar or a Fraction that validate accepts into JSON
+            "seed": int(self.config.seed),
+            "primes": [int(p) for p in self.config.primes],
             "tol_numeric": sig(self.config.tol_numeric),
             "theta_tol": sig(self.config.theta_tol),
             "suites": list(self.config.suites),

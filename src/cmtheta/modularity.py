@@ -8,10 +8,11 @@ hold; gamma_multiplier computes the obstruction e(X) for individual gamma.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul
+from operator import mul, sub
 
+from .action import _move
 from .exact import RootOfUnity
-from .symplectic import _columns, _gamma_member, _transpose_times, check_level
+from .symplectic import _columns, _gamma_member, check_level
 from .theta import Characteristic, EvalSettings, DEFAULT_SETTINGS, phi_eval, theta_null
 
 
@@ -116,14 +117,12 @@ def gamma_multiplier(gamma, target, n: int) -> RootOfUnity:
     with the exponents).  n must pass check_level and every characteristic be
     (1/n)-integral; raises ValueError unless gamma lies in Gamma(n).
 
-    For gamma in Gamma(n), t(gamma) [r; s] = [r + a; s + b] with integer a, b.
-    The action rule of act_phi at nu = 1 gives the phase e((tr s - t(r+a)(s+b))/2),
-    and translating back to [r; s] costs e(tr b) (Characteristic.reduce), so
-    X = (tr b - ta s - ta b)/2.  In integers, with x = n [r; s], column j of
-    gamma dotted with x is entry j of t(gamma) x, so [a; b]_j = (col_j.x - x_j)/n,
-    exact as gamma = I mod n.  Summed over the terms Phi_[r_i; s_i]^{m_i}:
+    X is the transformation law of _move at nu = 1 plus the translation back: gamma = I
+    mod n moves x = n [r; s] to y = t(gamma) x = n [r + a; s + b] with integer a, b, and
+    Theta[r+a; s+b] = e(tr.b) Theta[r; s] (Characteristic.reduce), where tr.b is
+    2 tx_r.(y_s - x_s) over 2n^2.  Summed over the terms Phi_[r_i; s_i]^{m_i}:
 
-        X = sum_i m_i (x_r.b - a.x_s - n a.b) / (2n).
+        X = sum_i m_i (tx_r.x_s - ty_r.y_s + 2 tx_r.(y_s - x_s)) / (2n^2).
     """
     check_level(n)
     cols = _columns(gamma)
@@ -133,10 +132,9 @@ def gamma_multiplier(gamma, target, n: int) -> RootOfUnity:
     terms = ((target, 1),) if isinstance(target, Characteristic) else target.terms
     for chi, m in terms:
         x, g = chi.scaled(n), chi.g
-        ab = [(v - u) // n for v, u in zip(_transpose_times(*cols, x), x)]
-        a, b = ab[:g], ab[g:]
-        total += m * (sum(map(mul, x[:g], b)) - sum(map(mul, a, x[g:])) - n * sum(map(mul, a, b)))
-    return RootOfUnity._make(total, 2 * n)
+        y, phase = _move(cols, 1, x)
+        total += m * (phase + 2 * sum(map(mul, x[:g], map(sub, y[g:], x[g:]))))
+    return RootOfUnity._make(total, 2 * n * n)
 
 
 def eval_product(prod: ThetaProduct, z, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:

@@ -3,8 +3,8 @@
 Public integer matrices are numpy object arrays of Python ints, which callers
 multiply with @.  Each exact congruence question reads its matrix once, through
 _columns, as Python-int columns: the membership tests for Sp_2g, Gamma(n) and
-G_n and the transpose move tM x of action and modularity work on those, so
-nothing overflows.  Only act_siegel and SiegelPoint work in floating point.
+G_n and the transpose move tM x of action._move work on those, so nothing
+overflows.  Only act_siegel and SiegelPoint work in floating point.
 """
 from __future__ import annotations
 
@@ -102,13 +102,6 @@ def _g_multiplier(tops, bots, n: int) -> int | None:
     """nu mod n if the matrix with these column halves lies in G_n, else None: tM J M = nu J mod n, then _g_member."""
     nu = _multiplier(tops, bots, n)
     return None if nu is None else _g_member(tops, bots, nu, n)
-
-
-def _transpose_times(tops, bots, x) -> list[int]:
-    """tM x for integers x: entry j is column j of M dotted with x."""
-    if len(x) != len(tops):
-        raise ValueError(f"expected {len(tops)} entries to move, got {len(x)}")
-    return [sum(map(mul, col, x)) for col in map(add, tops, bots)]
 
 
 def sympl_multiplier(m, modulus: int):

@@ -40,17 +40,50 @@ MODULARITY, THETA = "src/cmtheta/modularity.py", "src/cmtheta/theta.py"
 CMFIELD, EXACT = "src/cmtheta/cmfield.py", "src/cmtheta/exact.py"
 SYMPLECTIC = "src/cmtheta/symplectic.py"
 PRIMGEN, HARNESS = "src/cmtheta/primgen.py", "src/cmtheta/harness.py"
-CLI = "src/cmtheta/cli.py"
+CLI, ACTION = "src/cmtheta/cli.py", "src/cmtheta/action.py"
 
 CAUGHT = [
-    # gamma_multiplier without the n a.b term of X
+    # gamma_multiplier translating back by e(tr.(s + b)) in place of e(tr.b): y_s where y_s - x_s belongs
     (
         MODULARITY,
-        " - n * sum(map(mul, a, b)))",
-        ")",
+        "map(sub, y[g:], x[g:])",
+        "y[g:]",
         [
             "tests/test_modularity.py::test_multiplier_matches_fraction_reference",
-            "tests/test_modularity.py::test_multiplier_is_homomorphism_on_congruence_group",
+            "tests/test_acceptance.py::test_multiplier_formula_cross_validates",
+        ],
+    ),
+    # gamma_multiplier without the translation back: the law's phase alone, as if t(gamma) fixed [r; s];
+    # on Gamma(2m^2) at denominator m the translation phase e(tr.b) is 1, so the odd-action overlap cannot see it
+    (
+        MODULARITY,
+        "(phase + 2 * sum(map(mul, x[:g], map(sub, y[g:], x[g:]))))",
+        "phase",
+        [
+            "tests/test_modularity.py::test_multiplier_matches_fraction_reference",
+            "tests/test_acceptance.py::test_multiplier_formula_cross_validates",
+        ],
+    ),
+    # the transformation law without its multiplier nu: right on Gamma(n), where nu = 1, wrong for nu != 1
+    (
+        ACTION,
+        "nu * sum(map(mul, x, x[g:]))",
+        "sum(map(mul, x, x[g:]))",
+        [
+            "tests/test_action.py::test_act_phi_matches_fraction_transpose",
+            "tests/test_cmfield.py::test_artin_matches_closed_form_exactly",
+            "tests/test_acceptance.py::test_simulated_artin_action_equals_closed_form_phases",
+        ],
+    ),
+    # the transformation law with the moved term's sign flipped: nu tx_r.x_s + ty_r.y_s
+    (
+        ACTION,
+        " - sum(map(mul, y, y[g:]))",
+        " + sum(map(mul, y, y[g:]))",
+        [
+            "tests/test_modularity.py::test_multiplier_matches_fraction_reference",
+            "tests/test_acceptance.py::test_multiplier_formula_cross_validates",
+            "tests/test_acceptance.py::test_simulated_artin_action_equals_closed_form_phases",
         ],
     ),
     # gamma_multiplier accepting any gamma = I mod n, or not even that
@@ -63,7 +96,7 @@ CAUGHT = [
             "tests/test_acceptance.py::test_odd_action_matches_congruence_multiplier_and_refuses_non_members",
         ],
     ),
-    # gamma_multiplier without the level rule: n = 0 divides by zero, n = -2 floors the move wrongly
+    # gamma_multiplier without the level rule: n = 0 divides by zero, n = -2 returns a phase
     (
         MODULARITY,
         "    check_level(n)\n",
@@ -90,9 +123,9 @@ CAUGHT = [
     ),
     # act_phi moving chi by alpha instead of t(alpha): rows of alpha dotted with x, not columns
     (
-        SYMPLECTIC,
-        "return [sum(map(mul, col, x)) for col in map(add, tops, bots)]",
-        "return [sum(c[i] * v for c, v in zip(map(add, tops, bots), x)) for i in range(len(x))]",
+        ACTION,
+        "y = [sum(map(mul, col, x)) for col in map(add, tops, bots)]",
+        "y = [sum(c[i] * v for c, v in zip(map(add, tops, bots), x)) for i in range(len(x))]",
         [
             "tests/test_action.py::test_act_phi_matches_fraction_transpose",
             "tests/test_action.py::test_transpose_apply_matches_fraction_reference",
@@ -161,7 +194,7 @@ CAUGHT = [
     # the fused Artin action without the translation phase of reducing its image y / p
     (
         CMFIELD,
-        " + 2 * p * _translation_shift(y, p)",
+        "        phase += 2 * p * _translation_shift(y, p)\n",
         "",
         [
             "tests/test_cmfield.py::test_fused_action_matches_the_raw_action_reduced",

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
-from cmtheta.action import ActionResult, _transpose_apply, act_iota_inv, act_phi, act_power_family
+from cmtheta import action, cmfield, modularity
+from cmtheta.action import ActionResult, _move, act_iota_inv, act_phi, act_power_family
+from cmtheta.cmfield import GaloisActor, standard_actors
 from cmtheta.exact import RootOfUnity
-from cmtheta.modularity import gamma_multiplier
+from cmtheta.modularity import gamma_multiplier, theta_product
 from cmtheta.symplectic import _columns, _g_multiplier, identity, intmat, iota, jmat, special_gamma
 from cmtheta.theta import Characteristic
 
@@ -100,11 +102,38 @@ def test_act_phi_congruence_overlap():
     st.lists(st.integers(-50, 50), min_size=16, max_size=16),
     st.lists(st.integers(-40, 40), min_size=4, max_size=4),
     st.integers(1, 15),
+    st.integers(-20, 20),
 )
-def test_transpose_apply_matches_fraction_reference(entries, nums, den):
+def test_transpose_apply_matches_fraction_reference(entries, nums, den, nu):
+    # _move's image is t(alpha) x, and its phase over 2 chi.den^2 is (nu tr.s - tr'.s')/2, for any integer alpha
     alpha = intmat(np.array(entries, dtype=object).reshape(4, 4))
     chi = Characteristic.from_den(nums[:2], nums[2:], den)
-    assert _transpose_apply(_columns(alpha), chi) == fraction_transpose_apply(alpha, chi)
+    y, phase = _move(_columns(alpha), nu, chi.num)
+    moved = fraction_transpose_apply(alpha, chi)
+    assert Characteristic(y, chi.den) == moved
+    dot = lambda c: sum((rv * sv for rv, sv in zip(c.r, c.s)), F(0))
+    assert F(phase, 2 * chi.den**2) == (nu * dot(chi) - dot(moved)) / 2
+
+
+def test_each_action_moves_each_characteristic_once(monkeypatch):
+    # act_phi, GaloisActor.act and gamma_multiplier apply the one law of action._move, once per characteristic
+    moves = []
+
+    def counted(cols, nu, x):
+        moves.append(tuple(x))
+        return _move(cols, nu, x)
+
+    for module in (action, cmfield, modularity):
+        monkeypatch.setattr(module, "_move", counted)
+    chi = Characteristic.from_den((1, 2), (2, 0), 3)
+    act_phi(jmat(2), chi, 3)
+    GaloisActor.build(standard_actors(3)[0], 3).act(chi)
+    assert moves == [(1, 2, 2, 0)] * 2
+    moves.clear()
+    terms = [((1, 0), (0, 2), 3), ((0, 1), (2, 1), 2), ((1, 1), (1, 0), -1)]
+    prod = theta_product(4, [(Characteristic.from_den(r, s, 4), m) for r, s, m in terms])
+    gamma_multiplier(special_gamma("mixed", 1, 2, 4), prod, 4)
+    assert moves == [tuple(chi.scaled(4)) for chi, _ in prod.terms]
 
 
 def test_act_phi_matches_fraction_transpose():

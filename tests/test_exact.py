@@ -288,6 +288,11 @@ def test_root_of_unity():
     assert RootOfUnity(Fraction(9, 4)) == i  # reduced mod 1
     assert RootOfUnity(Fraction(9, 4)) == RootOfUnity._make(1, 4)
     assert (i / i) == RootOfUnity.one()
+    # only a phase mixes with a phase: Python raises TypeError, not an AttributeError from inside the operator
+    for other in (2, Fraction(1, 4), 0.25, 1j, "e(1/4)"):
+        for call in (lambda: RootOfUnity.one() * other, lambda: i / other, lambda: other * i, lambda: other / i):
+            with pytest.raises(TypeError):
+                call()
 
 
 def assert_phase(u: RootOfUnity, q) -> None:

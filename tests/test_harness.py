@@ -61,6 +61,19 @@ def test_config_validation():
         run_suite(SuiteConfig(tol_numeric=float("inf")))
     with pytest.raises(ConfigError):
         run_suite(SuiteConfig(suites=("theta", "bogus")))
+    for seed in (1.5, 7.0, "7", Fraction(7), None):  # not integers
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            SuiteConfig(seed=seed).validate()
+    for tol in ("1e-8", None, 1e-8j):  # not real numbers
+        with pytest.raises(ConfigError, match="tolerances"):
+            SuiteConfig(tol_numeric=tol).validate()
+        with pytest.raises(ConfigError, match="tolerances"):
+            SuiteConfig(theta_tol=tol).validate()
+    numpy_scalars = dict(primes=(3, np.int64(7)), theta_tol=np.float32(1e-12), seed=np.int64(7))
+    accepted = SuiteConfig(tol_numeric=Fraction(1, 10**8), **numpy_scalars)
+    accepted.validate()
+    payload = json.loads(Report(accepted).to_json())
+    assert (payload["seed"], payload["primes"], payload["tol_numeric"]) == (7, [3, 7], 1e-8)
 
 
 def test_unattainable_tolerance_fails_closed():
@@ -166,15 +179,17 @@ def same_measured(live, pinned) -> bool:
 
 
 def test_default_seed_report_matches_its_pinned_file():
-    # tests/pin_reports.py writes the pinned file; every field but `measured` must match it exactly
-    report, _ = run_suite(SuiteConfig(primes=(3, 5, 7, 11, 13)))
-    live = json.loads(report.to_json())
-    pinned = json.loads((Path(__file__).parent / "data" / f"verify-{live['seed']}.json").read_text())
-    for check in live["checks"]:
-        del check["runtime_s"]
-    measured = [(ran.pop("measured"), kept.pop("measured")) for ran, kept in zip(live["checks"], pinned["checks"])]
-    assert live == pinned
-    assert all(same_measured(*pair) for pair in measured), measured
+    # tests/pin_reports.py writes the pinned files; every field but `measured` must match exactly.
+    # Beside the default seed, seeds 5 and 7 take the samplers' retry paths.
+    for seed in (SuiteConfig.seed, 5, 7):
+        report, _ = run_suite(SuiteConfig(primes=(3, 5, 7, 11, 13), seed=seed))
+        live = json.loads(report.to_json())
+        pinned = json.loads((Path(__file__).parent / "data" / f"verify-{seed}.json").read_text())
+        for check in live["checks"]:
+            del check["runtime_s"]
+        measured = [(ran.pop("measured"), kept.pop("measured")) for ran, kept in zip(live["checks"], pinned["checks"])]
+        assert live == pinned, seed
+        assert all(same_measured(*pair) for pair in measured), (seed, measured)
 
 
 def test_suite_order_is_canonical():
