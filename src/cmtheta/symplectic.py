@@ -9,6 +9,7 @@ overflows.  Only act_siegel and SiegelPoint work in floating point.
 from __future__ import annotations
 
 from math import gcd, inf
+from numbers import Integral
 from operator import add, mul
 
 import numpy as np
@@ -120,9 +121,9 @@ def is_symplectic(m) -> bool:
 
 
 def check_level(n: int) -> None:
-    """Raise ValueError unless n is a positive even integer: the one rule for a level of Gamma(n) or a family."""
-    if n % 2 or n <= 0:
-        raise ValueError(f"level must be a positive even integer, got {n}")
+    """Raise ValueError unless n is a positive even Integral (numpy's too): the one rule for a level of Gamma(n)."""
+    if not (type(n) is int or isinstance(n, Integral)) or n % 2 or n <= 0:  # int first: the ABC test is the slow one
+        raise ValueError(f"level must be a positive even integer, got {n!r}")
 
 
 def iota(a: int, g: int, modulus: int) -> np.ndarray:
@@ -144,10 +145,10 @@ def special_gamma(kind: str, j: int, k: int, n: int, g: int = 2) -> np.ndarray:
     diagonal and the symmetrized E_jk + E_kj off it, which keeps all three
     shapes inside Sp_2g(Z).
     """
-    if not (1 <= j <= g and 1 <= k <= g):
-        raise ValueError(f"generator indices are 1-based and at most g = {g}, got ({j}, {k})")
+    if not (all(isinstance(v, Integral) for v in (j, k, n)) and 1 <= j <= g and 1 <= k <= g):
+        raise ValueError(f"generator indices are integers from 1 to g = {g} and n an integer, got ({j}, {k}), {n!r}")
     na = np.zeros((g, g), dtype=object)  # n times the seed block
-    na[j - 1, k - 1] = na[k - 1, j - 1] = n
+    na[j - 1, k - 1] = na[k - 1, j - 1] = int(n)
     m = identity(2 * g)
     if kind == "upper":
         m[:g, g:] = na
@@ -171,7 +172,7 @@ class SiegelPoint:
 
     Small symmetry defects (from floating-point matrix actions) are repaired
     by symmetrization; genuine asymmetry or a non-positive-definite imaginary
-    part raises ValueError.
+    part raises ValueError.  Im Z is factored once, by one eigh.
     """
 
     def __init__(self, mat) -> None:
@@ -184,13 +185,14 @@ class SiegelPoint:
         if defect > 1e-9 * max(1.0, np.abs(z).max()):
             raise ValueError(f"matrix is not symmetric (defect {defect:.3g})")
         z = (z + z.T) / 2
-        eigs = np.linalg.eigvalsh(z.imag)
-        if eigs.min() <= 1e-12:
-            raise ValueError(f"imaginary part is not positive definite (min eig {eigs.min():.3g})")
+        lam, vec = np.linalg.eigh(z.imag)  # Im Z = V diag(lam) tV, lam ascending
+        if lam[0] <= 1e-12:
+            raise ValueError(f"imaginary part is not positive definite (min eig {lam[0]:.3g})")
         z.flags.writeable = False  # theta caches truncation geometry per point
         self.mat = z
         self.g = z.shape[0]
-        self.min_im_eig = float(eigs.min())
+        self.min_im_eig = float(lam[0])
+        self._im_eigh = (lam, vec)  # the one factorisation of Im Z: theta's cuts and act_siegel's range test read it
         self._theta_cuts = {}  # tolerance -> theta._Cut, built by theta on the first evaluation at that tolerance
 
     def __repr__(self):
@@ -198,21 +200,21 @@ class SiegelPoint:
 
 
 def act_siegel(m, z) -> SiegelPoint:
-    """gamma(Z) = (AZ + B)(CZ + D)^{-1} for gamma in GSp_2g^+; CZ + D must have rcond >= 1e-10."""
-    zp = z.mat if isinstance(z, SiegelPoint) else np.asarray(z, dtype=complex)
+    """gamma(Z) = (AZ + B)(CZ + D)^{-1}, gamma in GSp_2g^+, z a SiegelPoint or its matrix; rcond(CZ + D) >= 1e-10."""
+    zp = z if isinstance(z, SiegelPoint) else SiegelPoint(z)
     try:
         a, b, c, d = (blk.astype(float) for blk in blocks(intmat(m)))
     except OverflowError:
         raise ValueError("matrix has an entry too large for a float") from None
-    den = c @ zp + d
+    den = c @ zp.mat + d
     sv = np.linalg.svd(den, compute_uv=False)
     if sv.min() / sv.max() < 1e-10:
         raise ValueError(f"CZ + D nearly singular (rcond {sv.min() / sv.max():.3g})")
-    w = (a @ zp + b) @ np.linalg.inv(den)
+    w = (a @ zp.mat + b) @ np.linalg.inv(den)
     try:
         return SiegelPoint(w)
     except ValueError:
         # for gamma in Sp_2g, lambda_min(Im gamma(Z)) <= lambda_max(Im Z) / sigma_max(CZ + D)^2
-        if np.linalg.eigvalsh(zp.imag).max() / sv.max() / sv.max() < np.finfo(float).tiny:
+        if zp._im_eigh[0][-1] / sv.max() / sv.max() < np.finfo(float).tiny:
             raise ValueError("gamma(Z) is outside the float range: Im gamma(Z) underflows") from None
         raise

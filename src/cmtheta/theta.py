@@ -252,9 +252,9 @@ def _radius(rho: float, g: int, target: float) -> tuple[float, float]:
 class _Cut:
     """One certified truncation of the theta series at one SiegelPoint and tolerance, ready to sum.
 
-    It is built from T, the scaled Cholesky factor with |Tv|^2 = pi tv Im(Z) v,
-    and rho = sqrt(pi min_im_eig), a lower bound on the shortest vector of T Z^g.
-    The box of candidates has n_j = dims[j] coordinates y_j along axis j.  When
+    It is built from the point's eigh Im Z = V Lambda tV: T = sqrt(pi) Lambda^(1/2) tV, with
+    |Tv|^2 = pi tv Im(Z) v, and rho = sqrt(pi min_im_eig), a lower bound on the shortest vector
+    of T Z^g.  The box of candidates has n_j = dims[j] coordinates y_j along axis j.  When
     the range guard of theta_eval holds, coords stacks them in one matrix of
     n_0 + ... + n_(g-1) rows, axis 0 first, and g columns, with y_j in column j
     and zero elsewhere; its entries are real, held as complex numbers so that
@@ -286,9 +286,8 @@ class _Cut:
 
 def _certified(zp: SiegelPoint, tol: float) -> _Cut:
     """The certified cut of zp at tolerance tol (see theta_eval for the bounds)."""
-    z, g, y = zp.mat, zp.g, zp.mat.imag
-    t_mat = math.sqrt(math.pi) * np.linalg.cholesky(y).T
-    y_inv = np.linalg.inv(y)
+    z, g, (lam, vec) = zp.mat, zp.g, zp._im_eigh
+    t_mat = np.sqrt(math.pi * lam)[:, None] * vec.T  # sqrt(pi) Lambda^(1/2) tV
     rho, target = math.sqrt(math.pi * zp.min_im_eig), tol / 2
     z_rows = z.tolist()
     y_row_sums = [sum(abs(v.imag) for v in row) for row in z_rows]  # sum_l |Im Z_jl|
@@ -296,7 +295,8 @@ def _certified(zp: SiegelPoint, tol: float) -> _Cut:
     # C covers the ellipsoid |T(y + f)| < R for every shift f (see theta_eval)
     delta = math.sqrt(math.pi * sum(y_row_sums)) / 2
     reach = radius + delta
-    half = [reach * math.sqrt(w / math.pi) for w in y_inv.diagonal().tolist()]  # its x-extent
+    y_inv_diag = (vec * vec / lam).sum(axis=1)  # diag(Im Z^-1)_j = sum_k V_jk^2 / lambda_k
+    half = [reach * math.sqrt(w / math.pi) for w in y_inv_diag.tolist()]  # its x-extent
     if max(half) > MAX_RADIUS:
         raise ValueError(f"truncation radius exceeds {MAX_RADIUS}; imaginary part too small")
     low = [math.ceil(-0.5 - w) for w in half]
@@ -335,8 +335,8 @@ def theta_eval(z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTINGS
     So below, r and s lie in [0, 1)^g.
 
     The sum runs over v = y + r, y in one integer candidate set C.  The term at
-    v has modulus exp(-|T(y + f)|^2), with f = r and T the scaled Cholesky
-    factor of Im Z: |Tv|^2 = pi tv Im(Z) v.
+    v has modulus exp(-|T(y + f)|^2), with f = r and T = sqrt(pi) Lambda^(1/2) tV
+    from the point's eigh Im Z = V Lambda tV: |Tv|^2 = pi tv Im(Z) v.
     C, the radius R and both error bounds are built once per SiegelPoint and
     tolerance and kept on the point; no theta value is kept.
 

@@ -50,6 +50,7 @@ CAUGHT = [
         "y[g:]",
         [
             "tests/test_modularity.py::test_multiplier_matches_fraction_reference",
+            "tests/test_modularity.py::test_multiplier_is_homomorphism_on_congruence_group",
             "tests/test_acceptance.py::test_multiplier_formula_cross_validates",
         ],
     ),
@@ -102,6 +103,28 @@ CAUGHT = [
         "    check_level(n)\n",
         "",
         ["tests/test_modularity.py::test_level_is_a_positive_even_integer"],
+    ),
+    # the level rule without its integer test: a level of 4.0 passes it and gives float residues
+    (
+        SYMPLECTIC,
+        "not (type(n) is int or isinstance(n, Integral)) or ",
+        "",
+        ["tests/test_modularity.py::test_level_is_a_positive_even_integer"],
+    ),
+    # special_gamma without its integer test: n = 2.5 is written into the "integer" matrix, or fails in int()
+    (
+        SYMPLECTIC,
+        "all(isinstance(v, Integral) for v in (j, k, n)) and ",
+        "",
+        ["tests/test_modularity.py::test_level_is_a_positive_even_integer"],
+    ),
+    # act_siegel's float-range bound read with lambda_min(Im Z) in place of lambda_max: it blames the float range
+    # for an image that is representable
+    (
+        SYMPLECTIC,
+        "zp._im_eigh[0][-1]",
+        "zp._im_eigh[0][0]",
+        ["tests/test_symplectic.py::test_act_siegel_names_the_float_range_for_an_image_below_it"],
     ),
     # Gamma(n) membership without tM J M == J: only M = I mod n is left
     (
@@ -402,6 +425,28 @@ CAUGHT = [
         "        if k != 1:\n            num, den = tuple(v // k for v in num), den // k\n",
         "",
         ["tests/test_theta.py::test_unreduced_numerators_normalise"],
+    ),
+    # T = sqrt(pi) tV without Lambda^(1/2): the ellipsoid of the identity, not of Im Z
+    (
+        THETA,
+        "np.sqrt(math.pi * lam)[:, None] * vec.T",
+        "math.sqrt(math.pi) * vec.T",
+        [
+            "tests/test_theta.py::test_eigh_geometry_matches_cholesky_and_inverse",
+            "tests/test_theta.py::test_factored_sum_within_tail_plus_rounding",
+            "tests/test_theta.py::test_unequal_axes_match_product_of_genus_one_sums",
+        ],
+    ),
+    # the box extents from diag(Im Z) in place of diag(Im Z^-1): lambda for 1/lambda
+    (
+        THETA,
+        "(vec * vec / lam)",
+        "(vec * vec * lam)",
+        [
+            "tests/test_theta.py::test_eigh_geometry_matches_cholesky_and_inverse",
+            "tests/test_theta.py::test_factored_sum_within_tail_plus_rounding",
+            "tests/test_theta.py::test_unequal_axes_match_product_of_genus_one_sums",
+        ],
     ),
     # the candidate set without the shift allowance delta
     (

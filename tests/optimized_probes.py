@@ -17,6 +17,8 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 import cmtheta
 
 
@@ -83,7 +85,7 @@ def probes(tmp: Path) -> dict:
     from cmtheta.action import act_power_family
     from cmtheta.cmfield import GaloisActor, belong_criterion, field_norm
     from cmtheta.exact import CycloElem, _poly_divide_exact, unit_residues
-    from cmtheta.modularity import gamma_multiplier
+    from cmtheta.modularity import check_family, gamma_multiplier, theta_product
     from cmtheta.primgen import make_tower, stabilizer
     from cmtheta.symplectic import identity, intmat, special_gamma
     from cmtheta.theta import Characteristic
@@ -95,7 +97,8 @@ def probes(tmp: Path) -> dict:
     half = Characteristic.make([Fraction(1, 2), 0], [0, 0])
     not_symplectic = identity(4)
     not_symplectic[0, 0] = 3  # = I mod 2
-    upper, half_half = special_gamma("upper", 1, 2, 2), Characteristic.make([Fraction(1, 2), 0], [0, Fraction(1, 2)])
+    upper, half_half = special_gamma("upper", 1, 2, 4), Characteristic.make([Fraction(1, 2), 0], [0, Fraction(1, 2)])
+    level_calls = (gamma_multiplier, act_power_family, lambda _, chi, n: check_family(theta_product(n, [(chi, 8)])))
     return {
         "cyclo_input_checks": [
             raised(lambda: CycloElem.zeta(10).galois(5)),
@@ -118,7 +121,13 @@ def probes(tmp: Path) -> dict:
             raised(lambda: GaloisActor.build(CycloElem.zeta(5), 7.0)),
         ],
         "non_symplectic_multiplier": raised(lambda: gamma_multiplier(not_symplectic, half, 2)),
-        "level": [raised(lambda: f(upper, half_half, n)) for n in (0, -2) for f in (gamma_multiplier, act_power_family)],
+        "level": [
+            [raised(lambda: f(upper, half_half, n)) for f in level_calls]
+            for n in (0, -2, 4.0, Fraction(4), "4", np.int64(4))
+        ],
+        "special_gamma_level": [
+            raised(lambda: special_gamma("upper", 1, 1, n)) for n in (2.5, 4.0, Fraction(4), "4", np.int64(4))
+        ],
         "tower_membership": [raised(lambda: tower.trace_mid(z8)), raised(lambda: tower.norm_mid(z8))],
         "stabilizer_non_unit": raised(lambda: stabilizer(CycloElem.from_rational(8, 3), [1, 2])),
         "cli_odd_level": cli(["modularity", str(odd_level)]),

@@ -114,6 +114,23 @@ def doubling_radius(rho, g, target):
     return hi
 
 
+def cholesky_candidates(zp, radius):
+    """The candidate box and set of a cut of radius `radius` at zp, as first derived: the reference.
+
+    T is the scaled Cholesky factor of Im Z and the box extents come from the
+    inverse of Im Z; the rest is _certified's arithmetic.  Returns the axis
+    lengths, the box as integer rows in C order and the mask of candidates.
+    """
+    y, g = zp.mat.imag, zp.g
+    t_mat = math.sqrt(math.pi) * np.linalg.cholesky(y).T
+    reach = radius + math.sqrt(math.pi * sum(sum(abs(v) for v in row) for row in y.tolist())) / 2
+    half = [reach * math.sqrt(w / math.pi) for w in np.linalg.inv(y).diagonal().tolist()]
+    low = [math.ceil(-0.5 - w) for w in half]
+    dims = tuple(math.floor(-0.5 + w) - l + 1 for w, l in zip(half, low))
+    grid = np.indices(dims).reshape(g, -1).T + low
+    return dims, grid, (((grid + 0.5) @ t_mat.T) ** 2).sum(axis=1) < reach * reach
+
+
 def reshaped_contraction(cut, chi):
     """Theta at a factored cut as first contracted, the reference.
 

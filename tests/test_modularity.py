@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from operator import mul
 
 import numpy as np
 import pytest
@@ -163,24 +164,35 @@ def test_multiplier_requires_congruence(optimized):
 
 
 def test_level_is_a_positive_even_integer(optimized):
-    gamma, chi = special_gamma("upper", 1, 2, 2), Characteristic.make([F(1, 2), 0], [0, F(1, 2)])
-    for n in (0, -2):
-        for call in (gamma_multiplier, act_power_family):
+    # a float, Fraction or str level is refused whatever its value, as the generator's n is; numpy's integers count
+    gamma, chi = special_gamma("upper", 1, 2, 4), Characteristic.make([F(1, 2), 0], [0, F(1, 2)])
+    calls = (gamma_multiplier, act_power_family, lambda _, chi, n: check_family(theta_product(n, [(chi, 8)])))
+    for n in (0, -2, 4.0, F(4), "4"):
+        for call in calls:
             with pytest.raises(ValueError, match="level must be a positive even integer"):
                 call(gamma, chi, n)
-    assert optimized["level"] == ["ValueError"] * 4
+    assert [call(gamma, chi, np.int64(4)) for call in calls] == [call(gamma, chi, 4) for call in calls]
+    for n in (2.5, 4.0, F(4), "4"):
+        with pytest.raises(ValueError, match="n an integer"):
+            special_gamma("upper", 1, 1, n)
+    assert special_gamma("upper", 1, 1, np.int64(4)).tolist() == special_gamma("upper", 1, 1, 4).tolist()
+    assert optimized["level"] == [["ValueError"] * 3] * 5 + [[None] * 3]
+    assert optimized["special_gamma_level"] == ["ValueError"] * 4 + [None]
 
 
 def test_multiplier_is_homomorphism_on_congruence_group():
+    # r.s is 0, 1/16 and 5/16: where it is not an integer, a phase e(k r.s) that does not depend on gamma fails
     rng = np.random.default_rng(17)
-    chi = chi4((1, 0), (0, 3))
+    chis = [chi4((1, 0), (0, 3)), chi4((1, 0), (1, 3)), chi4((1, 2), (3, 1))]
+    assert [sum(map(mul, chi.r, chi.s)) for chi in chis] == [0, F(1, 16), F(5, 16)]
     kinds = ("upper", "lower", "mixed")
     gens = [special_gamma(kinds[rng.integers(0, 3)], int(rng.integers(1, 3)), int(rng.integers(1, 3)), 4) for _ in range(5)]
-    for a in gens:
-        for b in gens:
-            lhs = gamma_multiplier(a @ b, chi, 4)
-            rhs = gamma_multiplier(a, chi, 4) * gamma_multiplier(b, chi, 4)
-            assert lhs == rhs
+    for chi in chis:
+        for a in gens:
+            for b in gens:
+                lhs = gamma_multiplier(a @ b, chi, 4)
+                rhs = gamma_multiplier(a, chi, 4) * gamma_multiplier(b, chi, 4)
+                assert lhs == rhs
 
 
 def test_multiplier_on_product_adds_exponents():

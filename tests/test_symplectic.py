@@ -161,6 +161,11 @@ def test_act_siegel_names_the_float_range_for_an_image_below_it():
     m[2, 0] = m[3, 1] = 10**300
     with pytest.raises(ValueError, match="outside the float range"):
         act_siegel(m, 1j * np.eye(2))
+    # the bound reads lambda_max(Im Z): here 1 / 10^300 is a normal float, though lambda_min / 10^300 = 1e-309 is not,
+    # and Im gamma(Z) = diag(1e-300, 1e-291) is a representable image that fails the point's own test
+    m[2, 0] = m[3, 1] = 10**150
+    with pytest.raises(ValueError, match="not positive definite"):
+        act_siegel(m, np.diag([1j, 1e-9j]))
 
 
 def test_siegel_point_matrix_is_read_only():

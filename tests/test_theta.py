@@ -10,7 +10,7 @@ from hypothesis import given, settings as hsettings, strategies as st
 from cmtheta import theta
 from cmtheta.cmfield import build_context
 from cmtheta.exact import RootOfUnity
-from cmtheta.symplectic import SiegelPoint
+from cmtheta.symplectic import SiegelPoint, act_siegel, blocks, identity, special_gamma
 from cmtheta.theta import (
     Characteristic,
     EvalSettings,
@@ -23,6 +23,7 @@ from cmtheta.theta import (
 )
 
 from reference import (
+    cholesky_candidates,
     direct_sum,
     doubling_radius,
     fraction_in_sigma_minus,
@@ -208,13 +209,20 @@ def test_radius_search_matches_doubling_reference(monkeypatch):
     assert made < 0.7 * referenced
 
 
-def test_radius_search_keeps_the_candidates(monkeypatch):
-    # the reference's radius to rounding, so the same axis lengths and candidates, on both summation paths
+CUT_TOLERANCES = (1e-6, 1e-12, 1e-15)
+
+
+def cut_test_points():
+    """Points whose cuts take both summation paths: g = 1 to 3 and least eigenvalues of Im Z from 0.02 to 2.8."""
     rng = np.random.default_rng(41)
     # rho about 0.05 at genus 1, then a point summed term by term
     points = [SiegelPoint(np.array([[0.1 + 0.0008j]])), SiegelPoint(300j * np.eye(2) + 0.25)]
-    points += [random_siegel(rng, g, base) for g in (1, 2, 3) for base in (0.02, 0.1, 0.5, 1.5, 2.8)]
-    tols = (1e-6, 1e-12, 1e-15)
+    return points + [random_siegel(rng, g, base) for g in (1, 2, 3) for base in (0.02, 0.1, 0.5, 1.5, 2.8)]
+
+
+def test_radius_search_keeps_the_candidates(monkeypatch):
+    # the reference's radius to rounding, so the same axis lengths and candidates, on both summation paths
+    points, tols = cut_test_points(), CUT_TOLERANCES
     cuts = [theta._certified(zp, tol) for zp in points for tol in tols]
 
     def reference_radius(rho, g, target):
@@ -231,6 +239,51 @@ def test_radius_search_keeps_the_candidates(monkeypatch):
             assert np.array_equal(got.points, want.points)
         else:
             assert np.array_equal(got.factor != 0, want.factor != 0)
+
+
+def test_eigh_geometry_matches_cholesky_and_inverse():
+    # T = sqrt(pi) Lambda^(1/2) tV and diag(Im Z^-1) from the point's eigh give the box and the candidates
+    # that the Cholesky factor and the inverse of Im Z gave, on both summation paths
+    paths = set()
+    for zp in cut_test_points():
+        for tol in CUT_TOLERANCES:
+            cut = theta._certified(zp, tol)
+            dims, grid, inside = cholesky_candidates(zp, cut.radius)
+            assert cut.dims == dims
+            if cut.factor is None:
+                assert np.array_equal(cut.points, grid[inside].astype(complex))
+            else:
+                assert np.array_equal(cut.factor.ravel() != 0, inside)
+            paths.add(cut.factor is None)
+    assert paths == {False, True}
+
+
+def test_im_z_is_factored_once_per_point(monkeypatch):
+    # one eigh per point feeds its cuts at every tolerance and act_siegel's range test; inv is taken of CZ + D only
+    calls = []
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+        return lambda mat, *args, **kwargs: calls.append((name, np.array(mat))) or real(mat, *args, **kwargs)
+
+    for name in ("eigh", "eigvalsh", "cholesky", "inv"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    zp = random_siegel(np.random.default_rng(44))
+    for tol in (1e-6, 1e-12):
+        theta_null(zp, EvalSettings(tol))
+    assert len(zp._theta_cuts) == 2
+    gamma = special_gamma("lower", 1, 2, 2)
+    w = act_siegel(gamma, zp)
+    c, d = (blk.astype(float) for blk in blocks(gamma)[2:])
+    assert [name for name, _ in calls] == ["eigh", "inv", "eigh"]
+    assert np.array_equal(calls[0][1], zp.mat.imag) and np.array_equal(calls[2][1], w.mat.imag)
+    assert np.array_equal(calls[1][1], c @ zp.mat + d)
+    # an image below the float range: the source's eigh, the image's, and the refusal reads the source's
+    m = identity(4)
+    m[2, 0] = m[3, 1] = 10**300
+    with pytest.raises(ValueError, match="outside the float range"):
+        act_siegel(m, 1j * np.eye(2))
+    assert [name for name, _ in calls[3:]] == ["eigh", "inv", "eigh"]
 
 
 def test_contraction_matches_reshaped_reference():
