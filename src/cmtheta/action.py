@@ -8,7 +8,7 @@ of odd denominator, which carries an explicit root-of-unity multiplier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, index, mul
 
 from .exact import RootOfUnity
 from .symplectic import _columns, _g_multiplier, check_level
@@ -49,7 +49,7 @@ def act_iota_inv(a: int, chi: Characteristic) -> Characteristic:
 
 def act_power_family(alpha, chi: Characteristic, n: int) -> Characteristic:
     """Action of alpha in G_n on the family of 2n^2-th powers: chi -> t(alpha) chi mod 1, n as in check_level."""
-    check_level(n)
+    n = check_level(n)
     chi.scaled(n)
     cols = _columns(alpha)
     if _g_multiplier(*cols, n) is None:
@@ -65,7 +65,7 @@ def act_phi(alpha, chi: Characteristic, m: int) -> ActionResult:
     image [r'; s'] = t(alpha)[r; s]; canonical reduction (and its translation
     phase) is left to the caller via ActionResult.canonical().
     """
-    if m % 2 == 0:
+    if (m := index(m)) % 2 == 0:  # an int from here on: numpy's integers overflow in the phase
         raise ValueError("denominator must be odd")
     cols = _columns(alpha)
     a = _g_multiplier(*cols, 2 * m * m)

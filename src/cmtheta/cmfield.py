@@ -153,7 +153,7 @@ class GaloisActor:
     def build(cls, x: CycloElem, p: int) -> "GaloisActor":
         if not is_odd_prime(p):
             raise ValueError(f"p = {p} must be an odd prime")
-        cols = _h_columns(_reflex_num(_integral_num(x)))
+        p, cols = int(p), _h_columns(_reflex_num(_integral_num(x)))
         # E(ra, rb) = r conj(r) E(a, b) = N(x) E(a, b) for r = phi*(x): t(h) J h = N(x) J exactly, not tested here
         norm = _similitude(*cols)
         return cls(p=p, _cols=cols, nu=_g_member(*cols, norm, 2 * p * p), norm=norm)
@@ -164,11 +164,11 @@ class GaloisActor:
         Returns act_phi(h, chi, p).canonical() from one move y = t(h) p chi, the phase of reducing y / p
         included.  Requires the norm of x prime to 2p and the reflex-norm matrix to land in G_{2p^2}.
         """
-        if math.gcd(self.norm, 2 * self.p) != 1:
-            raise ValueError(f"norm {self.norm} of the actor is not prime to 2p = {2 * self.p}")
-        if not self.in_group:
-            raise ValueError("reflex-norm matrix is not in G_{2p^2}; criterion inapplicable")
         p = self.p
+        if self.nu is None:  # _g_member wants N(x) a unit mod 2p^2, so a norm not prime to 2p lands here too
+            if math.gcd(self.norm, 2 * p) != 1:
+                raise ValueError(f"norm {self.norm} of the actor is not prime to 2p = {2 * p}")
+            raise ValueError("reflex-norm matrix is not in G_{2p^2}; criterion inapplicable")
         y, phase = _move(self._cols, self.nu, chi.scaled(p))  # raises unless g = 2, as h is 4 x 4
         phase += 2 * p * _translation_shift(y, p)
         # the constructor divides out gcd(p, *y), so an image = 0 mod p collapses to denominator 1

@@ -81,6 +81,7 @@ class SuiteConfig:
         unknown = set(self.suites) - set(SUITE_NAMES)
         if unknown:
             raise ConfigError(f"unknown suites: {sorted(unknown)}; the suites are {', '.join(SUITE_NAMES)}")
+        self.primes, self.seed = tuple(map(int, self.primes)), int(self.seed)  # numpy integers stop here
 
 
 @dataclass
@@ -107,9 +108,9 @@ class Report:
         def sig(x):  # None, or NaN or inf, is null: the report stays strict JSON
             return float(f"{float(x):.15g}") if x is not None and math.isfinite(x) else None
 
-        payload = {  # int() and float() turn a numpy scalar or a Fraction that validate accepts into JSON
-            "seed": int(self.config.seed),
-            "primes": [int(p) for p in self.config.primes],
+        payload = {  # validate made seed and primes ints; sig's float() turns a numpy scalar or a Fraction into JSON
+            "seed": self.config.seed,
+            "primes": list(self.config.primes),
             "tol_numeric": sig(self.config.tol_numeric),
             "theta_tol": sig(self.config.theta_tol),
             "suites": list(self.config.suites),
@@ -194,9 +195,7 @@ def _draws(budget: int, what: str):
 
 def _random_char(rng, den: int, exclude_sigma: bool = True) -> Characteristic:
     for _ in _draws(64, "characteristic outside Sigma^-"):
-        chi = Characteristic.from_den(
-            [int(v) for v in rng.integers(0, den, 2)], [int(v) for v in rng.integers(0, den, 2)], den
-        )
+        chi = Characteristic.from_den(rng.integers(0, den, 2), rng.integers(0, den, 2), den)  # read as ints there
         if not (exclude_sigma and chi.in_sigma_minus()):
             return chi
 

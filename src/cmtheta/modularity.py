@@ -8,6 +8,7 @@ hold; gamma_multiplier computes the obstruction e(X) for individual gamma.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from operator import mul, sub
 
 from .action import _move
@@ -18,13 +19,14 @@ from .theta import Characteristic, EvalSettings, DEFAULT_SETTINGS, phi_eval, the
 
 @dataclass(frozen=True)
 class ThetaProduct:
-    """prod_i Phi_{chi_i}^{m_i} with canonical, distinct, non-vanishing characteristics."""
+    """prod_i Phi_{chi_i}^{m_i} with canonical, distinct, non-vanishing characteristics and nonzero int exponents."""
 
     level: int
     terms: tuple[tuple[Characteristic, int], ...]
 
     def __post_init__(self):
-        check_level(self.level)
+        object.__setattr__(self, "level", check_level(self.level))
+        object.__setattr__(self, "terms", tuple((chi, _exponent(m)) for chi, m in self.terms))
         seen = set()
         for chi, m in self.terms:
             if chi.g != self.g:
@@ -45,6 +47,13 @@ class ThetaProduct:
         return self.terms[0][0].g if self.terms else 2
 
 
+def _exponent(m) -> int:
+    """m as an int; ValueError unless it is an Integral (numpy's too): a float, Fraction or str is refused."""
+    if not (type(m) is int or isinstance(m, Integral)):
+        raise ValueError(f"exponents must be integers, got {m!r}")
+    return int(m)
+
+
 def theta_product(level: int, terms) -> ThetaProduct:
     """Build a ThetaProduct, canonicalizing characteristics and merging duplicates.
 
@@ -54,9 +63,8 @@ def theta_product(level: int, terms) -> ThetaProduct:
     merged: dict[Characteristic, int] = {}
     for chi, m in terms:
         red = chi if chi.is_canonical() else chi.reduce()[0]
-        merged[red] = merged.get(red, 0) + m
-    kept = tuple((chi, m) for chi, m in merged.items() if m != 0)
-    return ThetaProduct(level, kept)
+        merged[red] = merged.get(red, 0) + _exponent(m)
+    return ThetaProduct(level, tuple((chi, m) for chi, m in merged.items() if m != 0))
 
 
 def parse(text: str) -> ThetaProduct:
@@ -124,7 +132,7 @@ def gamma_multiplier(gamma, target, n: int) -> RootOfUnity:
 
         X = sum_i m_i (tx_r.x_s - ty_r.y_s + 2 tx_r.(y_s - x_s)) / (2n^2).
     """
-    check_level(n)
+    n = check_level(n)
     cols = _columns(gamma)
     if not _gamma_member(*cols, n):
         raise ValueError(f"gamma is not in Gamma({n})")

@@ -120,10 +120,11 @@ def is_symplectic(m) -> bool:
     return in_gamma(m, 1)
 
 
-def check_level(n: int) -> None:
-    """Raise ValueError unless n is a positive even Integral (numpy's too): the one rule for a level of Gamma(n)."""
+def check_level(n: int) -> int:
+    """n as an int, ValueError unless it is a positive even Integral (numpy's too): the one rule for a level."""
     if not (type(n) is int or isinstance(n, Integral)) or n % 2 or n <= 0:  # int first: the ABC test is the slow one
         raise ValueError(f"level must be a positive even integer, got {n!r}")
+    return int(n)
 
 
 def iota(a: int, g: int, modulus: int) -> np.ndarray:

@@ -100,16 +100,30 @@ CAUGHT = [
     # gamma_multiplier without the level rule: n = 0 divides by zero, n = -2 returns a phase
     (
         MODULARITY,
-        "    check_level(n)\n",
+        "    n = check_level(n)\n",
         "",
         ["tests/test_modularity.py::test_level_is_a_positive_even_integer"],
     ),
-    # the level rule without its integer test: a level of 4.0 passes it and gives float residues
+    # the level rule without its integer test: a level of 4.0 passes it and is read as 4
     (
         SYMPLECTIC,
         "not (type(n) is int or isinstance(n, Integral)) or ",
         "",
         ["tests/test_modularity.py::test_level_is_a_positive_even_integer"],
+    ),
+    # the level rule handing a numpy level back as it came: exact arithmetic overflows int64
+    (
+        SYMPLECTIC,
+        "    return int(n)\n",
+        "    return n\n",
+        ["tests/test_modularity.py::test_numpy_level_is_read_as_an_int"],
+    ),
+    # a product without its exponent test: 1.5 gives float residues and "2" is read as 2
+    (
+        MODULARITY,
+        "if not (type(m) is int or isinstance(m, Integral)):",
+        "if False:",
+        ["tests/test_modularity.py::test_exponents_are_integers"],
     ),
     # special_gamma without its integer test: n = 2.5 is written into the "integer" matrix, or fails in int()
     (
@@ -366,15 +380,30 @@ CAUGHT = [
         "tuple(zip(dims[:0:-1], slices[-2::-1]))",
         ["tests/test_theta.py::test_unequal_axes_match_product_of_genus_one_sums"],
     ),
-    # the radius search stopping one grid step early: a bracket of two steps is left, its upper end returned
+    # the radius walk stopping its climb early, once the bound is within a factor 2 of target: a failing m returned
     (
         THETA,
-        "    while hi - lo > 1:\n",
-        "    while hi - lo > 2:\n",
+        "    while tail > target:\n",
+        "    while tail > 2 * target:\n",
         [
             "tests/test_theta.py::test_radius_search_matches_doubling_reference",
             "tests/test_theta.py::test_radius_search_keeps_the_candidates",
         ],
+    ),
+    # the radius walk without its downward leg: a corrected start above the least passing m is returned as it is;
+    # no cut of cut_test_points starts above its answer, so only the grid of rho, g and tol sees it
+    (
+        THETA,
+        "    while m > 1 and (low := bound(m - 1)) <= target:\n        m, tail = m - 1, low\n",
+        "",
+        ["tests/test_theta.py::test_radius_search_matches_doubling_reference"],
+    ),
+    # the radius walk from the naive start, uncorrected: the same radius, but many more tail bounds a search
+    (
+        THETA,
+        "m = max(1, round(32 * math.sqrt(max(square, 0.0))))",
+        "m = start",
+        ["tests/test_theta.py::test_radius_search_matches_doubling_reference"],
     ),
     # no range guard: every cut factored
     (

@@ -20,8 +20,9 @@ import sys
 import time
 from pathlib import Path
 
+from pin_reports import PRIMES
+
 SRC = Path(__file__).resolve().parents[1] / "src"
-PRIMES = (3, 5, 7, 11, 13)
 WORKERS = min(2, os.cpu_count() or 1)
 ONE_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 

@@ -72,6 +72,15 @@ def test_act_phi_identity():
     assert res.chi_out == chi
 
 
+def test_act_phi_reads_a_numpy_denominator_as_an_int():
+    chi = Characteristic.from_den((1, 2), (2, 0), 3)
+    gamma = special_gamma("mixed", 1, 2, 18)
+    res = act_phi(gamma, chi, np.int64(3))
+    assert res == act_phi(gamma, chi, 3) and type(res.chi_out.den) is int
+    with pytest.raises(TypeError):
+        act_phi(gamma, chi, 3.0)
+
+
 def test_act_phi_under_j():
     # worked example: t(J) swaps the rows up to sign, a = nu(J) = 1, so the
     # exponent is (<r,s> - <s,-r>)/2 = <r,s> = 4/9

@@ -170,6 +170,13 @@ def test_actor_first_row_and_build_guards():
     assert belong_criterion([1, 2, 2, 0, 0], np.int64(7)) == belong_criterion([1, 2, 2, 0, 0], 7)
 
 
+def test_numpy_prime_is_read_as_an_int():
+    # p is read once, as an int, so the actor and its belong result carry no numpy scalar
+    actor = GaloisActor.build(1 + 14 * ZETA, np.int64(7))
+    assert actor == GaloisActor.build(1 + 14 * ZETA, 7) and type(actor.p) is int
+    assert [type(v) for v in dataclasses.astuple(actor.belong())] == [tuple, int, int, bool, int, bool, bool]
+
+
 @pytest.mark.parametrize("coords", [[1, F(5, 2), 2, 0, 0], [1, 2.9, 2, 0, 0]])
 def test_belong_rejects_non_integral_coordinates(coords):
     # int() would truncate both to [1, 2, 2, 0, 0]

@@ -74,8 +74,19 @@ def test_config_validation():
     numpy_scalars = dict(primes=(3, np.int64(7)), theta_tol=np.float32(1e-12), seed=np.int64(7))
     accepted = SuiteConfig(tol_numeric=Fraction(1, 10**8), **numpy_scalars)
     accepted.validate()
+    assert (accepted.seed, accepted.primes) == (7, (3, 7))
+    assert all(type(v) is int for v in (accepted.seed, *accepted.primes))
     payload = json.loads(Report(accepted).to_json())
     assert (payload["seed"], payload["primes"], payload["tol_numeric"]) == (7, [3, 7], 1e-8)
+
+
+def test_numpy_primes_are_written_as_ints():
+    config = SuiteConfig(primes=(np.int64(3),))
+    config.validate()
+    env = HarnessEnv(config)
+    for check in (harness.check_reflex_congruences, harness.check_artin_closed_form):
+        outcome = check(env)
+        assert outcome.passed and "p in (3,)" in outcome.detail
 
 
 def test_unattainable_tolerance_fails_closed():

@@ -180,6 +180,30 @@ def test_level_is_a_positive_even_integer(optimized):
     assert optimized["special_gamma_level"] == ["ValueError"] * 4 + [None]
 
 
+def test_numpy_level_is_read_as_an_int():
+    # check_level hands back an int: with a numpy level the exact % n overflowed (entries near 4 * 3^25) or the
+    # int64 phase wrapped with a RuntimeWarning (near 4 * 3^10), which pytest's warning filter turns into a failure
+    chi = Characteristic.make([F(1, 2), 0], [0, F(1, 2)])
+    for big, mixed in ((25, 20), (10, 8)):
+        gamma = special_gamma("upper", 1, 2, 4 * 3**big) @ special_gamma("mixed", 2, 2, 4 * 3**mixed)
+        assert gamma_multiplier(gamma, chi, np.int64(4)) == gamma_multiplier(gamma, chi, 4)
+    assert type(theta_product(np.int64(4), [(chi, 8)]).level) is int
+    assert act_power_family(special_gamma("upper", 1, 2, 4), chi, np.int64(4)) == chi
+
+
+def test_exponents_are_integers():
+    # a float, Fraction or str exponent is refused, however whole its value; numpy's integers are read as ints
+    chi = Characteristic.make([F(1, 2), 0], [0, 0])
+    for m in (1.5, 2.0, F(3, 2), "2"):
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            check_family(theta_product(2, [(chi, m)]))
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            ThetaProduct(2, ((chi, m),))
+    for prod in (theta_product(2, [(chi, np.int64(4))]), ThetaProduct(2, [(chi, np.int64(4))])):
+        assert prod.terms == ((chi, 4),) and type(prod.terms[0][1]) is int
+        assert prod == theta_product(2, [(chi, 4)]) and check_family(prod).ok
+
+
 def test_multiplier_is_homomorphism_on_congruence_group():
     # r.s is 0, 1/16 and 5/16: where it is not an integer, a phase e(k r.s) that does not depend on gamma fails
     rng = np.random.default_rng(17)
