@@ -8,7 +8,7 @@ of odd denominator, which carries an explicit root-of-unity multiplier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, index, mul
+from operator import index, mul
 
 from .exact import RootOfUnity
 from .symplectic import _columns, _g_multiplier, check_level
@@ -27,13 +27,12 @@ class ActionResult:
 
 
 def _move(cols, nu: int, x) -> tuple[list[int], int]:
-    """y = tM x and the phase nu tx_r.x_s - ty_r.y_s for x = m [r; s], M given by its column halves cols
+    """y = tM x and the phase nu tx_r.x_s - ty_r.y_s for x = m [r; s], M given by its columns cols
     (see symplectic._columns) with multiplier nu: M in G_{2m^2} takes Phi at x/m to e(phase / 2m^2) times Phi
     at y/m (Igusa, Theta Functions, ch. V; Mumford, Tata Lectures on Theta I, II.5).  The one statement of the law."""
-    tops, bots = cols
-    if len(x) != len(tops):
-        raise ValueError(f"expected {len(tops)} entries to move, got {len(x)}")
-    y = [sum(map(mul, col, x)) for col in map(add, tops, bots)]  # entry j: column j of M dotted with x
+    if len(x) != len(cols):
+        raise ValueError(f"expected {len(cols)} entries to move, got {len(x)}")
+    y = [sum(map(mul, col, x)) for col in cols]  # entry j: column j of M dotted with x
     g = len(x) // 2
     return y, nu * sum(map(mul, x, x[g:])) - sum(map(mul, y, y[g:]))  # map stops after the r entries
 
@@ -52,7 +51,7 @@ def act_power_family(alpha, chi: Characteristic, n: int) -> Characteristic:
     n = check_level(n)
     chi.scaled(n)
     cols = _columns(alpha)
-    if _g_multiplier(*cols, n) is None:
+    if _g_multiplier(cols, n) is None:
         raise ValueError("alpha is not in G_n")
     # only the image: the phase over 2 chi.den^2 is trivial on 2n^2-th powers, as chi.den divides n
     return Characteristic(_move(cols, 0, chi.num)[0], chi.den).reduce()[0]
@@ -68,7 +67,7 @@ def act_phi(alpha, chi: Characteristic, m: int) -> ActionResult:
     if (m := index(m)) % 2 == 0:  # an int from here on: numpy's integers overflow in the phase
         raise ValueError("denominator must be odd")
     cols = _columns(alpha)
-    a = _g_multiplier(*cols, 2 * m * m)
+    a = _g_multiplier(cols, 2 * m * m)
     if a is None:
         raise ValueError("alpha is not in G_{2m^2}")
     y, phase = _move(cols, a, chi.scaled(m))

@@ -70,19 +70,19 @@ def _h_table() -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(h[j][k]) for h in hs) for k in range(4) for j in range(4))
 
 
-def _h_columns(c) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """The top and bottom halves of the columns of h(x), in the layout of symplectic._columns.
+def _h_columns(c) -> tuple[tuple[int, ...], ...]:
+    """The four columns of h(x) as tuples, in the layout of symplectic._columns.
 
     c holds the integer power-basis coefficients of x; h is Z-linear in x, so
     h(x) = sum_i c_i h(zeta^i).
     """
     c0, c1, c2, c3 = c
-    h = [c0 * a + c1 * b + c2 * d + c3 * e for a, b, d, e in _h_table()]
-    return tuple(zip(h[0::4], h[1::4])), tuple(zip(h[2::4], h[3::4]))
+    h = tuple([c0 * a + c1 * b + c2 * d + c3 * e for a, b, d, e in _h_table()])  # column-major, as the table
+    return h[:4], h[4:8], h[8:12], h[12:]
 
 
 def _matrix(cols) -> np.ndarray:
-    return np.array([t + b for t, b in zip(*cols)], dtype=object).T
+    return np.array(cols, dtype=object).T
 
 
 def h_map(x: CycloElem) -> np.ndarray:
@@ -120,7 +120,9 @@ def build_context(settings: EvalSettings = DEFAULT_SETTINGS) -> CMContext:
 
 def is_odd_prime(p: int) -> bool:
     """Whether p is an odd prime integer: the one rule for p in GaloisActor.build and SuiteConfig.validate."""
-    return isinstance(p, Integral) and p > 2 and p % 2 == 1 and all(p % q for q in range(3, math.isqrt(p) + 1, 2))
+    if not (type(p) is int or isinstance(p, Integral)):  # int first: the ABC test is the slow one
+        return False
+    return p > 2 and p % 2 == 1 and all(p % q for q in range(3, math.isqrt(p) + 1, 2))
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,7 @@ class GaloisActor:
     """An integral x of Q(zeta_5) packaged as a level-2p^2 symplectic actor.
 
     h_matrix is the integral reflex-norm matrix h(phi*(x)), held once as
-    tuples of Python-int column halves in the layout symplectic._columns reads,
+    tuples of Python-int columns in the layout symplectic._columns reads,
     so an actor shared by shared_actor cannot be changed; norm is N(x), the
     exact similitude of h, and nu is N(x) mod 2p^2 when h lies in G_{2p^2} by
     the rule of symplectic._g_member, and None otherwise.
@@ -155,8 +157,8 @@ class GaloisActor:
             raise ValueError(f"p = {p} must be an odd prime")
         p, cols = int(p), _h_columns(_reflex_num(_integral_num(x)))
         # E(ra, rb) = r conj(r) E(a, b) = N(x) E(a, b) for r = phi*(x): t(h) J h = N(x) J exactly, not tested here
-        norm = _similitude(*cols)
-        return cls(p=p, _cols=cols, nu=_g_member(*cols, norm, 2 * p * p), norm=norm)
+        norm = _similitude(cols)
+        return cls(p=p, _cols=cols, nu=_g_member(cols, norm, 2 * p * p), norm=norm)
 
     def act(self, chi: Characteristic) -> ActionResult:
         """The simulated Artin action of (x) on Phi_chi(Z0), chi with denominator p.
@@ -176,7 +178,7 @@ class GaloisActor:
 
     def belong(self) -> BelongResult:
         """The first-row congruence test of belong_criterion on this actor."""
-        a, b, c, d = (top[0] for top in self._cols[0])  # the first row of h
+        a, b, c, d = (col[0] for col in self._cols)  # the first row of h
         value = -2 * a * b + 2 * a * c + a * d - 2 * b * c - 2 * c * d - 2 * d * d
         return BelongResult(
             first_row=(a, b, c, d),

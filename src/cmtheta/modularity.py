@@ -134,7 +134,7 @@ def gamma_multiplier(gamma, target, n: int) -> RootOfUnity:
     """
     n = check_level(n)
     cols = _columns(gamma)
-    if not _gamma_member(*cols, n):
+    if not _gamma_member(cols, n):
         raise ValueError(f"gamma is not in Gamma({n})")
     total = 0
     terms = ((target, 1),) if isinstance(target, Characteristic) else target.terms

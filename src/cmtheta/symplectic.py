@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import gcd, inf
 from numbers import Integral
-from operator import add, mul
+from operator import mul
 
 import numpy as np
 
@@ -47,72 +47,77 @@ def blocks(m: np.ndarray):
 
 
 def _columns(m):
-    """The top and bottom halves of each column of the 2g x 2g integer matrix m, as lists of Python ints.
+    """The columns of the 2g x 2g integer matrix m as lists of Python ints: the one private layout of an exact matrix.
 
-    The one place an exact matrix becomes Python ints; raises ValueError for any other m.
+    Every kernel here and action._move takes these whole columns; a kernel that wants column j's bottom half
+    slices col[g:] and lets map stop after g entries for its top half.  The one place an exact matrix becomes
+    Python ints; raises ValueError for any other m.
     """
     m = intmat(m)
     size = m.shape[0]
     if size < 2 or size % 2 or m.shape[1] != size:
         raise ValueError(f"expected a 2g x 2g matrix, got shape {m.shape}")
-    g = size // 2
-    return m[:g].T.tolist(), m[g:].T.tolist()
+    return m.T.tolist()
 
 
-def _form_defects(tops, bots, nu: int):
+def _form_defects(cols, nu: int):
     # (tM J M - nu J)[i, k] for i < k; tM J M is antisymmetric, so these entries decide it
-    size = len(tops)
+    size = len(cols)
     g = size // 2
+    bots = [col[g:] for col in cols]
     for i in range(size):
         for k in range(i + 1, size):
-            entry = sum(map(mul, bots[i], tops[k])) - sum(map(mul, tops[i], bots[k]))
+            entry = sum(map(mul, bots[i], cols[k])) - sum(map(mul, cols[i], bots[k]))
             yield entry + nu if k == i + g else entry
 
 
-def _similitude(tops, bots) -> int:
+def _similitude(cols) -> int:
     """-(tM J M)[0, g]: the exact similitude nu of M when tM J M = nu J."""
-    g = len(tops) // 2
-    return sum(map(mul, tops[0], bots[g])) - sum(map(mul, bots[0], tops[g]))
+    g = len(cols) // 2
+    return sum(map(mul, cols[0], cols[g][g:])) - sum(map(mul, cols[0][g:], cols[g]))
 
 
-def _multiplier(tops, bots, modulus: int) -> int | None:
-    nu = _similitude(tops, bots) % modulus
+def _multiplier(cols, modulus: int) -> int | None:
+    nu = _similitude(cols) % modulus
     if gcd(nu, modulus) != 1:
         return None
-    return nu if all(v % modulus == 0 for v in _form_defects(tops, bots, nu)) else None
+    return nu if all(v % modulus == 0 for v in _form_defects(cols, nu)) else None
 
 
-def _gamma_member(tops, bots, n: int) -> bool:
-    return not any(_form_defects(tops, bots, 1)) and not any(
-        (v - (i == j)) % n for j, col in enumerate(map(add, tops, bots)) for i, v in enumerate(col)
-    )
+def _gamma_member(cols, n: int) -> bool:
+    # M = I mod n in one pass over the residues: the diagonal (stride size + 1) is all 1 % n and the residues,
+    # each in [0, n), add up to the diagonal's total, so every other residue is 0; then tM J M = J over Z
+    size, one = len(cols), 1 % n
+    res = [v % n for col in cols for v in col]
+    return res[:: size + 1] == [one] * size and sum(res) == size * one and not any(_form_defects(cols, 1))
 
 
-def _g_member(tops, bots, nu: int, n: int) -> int | None:
-    """nu mod n if the matrix with these column halves (see _columns), of similitude nu, lies in G_n, else None.
+def _g_member(cols, nu: int, n: int) -> int | None:
+    """nu mod n if the matrix with these columns (see _columns), of similitude nu, lies in G_n, else None.
 
     G_n is GSp_2g mod n (any unit multiplier) with even diagonals of tAC and tBD; S_n is its part with nu = 1.
     This is the one statement of the rule; the caller vouches for tM J M = nu J mod n.  Parity is read off
     the matrix; for even n it is independent of the choice of lift.
     """
     # column j contributes (tAC)[j, j] for j < g and (tBD)[j - g, j - g] after
-    return nu % n if gcd(nu, n) == 1 and not any(sum(map(mul, t, b)) % 2 for t, b in zip(tops, bots)) else None
+    g = len(cols) // 2
+    return nu % n if gcd(nu, n) == 1 and not any(sum(map(mul, col, col[g:])) % 2 for col in cols) else None
 
 
-def _g_multiplier(tops, bots, n: int) -> int | None:
-    """nu mod n if the matrix with these column halves lies in G_n, else None: tM J M = nu J mod n, then _g_member."""
-    nu = _multiplier(tops, bots, n)
-    return None if nu is None else _g_member(tops, bots, nu, n)
+def _g_multiplier(cols, n: int) -> int | None:
+    """nu mod n if the matrix with these columns lies in G_n, else None: tM J M = nu J mod n, then _g_member."""
+    nu = _multiplier(cols, n)
+    return None if nu is None else _g_member(cols, nu, n)
 
 
 def sympl_multiplier(m, modulus: int):
     """The similitude nu in [0, modulus) with tM J M = nu J mod modulus, or None unless nu exists and is a unit."""
-    return _multiplier(*_columns(m), modulus)
+    return _multiplier(_columns(m), modulus)
 
 
 def in_gamma(m, n: int) -> bool:
-    """Membership in Gamma(n) = {M in Sp_2g(Z) : M = I mod n}: tM J M == J over Z, then the congruence."""
-    return _gamma_member(*_columns(m), n)
+    """Membership in Gamma(n) = {M in Sp_2g(Z) : M = I mod n}: the congruence, then tM J M == J over Z."""
+    return _gamma_member(_columns(m), n)
 
 
 def is_symplectic(m) -> bool:

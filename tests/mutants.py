@@ -90,7 +90,7 @@ CAUGHT = [
     # gamma_multiplier accepting any gamma = I mod n, or not even that
     (
         MODULARITY,
-        '    if not _gamma_member(*cols, n):\n        raise ValueError(f"gamma is not in Gamma({n})")\n',
+        '    if not _gamma_member(cols, n):\n        raise ValueError(f"gamma is not in Gamma({n})")\n',
         "",
         [
             "tests/test_modularity.py::test_multiplier_requires_congruence",
@@ -143,12 +143,41 @@ CAUGHT = [
     # Gamma(n) membership without tM J M == J: only M = I mod n is left
     (
         SYMPLECTIC,
-        "not any(_form_defects(tops, bots, 1)) and ",
+        " and not any(_form_defects(cols, 1))",
         "",
         [
             "tests/test_modularity.py::test_multiplier_requires_congruence",
             "tests/test_symplectic.py::test_multiplier",
             "tests/test_acceptance.py::test_odd_action_matches_congruence_multiplier_and_refuses_non_members",
+        ],
+    ),
+    # Gamma(n) membership without the diagonal comparison: mod 2, J's residues add up to 2g, as I's do
+    (
+        SYMPLECTIC,
+        "res[:: size + 1] == [one] * size and ",
+        "",
+        ["tests/test_symplectic.py::test_membership_kernel_matches_fraction_reference"],
+    ),
+    # Gamma(n) membership without the residue total: M = I mod n read off the diagonal alone
+    (
+        SYMPLECTIC,
+        " and sum(res) == size * one",
+        "",
+        [
+            "tests/test_modularity.py::test_multiplier_requires_congruence",
+            "tests/test_symplectic.py::test_group_memberships",
+            "tests/test_symplectic.py::test_membership_kernel_matches_fraction_reference",
+        ],
+    ),
+    # Gamma(n) membership with 1 % n written as 1: at n = 1 every residue is 0, so is_symplectic refuses all
+    (
+        SYMPLECTIC,
+        "size, one = len(cols), 1 % n",
+        "size, one = len(cols), 1",
+        [
+            "tests/test_symplectic.py::test_jmat",
+            "tests/test_symplectic.py::test_group_memberships",
+            "tests/test_symplectic.py::test_membership_kernel_matches_fraction_reference",
         ],
     ),
     # check_family with the rs congruence taken mod n/2
@@ -161,8 +190,8 @@ CAUGHT = [
     # act_phi moving chi by alpha instead of t(alpha): rows of alpha dotted with x, not columns
     (
         ACTION,
-        "y = [sum(map(mul, col, x)) for col in map(add, tops, bots)]",
-        "y = [sum(c[i] * v for c, v in zip(map(add, tops, bots), x)) for i in range(len(x))]",
+        "y = [sum(map(mul, col, x)) for col in cols]",
+        "y = [sum(c[i] * v for c, v in zip(cols, x)) for i in range(len(x))]",
         [
             "tests/test_action.py::test_act_phi_matches_fraction_transpose",
             "tests/test_action.py::test_transpose_apply_matches_fraction_reference",
@@ -171,7 +200,7 @@ CAUGHT = [
     # G_n membership without the parity rule: h(phi*(zeta)) = h(zeta^4), norm 1 and an odd diagonal, counts as a member
     (
         SYMPLECTIC,
-        " and not any(sum(map(mul, t, b)) % 2 for t, b in zip(tops, bots))",
+        " and not any(sum(map(mul, col, col[g:])) % 2 for col in cols)",
         "",
         [
             "tests/test_symplectic.py::test_g_group_multiplier",
@@ -193,8 +222,8 @@ CAUGHT = [
     # G_n membership with the parity read over the first g columns only: tAC without tBD
     (
         SYMPLECTIC,
-        "for t, b in zip(tops, bots))",
-        "for t, b in zip(tops[: len(tops) // 2], bots))",
+        "% 2 for col in cols)",
+        "% 2 for col in cols[:g])",
         [
             "tests/test_symplectic.py::test_g_group_multiplier",
             "tests/test_acceptance.py::test_odd_action_matches_congruence_multiplier_and_refuses_non_members",
@@ -210,8 +239,8 @@ CAUGHT = [
     # the actor's norm read off nu, the similitude mod 2p^2, instead of the exact similitude
     (
         CMFIELD,
-        "norm = _similitude(*cols)",
-        "norm = _similitude(*cols) % (2 * p * p)",
+        "norm = _similitude(cols)",
+        "norm = _similitude(cols) % (2 * p * p)",
         [
             "tests/test_cmfield.py::test_actor_build_matches_definitional_composition",
             "tests/test_cmfield.py::test_actor_norm_is_the_exact_similitude_of_h",
@@ -221,8 +250,8 @@ CAUGHT = [
     # the similitude with its sign flipped: (tM J M)[0, g] instead of -(tM J M)[0, g]
     (
         SYMPLECTIC,
-        "return sum(map(mul, tops[0], bots[g])) - sum(map(mul, bots[0], tops[g]))",
-        "return sum(map(mul, bots[0], tops[g])) - sum(map(mul, tops[0], bots[g]))",
+        "return sum(map(mul, cols[0], cols[g][g:])) - sum(map(mul, cols[0][g:], cols[g]))",
+        "return sum(map(mul, cols[0][g:], cols[g])) - sum(map(mul, cols[0], cols[g][g:]))",
         [
             "tests/test_cmfield.py::test_actor_build_matches_definitional_composition",
             "tests/test_symplectic.py::test_multiplier",
@@ -258,8 +287,8 @@ CAUGHT = [
     # belong_criterion reading the second row of h
     (
         CMFIELD,
-        "(top[0] for top in self._cols[0])",
-        "(top[1] for top in self._cols[0])",
+        "(col[0] for col in self._cols)",
+        "(col[1] for col in self._cols)",
         ["tests/test_cmfield.py::test_first_row_matches_paper_quadratic_forms"],
     ),
     # RootOfUnity without the gcd reduction: e(1/2) and e(2/4) unequal
@@ -289,8 +318,8 @@ CAUGHT = [
     # the rule for p without its integer test: a str p raises TypeError at p > 2, not ValueError
     (
         CMFIELD,
-        "isinstance(p, Integral) and ",
-        "",
+        "if not (type(p) is int or isinstance(p, Integral)):",
+        "if False:",
         [
             "tests/test_cmfield.py::test_actor_first_row_and_build_guards",
             "tests/test_harness.py::test_config_validation",

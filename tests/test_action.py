@@ -161,7 +161,7 @@ def test_act_phi_matches_fraction_transpose():
                 else:
                     alpha = alpha @ special_gamma(kinds[rng.integers(0, 3)], int(rng.integers(1, 3)), int(rng.integers(1, 3)), 2)
             alpha = alpha % level
-            assert _g_multiplier(*_columns(alpha), level) is not None
+            assert _g_multiplier(_columns(alpha), level) is not None
             chi = Characteristic.from_den(rng.integers(-m, 2 * m, 2).tolist(), rng.integers(-m, 2 * m, 2).tolist(), m)
             assert act_phi(alpha, chi, m) == fraction_act_phi(alpha, chi, m)
 

@@ -315,7 +315,7 @@ def test_actor_build_matches_definitional_composition():
         r = x * x.galois(3)
         for j, xj in enumerate(_BASIS):
             assert r * xj == sum((h[j, k] * xk for k, xk in enumerate(_BASIS)), CycloElem(5, [0]))
-        assert actor.nu == _g_multiplier(*_columns(h), 2 * p * p)
+        assert actor.nu == _g_multiplier(_columns(h), 2 * p * p)
         assert actor.norm == field_norm(x) and type(actor.norm) is int
         in_group += actor.in_group
     assert 20 <= in_group < len(cases)
@@ -350,7 +350,7 @@ def test_actor_norm_is_the_exact_similitude_of_h():
     for x in xs:
         actor = GaloisActor.build(x, 3)
         assert actor.norm == field_norm(x)
-        assert not any(_form_defects(*actor._cols, actor.norm))
+        assert not any(_form_defects(actor._cols, actor.norm))
         norms.append(actor.norm)
     assert max(norms) > 10**150
 
@@ -364,7 +364,7 @@ def test_actor_nu_matches_the_full_membership_test():
         x = CycloElem(5, [int(v) for v in rng.integers(-30, 31, 5)])
         p = primes[rng.integers(len(primes))]
         actor = GaloisActor.build(x, p)
-        assert actor.nu == _g_multiplier(*actor._cols, 2 * p * p)
+        assert actor.nu == _g_multiplier(actor._cols, 2 * p * p)
         if math.gcd(actor.norm, 2 * p) != 1:
             outcomes["norm not prime to 2p"] += 1
         else:
@@ -389,7 +389,7 @@ def test_actor_build_takes_one_similitude_and_no_form_identity(monkeypatch):
     for x in standard_actors(7):
         GaloisActor.build(x, 7)
     assert calls == {"similitude": 2, "form": 0}
-    _g_multiplier(*GaloisActor.build(ZETA, 7)._cols, 98)  # the patches see the full membership test
+    _g_multiplier(GaloisActor.build(ZETA, 7)._cols, 98)  # the patches see the full membership test
     assert calls["similitude"] == 4 and calls["form"] == 1
 
 

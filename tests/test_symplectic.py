@@ -96,25 +96,25 @@ def test_special_gamma_membership():
 
 
 def test_group_memberships():
-    assert _g_multiplier(*_columns(identity(4)), 6) == 1  # in S_6
-    assert _g_multiplier(*_columns(iota(5, 2, modulus=6)), 6) is not None  # in G_6
-    assert _g_multiplier(*_columns(iota(5, 2, modulus=6)), 6) != 1  # not in S_6: nu = 5 != 1
+    assert _g_multiplier(_columns(identity(4)), 6) == 1  # in S_6
+    assert _g_multiplier(_columns(iota(5, 2, modulus=6)), 6) is not None  # in G_6
+    assert _g_multiplier(_columns(iota(5, 2, modulus=6)), 6) != 1  # not in S_6: nu = 5 != 1
     assert is_symplectic(jmat(2))
     assert in_gamma(identity(4), 4)
     assert not in_gamma(special_gamma("upper", 1, 1, 2), 4)
     lower = special_gamma("lower", 1, 1, 1)  # symplectic, but tAC has an odd diagonal
     assert is_symplectic(lower)
-    assert _g_multiplier(*_columns(lower), 6) is None  # in neither G_6 nor S_6
+    assert _g_multiplier(_columns(lower), 6) is None  # in neither G_6 nor S_6
 
 
 def test_g_group_multiplier():
-    assert _g_multiplier(*_columns(identity(4)), 6) == 1
-    assert _g_multiplier(*_columns(iota(5, 2, modulus=6)), 6) == 5
-    assert _g_multiplier(*_columns(special_gamma("mixed", 1, 2, 2)), 6) == 1
-    assert _g_multiplier(*_columns(intmat(np.diag([1, 1, 2, 2]))), 4) is None  # nu = 2 is no unit
+    assert _g_multiplier(_columns(identity(4)), 6) == 1
+    assert _g_multiplier(_columns(iota(5, 2, modulus=6)), 6) == 5
+    assert _g_multiplier(_columns(special_gamma("mixed", 1, 2, 2)), 6) == 1
+    assert _g_multiplier(_columns(intmat(np.diag([1, 1, 2, 2]))), 4) is None  # nu = 2 is no unit
     for kind in ("lower", "upper"):  # symplectic, but tAC (lower) or tBD (upper) has an odd diagonal
         m = special_gamma(kind, 1, 1, 1)
-        assert sympl_multiplier(m, modulus=6) == 1 and _g_multiplier(*_columns(m), 6) is None
+        assert sympl_multiplier(m, modulus=6) == 1 and _g_multiplier(_columns(m), 6) is None
 
 
 def test_multiplier_is_multiplicative_mod_n():
@@ -228,21 +228,21 @@ def test_membership_kernel_matches_fraction_reference():
     rng = np.random.default_rng(29)
     kinds = ("upper", "lower", "mixed")
     seen = {"gamma": 0, "g_group": 0, "outside": 0}
-    for n in range(2, 51):
-        for g in (2, 3):
+    for n in range(1, 51):  # n = 1 is the is_symplectic path, where every residue is 0 and 1 % n is too
+        for g in (1, 2, 3):
             word = identity(2 * g)
             for _ in range(int(rng.integers(1, 5))):
                 j, k = (int(v) for v in rng.integers(1, g + 1, 2))
                 word = word @ special_gamma(kinds[rng.integers(0, 3)], j, k, n if rng.random() < 0.8 else 1, g)
-            a = int(rng.choice([u for u in range(1, n) if gcd(u, n) == 1]))
+            a = int(rng.choice([u for u in range(1, max(n, 2)) if gcd(u, n) == 1]))
             twisted = word @ iota(a, g, n)
             bumped = twisted.copy()
             bumped[rng.integers(0, 2 * g), rng.integers(0, 2 * g)] += int(rng.integers(1, n + 1))
-            for m in (word, twisted, bumped):
+            for m in (word, twisted, bumped, word @ jmat(g)):  # mod 2, J's residues add up to 2g, as I's do
                 nu, member, even = reference_memberships(m, n)
                 assert sympl_multiplier(m, modulus=n) == nu
                 assert in_gamma(m, n) == member
-                assert _g_multiplier(*_columns(m), n) == (nu if even else None)
+                assert _g_multiplier(_columns(m), n) == (nu if even else None)
                 seen["gamma"] += member
                 seen["g_group"] += nu is not None and even and not member
                 seen["outside"] += nu is None or not even
