@@ -6,6 +6,14 @@ constants, group actions on characteristics, the Q(zeta_5) CM apparatus, and
 primitive-generator combinators for abelian extensions, together with a
 verification harness exposed on the command line as `cmtheta`.
 
+It reproduces arXiv:1202.3213: the modularity criterion is the paper's first
+result, a necessary and sufficient condition for a product of theta constants
+to be Siegel modular of a given even level; the CM apparatus and the
+primitive-generator combinators serve its second, the subfield of the ray
+class field K_(2p) of Q(zeta_5) generated by a theta special value through
+Shimura's reciprocity law.  README's "The paper in the code" names the entry
+points.
+
 `import cmtheta` loads only the layers the CM context is built from (`exact`,
 `symplectic`, `theta`, `action`, `cmfield`); the names from `modularity`,
 `primgen` and `harness` resolve on first use, through a PEP 562 `__getattr__`,

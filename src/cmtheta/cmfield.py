@@ -11,13 +11,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Integral
 
 import numpy as np
 
 from .action import ActionResult, _move
 from .exact import CycloElem, RootOfUnity, orbit_product, orbit_sum, solve_exact
-from .symplectic import SiegelPoint, _g_member, _similitude
+from .symplectic import SiegelPoint, _g_member, _similitude, is_integer
 from .theta import Characteristic, DEFAULT_SETTINGS, EvalSettings, _translation_shift, phi_eval, theta_null
 
 
@@ -120,9 +119,7 @@ def build_context(settings: EvalSettings = DEFAULT_SETTINGS) -> CMContext:
 
 def is_odd_prime(p: int) -> bool:
     """Whether p is an odd prime integer: the one rule for p in GaloisActor.build and SuiteConfig.validate."""
-    if not (type(p) is int or isinstance(p, Integral)):  # int first: the ABC test is the slow one
-        return False
-    return p > 2 and p % 2 == 1 and all(p % q for q in range(3, math.isqrt(p) + 1, 2))
+    return is_integer(p) and p > 2 and p % 2 == 1 and all(p % q for q in range(3, math.isqrt(p) + 1, 2))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,9 @@ def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
 
 @lru_cache(maxsize=None)
 def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
-    """Coefficients (ascending, monic) of the n-th cyclotomic polynomial."""
+    """Coefficients (ascending, monic) of the n-th cyclotomic polynomial; ValueError unless n >= 1."""
+    if n < 1:
+        raise ValueError(f"cyclotomic order must be positive, got {n}")
     if n == 1:
         return (-1, 1)
     num = [-1] + [0] * (n - 1) + [1]  # X^n - 1
@@ -59,7 +61,9 @@ def _sparse_powers(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 @lru_cache(maxsize=None)
 def unit_residues(n: int) -> tuple[int, ...]:
-    """Residues coprime to n, i.e. (Z/n)^* as a sorted tuple."""
+    """Residues coprime to n, i.e. (Z/n)^* as a sorted tuple; ValueError unless n >= 1."""
+    if n < 1:
+        raise ValueError(f"cyclotomic order must be positive, got {n}")
     return tuple(a for a in range(1, n + 1) if math.gcd(a, n) == 1)
 
 
@@ -314,13 +318,14 @@ def is_subgroup(n: int, residues) -> bool:
 
 
 def rel_trace_norm(a: CycloElem, subgroup, mode: str) -> CycloElem:
-    """Exact trace or norm of a over the fixed field of the given subgroup."""
-    if not is_subgroup(a.n, subgroup):
-        raise ValueError(f"{sorted(set(subgroup))} is not a subgroup of units mod {a.n}")
+    """Exact trace or norm of a over the fixed field of the given subgroup, each residue mod n counted once."""
+    residues = dict.fromkeys(t % a.n for t in subgroup)  # the distinct residues, in first-seen order
+    if not is_subgroup(a.n, residues):
+        raise ValueError(f"{sorted(residues)} is not a subgroup of units mod {a.n}")
     if mode == "trace":
-        return orbit_sum(a, subgroup)
+        return orbit_sum(a, residues)
     if mode == "norm":
-        return orbit_product(a, subgroup)
+        return orbit_product(a, residues)
     raise ValueError(f"mode must be 'trace' or 'norm', got {mode!r}")
 
 

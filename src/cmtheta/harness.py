@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import product
-from numbers import Integral, Real
+from numbers import Real
 from operator import matmul
 
 import numpy as np
@@ -40,6 +40,7 @@ from .symplectic import (
     identity,
     intmat,
     iota,
+    is_integer,
     is_symplectic,
     jmat,
     special_gamma,
@@ -76,7 +77,7 @@ class SuiteConfig:
             raise ConfigError("primes must be odd primes")
         if not all(isinstance(tol, Real) and 0 < tol < math.inf for tol in (self.tol_numeric, self.theta_tol)):
             raise ConfigError("tolerances must be positive finite numbers")
-        if not isinstance(self.seed, Integral) or self.seed < 0:
+        if not is_integer(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         unknown = set(self.suites) - set(SUITE_NAMES)
         if unknown:

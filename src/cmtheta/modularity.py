@@ -8,12 +8,11 @@ hold; gamma_multiplier computes the obstruction e(X) for individual gamma.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
 from operator import mul, sub
 
 from .action import _move
 from .exact import RootOfUnity
-from .symplectic import _columns, _gamma_member, check_level
+from .symplectic import _columns, _gamma_member, check_level, is_integer
 from .theta import Characteristic, EvalSettings, DEFAULT_SETTINGS, phi_eval, theta_null
 
 
@@ -49,7 +48,7 @@ class ThetaProduct:
 
 def _exponent(m) -> int:
     """m as an int; ValueError unless it is an Integral (numpy's too): a float, Fraction or str is refused."""
-    if not (type(m) is int or isinstance(m, Integral)):
+    if not is_integer(m):
         raise ValueError(f"exponents must be integers, got {m!r}")
     return int(m)
 

@@ -125,9 +125,14 @@ def is_symplectic(m) -> bool:
     return in_gamma(m, 1)
 
 
+def is_integer(v) -> bool:
+    """Whether v is an int or a numbers.Integral, numpy's included: the one integer rule of the package."""
+    return type(v) is int or isinstance(v, Integral)  # int first: the ABC test is the slow one
+
+
 def check_level(n: int) -> int:
     """n as an int, ValueError unless it is a positive even Integral (numpy's too): the one rule for a level."""
-    if not (type(n) is int or isinstance(n, Integral)) or n % 2 or n <= 0:  # int first: the ABC test is the slow one
+    if not is_integer(n) or n % 2 or n <= 0:
         raise ValueError(f"level must be a positive even integer, got {n!r}")
     return int(n)
 
@@ -151,7 +156,7 @@ def special_gamma(kind: str, j: int, k: int, n: int, g: int = 2) -> np.ndarray:
     diagonal and the symmetrized E_jk + E_kj off it, which keeps all three
     shapes inside Sp_2g(Z).
     """
-    if not (all(isinstance(v, Integral) for v in (j, k, n)) and 1 <= j <= g and 1 <= k <= g):
+    if not (all(map(is_integer, (j, k, n))) and 1 <= j <= g and 1 <= k <= g):
         raise ValueError(f"generator indices are integers from 1 to g = {g} and n an integer, got ({j}, {k}), {n!r}")
     na = np.zeros((g, g), dtype=object)  # n times the seed block
     na[j - 1, k - 1] = na[k - 1, j - 1] = int(n)
@@ -183,8 +188,8 @@ class SiegelPoint:
 
     def __init__(self, mat) -> None:
         z = np.asarray(mat, dtype=complex)
-        if z.ndim != 2 or z.shape[0] != z.shape[1]:
-            raise ValueError("Siegel point must be a square matrix")
+        if z.ndim != 2 or z.shape[0] != z.shape[1] or not z.size:
+            raise ValueError("Siegel point must be a nonempty square matrix")
         if not np.isfinite(z).all():
             raise ValueError("Siegel point has a non-finite entry")
         defect = np.abs(z - z.T).max()

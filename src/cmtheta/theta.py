@@ -243,40 +243,70 @@ def _radius(rho: float, g: int, target: float) -> tuple[float, float]:
 class _Cut:
     """One certified truncation of the theta series at one SiegelPoint and tolerance, ready to sum.
 
+    A cut is a _Factored or a _Terms, as the range guard of theta_eval decides; each has its
+    own sum(linear, const), which returns the sum of exp(its part of pi i tyZy + linear + const).
     It is built from the point's eigh Im Z = V Lambda tV: T = sqrt(pi) Lambda^(1/2) tV, with
     |Tv|^2 = pi tv Im(Z) v, and rho = sqrt(pi min_im_eig), a lower bound on the shortest vector
-    of T Z^g.  The box of candidates has n_j = dims[j] coordinates y_j along axis j.  When
-    the range guard of theta_eval holds, coords stacks them in one matrix of
-    n_0 + ... + n_(g-1) rows, axis 0 first, and g columns, with y_j in column j
-    and zero elsewhere; its entries are real, held as complex numbers so that
-    its product with the complex vector of exponents casts nothing.  factor is
-    then E(y) = exp(pi i tyZy) on the box, zero off the candidates, as a matrix
-    of n_0 ... n_(g-2) rows (1 at g = 1), one per y_0, ..., y_(g-2) in C order,
-    and n_(g-1) columns.  last is the slice of coords' rows, and so of the
-    stacked exponents, on axis g-1; inner holds (n_j, the slice of axis j) for
-    j = g-2, ..., 0, the order a call contracts them in.  points and quad are
-    None.  Otherwise coords, factor, last and inner are None and points and
-    quad list the candidates (as complex rows) and their phases pi i tyZy.
-    z_rows is Z as nested lists for the per-call arithmetic.  radius is R,
-    and tail and rounding bound the omitted terms and the floating-point error
-    (see theta_eval).  Only geometry is kept, never a theta value.
+    of T Z^g; the box extents (R + delta) sqrt(diag(Im Z^-1)_j / pi) read diag(Im Z^-1)_j =
+    sum_k V_jk^2 / lambda_k off the same eigh, so a cut runs no cholesky or inv.  The box of
+    candidates has n_j = dims[j] coordinates y_j along axis j.  coords holds integer rows,
+    real but held as complex numbers so that its product with the complex vector of exponents
+    casts nothing: its product with [2 pi i t_j] is the linear part of every exponent the cut
+    sums.  z_rows is Z as nested lists for the per-call arithmetic.  radius is R, and tail and
+    rounding bound the omitted terms and the floating-point error (see theta_eval).  A cut is
+    built on the point's first evaluation at its tolerance and kept on the point.  Only
+    geometry is kept, never a theta value.
     """
 
     dims: tuple[int, ...]
-    coords: np.ndarray | None
-    factor: np.ndarray | None
-    last: slice | None
-    inner: tuple[tuple[int, slice], ...] | None
-    points: np.ndarray | None
-    quad: np.ndarray | None
+    coords: np.ndarray
     z_rows: list[list[complex]]
     radius: float
     tail: float
     rounding: float
 
 
+@dataclass(frozen=True)
+class _Factored(_Cut):
+    """A cut summed as a contraction over its axes, where the range guard of theta_eval holds.
+
+    coords stacks the box's coordinates in one matrix of n_0 + ... + n_(g-1) rows, axis 0
+    first, and g columns, with y_j in column j and zero elsewhere.  factor is E(y) =
+    exp(pi i tyZy) on the box, zero off the candidates, as a matrix of n_0 ... n_(g-2) rows
+    (1 at g = 1), one per y_0, ..., y_(g-2) in C order, and n_(g-1) columns.  last is the slice
+    of coords' rows, and so of the stacked exponents, on axis g-1; inner holds (n_j, the slice
+    of axis j) for j = g-2, ..., 0, the order sum contracts them in.
+    """
+
+    factor: np.ndarray
+    last: slice
+    inner: tuple[tuple[int, slice], ...]
+
+    def sum(self, linear: np.ndarray, const: complex) -> complex:
+        """(E . w_(g-1) . ... . w_0) exp(const) with w = exp(linear), as theta_eval's order of summation states."""
+        w = np.exp(linear)  # w_0(y_0), ..., w_(g-1)(y_(g-1)), stacked
+        total = self.factor.dot(w[self.last])  # the last axis first, one matrix-vector product each
+        for n, rows in self.inner:
+            total = total.reshape(-1, n).dot(w[rows])
+        return total.item() * cmath.exp(const)
+
+
+@dataclass(frozen=True)
+class _Terms(_Cut):
+    """A cut summed term by term, where the range guard of theta_eval fails (entries of Im Z beyond about 100).
+
+    coords lists the candidates, one row each, and quad their phases pi i tyZy.
+    """
+
+    quad: np.ndarray
+
+    def sum(self, linear: np.ndarray, const: complex) -> complex:
+        """The sum of the terms exp(pi i tyZy + linear + const) over the candidates, one exponential each."""
+        return complex(np.exp(self.quad + linear + const).sum())
+
+
 def _certified(zp: SiegelPoint, tol: float) -> _Cut:
-    """The certified cut of zp at tolerance tol (see theta_eval for the bounds)."""
+    """The certified cut of zp at tolerance tol, a _Factored or a _Terms as the range guard decides (see theta_eval)."""
     z, g, (lam, vec) = zp.mat, zp.g, zp._im_eigh
     t_mat = np.sqrt(math.pi * lam)[:, None] * vec.T  # sqrt(pi) Lambda^(1/2) tV
     rho, target = math.sqrt(math.pi * zp.min_im_eig), tol / 2
@@ -306,15 +336,14 @@ def _certified(zp: SiegelPoint, tol: float) -> _Cut:
             slices.append(slice(sum(dims[:j]), sum(dims[: j + 1])))
             coords[slices[j], j] = np.arange(l, l + n)
         last, inner = slices[-1], tuple(zip(dims[-2::-1], slices[-2::-1]))
-        factor, points, quad = np.where(inside, np.exp(quad), 0).reshape(-1, dims[-1]), None, None
+        kind, fields = _Factored, (np.where(inside, np.exp(quad), 0).reshape(-1, dims[-1]), last, inner)
         ops, more = 8 * (g + 2) + math.sqrt(2) * (2 * sum(dims) + 2), 0
     else:
-        coords = factor = last = inner = None
-        points, quad = grid[inside].astype(complex), quad[inside]
-        ops, more = len(points) + 7, g + 2
+        coords, kind, fields = grid[inside].astype(complex), _Terms, (quad[inside],)
+        ops, more = len(coords) + 7, g + 2
     reach_y = max(max(-l - 1, l + n - 1) for l, n in zip(low, dims))
     rounding = _rounding_bound(z_rows, rho, reach_y, ops + 24, more)  # + 24: the phase of a reduced call
-    return _Cut(tuple(dims), coords, factor, last, inner, points, quad, z_rows, radius, tail, rounding)
+    return kind(tuple(dims), coords, z_rows, radius, tail, rounding, *fields)
 
 
 def theta_eval(z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:
@@ -349,7 +378,7 @@ def theta_eval(z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTINGS
     Order of summation.  With shift = r and t = Z shift + s, the
     exponent at v = y + shift is pi i tyZy + 2 pi i sum_j y_j t_j + const,
     const = pi i t(shift) (t + s): a fixed quadratic part and a part
-    linear in each y_j.  The cut keeps E(y) = exp(pi i tyZy) on the box
+    linear in each y_j.  A _Factored cut keeps E(y) = exp(pi i tyZy) on the box
     n_0 x ... x n_(g-1) of C's coordinate ranges, zero off C, as a matrix
     with one column per y_(g-1).  A call forms every w_j(y_j) =
     exp(2 pi i y_j t_j) in one exponential of the cut's stacked coordinates
@@ -368,8 +397,8 @@ def theta_eval(z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTINGS
     lies in [exp(-G-B), exp(G)] and every partial sum below |box| exp(G).  The
     cut is factored only if G + B + log|box| < -log(smallest normal float) =
     708.4, so that nothing overflows or leaves the normal floats, as the
-    rounding bound assumes.  Otherwise (entries of Im Z beyond about 100) the
-    terms exp(pi i tyZy + 2 pi i ty t + const) are summed one by one.
+    rounding bound assumes.  Otherwise (entries of Im Z beyond about 100) the cut
+    is a _Terms, and the terms exp(pi i tyZy + 2 pi i ty t + const) are summed one by one.
 
     Rounding, to first order in u = eps/2, with each operation off by at most
     u times its result.  The computed sum is sum_y term(y) (1 + d(y)), with
@@ -423,13 +452,7 @@ def _theta(zp: SiegelPoint, chi: Characteristic, tol: float) -> complex:
     # with v = y + shift: pi i tvZv + 2 pi i tvs = pi i tyZy + 2 pi i ty t + const
     t = [sum(map(mul, row, x), c) for row, c in zip(cut.z_rows, s)]
     const = _PI_I * sum(map(mul, x, map(add, t, s)))
-    if cut.factor is None:
-        return complex(np.exp(cut.quad + cut.points @ (_TWO_PI_I * np.array(t)) + const).sum())
-    w = np.exp(cut.coords.dot([_TWO_PI_I * v for v in t]))  # w_0(y_0), ..., w_(g-1)(y_(g-1)), stacked
-    total = cut.factor.dot(w[cut.last])  # the last axis first, one matrix-vector product each
-    for n, rows in cut.inner:
-        total = total.reshape(-1, n).dot(w[rows])
-    return total.item() * cmath.exp(const)
+    return cut.sum(cut.coords.dot([_TWO_PI_I * v for v in t]), const)
 
 
 def theta_null(z, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:

@@ -107,7 +107,7 @@ CAUGHT = [
     # the level rule without its integer test: a level of 4.0 passes it and is read as 4
     (
         SYMPLECTIC,
-        "not (type(n) is int or isinstance(n, Integral)) or ",
+        "not is_integer(n) or ",
         "",
         ["tests/test_modularity.py::test_level_is_a_positive_even_integer"],
     ),
@@ -121,14 +121,14 @@ CAUGHT = [
     # a product without its exponent test: 1.5 gives float residues and "2" is read as 2
     (
         MODULARITY,
-        "if not (type(m) is int or isinstance(m, Integral)):",
-        "if False:",
+        "    if not is_integer(m):\n",
+        "    if False:\n",
         ["tests/test_modularity.py::test_exponents_are_integers"],
     ),
     # special_gamma without its integer test: n = 2.5 is written into the "integer" matrix, or fails in int()
     (
         SYMPLECTIC,
-        "all(isinstance(v, Integral) for v in (j, k, n)) and ",
+        "all(map(is_integer, (j, k, n))) and ",
         "",
         ["tests/test_modularity.py::test_level_is_a_positive_even_integer"],
     ),
@@ -318,8 +318,8 @@ CAUGHT = [
     # the rule for p without its integer test: a str p raises TypeError at p > 2, not ValueError
     (
         CMFIELD,
-        "if not (type(p) is int or isinstance(p, Integral)):",
-        "if False:",
+        "return is_integer(p) and p > 2",
+        "return p > 2",
         [
             "tests/test_cmfield.py::test_actor_first_row_and_build_guards",
             "tests/test_harness.py::test_config_validation",
@@ -651,6 +651,67 @@ CAUGHT = [
         "from .exact import CycloElem, rel_trace_norm, unit_residues\n",
         "from . import harness\nfrom .exact import CycloElem, rel_trace_norm, unit_residues\n",
         ["tests/test_layout.py::test_import_loads_the_context_layers_and_resolves_the_rest_on_use"],
+    ),
+    # the term-by-term sum without its constant factor e^const: right only where r = 0
+    (
+        THETA,
+        "np.exp(self.quad + linear + const)",
+        "np.exp(self.quad + linear)",
+        [
+            "tests/test_theta.py::test_summation_paths_agree",
+            "tests/test_theta.py::test_term_sum_within_tail_plus_rounding",
+            "tests/test_theta.py::test_range_guard_keeps_large_imaginary_parts_finite[z0]",
+        ],
+    ),
+    # the range guard picking the other cut type: well-conditioned points term by term, large Im Z factored
+    (
+        THETA,
+        "if grow + shrink + math.log(len(grid)) < _EXP_RANGE:",
+        "if grow + shrink + math.log(len(grid)) >= _EXP_RANGE:",
+        [
+            "tests/test_theta.py::test_well_conditioned_cuts_are_factored",
+            "tests/test_theta.py::test_range_guard_keeps_large_imaginary_parts_finite[z0]",
+            "tests/test_theta.py::test_factored_sum_within_tail_plus_rounding",
+        ],
+    ),
+    # rel_trace_norm orbiting over every listed residue: (1, 26) mod 25 counts zeta_25's one conjugate twice
+    (
+        EXACT,
+        "residues = dict.fromkeys(t % a.n for t in subgroup)",
+        "residues = [t % a.n for t in subgroup]",
+        ["tests/test_exact.py::test_trace_norm_count_each_residue_once"],
+    ),
+    # no order test in unit_residues: a CycloElem of order 0 fails with an IndexError, not ValueError
+    (
+        EXACT,
+        '    if n < 1:\n        raise ValueError(f"cyclotomic order must be positive, got {n}")\n    return tuple(',
+        "    return tuple(",
+        ["tests/test_exact.py::test_order_below_one_is_refused[0]"],
+    ),
+    # no order test in cyclotomic_coeffs: Phi_0 and Phi_-3 read as Phi_1
+    (
+        EXACT,
+        '    if n < 1:\n        raise ValueError(f"cyclotomic order must be positive, got {n}")\n    if n == 1:',
+        "    if n == 1:",
+        ["tests/test_exact.py::test_order_below_one_is_refused[-3]"],
+    ),
+    # the integer rule without numbers.Integral: numpy's integers refused as levels, exponents and primes
+    (
+        SYMPLECTIC,
+        "return type(v) is int or isinstance(v, Integral)",
+        "return type(v) is int",
+        [
+            "tests/test_symplectic.py::test_one_integer_rule",
+            "tests/test_modularity.py::test_level_is_a_positive_even_integer",
+            "tests/test_harness.py::test_config_validation",
+        ],
+    ),
+    # SiegelPoint without its empty-matrix test: a 0 x 0 matrix fails in numpy's max
+    (
+        SYMPLECTIC,
+        " or not z.size:",
+        ":",
+        ["tests/test_symplectic.py::test_siegel_point_must_be_a_nonempty_square_matrix[shape0]"],
     ),
     # a rounding bound 100 times too small: measured errors sit near 1e-16 and pass it, the per-term model does not
     (

@@ -6,6 +6,7 @@ in place of a factored one, a solve in place of a table.  Tests import what
 they need from here; no test module imports another.
 """
 import cmath
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -70,18 +71,32 @@ def genus_one_sum(y, r, s, reach=30):
     )
 
 
+def mp_box_sum(z, chi, reaches):
+    """Theta(Z; r, s) summed in 30-digit mpmath over the box |x_j| <= reaches[j], the reference for a rounding bound."""
+    mp.mp.dps = 30
+    g = chi.g
+    zm = [[mp.mpc(v) for v in row] for row in z.tolist()]
+    r, s = ([mp.mpf(v.numerator) / v.denominator for v in half] for half in (chi.r, chi.s))
+    total = mp.mpc(0)
+    for x in itertools.product(*(range(-k, k + 1) for k in reaches)):
+        v = [xj + rj for xj, rj in zip(x, r)]
+        quad = mp.fsum(v[j] * zm[j][k] * v[k] for j in range(g) for k in range(g))
+        total += mp.exp(1j * mp.pi * quad + 2j * mp.pi * mp.fsum(a * b for a, b in zip(v, s)))
+    return complex(total)
+
+
 def per_term_rounding(zp, cut, r, s):
     """u sum_y |term(y)| (a + m_E pi |y|^t|Z||y| + m_w 2 pi sum_j tau_j |y_j| + m_c kappa) over the cut's candidates.
 
     The first-order model of theta_eval's docstring at shift r and s, before it is bounded over every shift.
     """
     z, g = zp.mat, zp.g
-    if cut.factor is not None:
+    if isinstance(cut, theta._Factored):
         low = cut.coords.real[np.cumsum((0, *cut.dims[:-1])), range(g)]  # the first y_j of each axis
         ys = np.argwhere(cut.factor.reshape(cut.dims) != 0) + low
         a, more = 8 * (g + 2) + math.sqrt(2) * (2 * sum(cut.dims) + 2) + 24, 0
     else:
-        ys = cut.points.real
+        ys = cut.coords.real
         a, more = len(ys) + 7 + 24, g + 2
     v = ys + r
     modulus = np.exp(-np.pi * np.einsum("ij,jk,ik->i", v, z.imag, v))

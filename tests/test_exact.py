@@ -215,6 +215,25 @@ def test_trace_norm_over_subgroup():
         rel_trace_norm(z25, sub, "resolvent")
 
 
+def test_trace_norm_count_each_residue_once():
+    # 26 = 1 mod 25, and a residue listed twice is one automorphism: the orbit runs over the distinct residues
+    z25 = CycloElem.zeta(25)
+    assert rel_trace_norm(z25, (1, 26), "trace") == z25
+    assert rel_trace_norm(z25, (1, 1), "norm") == z25
+    a, sub = 3 * z25 + 1, tuple((1 + 5 * k) % 25 for k in range(5))
+    for mode in ("trace", "norm"):
+        assert rel_trace_norm(a, (*sub, *sub, 26, -24, 31), mode) == rel_trace_norm(a, sub, mode)
+    assert rel_trace_norm(a, iter(sub), "trace") == rel_trace_norm(a, sub, "trace")  # an iterator is read once
+
+
+@pytest.mark.parametrize("n", [0, -1, -3, -5])
+def test_order_below_one_is_refused(n):
+    # Phi_0 once read as Phi_1 = X - 1, and a CycloElem of order 0 or -5 failed with an IndexError
+    for build in (unit_residues, cyclotomic_coeffs, euler_phi, lambda n: CycloElem(n, [1, 2])):
+        with pytest.raises(ValueError, match=f"cyclotomic order must be positive, got {n}"):
+            build(n)
+
+
 def test_full_orbit_is_rational():
     z = CycloElem.zeta(7)
     a = 1 + z

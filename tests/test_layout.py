@@ -1,6 +1,9 @@
-"""Layout rules: src/ keeps only what src/ calls, the tests keep their references in one module, and
-`import cmtheta` loads only the layers the CM context is built from, as do the `theta` and `action` commands."""
+"""Layout rules: src/ keeps only what src/ calls, the tests keep their references in one module, README names
+only what the code has, and `import cmtheta` loads only the layers the CM context is built from, as do the
+`theta` and `action` commands."""
 import ast
+import builtins
+import re
 from pathlib import Path
 
 import cmtheta
@@ -46,6 +49,35 @@ def test_tests_import_no_test_module_and_every_reference():
     assert crossings == []
     # a reference no test imports is dead, unless another reference calls it
     assert unreferenced([TESTS / "reference.py"], kept=imported) == []
+
+
+def code_names(text):
+    """Each backticked span of text that is a dotted Python name once its call parentheses are dropped, as its parts."""
+    spans = (re.sub(r"\([^()]*\)", "", span) for span in re.findall(r"`([^`\n]+)`", text))
+    return [span.lstrip(".").split(".") for span in spans if re.fullmatch(r"\.?[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", span)]
+
+
+def known_names(paths):
+    """The module names of paths, every name they define, import, bind or read, and their one-word strings."""
+    names = {path.stem for path in paths}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            words = [getattr(node, field, None) for field in ("id", "attr", "name", "arg", "asname", "module")]
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                words.append(node.value)  # a status, a suite or a subcommand
+            names.update(part for word in words if isinstance(word, str) for part in word.split("."))
+    return names
+
+
+def test_readme_names_only_what_the_code_has():
+    # a renamed or deleted function, class, field or module left in README's prose is stale text
+    known = known_names(sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))) | set(dir(builtins))
+    names = code_names((SRC.parents[1] / "README.md").read_text())
+    assert len(names) > 100
+    assert [".".join(parts) for parts in names if not known.issuperset(parts)] == []
+    assert code_names("`_Cut`, `act_phi(h, chi, p).canonical()`, `.coeffs`, `python -O`, `[r; s]`") == [
+        ["_Cut"], ["act_phi", "canonical"], ["coeffs"],
+    ]
 
 
 def test_import_loads_the_context_layers_and_resolves_the_rest_on_use(optimized):

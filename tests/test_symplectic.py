@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd, inf, nan
 
 import numpy as np
@@ -14,6 +15,7 @@ from cmtheta.symplectic import (
     in_gamma,
     intmat,
     iota,
+    is_integer,
     is_symplectic,
     jmat,
     special_gamma,
@@ -139,6 +141,19 @@ def test_siegel_point_validation():
     m = np.eye(2) * 1j + np.array([[0, 1e-13], [0, 0]])
     z = SiegelPoint(m)
     assert np.allclose(z.mat, z.mat.T)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0,), (2, 3), (2, 2, 2)])
+def test_siegel_point_must_be_a_nonempty_square_matrix(shape):
+    # a 0 x 0 matrix once reached numpy's max and failed with "zero-size array to reduction operation"
+    with pytest.raises(ValueError, match="Siegel point must be a nonempty square matrix"):
+        SiegelPoint(np.zeros(shape))
+
+
+def test_one_integer_rule():
+    # int, bool and numpy's integers are integers; a float, Fraction, str or numpy float is not, whatever its value
+    assert all(map(is_integer, (7, True, np.int64(-3), np.uint8(2))))
+    assert not any(map(is_integer, (2.0, Fraction(4, 2), "2", np.float64(2), None)))
 
 
 @pytest.mark.parametrize("bad", [complex(0, inf), complex(nan, 1)])

@@ -29,6 +29,7 @@ from reference import (
     fraction_in_sigma_minus,
     fraction_reduce,
     genus_one_sum,
+    mp_box_sum,
     per_term_rounding,
     reshaped_contraction,
 )
@@ -74,7 +75,7 @@ def wide_sum_error(z, chi, tol=1e-12):
     """
     certified = theta_eval(z, chi, EvalSettings(tol))
     wide = theta_eval(z, chi, EvalSettings(1e-30))
-    assert all(cut.factor is not None for cut in z._theta_cuts.values())
+    assert all(isinstance(cut, theta._Factored) for cut in z._theta_cuts.values())
     return abs(certified - wide)
 
 
@@ -147,7 +148,7 @@ def test_unequal_axes_match_product_of_genus_one_sums():
         want = math.prod(genus_one_sum(y, r, s) for y, r, s in zip((0.3, 1.0, 2.5), chi.r, chi.s))
         assert abs(got - want) < 1e-14 * abs(want)
     cut = zp._theta_cuts[1e-12]
-    assert cut.factor is not None and len(set(cut.dims)) == 3
+    assert isinstance(cut, theta._Factored) and len(set(cut.dims)) == 3
 
 
 def test_summation_paths_agree(monkeypatch):
@@ -162,12 +163,12 @@ def test_summation_paths_agree(monkeypatch):
         (SiegelPoint(UNEQUAL_AXES), chi3),
     ]
     factored = [theta_eval(z, chi) for z, chi in cases]
-    assert all(cut.factor is not None for z, _ in cases for cut in z._theta_cuts.values())
+    assert all(isinstance(cut, theta._Factored) for z, _ in cases for cut in z._theta_cuts.values())
     monkeypatch.setattr(theta, "_EXP_RANGE", 0)
     for (z, chi), want in zip(cases, factored):
         fresh = SiegelPoint(z.mat)
         got = theta_eval(fresh, chi)
-        assert all(cut.factor is None for cut in fresh._theta_cuts.values())
+        assert all(isinstance(cut, theta._Terms) for cut in fresh._theta_cuts.values())
         assert abs(got - want) < 1e-14 * abs(want)  # rounding scales with |Theta|, here up to 1.8
 
 
@@ -232,13 +233,12 @@ def test_radius_search_keeps_the_candidates(monkeypatch):
 
     monkeypatch.setattr(theta, "_radius", reference_radius)
     wants = [theta._certified(zp, tol) for zp in points for tol in tols]
-    assert {cut.factor is None for cut in cuts} == {False, True}
+    assert {type(cut) for cut in cuts} == {theta._Factored, theta._Terms}
     for got, want in zip(cuts, wants):
         assert got.radius == pytest.approx(want.radius, abs=1e-12) and got.dims == want.dims
         assert got.tail == pytest.approx(want.tail, rel=1e-12)
-        if got.factor is None:
-            assert np.array_equal(got.points, want.points)
-        else:
+        assert type(got) is type(want) and np.array_equal(got.coords, want.coords)
+        if isinstance(got, theta._Factored):
             assert np.array_equal(got.factor != 0, want.factor != 0)
 
 
@@ -251,12 +251,12 @@ def test_eigh_geometry_matches_cholesky_and_inverse():
             cut = theta._certified(zp, tol)
             dims, grid, inside = cholesky_candidates(zp, cut.radius)
             assert cut.dims == dims
-            if cut.factor is None:
-                assert np.array_equal(cut.points, grid[inside].astype(complex))
+            if isinstance(cut, theta._Terms):
+                assert np.array_equal(cut.coords, grid[inside].astype(complex))
             else:
                 assert np.array_equal(cut.factor.ravel() != 0, inside)
-            paths.add(cut.factor is None)
-    assert paths == {False, True}
+            paths.add(type(cut))
+    assert paths == {theta._Factored, theta._Terms}
 
 
 def test_im_z_is_factored_once_per_point(monkeypatch):
@@ -311,7 +311,7 @@ def test_contraction_matches_reshaped_reference():
             assert theta_eval(zp, chi) == reshaped_contraction(zp._theta_cuts[1e-12], chi)
         cut = zp._theta_cuts[1e-12]
         starts = np.cumsum((0, *cut.dims)).tolist()
-        assert cut.factor is not None and cut.last == slice(starts[-2], starts[-1])
+        assert isinstance(cut, theta._Factored) and cut.last == slice(starts[-2], starts[-1])
         assert cut.inner == tuple((cut.dims[j], slice(starts[j], starts[j + 1])) for j in reversed(range(g - 1)))
 
 
@@ -320,30 +320,44 @@ def test_well_conditioned_cuts_are_factored():
     for z in zs:
         theta_null(z)
         cut = z._theta_cuts[1e-12]
-        assert cut.factor is not None and cut.points is None
+        assert isinstance(cut, theta._Factored)
         assert cut.factor.shape == (math.prod(cut.dims[:-1]), cut.dims[-1])
         assert cut.factor.size == math.prod(cut.dims)
         assert cut.coords.shape == (sum(cut.dims), z.g)
         assert 0 < np.count_nonzero(cut.factor) < cut.factor.size
 
 
+def within_tail_plus_rounding(zp, reaches, kind):
+    """Max of |theta_eval - mp_box_sum| / (tail + rounding) at zp over two characteristics; the cut must be a kind."""
+    ratios = []
+    for chi in (zero_char(zp.g), Characteristic.from_den(range(1, zp.g + 1), range(zp.g, 0, -1), zp.g + 1)):
+        got = theta_eval(zp, chi)
+        cut = zp._theta_cuts[1e-12]
+        assert isinstance(cut, kind)
+        ratios.append(abs(got - mp_box_sum(zp.mat, chi, reaches)) / (cut.tail + cut.rounding))
+    return max(ratios)
+
+
 def test_factored_sum_within_tail_plus_rounding():
     # against a 30-digit sum: the error stays below the cut's tail + rounding, also where that exceeds tol/2
-    mp.mp.dps = 30
-    points = (random_siegel(np.random.default_rng(28)), random_siegel(np.random.default_rng(29), base=0.05))
-    for z, reach in zip(points, (7, 18)):
-        zm = mp.matrix(z.mat.tolist())
-        for chi in (zero_char(2), Characteristic.make([F(1, 3), F(2, 3)], [F(2, 3), F(1, 3)])):
-            got = theta_eval(z, chi)
-            r0, r1, s0, s1 = (mp.mpf(v.numerator) / v.denominator for v in chi.r + chi.s)
-            want = mp.mpf(0)
-            for x in np.ndindex(2 * reach + 1, 2 * reach + 1):
-                v = [x[0] - reach + r0, x[1] - reach + r1]
-                quad = sum(v[j] * zm[j, k] * v[k] for j in range(2) for k in range(2))
-                want += mp.exp(1j * mp.pi * quad + 2j * mp.pi * (v[0] * s0 + v[1] * s1))
-            cut = z._theta_cuts[1e-12]
-            assert cut.factor is not None
-            assert abs(got - complex(want)) <= cut.tail + cut.rounding
+    # (lambda_min 0.05 and 0.02, and g = 3); the error/bound ratios are 4.1e-4, 5.5e-4, 3.7e-4 and 4.1e-4
+    cases = [
+        (random_siegel(np.random.default_rng(28)), (7, 7)),
+        (random_siegel(np.random.default_rng(29), base=0.05), (18, 18)),
+        (random_siegel(np.random.default_rng(30), 3), (5, 5, 5)),
+        (SiegelPoint(np.array([[0.13 + 0.02j, 0.21], [0.21, -0.4 + 0.7j]])), (30, 6)),  # min_im_eig 0.02
+    ]
+    assert cases[3][0].min_im_eig == 0.02
+    for zp, reaches in cases:
+        assert within_tail_plus_rounding(zp, reaches, theta._Factored) <= 1
+
+
+def test_term_sum_within_tail_plus_rounding(monkeypatch):
+    # the same comparison where the range guard sends the cut term by term, and at a point the guard keeps
+    # factored that is summed term by term here; the error/bound ratios are 8e-94 and 2.7e-4
+    assert within_tail_plus_rounding(SiegelPoint(300j * np.eye(2) + 0.25), (2, 2), theta._Terms) <= 1
+    monkeypatch.setattr(theta, "_EXP_RANGE", 0)
+    assert within_tail_plus_rounding(random_siegel(np.random.default_rng(28)), (7, 7), theta._Terms) <= 1
 
 
 def test_rounding_bound_dominates_per_term_model():
@@ -367,7 +381,7 @@ def test_rounding_bound_dominates_per_term_model():
         for r in itertools.product((0, 0.25, 0.5, 0.75, 0.999), repeat=zp.g):
             for s in (0, 0.999):
                 assert cut.rounding >= per_term_rounding(zp, cut, np.array(r), np.full(zp.g, s))
-    assert {cut.factor is None for zp in points for cut in zp._theta_cuts.values()} == {False, True}
+    assert {type(cut) for zp in points for cut in zp._theta_cuts.values()} == {theta._Factored, theta._Terms}
 
 
 @pytest.mark.parametrize(
@@ -382,7 +396,7 @@ def test_range_guard_keeps_large_imaginary_parts_finite(z):
         want = direct_sum(z, chi, 3)
         assert np.isfinite(got)
         assert abs(got - want) <= 1e-11 * abs(want)  # exponents near -100 leave about 100 eps
-    assert zp._theta_cuts[1e-12].factor is None
+    assert isinstance(zp._theta_cuts[1e-12], theta._Terms)
 
 
 def test_sign_symmetry():
