@@ -2,8 +2,9 @@
 
 Elements are represented on the power basis 1, zeta, ..., zeta^(phi(n)-1) by
 integer numerators over one common denominator, reduced via the n-th
-cyclotomic polynomial.  Everything here is exact; numerical embeddings are the
-only place floats appear.
+cyclotomic polynomial.  Everything here is exact; numerical embeddings
+(`CycloElem.embed`, `RootOfUnity.value`) are the only place floats appear, and
+nothing here uses mpmath.
 """
 from __future__ import annotations
 
@@ -78,7 +79,9 @@ class CycloElem:
     Stored as integer numerators `num` on the power basis of length phi(n) over
     one positive common denominator `den`, with gcd(den, *num) = 1, so equal
     elements of one order have equal fields.  Mixed-order arithmetic lifts both
-    operands into the compositum Q(zeta_lcm).
+    operands into the compositum Q(zeta_lcm).  An int or Fraction operand of
+    +, -, *, / or == enters as its integer ratio p/d, scaling `num` and `den`
+    directly, so it never becomes a one-coefficient element.
     """
 
     __slots__ = ("n", "num", "den")
@@ -128,12 +131,14 @@ class CycloElem:
 
     @classmethod
     def zeta(cls, n: int, k: int = 1) -> "CycloElem":
+        """zeta_n^k; ValueError unless n >= 1."""
+        unit_residues(n)  # refuses n < 1 before k % n divides by it
         return cls._make(n, [0] * (k % n) + [1])
 
     @classmethod
     def from_rational(cls, n: int, q) -> "CycloElem":
-        q = Fraction(q)
-        return cls._make(n, [q.numerator], q.denominator)
+        p, d = (q if isinstance(q, (int, Fraction)) else Fraction(q)).as_integer_ratio()
+        return cls._make(n, [p], d)
 
     # -- coercion ---------------------------------------------------------
 
@@ -150,8 +155,6 @@ class CycloElem:
 
     @staticmethod
     def _pair(a, b):
-        if isinstance(b, (int, Fraction)):
-            b = CycloElem.from_rational(a.n, b)
         if not isinstance(b, CycloElem):
             return None, None
         if a.n != b.n:
@@ -162,6 +165,11 @@ class CycloElem:
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            p, d = other.as_integer_ratio()
+            num = [c * d for c in self.num]
+            num[0] += p * self.den
+            return CycloElem._make(self.n, num, self.den * d)
         a, b = self._pair(self, other)
         if a is None:
             return NotImplemented
@@ -184,8 +192,8 @@ class CycloElem:
         if isinstance(other, CycloElem) and other.n == self.n:
             a, b = self, other
         elif isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycloElem._make(self.n, [c * q.numerator for c in self.num], self.den * q.denominator)
+            p, d = other.as_integer_ratio()
+            return CycloElem._make(self.n, [c * p for c in self.num], self.den * d)
         else:
             a, b = self._pair(self, other)
             if a is None:
@@ -208,13 +216,18 @@ class CycloElem:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
+            p, d = other.as_integer_ratio()
+            if not p:
+                raise ZeroDivisionError("division by zero")
+            s = -1 if p < 0 else 1  # keeps den positive
+            return CycloElem._make(self.n, [c * d * s for c in self.num], self.den * p * s)
         a, b = self._pair(self, other)
         if a is None:
             return NotImplemented
         return a * b.inverse()
 
     def __pow__(self, k: int):
+        """self**k by squaring, starting from self itself, so no product is by 1; k < 0 inverts first."""
         if k < 0:
             return self.inverse() ** (-k)
         result = self if k else CycloElem.from_rational(self.n, 1)
@@ -226,7 +239,8 @@ class CycloElem:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.rational_value() == other
+            p, d = other.as_integer_ratio()
+            return self.num[0] == p and self.den == d and self.is_rational()
         if not isinstance(other, CycloElem):
             return NotImplemented
         a, b = self._pair(self, other)
@@ -305,9 +319,12 @@ def orbit_product(a: CycloElem, residues) -> CycloElem:
 
 
 def orbit_inverse(a: CycloElem, others) -> CycloElem:
-    """a^-1 for nonzero a, where a times the product of sigma_t(a) over `others` is rational."""
+    """a^-1 for nonzero a, where a times the product of sigma_t(a) over `others` is rational.
+
+    Given the conjugates that make the norm of a subfield down to Q, it inverts an element of that subfield.
+    """
     rest = orbit_product(a, others)
-    return rest * (1 / (a * rest).rational_value())
+    return rest / (a * rest).rational_value()
 
 
 def is_subgroup(n: int, residues) -> bool:
@@ -354,6 +371,7 @@ class RootOfUnity:
     """e(q) = exp(2*pi*i*q) for rational q, kept exact as q mod 1 = num / den.
 
     num and den are ints with 0 <= num < den and gcd(num, den) = 1, so equal phases have equal fields.
+    `*` and `/` take only another phase, so any other operand is a TypeError.
     """
 
     __slots__ = ("num", "den")
@@ -380,7 +398,7 @@ class RootOfUnity:
 
     @property
     def exponent(self) -> Fraction:
-        """q mod 1 in [0, 1)."""
+        """q mod 1 in [0, 1), as a Fraction."""
         return Fraction(self.num, self.den)
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":

@@ -713,6 +713,30 @@ CAUGHT = [
         ":",
         ["tests/test_symplectic.py::test_siegel_point_must_be_a_nonempty_square_matrix[shape0]"],
     ),
+    # a rational operand added without scaling the numerators by its denominator d: a + p/d read as a/d + p/d
+    (
+        EXACT,
+        "num = [c * d for c in self.num]",
+        "num = list(self.num)",
+        ["tests/test_exact.py::test_rational_operands_match_fraction_reference"],
+    ),
+    # the constant term of a + p/d gaining p in place of p * den: right only where a has den 1
+    (
+        EXACT,
+        "num[0] += p * self.den",
+        "num[0] += p",
+        ["tests/test_exact.py::test_rational_operands_match_fraction_reference"],
+    ),
+    # a * (p/d) keeping den in place of den * d: a Fraction factor multiplied by its numerator alone
+    (
+        EXACT,
+        "[c * p for c in self.num], self.den * d)",
+        "[c * p for c in self.num], self.den)",
+        [
+            "tests/test_exact.py::test_rational_operands_match_fraction_reference",
+            "tests/test_exact.py::test_inverse_and_division",
+        ],
+    ),
     # a rounding bound 100 times too small: measured errors sit near 1e-16 and pass it, the per-term model does not
     (
         THETA,

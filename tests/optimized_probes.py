@@ -104,7 +104,9 @@ def probes(tmp: Path) -> dict:
             raised(lambda: CycloElem.zeta(10).galois(5)),
             raised(lambda: CycloElem.zeta(5).lift(7)),
             raised(lambda: _poly_divide_exact([1, 0, 1], [-1, 1])),
+            raised(lambda: CycloElem.zeta(0)),
         ],
+        "cyclo_zero_division": raised(lambda: CycloElem.zeta(5) / 0),
         "rational_value": raised(lambda: CycloElem.zeta(5).rational_value()),
         "intmat": raised(lambda: intmat([[0.5, 0], [0, 1]])),
         "cm_input_checks": [

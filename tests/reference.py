@@ -251,3 +251,30 @@ def reference_norm(t, a, b, c, d, n, m):
     # the combinator as first written, inverting in the whole of Q(zeta_n)
     return (a * t.x + b) ** n * (c * t.y + d) ** (-m * t.ell) * t.norm_mid((c * t.y + d) ** m)
 
+
+def fraction_scalar_ops(a, q) -> dict:
+    """Each operation of a CycloElem a with a rational q as (n, num, den), on Fraction coefficients: the reference.
+
+    q is read through Fraction, as these operations first read it, and a rational acts on the power basis through
+    its constant coefficient.  A result is its coefficients over their least common denominator.
+    """
+    q = Fraction(q)
+    cs = [Fraction(c, a.den) for c in a.num]
+    plus = [c + q if j == 0 else c for j, c in enumerate(cs)]
+    ops = {
+        "a + q": plus,
+        "q + a": plus,
+        "a - q": [c - q if j == 0 else c for j, c in enumerate(cs)],
+        "q - a": [q - c if j == 0 else -c for j, c in enumerate(cs)],
+        "a * q": [c * q for c in cs],
+        "q * a": [q * c for c in cs],
+        "from_rational": [q] + [Fraction(0)] * (len(cs) - 1),
+    }
+    if q:
+        ops["a / q"] = [c / q for c in cs]
+    out = {}
+    for name, coeffs in ops.items():
+        den = math.lcm(*(c.denominator for c in coeffs))
+        out[name] = (a.n, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
+    out["a == q"] = cs == ops["from_rational"]
+    return out

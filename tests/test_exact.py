@@ -26,7 +26,7 @@ from cmtheta.exact import (
 )
 from cmtheta.primgen import stabilizer
 
-from reference import reference_exponent
+from reference import fraction_scalar_ops, reference_exponent
 
 
 def test_euler_phi():
@@ -228,10 +228,46 @@ def test_trace_norm_count_each_residue_once():
 
 @pytest.mark.parametrize("n", [0, -1, -3, -5])
 def test_order_below_one_is_refused(n):
-    # Phi_0 once read as Phi_1 = X - 1, and a CycloElem of order 0 or -5 failed with an IndexError
-    for build in (unit_residues, cyclotomic_coeffs, euler_phi, lambda n: CycloElem(n, [1, 2])):
+    # Phi_0 once read as Phi_1 = X - 1, a CycloElem of order 0 or -5 failed with an IndexError, and zeta(0) with
+    # a ZeroDivisionError from k % n
+    for build in (unit_residues, cyclotomic_coeffs, euler_phi, lambda n: CycloElem(n, [1, 2]), CycloElem.zeta):
         with pytest.raises(ValueError, match=f"cyclotomic order must be positive, got {n}"):
             build(n)
+
+
+def test_rational_operands_match_fraction_reference():
+    # an int or Fraction operand enters as its integer ratio; each result is the Fraction reference's, field by field
+    scalars = [0, 1, -3, True, Fraction(-2, 9), Fraction(5, 3)]
+    for n in (1, 5, 8, 12, 25):
+        phi = euler_phi(n)
+        for a in (
+            CycloElem(n, [(-1) ** j * (j + 2) for j in range(phi)]),  # den 1
+            CycloElem(n, [Fraction((-1) ** j * (j + 1), 4 if j % 2 else 6) for j in range(phi)]),  # den 12 (6 at n = 1)
+            CycloElem.from_rational(n, 0),
+        ):
+            for q in scalars:
+                got = {
+                    "a + q": a + q,
+                    "q + a": q + a,
+                    "a - q": a - q,
+                    "q - a": q - a,
+                    "a * q": a * q,
+                    "q * a": q * a,
+                    "from_rational": CycloElem.from_rational(n, q),
+                }
+                if q:
+                    got["a / q"] = a / q
+                fields = {name: (e.n, e.num, e.den) for name, e in got.items()}
+                assert all(type(v) is int for e in got.values() for v in (e.den, *e.num))
+                assert {**fields, "a == q": a == q} == fraction_scalar_ops(a, q), (n, a, q)
+            with pytest.raises(ZeroDivisionError):
+                a / 0
+            with pytest.raises(ZeroDivisionError):
+                a / Fraction(0)
+            for call in (lambda: a + 0.5, lambda: 0.5 + a, lambda: a - 0.5, lambda: 0.5 - a, lambda: a * 0.5,
+                         lambda: 0.5 * a, lambda: a / 0.5):
+                with pytest.raises(TypeError):
+                    call()
 
 
 def test_full_orbit_is_rational():
@@ -273,8 +309,9 @@ def test_embed_high_precision():
 
 
 def test_input_checks_survive_optimize_flag(optimized):
-    # CycloElem.zeta(10).galois(5), CycloElem.zeta(5).lift(7) and (x^2 + 1) / (x - 1)
-    assert optimized["cyclo_input_checks"] == ["ValueError"] * 3
+    # CycloElem.zeta(10).galois(5), CycloElem.zeta(5).lift(7), (x^2 + 1) / (x - 1) and CycloElem.zeta(0)
+    assert optimized["cyclo_input_checks"] == ["ValueError"] * 4
+    assert optimized["cyclo_zero_division"] == "ZeroDivisionError"  # CycloElem.zeta(5) / 0
 
 
 def test_src_has_no_assert_statements():
