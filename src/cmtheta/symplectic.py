@@ -96,8 +96,9 @@ def _g_member(cols, nu: int, n: int) -> int | None:
     """nu mod n if the matrix with these columns (see _columns), of similitude nu, lies in G_n, else None.
 
     G_n is GSp_2g mod n (any unit multiplier) with even diagonals of tAC and tBD; S_n is its part with nu = 1.
-    This is the one statement of the rule; the caller vouches for tM J M = nu J mod n.  Parity is read off
-    the matrix; for even n it is independent of the choice of lift.
+    This is the one statement of the rule; the caller vouches for tM J M = nu J mod n: GaloisActor.build by its
+    exact similitude N(x), _g_multiplier by testing it.  Parity is read off the matrix; for even n it is
+    independent of the choice of lift.
     """
     # column j contributes (tAC)[j, j] for j < g and (tBD)[j - g, j - g] after
     g = len(cols) // 2
@@ -150,11 +151,11 @@ def iota(a: int, g: int, modulus: int) -> np.ndarray:
 
 
 def special_gamma(kind: str, j: int, k: int, n: int, g: int = 2) -> np.ndarray:
-    """Distinguished generators of Gamma(n), indexed by 1-based (j, k).
+    """Distinguished generators of Gamma(n), indexed by 1-based (j, k), written into an identity matrix.
 
     kind is "upper", "lower" or "mixed"; the seed block is E_jj on the
     diagonal and the symmetrized E_jk + E_kj off it, which keeps all three
-    shapes inside Sp_2g(Z).
+    shapes inside Sp_2g(Z).  A float, Fraction or str j, k or n is a ValueError.
     """
     if not (all(map(is_integer, (j, k, n))) and 1 <= j <= g and 1 <= k <= g):
         raise ValueError(f"generator indices are integers from 1 to g = {g} and n an integer, got ({j}, {k}), {n!r}")
@@ -182,8 +183,9 @@ class SiegelPoint:
     """A point of the Siegel upper half-space H_g, validated on construction.
 
     Small symmetry defects (from floating-point matrix actions) are repaired
-    by symmetrization; genuine asymmetry or a non-positive-definite imaginary
-    part raises ValueError.  Im Z is factored once, by one eigh.
+    by symmetrization; genuine asymmetry, a non-finite entry or a non-positive-definite imaginary part
+    raises ValueError.  Im Z is factored once, by one eigh, kept on the point (min_im_eig is its least
+    eigenvalue); no other routine factors or inverts Im Z.
     """
 
     def __init__(self, mat) -> None:
@@ -211,7 +213,11 @@ class SiegelPoint:
 
 
 def act_siegel(m, z) -> SiegelPoint:
-    """gamma(Z) = (AZ + B)(CZ + D)^{-1}, gamma in GSp_2g^+, z a SiegelPoint or its matrix; rcond(CZ + D) >= 1e-10."""
+    """gamma(Z) = (AZ + B)(CZ + D)^{-1}, gamma in GSp_2g^+, z a SiegelPoint or its matrix; rcond(CZ + D) >= 1e-10.
+
+    An entry of gamma too large for a float is a ValueError, and so is a rejected image whose bound on its
+    lambda_min (below) is under the smallest normal float: that message names the float range, not the point.
+    """
     zp = z if isinstance(z, SiegelPoint) else SiegelPoint(z)
     try:
         a, b, c, d = (blk.astype(float) for blk in blocks(intmat(m)))

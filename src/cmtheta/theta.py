@@ -15,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 
 import numpy as np
 
@@ -175,7 +175,7 @@ MAX_RADIUS = 200  # theta_eval refuses a truncation ellipsoid reaching further a
 MAX_CANDIDATES = 10**6  # theta_eval refuses a candidate box with more points: its arrays would pass ~100 MB
 EPS = float(np.finfo(float).eps)
 _EXP_RANGE = -math.log(np.finfo(float).tiny)  # exp(-x) is a normal float for 0 <= x < 708.4
-_PI_I, _TWO_PI_I = 1j * math.pi, 2j * math.pi
+_TWO_PI_I = 2j * math.pi
 
 
 def _tail_bound(big_r: float, rho: float, g: int) -> float:
@@ -196,11 +196,11 @@ def _tail_bound(big_r: float, rho: float, g: int) -> float:
     return g * (2 / rho) ** g * total
 
 
-def _rounding_bound(z_rows: list[list[complex]], rho: float, reach_y: int, ops: float, more: int) -> float:
+def _rounding_bound(z_rows: list[list[complex]], rho: float, reach_y: int, ops: float, more: int, m_w: int) -> float:
     """u M0^(g-2) (A M0^2 + m_E pi (D M2 M0 + (S - D) M1^2) + m_w 2 pi (S + g) M1 M0); see theta_eval.
 
-    The candidates lie in [-reach_y - 1, reach_y]^g; ops is a and more the
-    roundings each argument gains when the terms are summed one by one.
+    The candidates lie in [-reach_y - 1, reach_y]^g; ops is a, more the roundings
+    m_E and m_c gain when the terms are summed one by one, and m_w is given.
     """
     g = len(z_rows)
     m0, m1, m2 = 2.0, 1.0, 1.0  # y = 0 and y = -1, which some shift moves to v = 0
@@ -213,7 +213,7 @@ def _rounding_bound(z_rows: list[list[complex]], rho: float, reach_y: int, ops: 
     bound = (
         fixed * m0 * m0
         + (g * g + 3 + more) * math.pi * (diag * m2 * m0 + (total - diag) * m1 * m1)
-        + (g + 5 + more) * 2 * math.pi * (total + g) * m1 * m0
+        + m_w * 2 * math.pi * (total + g) * m1 * m0
     )
     return EPS / 2 * bound * m0 ** (g - 2)
 
@@ -249,18 +249,19 @@ class _Cut:
     |Tv|^2 = pi tv Im(Z) v, and rho = sqrt(pi min_im_eig), a lower bound on the shortest vector
     of T Z^g; the box extents (R + delta) sqrt(diag(Im Z^-1)_j / pi) read diag(Im Z^-1)_j =
     sum_k V_jk^2 / lambda_k off the same eigh, so a cut runs no cholesky or inv.  The box of
-    candidates has n_j = dims[j] coordinates y_j along axis j.  coords holds integer rows,
-    real but held as complex numbers so that its product with the complex vector of exponents
-    casts nothing: its product with [2 pi i t_j] is the linear part of every exponent the cut
-    sums.  z_rows is Z as nested lists for the per-call arithmetic.  radius is R, and tail and
-    rounding bound the omitted terms and the floating-point error (see theta_eval).  A cut is
-    built on the point's first evaluation at its tolerance and kept on the point.  Only
-    geometry is kept, never a theta value.
+    candidates has n_j = dims[j] coordinates y_j along axis j.  coords holds them as integer rows,
+    complex so that the one product [coords; I] [Z | I] casts nothing.  exponents is that product
+    times 2 pi i with the Z block of its last g rows halved, len(coords) + g rows and 2g columns:
+    with x = [shift; s] and t = Z shift + s, exponents.x gives 2 pi i ty t at each row y and then
+    u = pi i (Z shift + 2s), and const = t(shift) u.  radius is R, and tail and rounding bound the
+    omitted terms and the floating-point error (see theta_eval).  A cut is built on the point's
+    first evaluation at its tolerance and kept on the point.  Only geometry is kept, never a
+    theta value.
     """
 
     dims: tuple[int, ...]
     coords: np.ndarray
-    z_rows: list[list[complex]]
+    exponents: np.ndarray
     radius: float
     tail: float
     rounding: float
@@ -330,20 +331,23 @@ def _certified(zp: SiegelPoint, tol: float) -> _Cut:
     grow = 2 * math.pi * sum(max(-l, l + n - 1) * w for l, n, w in zip(low, dims, y_row_sums))
     shrink = (reach + delta) ** 2  # bounds pi tyIm(Z)y on C: |Ty| <= |T(y + 1/2)| + delta
     if grow + shrink + math.log(len(grid)) < _EXP_RANGE:
-        coords = np.zeros((sum(dims), g), complex)
+        rows = np.zeros((sum(dims) + g, g), complex)  # the coordinates, then I
         slices = []
         for j, (l, n) in enumerate(zip(low, dims)):
             slices.append(slice(sum(dims[:j]), sum(dims[: j + 1])))
-            coords[slices[j], j] = np.arange(l, l + n)
+            rows[slices[j], j], rows[j - g, j] = np.arange(l, l + n), 1
         last, inner = slices[-1], tuple(zip(dims[-2::-1], slices[-2::-1]))
         kind, fields = _Factored, (np.where(inside, np.exp(quad), 0).reshape(-1, dims[-1]), last, inner)
-        ops, more = 8 * (g + 2) + math.sqrt(2) * (2 * sum(dims) + 2), 0
+        ops, more, m_w = 8 * (g + 2) + math.sqrt(2) * (2 * sum(dims) + 2), 0, g + 5
     else:
-        coords, kind, fields = grid[inside].astype(complex), _Terms, (quad[inside],)
-        ops, more = len(coords) + 7, g + 2
+        rows, kind, fields = np.concatenate((grid[inside], np.eye(g)), dtype=complex), _Terms, (quad[inside],)
+        ops, more, m_w = len(rows) - g + 7, g + 2, 3 * g + 5
+    exponents = rows.dot(np.concatenate((z, rows[-g:]), axis=1))  # [coords; I] [Z | I] in one product
+    exponents *= _TWO_PI_I
+    exponents[-g:, :g] = z * (_TWO_PI_I / 2)  # pi i Z: that block halved exactly; /= 2 on the view is 1 us slower
     reach_y = max(max(-l - 1, l + n - 1) for l, n in zip(low, dims))
-    rounding = _rounding_bound(z_rows, rho, reach_y, ops + 24, more)  # + 24: the phase of a reduced call
-    return kind(tuple(dims), coords, z_rows, radius, tail, rounding, *fields)
+    rounding = _rounding_bound(z_rows, rho, reach_y, ops + 24, more, m_w)  # + 24: the phase of a reduced call
+    return kind(tuple(dims), rows[:-g], exponents, radius, tail, rounding, *fields)
 
 
 def theta_eval(z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:
@@ -378,13 +382,13 @@ def theta_eval(z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTINGS
     Order of summation.  With shift = r and t = Z shift + s, the
     exponent at v = y + shift is pi i tyZy + 2 pi i sum_j y_j t_j + const,
     const = pi i t(shift) (t + s): a fixed quadratic part and a part
-    linear in each y_j.  A _Factored cut keeps E(y) = exp(pi i tyZy) on the box
+    linear in each y_j.  A call forms both with one BLAS product of the cut's
+    exponent matrix (see _Cut) with x = [shift; s]: the linear part of every
+    row, then u = pi i (Z shift + 2s) and const = sum_j shift_j u_j in Python.
+    A _Factored cut keeps E(y) = exp(pi i tyZy) on the box
     n_0 x ... x n_(g-1) of C's coordinate ranges, zero off C, as a matrix
-    with one column per y_(g-1).  A call forms every w_j(y_j) =
-    exp(2 pi i y_j t_j) in one exponential of the cut's stacked coordinates
-    times the list [2 pi i t_j], which the product converts as np.array
-    would; each exponent is the one product y_j (2 pi i t_j), as the other
-    columns add exact zeros.  It then contracts the last axis
+    with one column per y_(g-1), and its rows on axis j give every w_j(y_j) =
+    exp(2 pi i y_j t_j) in one exponential.  It then contracts the last axis
     first, with one BLAS matrix-vector product per axis on the slice of w the
     cut keeps for it: the stored matrix E against w_(g-1) as it is, and each
     later axis after a reshape of the partial sum, giving
@@ -417,9 +421,15 @@ def theta_eval(z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTINGS
       times the same expression with every input replaced by its modulus, and
       moves its exponential by as much, relatively; float pi counts as one
       rounding.  pi i tyZy has m_E = g^2 + 3.  2 pi i y_j t_j has m_w = g + 5,
-      with tau_j = sum_l |Z_jl||shift_l| + |s_j| the moduli in t_j.
-      const has m_c = 2g + 5 and kappa = pi sum_j |shift_j| (tau_j + |s_j|).
-      Summed one by one, each m grows by g + 2.
+      with tau_j = sum_l |Z_jl||shift_l| + |s_j| the moduli in t_j: x_l (1),
+      the entry 2 pi i y Z_jl (pi, times y, times 2 pi: 3), its product with
+      x_l (1) and the sum of the g + 1 nonzero products (g).  const has
+      m_c = 2g + 5 and kappa = pi sum_j |shift_j| (tau_j + |s_j|): u_j takes
+      g + 4 as above (its entries pi i Z_jl take 2), shift_j u_j 2 and their
+      sum g - 1.  Summed one by one, m_E and m_c grow by g + 2, and m_w is
+      3g + 5: x_l (1), the entry 2 pi i sum_j y_j Z_jl (pi, the sum, 2 pi:
+      g + 2), its product (1), the sum of 2g products (2g - 1) and the two
+      additions of pi i tyZy and const (2).
     To sum this over C for every shift at once: |Tv| >= rho |v|, so
     |term(y)| <= prod_j exp(-rho^2 d_j^2), with d_j the distance from 0 to
     [y_j, y_j + 1).  Over the smallest box [-K-1, K]^g that holds C, the bound
@@ -444,15 +454,13 @@ def _theta(zp: SiegelPoint, chi: Characteristic, tol: float) -> complex:
         red, phase = chi.reduce()
         return phase.value() * _theta(zp, red, tol)
     den = chi.den
-    x = [v / den for v in chi.num]  # shift = r is its first g entries; each map below stops there
-    s = x[g:]
+    x = [v / den for v in chi.num]  # [shift; s], shift = r
     cut = zp._theta_cuts.get(tol)
     if cut is None:
         cut = zp._theta_cuts[tol] = _certified(zp, tol)
     # with v = y + shift: pi i tvZv + 2 pi i tvs = pi i tyZy + 2 pi i ty t + const
-    t = [sum(map(mul, row, x), c) for row, c in zip(cut.z_rows, s)]
-    const = _PI_I * sum(map(mul, x, map(add, t, s)))
-    return cut.sum(cut.coords.dot([_TWO_PI_I * v for v in t]), const)
+    full = cut.exponents.dot(x)  # every 2 pi i ty t, then u
+    return cut.sum(full[:-g], sum(map(mul, x, full[-g:].tolist())))  # const = t(shift) u: map stops after shift
 
 
 def theta_null(z, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:

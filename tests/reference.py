@@ -94,10 +94,10 @@ def per_term_rounding(zp, cut, r, s):
     if isinstance(cut, theta._Factored):
         low = cut.coords.real[np.cumsum((0, *cut.dims[:-1])), range(g)]  # the first y_j of each axis
         ys = np.argwhere(cut.factor.reshape(cut.dims) != 0) + low
-        a, more = 8 * (g + 2) + math.sqrt(2) * (2 * sum(cut.dims) + 2) + 24, 0
+        a, more, m_w = 8 * (g + 2) + math.sqrt(2) * (2 * sum(cut.dims) + 2) + 24, 0, g + 5
     else:
         ys = cut.coords.real
-        a, more = len(ys) + 7 + 24, g + 2
+        a, more, m_w = len(ys) + 7 + 24, g + 2, 3 * g + 5
     v = ys + r
     modulus = np.exp(-np.pi * np.einsum("ij,jk,ik->i", v, z.imag, v))
     abs_z, abs_y = np.abs(z), np.abs(ys)
@@ -106,7 +106,7 @@ def per_term_rounding(zp, cut, r, s):
     per_term = (
         a
         + (g * g + 3 + more) * np.pi * np.einsum("ij,jk,ik->i", abs_y, abs_z, abs_y)
-        + (g + 5 + more) * 2 * np.pi * (abs_y @ tau)
+        + m_w * 2 * np.pi * (abs_y @ tau)
         + (2 * g + 5 + more) * kappa
     )
     return theta.EPS / 2 * float(modulus @ per_term)
@@ -149,23 +149,34 @@ def cholesky_candidates(zp, radius):
 def reshaped_contraction(cut, chi):
     """Theta at a factored cut as first contracted, the reference.
 
-    The exponents go through np.array, every axis (the last too) is contracted
-    after a reshape, and each axis's rows of the stacked exponents are found
-    from dims.  A non-canonical chi is reduced first, as theta_eval does.
+    x = [shift; s] goes through np.array into the cut's exponent matrix, every
+    axis (the last too) is contracted after a reshape, and each axis's rows of
+    the stacked exponents are found from dims.  A non-canonical chi is reduced
+    first, as theta_eval does.
     """
     if not chi.is_canonical():
         red, phase = chi.reduce()
         return phase.value() * reshaped_contraction(cut, red)
     g = chi.g
     x = [v / chi.den for v in chi.num]
-    s = x[g:]
-    t = [sum(map(operator.mul, row, x), c) for row, c in zip(cut.z_rows, s)]
-    const = 1j * math.pi * sum(map(operator.mul, x, map(operator.add, t, s)))
-    w = np.exp(cut.coords.dot(np.array([2j * math.pi * v for v in t])))
+    full = cut.exponents.dot(np.array(x))
+    const = sum(map(operator.mul, x[:g], full[-g:].tolist()))
+    w = np.exp(full[:-g])
     total, end = cut.factor, len(w)
     for n in reversed(cut.dims):
         total, end = total.reshape(-1, n).dot(w[end - n : end]), end - n
     return complex(total[0]) * cmath.exp(const)
+
+
+def python_route_exponents(zp, cut, x):
+    """The linear exponents and the constant at x = [shift; s] as first formed, in Python complex arithmetic: the reference.
+
+    t = Z shift + s entry by entry, then coords . [2 pi i t_j] in complex numpy and pi i t(shift) (t + s).
+    """
+    s = x[zp.g :]
+    t = [sum(map(operator.mul, row, x), c) for row, c in zip(zp.mat.tolist(), s)]
+    const = 1j * math.pi * sum(map(operator.mul, x, map(operator.add, t, s)))
+    return cut.coords.dot([2j * math.pi * v for v in t]), const
 
 
 def direct_sum(z, chi, radius):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -31,6 +32,7 @@ from reference import (
     genus_one_sum,
     mp_box_sum,
     per_term_rounding,
+    python_route_exponents,
     reshaped_contraction,
 )
 
@@ -315,6 +317,40 @@ def test_contraction_matches_reshaped_reference():
         assert cut.inner == tuple((cut.dims[j], slice(starts[j], starts[j + 1])) for j in reversed(range(g - 1)))
 
 
+def test_exponent_matrix_matches_python_route():
+    # one product exponents.x and the Python route t = Z shift + s, coords . 2 pi i t, pi i t(shift) (t + s), each
+    # against 40-digit values within its own count: an entry for row y within m_w u 2 pi sum_j |y_j| tau_j, the
+    # constant within m_c u kappa; the matrix route has m_w = g + 5 on a _Factored cut and 3g + 3 on a _Terms one
+    mp.mp.dps = 40
+    u, paths = theta.EPS / 2, set()
+    for zp in cut_test_points():
+        g, cut = zp.g, theta._certified(zp, 1e-12)
+        paths.add(type(cut))
+        m_w, m_old = (3 * g + 3, 2 * g + 4) if isinstance(cut, theta._Terms) else (g + 5, g + 5)
+        m_c, zm = 2 * g + 5, [[mp.mpc(v) for v in row] for row in zp.mat.tolist()]
+        for chi in (
+            zero_char(g),
+            Characteristic.from_den(range(1, g + 1), range(g, 0, -1), 7),
+            Characteristic.from_den([6] * g, [5, 1, 3][:g], 7),
+        ):
+            x = [v / chi.den for v in chi.num]
+            full = cut.exponents.dot(x)
+            got = full[:-g], sum(map(operator.mul, x, full[-g:].tolist()))
+            old = python_route_exponents(zp, cut, x)
+            xe = [mp.mpf(v) / chi.den for v in chi.num]
+            t = [mp.fsum(a * b for a, b in zip(row, xe)) + c for row, c in zip(zm, xe[g:])]
+            want_lin = [2j * mp.pi * mp.fsum(y * tj for y, tj in zip(row, t)) for row in cut.coords.tolist()]
+            want_const = 1j * mp.pi * mp.fsum(a * (b + c) for a, b, c in zip(xe, t, xe[g:]))
+            tau = np.abs(zp.mat) @ np.array(x[:g]) + np.array(x[g:])
+            scale = 2 * np.pi * (np.abs(cut.coords) @ tau)
+            kappa = np.pi * float(np.array(x[:g]) @ (tau + x[g:]))
+            for (lin, const), m in ((got, m_w), (old, m_old)):
+                assert all(abs(a - complex(b)) <= m * u * w for a, b, w in zip(lin.tolist(), want_lin, scale.tolist()))
+                assert abs(const - complex(want_const)) <= m_c * u * kappa
+            assert np.all(np.abs(got[0] - old[0]) <= (m_w + m_old) * u * scale)
+    assert paths == {theta._Factored, theta._Terms}
+
+
 def test_well_conditioned_cuts_are_factored():
     zs = [build_context().z0, random_siegel(np.random.default_rng(26)), random_siegel(np.random.default_rng(27), 3)]
     for z in zs:
@@ -340,7 +376,7 @@ def within_tail_plus_rounding(zp, reaches, kind):
 
 def test_factored_sum_within_tail_plus_rounding():
     # against a 30-digit sum: the error stays below the cut's tail + rounding, also where that exceeds tol/2
-    # (lambda_min 0.05 and 0.02, and g = 3); the error/bound ratios are 4.1e-4, 5.5e-4, 3.7e-4 and 4.1e-4
+    # (lambda_min 0.05 and 0.02, and g = 3); the error/bound ratios are 2.7e-4, 2.2e-4, 3.7e-4 and 2.4e-4
     cases = [
         (random_siegel(np.random.default_rng(28)), (7, 7)),
         (random_siegel(np.random.default_rng(29), base=0.05), (18, 18)),
@@ -354,8 +390,9 @@ def test_factored_sum_within_tail_plus_rounding():
 
 def test_term_sum_within_tail_plus_rounding(monkeypatch):
     # the same comparison where the range guard sends the cut term by term, and at a point the guard keeps
-    # factored that is summed term by term here; the error/bound ratios are 8e-94 and 2.7e-4
+    # factored that is summed term by term here; the error/bound ratios are 1.7e-94, 3.4e-160 and 3.0e-4
     assert within_tail_plus_rounding(SiegelPoint(300j * np.eye(2) + 0.25), (2, 2), theta._Terms) <= 1
+    assert within_tail_plus_rounding(SiegelPoint(300j * np.eye(3) + 0.25), (2, 2, 2), theta._Terms) <= 1
     monkeypatch.setattr(theta, "_EXP_RANGE", 0)
     assert within_tail_plus_rounding(random_siegel(np.random.default_rng(28)), (7, 7), theta._Terms) <= 1
 
@@ -371,13 +408,15 @@ def test_rounding_bound_dominates_per_term_model():
         random_siegel(np.random.default_rng(8), 1),
         random_siegel(np.random.default_rng(6), 2),
         random_siegel(np.random.default_rng(9), 2, base=0.2),
-        SiegelPoint(300j * np.eye(2) + 0.25),  # summed term by term
+        SiegelPoint(300j * np.eye(2) + 0.25),  # summed term by term, as are the two below
         SiegelPoint(np.array([[0.3 + 250j, -0.1 + 120j], [-0.1 + 120j, 0.2 + 260j]])),
+        SiegelPoint(300j * np.eye(3) + 0.25),  # where a row's entry sum_j y_j Z_jl gives m_w = 3g + 5 > 2g + 7
     ]
     assert sum(zp.min_im_eig <= 0.06 for zp in points) == 4
     for zp in points:
         theta_null(zp)
         cut = zp._theta_cuts[1e-12]
+        assert isinstance(cut, theta._Terms) == (zp.min_im_eig > 100)
         for r in itertools.product((0, 0.25, 0.5, 0.75, 0.999), repeat=zp.g):
             for s in (0, 0.999):
                 assert cut.rounding >= per_term_rounding(zp, cut, np.array(r), np.full(zp.g, s))
