@@ -16,8 +16,10 @@ points.
 
 `import cmtheta` loads only the layers the CM context is built from (`exact`,
 `symplectic`, `theta`, `action`, `cmfield`); the names from `modularity`,
-`primgen` and `harness` resolve on first use, through a PEP 562 `__getattr__`,
-and `dir(cmtheta)` lists them through the module `__dir__`.
+`primgen` and `harness` resolve on first use, through a PEP 562 `__getattr__`
+that imports their module then and reads the name from it on every access.
+`__all__`, `dir(cmtheta)` (through the module `__dir__`, which loads nothing)
+and `from cmtheta import *` cover every name.
 """
 
 import importlib

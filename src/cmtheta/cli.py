@@ -100,6 +100,9 @@ def _cmd_primgen(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: `verify` exits 0 when every check passes and 1 otherwise, and bad input to any one
+    exits 2 with a one-line message, also under python -O.  Each imports the lazy layers (harness, modularity,
+    primgen) only if it runs them, so `theta` and `action` load the five layers `import cmtheta` does."""
     parser = argparse.ArgumentParser(prog="cmtheta", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -3,7 +3,8 @@ reflex norm, and the simulated Galois (Artin) action on theta-constant
 characteristics, together with the congruence criterion on first rows.
 
 Embedding conventions, fixed once: sigma_1 = phi_1 (identity), sigma_2 = phi_2,
-sigma_3 = phi_2^{-1}, sigma_4 = complex conjugation.
+sigma_3 = phi_2^{-1}, sigma_4 = complex conjugation.  The constants zeta, the CM
+basis xi_1..xi_4 and the xi of riemann_form are built once, at import.
 """
 from __future__ import annotations
 
@@ -118,7 +119,8 @@ def build_context(settings: EvalSettings = DEFAULT_SETTINGS) -> CMContext:
 
 
 def is_odd_prime(p: int) -> bool:
-    """Whether p is an odd prime integer: the one rule for p in GaloisActor.build and SuiteConfig.validate."""
+    """Whether p is an odd prime integer, numpy's included (a float or str is not): the one rule for p in
+    GaloisActor.build and SuiteConfig.validate."""
     return is_integer(p) and p > 2 and p % 2 == 1 and all(p % q for q in range(3, math.isqrt(p) + 1, 2))
 
 
@@ -150,6 +152,9 @@ class GaloisActor:
 
     @classmethod
     def build(cls, x: CycloElem, p: int) -> "GaloisActor":
+        """The actor in one pass on Python ints: r = x sigma_3(x) as the four integer quadratic forms of
+        _reflex_num (reflex_norm wraps them), then the columns of h(r) off _h_table, the cached column-major
+        table of the Z-linear map h that h_map reads too."""
         if not is_odd_prime(p):
             raise ValueError(f"p = {p} must be an odd prime")
         p, cols = int(p), _h_columns(_reflex_num(_integral_num(x)))
@@ -161,7 +166,8 @@ class GaloisActor:
         """The simulated Artin action of (x) on Phi_chi(Z0), chi with denominator p.
 
         Returns act_phi(h, chi, p).canonical() from one move y = t(h) p chi, the phase of reducing y / p
-        included.  Requires the norm of x prime to 2p and the reflex-norm matrix to land in G_{2p^2}.
+        (theta._translation_shift, the rule Characteristic.reduce reads) included.  Requires the norm of x
+        prime to 2p and the reflex-norm matrix to land in G_{2p^2}.
         """
         p = self.p
         if self.nu is None:  # _g_member wants N(x) a unit mod 2p^2, so a norm not prime to 2p lands here too
@@ -195,7 +201,8 @@ def standard_actors(p: int) -> tuple[CycloElem, CycloElem]:
 
 @lru_cache(maxsize=64)  # artin_action and verify reuse the two standard actors of each prime; 64 holds 32 primes
 def shared_actor(x: CycloElem, p: int) -> GaloisActor:
-    """GaloisActor.build(x, p), kept while (x, p) is among the 64 most recently used; cache_info() counts the hits."""
+    """GaloisActor.build(x, p), kept while (x, p) is among the 64 most recently used; cache_info() counts the hits.
+    The one source of actors for artin_action and verify's checks on the standard actors."""
     return GaloisActor.build(x, p)
 
 
@@ -242,7 +249,8 @@ def belong_criterion(x, p: int) -> BelongResult:
 
     x is given by its five coordinates on 1, zeta, ..., zeta^4, which must be
     integers; raises ValueError for any other length, a non-integral
-    coordinate or a p that is not an odd prime.
+    coordinate or a p that is not an odd prime.  The actor is built fresh, not
+    by shared_actor, as `cmtheta action` builds its own: their x rarely repeat.
     """
     coords = list(x)
     if len(coords) != 5:

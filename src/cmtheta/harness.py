@@ -3,7 +3,9 @@ with measured deviations, plus JSON report assembly for the CLI.
 
 Checks are deterministic: each one draws from a PRNG seeded by (config.seed,
 check index), so a fixed seed reproduces the report byte-for-byte apart from
-runtime fields.
+runtime fields.  A sampler that returns the first case it finds loops over
+_draws; check_random_towers keeps its own loop of 200 draws, as it needs 20
+towers of degree > 1, and check_passing_families a floor of 400 comparisons.
 """
 from __future__ import annotations
 
@@ -73,6 +75,8 @@ class SuiteConfig:
     suites: tuple[str, ...] = SUITE_NAMES
 
     def validate(self) -> None:
+        """The one check of a configuration, suite names included (the parser takes any name): odd primes, positive
+        finite tolerances, a non-negative integer seed and known suites, numpy scalars accepted; ConfigError else."""
         if not self.primes or not all(map(is_odd_prime, self.primes)):
             raise ConfigError("primes must be odd primes")
         if not all(isinstance(tol, Real) and 0 < tol < math.inf for tol in (self.tol_numeric, self.theta_tol)):
@@ -291,7 +295,8 @@ def _random_failing_family(rng, n: int) -> ThetaProduct:
 
 def _family_with_points(rng, env, draw, n: int, count: int, tries: int, factor_band, value_band, what: str):
     """(prod, points): a family prod = draw(rng, n) and count points (z, prod(z)) at which every factor is in
-    factor_band and the product in value_band; a family with fewer such points in its tries draws is redrawn."""
+    factor_band and the product in value_band; a family with fewer such points in its tries draws is redrawn,
+    at most 16 times.  The one place a family is redrawn."""
     for _ in _draws(16, what):
         prod = draw(rng, n)
         points = []

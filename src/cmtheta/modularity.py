@@ -12,7 +12,7 @@ from operator import mul, sub
 
 from .action import _move
 from .exact import RootOfUnity
-from .symplectic import _columns, _gamma_member, check_level, is_integer
+from .symplectic import SiegelPoint, _columns, _gamma_member, check_level, is_integer
 from .theta import Characteristic, EvalSettings, DEFAULT_SETTINGS, phi_eval, theta_null
 
 
@@ -145,9 +145,10 @@ def gamma_multiplier(gamma, target, n: int) -> RootOfUnity:
 
 
 def eval_product(prod: ThetaProduct, z, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:
-    """Numerical value of the product at Z, sharing one theta-null denominator."""
-    den = theta_null(z, settings)
+    """Numerical value of the product at Z, sharing one point, so one cut, and one theta-null denominator."""
+    zp = z if isinstance(z, SiegelPoint) else SiegelPoint(z)
+    den = theta_null(zp, settings)
     value = 1 + 0j
     for chi, m in prod.terms:
-        value *= phi_eval(chi, z, settings, null_value=den) ** m
+        value *= phi_eval(chi, zp, settings, null_value=den) ** m
     return value

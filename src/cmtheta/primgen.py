@@ -33,7 +33,7 @@ def subgroup_generated(n: int, gens) -> frozenset[int]:
 
 
 def stabilizer(a: CycloElem, within) -> frozenset[int]:
-    """Elements of `within` whose Galois action fixes a.
+    """The residues mod n of the elements of `within` whose Galois action fixes a, a in Q(zeta_n).
 
     Stab(a) is a subgroup of (Z/n)^*, so each residue is tested at most once:
     `fixed` is a subgroup known to fix a and `moved` a union of its cosets known
@@ -53,7 +53,7 @@ def stabilizer(a: CycloElem, within) -> frozenset[int]:
             moved = {(m * f) % n for m in moved for f in fixed}
         else:
             moved |= {(r * f) % n for f in fixed}
-    return frozenset(t for t in within if t % n in fixed)
+    return frozenset(r for t in within if (r := t % n) in fixed)
 
 
 def _coset_reps(n: int, group, sub) -> list[int]:
@@ -68,7 +68,9 @@ def _coset_reps(n: int, group, sub) -> list[int]:
 
 @dataclass(frozen=True)
 class AbelianTower:
-    """L = K(x, y) inside Q(zeta_conductor), K the fixed field of base_h."""
+    """L = K(x, y) inside Q(zeta_conductor), K the fixed field of base_h.
+
+    Its subgroups and the coset representatives of fixer_l in mid_h and of mid_h in (Z/n)^* are computed once."""
 
     conductor: int
     base_h: frozenset[int]
@@ -162,7 +164,8 @@ def combine_norm(t: AbelianTower, a: int, b: int, c: int, d: int, n: int = 1, m:
     """The norm combinator: (a x + b)^n (c y + d)^{-m ell} N_{L/K(x)}((c y + d)^m).
 
     Requires the ratio conditions 2 < |a/b| and 2 < |c/d| and x, y algebraic
-    integers; n, m nonzero integers.
+    integers; n, m nonzero integers.  It forms (ell - 1) + ([K(x):Q] - 1) conjugates, as every inverse is
+    taken inside K(x) by _inverse_in_mid: N's, and that of a x + b for n < 0.
     """
     if not all((a, b, c, d, n, m)):
         raise ValueError("all parameters must be nonzero")

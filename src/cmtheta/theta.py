@@ -341,7 +341,7 @@ def _certified(zp: SiegelPoint, tol: float) -> _Cut:
         ops, more, m_w = 8 * (g + 2) + math.sqrt(2) * (2 * sum(dims) + 2), 0, g + 5
     else:
         rows, kind, fields = np.concatenate((grid[inside], np.eye(g)), dtype=complex), _Terms, (quad[inside],)
-        ops, more, m_w = len(rows) - g + 7, g + 2, 3 * g + 5
+        ops, more, m_w = len(rows) - g + 7, 2, 3 * g + 5
     exponents = rows.dot(np.concatenate((z, rows[-g:]), axis=1))  # [coords; I] [Z | I] in one product
     exponents *= _TWO_PI_I
     exponents[-g:, :g] = z * (_TWO_PI_I / 2)  # pi i Z: that block halved exactly; /= 2 on the view is 1 us slower
@@ -362,7 +362,10 @@ def theta_eval(z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTINGS
     v has modulus exp(-|T(y + f)|^2), with f = r and T = sqrt(pi) Lambda^(1/2) tV
     from the point's eigh Im Z = V Lambda tV: |Tv|^2 = pi tv Im(Z) v.
     C, the radius R and both error bounds are built once per SiegelPoint and
-    tolerance and kept on the point; no theta value is kept.
+    tolerance and kept on the point; no theta value is kept.  A cut is refused
+    with ValueError when the ellipsoid reaches past MAX_RADIUS along an axis, or
+    when its box, checked before it is built, holds more than MAX_CANDIDATES
+    candidates (iI_10 would need 6.2e10).
 
     Tail, after Deconinck, Heil, Bobenko, van Hoeij and Schmies, "Computing
     Riemann theta functions", Math. Comp. 73 (2004).  The lattice T Z^g has
@@ -426,10 +429,10 @@ def theta_eval(z, chi: Characteristic, settings: EvalSettings = DEFAULT_SETTINGS
       x_l (1) and the sum of the g + 1 nonzero products (g).  const has
       m_c = 2g + 5 and kappa = pi sum_j |shift_j| (tau_j + |s_j|): u_j takes
       g + 4 as above (its entries pi i Z_jl take 2), shift_j u_j 2 and their
-      sum g - 1.  Summed one by one, m_E and m_c grow by g + 2, and m_w is
-      3g + 5: x_l (1), the entry 2 pi i sum_j y_j Z_jl (pi, the sum, 2 pi:
-      g + 2), its product (1), the sum of 2g products (2g - 1) and the two
-      additions of pi i tyZy and const (2).
+      sum g - 1.  Summed one by one, m_E and m_c grow by 2, the two additions
+      that form each term's exponent, and m_w is 3g + 5: x_l (1), the entry
+      2 pi i sum_j y_j Z_jl (pi, the sum, 2 pi: g + 2), its product (1), the
+      sum of 2g products (2g - 1) and the same two additions (2).
     To sum this over C for every shift at once: |Tv| >= rho |v|, so
     |term(y)| <= prod_j exp(-rho^2 d_j^2), with d_j the distance from 0 to
     [y_j, y_j + 1).  Over the smallest box [-K-1, K]^g that holds C, the bound

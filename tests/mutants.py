@@ -754,6 +754,27 @@ CAUGHT = [
         "return EPS / 200 * bound * m0 ** (g - 2)",
         ["tests/test_theta.py::test_rounding_bound_dominates_per_term_model"],
     ),
+    # a term-by-term cut growing m_E and m_c by g + 2 in place of the two additions: 5.6, not 5.0, times the model
+    (
+        THETA,
+        "ops, more, m_w = len(rows) - g + 7, 2, 3 * g + 5",
+        "ops, more, m_w = len(rows) - g + 7, g + 2, 3 * g + 5",
+        ["tests/test_theta.py::test_rounding_bound_dominates_per_term_model"],
+    ),
+    # stabilizer returning the residues of `within` as given: 9 and 15 where 1 and 7 mod 8 belong
+    (
+        PRIMGEN,
+        "frozenset(r for t in within if (r := t % n) in fixed)",
+        "frozenset(t for t in within if (r := t % n) in fixed)",
+        ["tests/test_primgen.py::test_stabilizer", "tests/test_primgen.py::test_stabilizer_matches_definition[8]"],
+    ),
+    # eval_product passing a matrix Z on to every term: one SiegelPoint, eigh and cut per term and for the null
+    (
+        MODULARITY,
+        "zp = z if isinstance(z, SiegelPoint) else SiegelPoint(z)",
+        "zp = z",
+        ["tests/test_modularity.py::test_eval_product_at_a_matrix_builds_one_cut"],
+    ),
 ]
 
 SURVIVORS = []  # none today: an entry here must pass every test named with it

@@ -97,7 +97,7 @@ def per_term_rounding(zp, cut, r, s):
         a, more, m_w = 8 * (g + 2) + math.sqrt(2) * (2 * sum(cut.dims) + 2) + 24, 0, g + 5
     else:
         ys = cut.coords.real
-        a, more, m_w = len(ys) + 7 + 24, g + 2, 3 * g + 5
+        a, more, m_w = len(ys) + 7 + 24, 2, 3 * g + 5
     v = ys + r
     modulus = np.exp(-np.pi * np.einsum("ij,jk,ik->i", v, z.imag, v))
     abs_z, abs_y = np.abs(z), np.abs(ys)
@@ -255,7 +255,7 @@ def paper_first_row(coords):
 
 
 def reference_stabilizer(a, within):
-    return frozenset(t for t in within if a.galois(t) == a)
+    return frozenset(t % a.n for t in within if a.galois(t) == a)
 
 
 def reference_norm(t, a, b, c, d, n, m):

@@ -15,6 +15,7 @@ from cmtheta.modularity import (
     theta_product,
 )
 from cmtheta.symplectic import act_siegel, identity, jmat, special_gamma
+from cmtheta import theta
 from cmtheta.theta import Characteristic, phi_eval, random_siegel
 
 from reference import fraction_exponent
@@ -257,3 +258,15 @@ def test_eval_product_matches_manual():
     z = random_siegel(rng)
     manual = phi_eval(prod.terms[0][0], z) ** 2 * phi_eval(prod.terms[1][0], z) ** -1
     assert abs(eval_product(prod, z) - manual) < 1e-12
+
+
+def test_eval_product_at_a_matrix_builds_one_cut(monkeypatch):
+    # a matrix Z becomes one SiegelPoint for the theta null and every term, so one cut serves all three sums
+    cuts = []
+    certified = theta._certified
+    monkeypatch.setattr(theta, "_certified", lambda zp, tol: cuts.append(zp) or certified(zp, tol))
+    prod = theta_product(4, [(chi4((1, 0), (0, 2)), 2), (chi4((0, 1), (2, 1)), -1)])
+    z = random_siegel(np.random.default_rng(40))
+    value = eval_product(prod, z.mat)
+    assert len(cuts) == 1
+    assert value == eval_product(prod, z)

@@ -37,6 +37,7 @@ def test_stabilizer():
     assert stabilizer(z8 + z8**7, units) == frozenset({1, 7})
     assert stabilizer(z8**2, units) == frozenset({1, 5})
     assert stabilizer(CycloElem.from_rational(8, 3), units) == frozenset(units)
+    assert stabilizer(z8 + z8**7, (1, 7, 9, 15)) == frozenset({1, 7})  # 9 = 1 and 15 = 7 mod 8
 
 
 @pytest.mark.parametrize("n", [8, 12, 15, 16, 20, 24, 25])
@@ -51,7 +52,7 @@ def test_stabilizer_matches_definition(n):
         units,
         subgroup_generated(n, [rng.choice(units)]),
         rng.sample(units, len(units) // 2),  # not a subgroup in general
-        [t + n for t in units],  # unreduced residues come back as given
+        [t + n for t in units],  # unreduced residues come back reduced mod n
         rng.sample(units, len(units)),
     ]
     for a in elems:
