@@ -30,7 +30,8 @@ def _move(cols, nu: int, x) -> tuple[list[int], int]:
     """y = tM x and the phase nu tx_r.x_s - ty_r.y_s for x = m [r; s], M given by its columns cols
     (see symplectic._columns) with multiplier nu: M in G_{2m^2} takes Phi at x/m to e(phase / 2m^2) times Phi
     at y/m (Igusa, Theta Functions, ch. V; Mumford, Tata Lectures on Theta I, II.5).  The one statement of the law:
-    act_phi, act_power_family, GaloisActor.act and gamma_multiplier call it once per characteristic."""
+    act_phi, act_power_family and GaloisActor.act call it once per characteristic;
+    gamma_multiplier sums it over a product's terms as one contraction of ThetaProduct.moments."""
     if len(x) != len(cols):
         raise ValueError(f"expected {len(cols)} entries to move, got {len(x)}")
     y = [sum(map(mul, col, x)) for col in cols]  # entry j: column j of M dotted with x

@@ -8,9 +8,9 @@ hold; gamma_multiplier computes the obstruction e(X) for individual gamma.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul, sub
+from math import lcm
+from operator import mul
 
-from .action import _move
 from .exact import RootOfUnity
 from .symplectic import SiegelPoint, _columns, _gamma_member, check_level, is_integer
 from .theta import Characteristic, EvalSettings, DEFAULT_SETTINGS, phi_eval, theta_null
@@ -18,18 +18,23 @@ from .theta import Characteristic, EvalSettings, DEFAULT_SETTINGS, phi_eval, the
 
 @dataclass(frozen=True)
 class ThetaProduct:
-    """prod_i Phi_{chi_i}^{m_i} with canonical, distinct, non-vanishing characteristics and nonzero int exponents."""
+    """prod_i Phi_{chi_i}^{m_i} with canonical, distinct, non-vanishing characteristics and nonzero int exponents.
+
+    moments = (D, M), built once: D the lcm of the denominators, M = sum_i m_i x_i tx_i, x_i = D [r_i; s_i], as 2g rows
+    of ints (none for no terms): check_family and gamma_multiplier read the terms only through it; not in == or repr.
+    """
 
     level: int
     terms: tuple[tuple[Characteristic, int], ...]
+    moments: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "level", check_level(self.level))
         object.__setattr__(self, "terms", tuple((chi, _exponent(m)) for chi, m in self.terms))
-        seen = set()
+        seen, g = set(), self.terms[0][0].g if self.terms else 0
         for chi, m in self.terms:
-            if chi.g != self.g:
-                raise ValueError(f"{chi} has genus {chi.g}, the first term has genus {self.g}")
+            if chi.g != g:
+                raise ValueError(f"{chi} has genus {chi.g}, the first term has genus {g}")
             chi.scaled(self.level)
             if not chi.is_canonical():
                 raise ValueError(f"{chi} is not reduced into [0,1)")
@@ -40,10 +45,10 @@ class ThetaProduct:
             if chi in seen:
                 raise ValueError(f"duplicate characteristic {chi}")
             seen.add(chi)
-
-    @property
-    def g(self) -> int:
-        return self.terms[0][0].g if self.terms else 2
+        den, size = lcm(*(chi.den for chi, _ in self.terms)), range(2 * g)
+        xs = [(m, chi.scaled(den)) for chi, m in self.terms]
+        mom = tuple(tuple(sum(m * x[a] * x[b] for m, x in xs) for b in size) for a in size)
+        object.__setattr__(self, "moments", (den, mom))
 
 
 def _exponent(m) -> int:
@@ -98,16 +103,17 @@ def check_family(prod: ThetaProduct) -> FamilyCheck:
         sum_i m_i n_ij n_ik = 0  (mod 2*level)
         sum_i m_i t_ij t_ik = 0  (mod 2*level)
         sum_i m_i n_ij t_ik = 0  (mod level)
+
+    As [n_i; t_i] = (level/D) x_i for (D, M) = prod.moments, the sums are the
+    entries (j, k), (g+j, g+k) and (j, g+k) of (level/D)^2 M.
     """
     n = prod.level
-    g = prod.g
-    terms = [(m, chi.scaled(n)) for chi, m in prod.terms]
+    den, mom = prod.moments
+    q, g = (n // den) ** 2, len(mom) // 2
     failures = []
     for j in range(g):
         for k in range(g):
-            srr = sum(m * x[j] * x[k] for m, x in terms)
-            sss = sum(m * x[g + j] * x[g + k] for m, x in terms)
-            srs = sum(m * x[j] * x[g + k] for m, x in terms)
+            srr, sss, srs = q * mom[j][k], q * mom[g + j][g + k], q * mom[j][g + k]
             if j <= k and srr % (2 * n):
                 failures.append(("rr", j, k, srr % (2 * n), 2 * n))
             if j <= k and sss % (2 * n):
@@ -122,26 +128,34 @@ def gamma_multiplier(gamma, target, n: int) -> RootOfUnity:
 
     target may be a single Characteristic or a ThetaProduct (multipliers add
     with the exponents).  n must pass check_level and every characteristic be
-    (1/n)-integral; raises ValueError unless gamma lies in Gamma(n).
+    (1/n)-integral; raises ValueError unless gamma lies in Gamma(n) and a
+    non-empty target has gamma's genus (the empty product is e(0) at any genus).
 
-    X is the transformation law of _move at nu = 1 plus the translation back: gamma = I
-    mod n moves x = n [r; s] to y = t(gamma) x = n [r + a; s + b] with integer a, b, and
-    Theta[r+a; s+b] = e(tr.b) Theta[r; s] (Characteristic.reduce), where tr.b is
-    2 tx_r.(y_s - x_s) over 2n^2.  Summed over the terms Phi_[r_i; s_i]^{m_i}:
+    Per term X is the law of action._move at nu = 1 plus the translation back, homogeneous of degree 2 in [r; s], so
+    take x = D [r; s] with D | n: gamma = I mod n moves x to y = t(gamma) x = D [r + a; s + b] with integer a, b, and
+    Theta[r+a; s+b] = e(tr.b) Theta[r; s] (Characteristic.reduce), tr.b being 2 tx_r.(y_s - x_s) over 2D^2.  So
+    X 2D^2 = tx_r.x_s - ty_r.y_s + 2 tx_r.(y_s - x_s) = 2 tx_r.y_s - tx_r.x_s - ty_r.y_s, and with y_j = c_j.x
+    (c_j column j of gamma) each part contracts x tx: tx_r.y_s = sum_l (x tx c_{g+l})_l, tx_r.x_s = sum_l
+    (x tx)_{l,g+l}, ty_r.y_s = sum_l c_l.(x tx c_{g+l}).  Summed with the exponents, x tx becomes M of (D, M) =
+    ThetaProduct.moments, one contraction at any term count (a single characteristic: x tx at D = chi.den):
 
-        X = sum_i m_i (tx_r.x_s - ty_r.y_s + 2 tx_r.(y_s - x_s)) / (2n^2).
+        X 2D^2 = sum_{l<g} (2 (M c_{g+l})_l - M_{l,g+l} - c_l.(M c_{g+l})).
     """
     n = check_level(n)
     cols = _columns(gamma)
     if not _gamma_member(cols, n):
         raise ValueError(f"gamma is not in Gamma({n})")
-    total = 0
-    terms = ((target, 1),) if isinstance(target, Characteristic) else target.terms
-    for chi, m in terms:
-        x, g = chi.scaled(n), chi.g
-        y, phase = _move(cols, 1, x)
-        total += m * (phase + 2 * sum(map(mul, x[:g], map(sub, y[g:], x[g:]))))
-    return RootOfUnity._make(total, 2 * n * n)
+    x = target.num if isinstance(target, Characteristic) else None
+    den, mom = target.moments if x is None else (target.den, [[a * b for b in x] for a in x])
+    if n % den:
+        raise ValueError(f"{target} is not (1/{n})-integral")
+    if mom and len(mom) != len(cols):
+        raise ValueError(f"{target} has genus {len(mom) // 2}, gamma has genus {len(cols) // 2}")
+    g, total = len(mom) // 2, 0
+    for l in range(g):
+        v = [sum(map(mul, row, cols[g + l])) for row in mom]  # M c_{g+l}
+        total += 2 * v[l] - mom[l][g + l] - sum(map(mul, cols[l], v))
+    return RootOfUnity._make(total, 2 * den * den)
 
 
 def eval_product(prod: ThetaProduct, z, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:

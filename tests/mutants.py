@@ -43,23 +43,24 @@ PRIMGEN, HARNESS = "src/cmtheta/primgen.py", "src/cmtheta/harness.py"
 CLI, ACTION = "src/cmtheta/cli.py", "src/cmtheta/action.py"
 
 CAUGHT = [
-    # gamma_multiplier translating back by e(tr.(s + b)) in place of e(tr.b): y_s where y_s - x_s belongs
+    # gamma_multiplier translating back by e(tr.(s + b)) in place of e(tr.b): + M_{l,g+l} where - M_{l,g+l} belongs
     (
         MODULARITY,
-        "map(sub, y[g:], x[g:])",
-        "y[g:]",
+        "total += 2 * v[l] - mom[l][g + l]",
+        "total += 2 * v[l] + mom[l][g + l]",
         [
             "tests/test_modularity.py::test_multiplier_matches_fraction_reference",
             "tests/test_modularity.py::test_multiplier_is_homomorphism_on_congruence_group",
             "tests/test_acceptance.py::test_multiplier_formula_cross_validates",
         ],
     ),
-    # gamma_multiplier without the translation back: the law's phase alone, as if t(gamma) fixed [r; s];
-    # on Gamma(2m^2) at denominator m the translation phase e(tr.b) is 1, so the odd-action overlap cannot see it
+    # gamma_multiplier without the translation back: the law's phase M_{l,g+l} - c_l.(M c_{g+l}) alone, as if
+    # t(gamma) fixed [r; s]; on Gamma(2m^2) at denominator m the translation phase e(tr.b) is 1, so the odd-action
+    # overlap cannot see it
     (
         MODULARITY,
-        "(phase + 2 * sum(map(mul, x[:g], map(sub, y[g:], x[g:]))))",
-        "phase",
+        "total += 2 * v[l] - mom[l][g + l] - ",
+        "total += mom[l][g + l] - ",
         [
             "tests/test_modularity.py::test_multiplier_matches_fraction_reference",
             "tests/test_acceptance.py::test_multiplier_formula_cross_validates",
@@ -82,8 +83,8 @@ CAUGHT = [
         " - sum(map(mul, y, y[g:]))",
         " + sum(map(mul, y, y[g:]))",
         [
-            "tests/test_modularity.py::test_multiplier_matches_fraction_reference",
-            "tests/test_acceptance.py::test_multiplier_formula_cross_validates",
+            "tests/test_action.py::test_act_phi_under_j",
+            "tests/test_action.py::test_act_phi_matches_fraction_transpose",
             "tests/test_acceptance.py::test_simulated_artin_action_equals_closed_form_phases",
         ],
     ),
@@ -186,6 +187,53 @@ CAUGHT = [
         "if srs % n:",
         "if srs % (n // 2):",
         ["tests/test_modularity.py::test_failing_family_structure"],
+    ),
+    # check_family scaling M by level/D, not by its square: a level-2 family re-validated at level 4 fails
+    (
+        MODULARITY,
+        "(n // den) ** 2",
+        "(n // den)",
+        ["tests/test_modularity.py::test_failing_family_structure"],
+    ),
+    # the moment matrix built from its upper triangle only: the zeros below the diagonal enter M c_{g+l}
+    (
+        MODULARITY,
+        "sum(m * x[a] * x[b] for m, x in xs)",
+        "(a <= b and sum(m * x[a] * x[b] for m, x in xs))",
+        [
+            "tests/test_modularity.py::test_moments_match_fraction_reference",
+            "tests/test_modularity.py::test_multiplier_matches_fraction_reference",
+            "tests/test_modularity.py::test_multiplier_on_product_adds_exponents",
+        ],
+    ),
+    # gamma_multiplier without its D | n refusal: a level-4 family at n = 2 gets a phase, so does a (1/3) target
+    (
+        MODULARITY,
+        '    if n % den:\n        raise ValueError(f"{target} is not (1/{n})-integral")\n',
+        "",
+        [
+            "tests/test_modularity.py::test_multiplier_requires_congruence",
+            "tests/test_modularity.py::test_multiplier_genus_and_level_contracts",
+        ],
+    ),
+    # gamma_multiplier without its genus refusal: a genus-2 target gets a phase at g = 3 (map stops early) and an
+    # IndexError at g = 1, in place of the ValueError
+    (
+        MODULARITY,
+        "    if mom and len(mom) != len(cols):\n",
+        "    if False:\n",
+        ["tests/test_modularity.py::test_multiplier_genus_and_level_contracts"],
+    ),
+    # the translation term 2 (M c_{g+l})_l halved: term by term the same error, so only the references see it
+    (
+        MODULARITY,
+        "total += 2 * v[l]",
+        "total += v[l]",
+        [
+            "tests/test_modularity.py::test_multiplier_matches_fraction_reference",
+            "tests/test_modularity.py::test_multiplier_reference_values",
+            "tests/test_acceptance.py::test_multiplier_formula_cross_validates",
+        ],
     ),
     # act_phi moving chi by alpha instead of t(alpha): rows of alpha dotted with x, not columns
     (

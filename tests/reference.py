@@ -220,6 +220,16 @@ def fraction_exponent(gamma, chi, n):
     )
 
 
+def fraction_moments(prod):
+    """ThetaProduct.moments from the Fraction entries of [r; s], as the criterion states it: the reference."""
+    vecs = [(m, chi.r + chi.s) for chi, m in prod.terms]
+    den = math.lcm(*(v.denominator for _, vec in vecs for v in vec))
+    size = range(len(vecs[0][1]) if vecs else 0)
+    moments = [[sum((m * (den * vec[a]) * (den * vec[b]) for m, vec in vecs), F(0)) for b in size] for a in size]
+    assert all(v.denominator == 1 for row in moments for v in row)
+    return den, tuple(tuple(int(v) for v in row) for row in moments)
+
+
 def fraction_transpose_apply(alpha, chi):
     """t(alpha) [r; s] in Fraction arithmetic, as first written: the reference."""
     col = chi.r + chi.s

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
-from cmtheta import action, cmfield, modularity
+from cmtheta import action, cmfield
 from cmtheta.action import ActionResult, _move, act_iota_inv, act_phi, act_power_family
 from cmtheta.cmfield import GaloisActor, standard_actors
 from cmtheta.exact import RootOfUnity
-from cmtheta.modularity import gamma_multiplier, theta_product
+from cmtheta.modularity import gamma_multiplier
 from cmtheta.symplectic import _columns, _g_multiplier, identity, intmat, iota, jmat, special_gamma
 from cmtheta.theta import Characteristic
 
@@ -125,24 +125,20 @@ def test_transpose_apply_matches_fraction_reference(entries, nums, den, nu):
 
 
 def test_each_action_moves_each_characteristic_once(monkeypatch):
-    # act_phi, GaloisActor.act and gamma_multiplier apply the one law of action._move, once per characteristic
+    # act_phi and GaloisActor.act apply the one law of action._move, once per characteristic; gamma_multiplier
+    # sums the same law as one contraction of the moment matrix (tests/test_modularity.py checks it term by term)
     moves = []
 
     def counted(cols, nu, x):
         moves.append(tuple(x))
         return _move(cols, nu, x)
 
-    for module in (action, cmfield, modularity):
+    for module in (action, cmfield):
         monkeypatch.setattr(module, "_move", counted)
     chi = Characteristic.from_den((1, 2), (2, 0), 3)
     act_phi(jmat(2), chi, 3)
     GaloisActor.build(standard_actors(3)[0], 3).act(chi)
     assert moves == [(1, 2, 2, 0)] * 2
-    moves.clear()
-    terms = [((1, 0), (0, 2), 3), ((0, 1), (2, 1), 2), ((1, 1), (1, 0), -1)]
-    prod = theta_product(4, [(Characteristic.from_den(r, s, 4), m) for r, s, m in terms])
-    gamma_multiplier(special_gamma("mixed", 1, 2, 4), prod, 4)
-    assert moves == [tuple(chi.scaled(4)) for chi, _ in prod.terms]
 
 
 def test_act_phi_matches_fraction_transpose():

@@ -18,7 +18,7 @@ from cmtheta.symplectic import act_siegel, identity, jmat, special_gamma
 from cmtheta import theta
 from cmtheta.theta import Characteristic, phi_eval, random_siegel
 
-from reference import fraction_exponent
+from reference import fraction_exponent, fraction_moments
 
 
 def chi4(rn, sn):
@@ -220,14 +220,72 @@ def test_multiplier_is_homomorphism_on_congruence_group():
                 assert lhs == rhs
 
 
+def random_product(rng, n, g, count):
+    """theta_product of up to count seeded non-vanishing characteristics in (1/n)Z^2g, exponents in [-2n, 2n]."""
+    terms = []
+    for _ in range(count):
+        chi = Characteristic.from_den(rng.integers(0, n, g).tolist(), rng.integers(0, n, g).tolist(), n)
+        if not chi.in_sigma_minus():
+            terms.append((chi, int(rng.integers(-2 * n, 2 * n + 1))))
+    return theta_product(n, terms)
+
+
+def test_moments_match_fraction_reference():
+    # D is the lcm of the term denominators, below the level where the terms allow it; M stays out of ==, hash, repr
+    rng = np.random.default_rng(71)
+    below = 0
+    for g in (1, 2, 3):
+        for n in (2, 4, 6, 12):
+            for count in (1, 2, 2 * g + 3):
+                prod = random_product(rng, n, g, count)
+                assert prod.moments == fraction_moments(prod)
+                below += prod.moments[0] < n
+                same = ThetaProduct(prod.level, prod.terms)
+                assert same == prod and hash(same) == hash(prod)
+                assert repr(prod) == f"ThetaProduct(level={prod.level}, terms={prod.terms!r})"
+    assert below
+    assert theta_product(4, []).moments == fraction_moments(theta_product(4, [])) == (1, ())
+
+
 def test_multiplier_on_product_adds_exponents():
-    gamma = special_gamma("mixed", 1, 2, 4)
-    prod = theta_product(4, [(chi4((1, 0), (0, 2)), 3), (chi4((0, 1), (2, 1)), 2)])
-    total = gamma_multiplier(gamma, prod, 4)
-    by_parts = RootOfUnity.one()
-    for chi, m in prod.terms:
-        by_parts = by_parts * gamma_multiplier(gamma, chi, 4) ** m
-    assert total == by_parts
+    # one contraction of M serves the whole product: it equals the product of the terms' multipliers, on words
+    # of Gamma(n) and their conjugates by Sp_2g(Z) words, at g = 1, 2, 3 and with more than 2g terms
+    def check(gamma, prod, n):
+        by_parts = RootOfUnity.one()
+        for chi, e in prod.terms:
+            by_parts = by_parts * gamma_multiplier(gamma, chi, n) ** e
+        assert gamma_multiplier(gamma, prod, n) == by_parts
+        return by_parts != RootOfUnity.one()
+
+    check(special_gamma("mixed", 1, 2, 4), theta_product(4, [(chi4((1, 0), (0, 2)), 3), (chi4((0, 1), (2, 1)), 2)]), 4)
+    rng = np.random.default_rng(72)
+    widest, moved = {}, 0
+    for g in (1, 2, 3):
+        j = jmat(g)
+        for n in (2, 4, 6):
+            for _ in range(6):
+                prod = random_product(rng, n, g, int(rng.integers(1, 2 * g + 6)))
+                m = gamma_word(rng, 1, g) @ j @ gamma_word(rng, 1, g)
+                moved += check(gamma_word(rng, n, g), prod, n)
+                moved += check(m @ gamma_word(rng, n, g) @ (-j @ m.T @ j), prod, n)
+                widest[g] = max(widest.get(g, 0), len(prod.terms))
+    assert all(widest[g] > 2 * g for g in (1, 2, 3)) and moved > 50
+
+
+def test_multiplier_genus_and_level_contracts():
+    # the empty product is e(0) at any genus of gamma; a non-empty target of another genus is refused, and so is
+    # a family whose denominators do not divide n
+    rng = np.random.default_rng(73)
+    empty, chi = theta_product(4, []), chi4((1, 0), (0, 1))
+    family = theta_product(4, [(chi, 8)])
+    for g in (1, 2, 3):
+        gamma = gamma_word(rng, 4, g)
+        assert gamma_multiplier(gamma, empty, 4) == gamma_multiplier(gamma, empty, 2) == RootOfUnity.one()
+        for target in (family, chi) if g != 2 else ():
+            with pytest.raises(ValueError, match="genus 2, gamma has genus"):
+                gamma_multiplier(gamma, target, 4)
+    with pytest.raises(ValueError, match=r"is not \(1/2\)-integral"):
+        gamma_multiplier(identity(4), family, 2)  # the level-4 family at n = 2
 
 
 def test_multiplier_matches_numerics():
