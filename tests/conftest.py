@@ -29,8 +29,9 @@ def settings(env):
 def optimized():
     """The outcome of every probe in optimized_probes.py, from one `python -O` run on this source tree.
 
-    It is the one interpreter a Tier-1 test run starts: the input checks that must survive -O, the CLI checks
-    and the import facts test_layout.py reads all come from it, one test per probe.
+    The input checks that must survive -O, the CLI checks and the import facts test_layout.py reads all come from
+    it, one test per probe.  A Tier-1 test run starts one other interpreter: tests/pin_reports.py, for the pinned
+    reports.
     """
     env = dict(os.environ, PYTHONPATH=str(Path(cmtheta.__file__).resolve().parents[1]))
     script = Path(__file__).with_name("optimized_probes.py")

@@ -1,7 +1,9 @@
 import json
 import math
+import platform
+import subprocess
+import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from cmtheta.exact import CycloElem, RootOfUnity
 from cmtheta.harness import SUITE_NAMES, ConfigError, HarnessEnv, Report, SuiteConfig, run_suite
 from cmtheta.modularity import FamilyCheck
 
-from pin_reports import PRIMES, SEEDS
+from pin_reports import SEEDS, TESTS
 
 
 def stripped(report: Report):
@@ -182,28 +184,36 @@ def test_reports_are_deterministic_for_fixed_seed():
 def same_measured(live, pinned) -> bool:
     """null only where the pinned report has null; else within 1e-12 absolute or 1e-9 relative of the pinned number.
 
-    OpenBLAS picks its kernels per CPU, so on another host a theta sum may round differently in its last bits.
-    That moves an O(1) value by about 1e-16 relative, and a rounding-level deviation (1e-15 to 1e-13) by about
-    its own size; 1e-12 is 1% of the smallest tolerance a `measured` is judged against (1e-10).
+    Off x86-64 the Haswell kernel tests/pin_reports.py fixes does not load, and another OpenBLAS kernel may round a
+    theta sum differently in its last bits.  That moves an O(1) value by about 1e-16 relative, and a rounding-level
+    deviation (1e-15 to 1e-13) by about its own size; 1e-12 is 1% of the smallest tolerance a `measured` is judged
+    against (1e-10).
     """
     if live is None or pinned is None:
         return live is pinned
     return math.isclose(live, pinned, rel_tol=1e-9, abs_tol=1e-12)
 
 
-def test_default_seed_report_matches_its_pinned_file():
-    # tests/pin_reports.py writes the pinned files, one per seed of its SEEDS; every field but `measured` must
-    # match exactly.  Beside the default seed, seeds 5 and 7 take the samplers' retry paths and 134 redraws a family.
+X86_64 = platform.machine().lower() in ("x86_64", "amd64")
+
+
+def test_default_seed_report_matches_its_pinned_file(tmp_path):
+    # tests/pin_reports.py writes the six reports again, in one fresh interpreter under the OpenBLAS kernel it fixes;
+    # on x86-64 every field must match exactly, elsewhere every field but `measured`, and `measured` by same_measured.
+    # Beside the default seed, seed 1 redraws a failing family, 42 and 134 a passing one, and 134 also redraws a
+    # family that has too few points.
     assert SuiteConfig.seed in SEEDS
+    script = [sys.executable, str(TESTS / "pin_reports.py"), str(tmp_path)]
+    proc = subprocess.run(script, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rule = "exact" if X86_64 else "same_measured"
     for seed in SEEDS:
-        report, _ = run_suite(SuiteConfig(primes=PRIMES, seed=seed))
-        live = json.loads(report.to_json())
-        pinned = json.loads((Path(__file__).parent / "data" / f"verify-{seed}.json").read_text())
-        for check in live["checks"]:
-            del check["runtime_s"]
-        measured = [(ran.pop("measured"), kept.pop("measured")) for ran, kept in zip(live["checks"], pinned["checks"])]
-        assert live == pinned, seed
-        assert all(same_measured(*pair) for pair in measured), (seed, measured)
+        live, pinned = (json.loads((data / f"verify-{seed}.json").read_text()) for data in (tmp_path, TESTS / "data"))
+        if not X86_64:
+            checks = zip(live["checks"], pinned["checks"])
+            measured = [(ran.pop("measured"), kept.pop("measured")) for ran, kept in checks]
+            assert all(same_measured(*pair) for pair in measured), (seed, rule, measured)
+        assert live == pinned, (seed, rule)
 
 
 def test_suite_order_is_canonical():
@@ -233,12 +243,25 @@ def test_exit_code_tracks_passed():
     assert (code == 0) == report.passed
 
 
-def test_multiplier_cross_check_passes_at_seed_7():
-    # at seed 7 one sample meets eight level-4 words in a row for which no
-    # well-conditioned image point is found; the sampler must keep drawing
-    env = HarnessEnv(SuiteConfig(seed=7))
-    out = harness.check_multiplier_cross(env)
-    assert out.passed and out.measured < out.tolerance
+def test_usable_sample_returns_the_first_usable_pair_and_draws_a_word_per_pair(monkeypatch, env):
+    # _image refuses the first 12 pairs and every value is well-conditioned: the 13th pair is returned, and each of
+    # the 13 draws drew its own word
+    refused, words, pairs = 12, [], []
+    gamma_word = harness._gamma_word
+
+    def image(gamma, z):
+        pairs.append((gamma, z))
+        return z if len(pairs) > refused else None
+
+    monkeypatch.setattr(harness, "_gamma_word", lambda rng, n: words.append(gamma_word(rng, n)) or words[-1])
+    monkeypatch.setattr(harness, "_image", image)
+    monkeypatch.setattr(harness, "_guarded_phis", lambda env, chis, z, floor, band=None: (1.5, [2.5]))
+    chi = harness.Characteristic.from_den([1, 0], [0, 0], 4)
+    drawn, gamma, z, null_z, base, moved = harness._usable_sample(np.random.default_rng(0), env, 4, chi)
+    assert (drawn, null_z, base, moved) == (refused + 1, 1.5, 2.5, 2.5)
+    assert len(pairs) == len(words) == refused + 1
+    assert gamma is pairs[-1][0] and z is pairs[-1][1]
+    assert all(word is drew for word, (drew, _) in zip(words, pairs))
 
 
 def test_exhausted_sampler_is_a_failed_check(monkeypatch):
@@ -334,7 +357,7 @@ def test_exhausted_char_and_tower_budgets_are_failed_checks(monkeypatch):
     chars, towers = report.records
     assert chars.status == towers.status == "fail"
     assert "no characteristic outside Sigma^- in 64 draws" in chars.detail
-    assert "only 0 towers of degree > 1 in 200 draws" in towers.detail
+    assert "no 20th tower of degree > 1 in 200 draws" in towers.detail
 
 
 def no_constant(name):
@@ -392,7 +415,7 @@ def test_judges_fold_a_nan_among_finite_values():
 def test_exhausted_family_resamples_name_their_budget(monkeypatch):
     monkeypatch.setattr(harness, "_guarded_phis", lambda *args, **kwargs: None)  # no point suits any family
     env = HarnessEnv(SuiteConfig())
-    with pytest.raises(RuntimeError, match="no passing family with 3 well-conditioned points in 16 draws"):
+    with pytest.raises(RuntimeError, match=f"no passing family with 3 well-conditioned points in {16 * 720} draws"):
         harness.check_passing_families(env)
-    with pytest.raises(RuntimeError, match="no failing family with a well-conditioned point in 16 draws"):
+    with pytest.raises(RuntimeError, match=f"no failing family with a well-conditioned point in {16 * 60} draws"):
         harness.check_failing_families(env)
