@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import lcm
-from operator import mul
 
 from .exact import RootOfUnity
 from .symplectic import SiegelPoint, _columns, _gamma_member, check_level, is_integer
@@ -153,8 +152,12 @@ def gamma_multiplier(gamma, target, n: int) -> RootOfUnity:
         raise ValueError(f"{target} has genus {len(mom) // 2}, gamma has genus {len(cols) // 2}")
     g, total = len(mom) // 2, 0
     for l in range(g):
-        v = [sum(map(mul, row, cols[g + l])) for row in mom]  # M c_{g+l}
-        total += 2 * v[l] - mom[l][g + l] - sum(map(mul, cols[l], v))
+        c, cl, total = cols[g + l], cols[l], total - mom[l][g + l]
+        for a, row in enumerate(mom):
+            v = 0  # (M c_{g+l})_a
+            for b in range(2 * g):
+                v += row[b] * c[b]
+            total += ((2 if a == l else 0) - cl[a]) * v
     return RootOfUnity._make(total, 2 * den * den)
 
 

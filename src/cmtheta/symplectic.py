@@ -4,10 +4,13 @@ Public integer matrices are numpy object arrays of Python ints, which callers
 multiply with @.  Each exact congruence question reads its matrix once, through
 _columns, as Python-int columns: the membership tests for Sp_2g, Gamma(n) and
 G_n and the transpose move tM x of action._move work on those, so nothing
-overflows.  Only act_siegel and SiegelPoint work in floating point.
+overflows.  Membership reads tM J M once, as _form's list of its entries (i, k),
+i < k; J's list is -1 at each (l, g + l) and 0 elsewhere, so nu is minus the
+entry (0, g).  Only act_siegel and SiegelPoint work in floating point.
 """
 from __future__ import annotations
 
+from functools import cache
 from math import gcd, inf
 from numbers import Integral
 from operator import mul
@@ -60,28 +63,37 @@ def _columns(m):
     return m.T.tolist()
 
 
-def _form_defects(cols, nu: int):
-    # (tM J M - nu J)[i, k] for i < k; tM J M is antisymmetric, so these entries decide it
-    size = len(cols)
-    g = size // 2
-    bots = [col[g:] for col in cols]
-    for i in range(size):
-        for k in range(i + 1, size):
-            entry = sum(map(mul, bots[i], cols[k])) - sum(map(mul, cols[i], bots[k]))
-            yield entry + nu if k == i + g else entry
+def _form(cols) -> list:
+    """The entries (tM J M)[i, k], i < k, row by row, of the matrix with these columns (see _columns), as one list.
+
+    They decide the antisymmetric tM J M.  nu J gives -nu at each (l, g + l), so nu is minus entry (0, g), index g - 1.
+    """
+    g, out = len(cols) // 2, []
+    for i, ci in enumerate(cols):
+        for k in range(i + 1, 2 * g):
+            ck, s = cols[k], 0
+            for l in range(g):
+                s += ci[g + l] * ck[l] - ci[l] * ck[g + l]
+            out.append(s)
+    return out
+
+
+@cache
+def _j_form(size: int) -> list:
+    """_form of J at size 2g (tJ J J = J): -1 at each pair (l, g + l) and 0 elsewhere; shared, so never mutated."""
+    return [-(k == i + size // 2) for i in range(size) for k in range(i + 1, size)]
 
 
 def _similitude(cols) -> int:
-    """-(tM J M)[0, g]: the exact similitude nu of M when tM J M = nu J."""
+    """-(tM J M)[0, g]: the exact similitude nu of M when tM J M = nu J; the one entry of _form that build reads."""
     g = len(cols) // 2
     return sum(map(mul, cols[0], cols[g][g:])) - sum(map(mul, cols[0][g:], cols[g]))
 
 
 def _multiplier(cols, modulus: int) -> int | None:
-    nu = _similitude(cols) % modulus
-    if gcd(nu, modulus) != 1:
-        return None
-    return nu if all(v % modulus == 0 for v in _form_defects(cols, nu)) else None
+    nu = -(form := _form(cols))[len(cols) // 2 - 1] % modulus
+    unit = gcd(nu, modulus) == 1
+    return nu if unit and [v % modulus for v in form] == [nu * j % modulus for j in _j_form(len(cols))] else None
 
 
 def _gamma_member(cols, n: int) -> bool:
@@ -89,7 +101,7 @@ def _gamma_member(cols, n: int) -> bool:
     # each in [0, n), add up to the diagonal's total, so every other residue is 0; then tM J M = J over Z
     size, one = len(cols), 1 % n
     res = [v % n for col in cols for v in col]
-    return res[:: size + 1] == [one] * size and sum(res) == size * one and not any(_form_defects(cols, 1))
+    return res[:: size + 1] == [one] * size and sum(res) == size * one and _form(cols) == _j_form(size)
 
 
 def _g_member(cols, nu: int, n: int) -> int | None:

@@ -46,8 +46,8 @@ CAUGHT = [
     # gamma_multiplier translating back by e(tr.(s + b)) in place of e(tr.b): + M_{l,g+l} where - M_{l,g+l} belongs
     (
         MODULARITY,
-        "total += 2 * v[l] - mom[l][g + l]",
-        "total += 2 * v[l] + mom[l][g + l]",
+        "total - mom[l][g + l]",
+        "total + mom[l][g + l]",
         [
             "tests/test_modularity.py::test_multiplier_matches_fraction_reference",
             "tests/test_modularity.py::test_multiplier_is_homomorphism_on_congruence_group",
@@ -59,8 +59,12 @@ CAUGHT = [
     # overlap cannot see it
     (
         MODULARITY,
-        "total += 2 * v[l] - mom[l][g + l] - ",
-        "total += mom[l][g + l] - ",
+        "total - mom[l][g + l]\n        for a, row in enumerate(mom):\n            v = 0  # (M c_{g+l})_a\n"
+        "            for b in range(2 * g):\n                v += row[b] * c[b]\n"
+        "            total += ((2 if a == l else 0) - cl[a])",
+        "total + mom[l][g + l]\n        for a, row in enumerate(mom):\n            v = 0  # (M c_{g+l})_a\n"
+        "            for b in range(2 * g):\n                v += row[b] * c[b]\n"
+        "            total += (-cl[a])",
         [
             "tests/test_modularity.py::test_multiplier_matches_fraction_reference",
             "tests/test_acceptance.py::test_multiplier_formula_cross_validates",
@@ -144,12 +148,52 @@ CAUGHT = [
     # Gamma(n) membership without tM J M == J: only M = I mod n is left
     (
         SYMPLECTIC,
-        " and not any(_form_defects(cols, 1))",
+        " and _form(cols) == _j_form(size)",
         "",
         [
             "tests/test_modularity.py::test_multiplier_requires_congruence",
             "tests/test_symplectic.py::test_multiplier",
             "tests/test_acceptance.py::test_odd_action_matches_congruence_multiplier_and_refuses_non_members",
+        ],
+    ),
+    # the pattern of J with its sign flipped, +1 at each (l, g + l): Gamma(n) holds no matrix, and nu J is read as -nu J
+    (
+        SYMPLECTIC,
+        "[-(k == i + size // 2)",
+        "[(k == i + size // 2)",
+        [
+            "tests/test_symplectic.py::test_jmat",
+            "tests/test_symplectic.py::test_multiplier",
+            "tests/test_modularity.py::test_multiplier_reference_values",
+        ],
+    ),
+    # the form kernel skipping its last pair, (2g - 2, 2g - 1): one entry short, so it never equals J's list
+    (
+        SYMPLECTIC,
+        "for k in range(i + 1, 2 * g):",
+        "for k in range(i + 1, 2 * g - (i == 2 * g - 2)):",
+        [
+            "tests/test_symplectic.py::test_jmat",
+            "tests/test_symplectic.py::test_multiplier",
+            "tests/test_symplectic.py::test_membership_kernel_matches_fraction_reference",
+        ],
+    ),
+    # the form kernel wrapping each entry to 64 bits, as a fixed-width product would: exact while |entry| < 2**63,
+    # which every member of Gamma(n) meets (its form is J), so only the words past 2**63 off the group see it
+    (
+        SYMPLECTIC,
+        "            out.append(s)\n",
+        "            out.append((s + 2**63) % 2**64 - 2**63)\n",
+        ["tests/test_symplectic.py::test_membership_kernel_matches_fraction_reference"],
+    ),
+    # nu read off the entry (0, g + 1) in place of (0, g)
+    (
+        SYMPLECTIC,
+        "[len(cols) // 2 - 1]",
+        "[len(cols) // 2]",
+        [
+            "tests/test_symplectic.py::test_multiplier",
+            "tests/test_symplectic.py::test_g_group_multiplier",
         ],
     ),
     # Gamma(n) membership without the diagonal comparison: mod 2, J's residues add up to 2g, as I's do
@@ -227,8 +271,19 @@ CAUGHT = [
     # the translation term 2 (M c_{g+l})_l halved: term by term the same error, so only the references see it
     (
         MODULARITY,
-        "total += 2 * v[l]",
-        "total += v[l]",
+        "(2 if a == l else 0)",
+        "(1 if a == l else 0)",
+        [
+            "tests/test_modularity.py::test_multiplier_matches_fraction_reference",
+            "tests/test_modularity.py::test_multiplier_reference_values",
+            "tests/test_acceptance.py::test_multiplier_formula_cross_validates",
+        ],
+    ),
+    # the contraction without its translation term 2 (M c_{g+l})_l
+    (
+        MODULARITY,
+        "((2 if a == l else 0) - cl[a])",
+        "(-cl[a])",
         [
             "tests/test_modularity.py::test_multiplier_matches_fraction_reference",
             "tests/test_modularity.py::test_multiplier_reference_values",
@@ -302,7 +357,7 @@ CAUGHT = [
         "return sum(map(mul, cols[0][g:], cols[g])) - sum(map(mul, cols[0], cols[g][g:]))",
         [
             "tests/test_cmfield.py::test_actor_build_matches_definitional_composition",
-            "tests/test_symplectic.py::test_multiplier",
+            "tests/test_cmfield.py::test_actor_norm_is_the_exact_similitude_of_h",
         ],
     ),
     # the fused Artin action without the translation phase of reducing its image y / p

@@ -23,7 +23,7 @@ from cmtheta.cmfield import (
     standard_actors,
 )
 from cmtheta.exact import CycloElem, RootOfUnity
-from cmtheta.symplectic import _columns, _form_defects, _g_multiplier, act_siegel, intmat, is_symplectic, jmat
+from cmtheta.symplectic import _columns, _form, _g_multiplier, _j_form, act_siegel, intmat, is_symplectic, jmat
 from cmtheta.theta import Characteristic, theta_eval
 
 from reference import fraction_act_phi, fraction_reduce, h_map_by_solves, paper_first_row, reference_memberships
@@ -350,7 +350,7 @@ def test_actor_norm_is_the_exact_similitude_of_h():
     for x in xs:
         actor = GaloisActor.build(x, 3)
         assert actor.norm == field_norm(x)
-        assert not any(_form_defects(actor._cols, actor.norm))
+        assert _form(actor._cols) == [actor.norm * j for j in _j_form(4)]
         norms.append(actor.norm)
     assert max(norms) > 10**150
 
@@ -373,6 +373,7 @@ def test_actor_nu_matches_the_full_membership_test():
 
 
 def test_actor_build_takes_one_similitude_and_no_form_identity(monkeypatch):
+    # build reads the one entry N(x) and no form; _g_multiplier reads nu off its one form pass, with no similitude
     calls = {"similitude": 0, "form": 0}
 
     def counted(name, fn):
@@ -385,12 +386,14 @@ def test_actor_build_takes_one_similitude_and_no_form_identity(monkeypatch):
     similitude = counted("similitude", symplectic._similitude)
     monkeypatch.setattr(symplectic, "_similitude", similitude)
     monkeypatch.setattr(cmfield, "_similitude", similitude)
-    monkeypatch.setattr(symplectic, "_form_defects", counted("form", symplectic._form_defects))
+    monkeypatch.setattr(symplectic, "_form", counted("form", symplectic._form))
     for x in standard_actors(7):
         GaloisActor.build(x, 7)
     assert calls == {"similitude": 2, "form": 0}
-    _g_multiplier(GaloisActor.build(ZETA, 7)._cols, 98)  # the patches see the full membership test
-    assert calls["similitude"] == 4 and calls["form"] == 1
+    cols = GaloisActor.build(ZETA, 7)._cols
+    assert calls == {"similitude": 3, "form": 0}
+    _g_multiplier(cols, 98)  # the patches see the full membership test
+    assert calls == {"similitude": 3, "form": 1}
 
 
 def test_actor_reads_h_once(monkeypatch):

@@ -8,6 +8,7 @@ from cmtheta import action, modularity, symplectic
 from cmtheta.symplectic import (
     SiegelPoint,
     _columns,
+    _form,
     _g_multiplier,
     act_siegel,
     blocks,
@@ -23,7 +24,7 @@ from cmtheta.symplectic import (
 )
 from cmtheta.theta import Characteristic
 
-from reference import block_special_gamma, reference_memberships
+from reference import block_special_gamma, fraction_form, reference_memberships
 
 
 def test_jmat():
@@ -240,9 +241,9 @@ def test_identity_is_a_fresh_exact_matrix():
 
 
 def test_membership_kernel_matches_fraction_reference():
-    rng = np.random.default_rng(29)
+    rng, big_rng = np.random.default_rng(29), np.random.default_rng(31)  # big_rng draws for the entries past 2**63
     kinds = ("upper", "lower", "mixed")
-    seen = {"gamma": 0, "g_group": 0, "outside": 0}
+    seen = {"gamma": 0, "g_group": 0, "outside": 0, "big": 0}
     for n in range(1, 51):  # n = 1 is the is_symplectic path, where every residue is 0 and 1 % n is too
         for g in (1, 2, 3):
             word = identity(2 * g)
@@ -253,11 +254,21 @@ def test_membership_kernel_matches_fraction_reference():
             twisted = word @ iota(a, g, n)
             bumped = twisted.copy()
             bumped[rng.integers(0, 2 * g), rng.integers(0, 2 * g)] += int(rng.integers(1, n + 1))
-            for m in (word, twisted, bumped, word @ jmat(g)):  # mod 2, J's residues add up to 2g, as I's do
+            # entries past 2**63: the word conjugated by a lift of level 10**20, then a generator of level 10**20 n
+            j, k = (int(v) for v in big_rng.integers(1, g + 1, 2))
+            lift, drop = special_gamma("upper", 1, 1, 10**20, g), special_gamma("upper", 1, 1, -(10**20), g)
+            big = lift @ word @ drop @ special_gamma(kinds[big_rng.integers(0, 3)], j, k, 10**20 * n, g)
+            big_bumped = big.copy()
+            big_bumped[big_rng.integers(0, 2 * g), big_rng.integers(0, 2 * g)] += int(big_rng.integers(1, n + 1))
+            # word @ J too: mod 2, J's residues add up to 2g, as I's do
+            for m in (word, twisted, bumped, word @ jmat(g), big, big @ iota(a, g, n), big_bumped):
                 nu, member, even = reference_memberships(m, n)
+                t = fraction_form(m)[0]
+                assert _form(_columns(m)) == [t[i][k] for i in range(2 * g) for k in range(i + 1, 2 * g)]
                 assert sympl_multiplier(m, modulus=n) == nu
                 assert in_gamma(m, n) == member
                 assert _g_multiplier(_columns(m), n) == (nu if even else None)
+                seen["big"] += max(abs(v) for v in m.flat) > 2**63 and member
                 seen["gamma"] += member
                 seen["g_group"] += nu is not None and even and not member
                 seen["outside"] += nu is None or not even
