@@ -10,9 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .exact import CycloElem, is_subgroup, orbit_inverse, orbit_product, orbit_sum, unit_residues
+from .symplectic import is_integer
 
 
 def subgroup_generated(n: int, gens) -> frozenset[int]:
@@ -32,13 +33,28 @@ def subgroup_generated(n: int, gens) -> frozenset[int]:
     return frozenset(elems)
 
 
+@lru_cache(maxsize=None)
+def _cyclic_generators(n: int) -> dict[int, list[int]]:
+    """For each unit r mod n, the generators r^k (gcd(k, ord r) = 1) of the cyclic group <r>."""
+    table = {}
+    for r in unit_residues(n):
+        powers = [r]
+        while powers[-1] != 1:
+            powers.append(powers[-1] * r % n)
+        table[r] = [p for k, p in enumerate(powers, 1) if math.gcd(k, len(powers)) == 1]
+    return table
+
+
 def stabilizer(a: CycloElem, within) -> frozenset[int]:
     """The residues mod n of the elements of `within` whose Galois action fixes a, a in Q(zeta_n).
 
     Stab(a) is a subgroup of (Z/n)^*, so each residue is tested at most once:
     `fixed` is a subgroup known to fix a and `moved` a union of its cosets known
-    to move a.  Neither holds a non-unit, so sigma_t of a non-unit t is always
-    applied, and raises.
+    to move a.  When sigma_r moves a, so does every generator r' of <r>, as r is a
+    power of r' and sigma_r' fixing a would make sigma_r fix it; so r' f moves a
+    for every f in `fixed`, and at most one residue is tested per cyclic subgroup.
+    Neither set holds a non-unit, so sigma_t of a non-unit t is always applied,
+    and raises.
     """
     n = a.n
     within = tuple(within)
@@ -51,8 +67,10 @@ def stabilizer(a: CycloElem, within) -> frozenset[int]:
             gens.append(r)
             fixed = subgroup_generated(n, gens)
             moved = {(m * f) % n for m in moved for f in fixed}
+        elif len(fixed) == 1:  # no coset to widen
+            moved.update(_cyclic_generators(n)[r])
         else:
-            moved |= {(r * f) % n for f in fixed}
+            moved |= {(s * f) % n for s in _cyclic_generators(n)[r] for f in fixed}
     return frozenset(r for t in within if (r := t % n) in fixed)
 
 
@@ -145,13 +163,24 @@ def is_primitive(e: CycloElem, t: AbelianTower) -> bool:
     return stabilizer(e.lift(t.conductor), t.base_h) == t.fixer_l
 
 
+def _coefficient(n: int, c) -> CycloElem:
+    """A combinator coefficient c in Q(zeta_n): int and Fraction first, then CycloElem, then other integers."""
+    if isinstance(c, (int, Fraction)):
+        return CycloElem.from_rational(n, c)
+    if isinstance(c, CycloElem):
+        return c.lift(n)
+    if is_integer(c):
+        return CycloElem.from_rational(n, int(c))
+    raise ValueError(f"a coefficient must be rational or a CycloElem, got {c!r}")
+
+
 def combine_trace(t: AbelianTower, a, b) -> CycloElem:
     """The trace combinator: epsilon = a x + b (ell*y - Tr_{L/K(x)}(y)).
 
-    a and b may be rationals or elements of K (anything fixed by base_h).
+    a and b may be rationals (an int, a Fraction or any integer `is_integer` accepts) or elements of K
+    (anything fixed by base_h); ValueError for anything else.
     """
-    a = CycloElem.from_rational(t.conductor, a) if isinstance(a, (int, Fraction)) else a.lift(t.conductor)
-    b = CycloElem.from_rational(t.conductor, b) if isinstance(b, (int, Fraction)) else b.lift(t.conductor)
+    a, b = _coefficient(t.conductor, a), _coefficient(t.conductor, b)
     if a.is_zero() or b.is_zero():
         raise ValueError("coefficients must be nonzero")
     # Q lies in K, so only an irrational coefficient needs its stabilizer
@@ -167,7 +196,11 @@ def combine_norm(t: AbelianTower, a: int, b: int, c: int, d: int, n: int = 1, m:
     integers; n, m nonzero integers.  It forms (ell - 1) + ([K(x):Q] - 1) conjugates, as every inverse is
     taken inside K(x) by _inverse_in_mid: N's, and that of a x + b for n < 0.
     """
-    if not all((a, b, c, d, n, m)):
+    params = (a, b, c, d, n, m)
+    # plain ints skip is_integer's per-value calls
+    if not (type(a) is type(b) is type(c) is type(d) is type(n) is type(m) is int or all(map(is_integer, params))):
+        raise ValueError("a, b, c, d, n and m must be integers")
+    if not all(params):
         raise ValueError("all parameters must be nonzero")
     if not (2 * abs(b) < abs(a) and 2 * abs(d) < abs(c)):
         raise ValueError("need 2 < |a/b| and 2 < |c/d|")

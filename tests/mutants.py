@@ -201,7 +201,10 @@ CAUGHT = [
         SYMPLECTIC,
         "res[:: size + 1] == [one] * size and ",
         "",
-        ["tests/test_symplectic.py::test_membership_kernel_matches_fraction_reference"],
+        [
+            "tests/test_symplectic.py::test_group_memberships",
+            "tests/test_symplectic.py::test_membership_kernel_matches_fraction_reference",
+        ],
     ),
     # Gamma(n) membership without the residue total: M = I mod n read off the diagonal alone
     (
@@ -640,12 +643,32 @@ CAUGHT = [
         "cut = _certified(zp, tol)",
         ["tests/test_theta.py::test_one_cut_per_point_and_tolerance"],
     ),
-    # the stabilizer's moved cosets not widened when the fixing subgroup grows: residues known to move are applied
+    # the stabilizer's moved cosets not widened when the fixing subgroup grows: residues known to move are applied;
+    # zeta_15 + zeta_15^4 still applies [2, 4, 7, 11], as 8 = 2 * 4 is marked as the generator 2^3 of <2>, while
+    # zeta_25^5 applies [2, 4, 6, 7, 24], as 7 and 24 lie in the cosets 2<6> and 4<6> that were never widened
     (
         PRIMGEN,
         "            moved = {(m * f) % n for m in moved for f in fixed}\n",
         "",
-        ["tests/test_primgen.py::test_stabilizer_skips_residues_known_to_move"],
+        ["tests/test_primgen.py::test_stabilizer_tests_one_residue_per_cyclic_subgroup"],
+    ),
+    # the stabilizer marking r f alone as moving, not every generator r' f of <r> f: zeta_25 applies 19 residues
+    (
+        PRIMGEN,
+        "table[r] = [p for k, p in enumerate(powers, 1) if math.gcd(k, len(powers)) == 1]",
+        "table[r] = [r]",
+        ["tests/test_primgen.py::test_stabilizer_tests_one_residue_per_cyclic_subgroup"],
+    ),
+    # the stabilizer marking all of <r> as moving, not its generators alone: unsound, as a power of r may fix a
+    (
+        PRIMGEN,
+        "[p for k, p in enumerate(powers, 1) if math.gcd(k, len(powers)) == 1]",
+        "powers",
+        [
+            "tests/test_primgen.py::test_stabilizer",
+            "tests/test_primgen.py::test_stabilizer_matches_definition[20]",
+            "tests/test_primgen.py::test_conductor_25_tower",
+        ],
     ),
     # the norm combinator without its (v^-ell N)^|m| factor: still primitive, but not the combinator
     (

@@ -86,7 +86,7 @@ def probes(tmp: Path) -> dict:
     from cmtheta.cmfield import GaloisActor, belong_criterion, field_norm
     from cmtheta.exact import CycloElem, _poly_divide_exact, unit_residues
     from cmtheta.modularity import check_family, gamma_multiplier, theta_product
-    from cmtheta.primgen import make_tower, stabilizer
+    from cmtheta.primgen import combine_norm, combine_trace, make_tower, stabilizer
     from cmtheta.symplectic import identity, intmat, special_gamma
     from cmtheta.theta import Characteristic
 
@@ -132,6 +132,11 @@ def probes(tmp: Path) -> dict:
         ],
         "tower_membership": [raised(lambda: tower.trace_mid(z8)), raised(lambda: tower.norm_mid(z8))],
         "stabilizer_non_unit": raised(lambda: stabilizer(CycloElem.from_rational(8, 3), [1, 2])),
+        "combinator_types": [raised(lambda: combine_trace(tower, a, 1)) for a in (2.0, "2", None)]
+        + [
+            raised(lambda: combine_norm(tower, *args))
+            for args in ((3.0, 1, 3, 1), (3, 1, 3, 1, 1, Fraction(3)), (3, 1, 3, "1"))
+        ],
         "cli_odd_level": cli(["modularity", str(odd_level)]),
         "cli_even_p": cli(["action", "--x", "1 2 2 0 0", "--p", "4", "--char", "1/4 0 0 0"]),
         "cli_huge_s": cli(["theta", "--at", "i", "--char", "0 0 1e400 0"]),

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cmtheta.exact import CycloElem, orbit_sum, unit_residues
@@ -38,6 +39,8 @@ def test_stabilizer():
     assert stabilizer(z8**2, units) == frozenset({1, 5})
     assert stabilizer(CycloElem.from_rational(8, 3), units) == frozenset(units)
     assert stabilizer(z8 + z8**7, (1, 7, 9, 15)) == frozenset({1, 7})  # 9 = 1 and 15 = 7 mod 8
+    # sigma_3 moves zeta_16^2 = zeta_8 and marks its generators 3 and 11, but its square sigma_9 fixes zeta_8
+    assert stabilizer(CycloElem.zeta(16, 2), unit_residues(16)) == frozenset({1, 9})
 
 
 @pytest.mark.parametrize("n", [8, 12, 15, 16, 20, 24, 25])
@@ -69,6 +72,24 @@ def test_stabilizer_skips_residues_known_to_move(monkeypatch):
     z = CycloElem.zeta(15)
     assert stabilizer(z + z**4, unit_residues(15)) == frozenset({1, 4})
     assert applied == [2, 4, 7, 11]
+
+
+def test_stabilizer_tests_one_residue_per_cyclic_subgroup(monkeypatch):
+    # a residue that moves a marks every generator of its cyclic group: zeta_25 applies one residue per nontrivial
+    # cyclic subgroup of (Z/25)^* = C20 (orders 20, 10, 5, 4, 2), not 19; zeta_25^5 = zeta_5 stops once sigma_6 fixes
+    # it, as <6> times the moved 2 and 4 covers the rest
+    applied = []
+    galois = CycloElem.galois
+    monkeypatch.setattr(CycloElem, "galois", lambda self, t: applied.append(t) or galois(self, t))
+    cases = [
+        (25, 1, {1}, [2, 4, 6, 7, 24]),
+        (25, 5, subgroup_generated(25, [6]), [2, 4, 6]),
+        (16, 1, {1}, [3, 5, 7, 9, 15]),
+    ]
+    for n, k, stab, residues in cases:
+        applied.clear()
+        assert stabilizer(CycloElem.zeta(n, k), unit_residues(n)) == stab
+        assert applied == residues, (n, k)
 
 
 def test_stabilizer_rejects_non_units_even_for_rationals():
@@ -167,6 +188,25 @@ def test_combine_trace_validation():
         combine_trace(t, 0, 1)
     with pytest.raises(ValueError):
         combine_trace(t, 1, CycloElem.zeta(8))  # not fixed by the base group
+    for bad in (2.0, "2", None, 1j, [2]):
+        with pytest.raises(ValueError):
+            combine_trace(t, bad, 1)
+        with pytest.raises(ValueError):
+            combine_trace(t, 1, bad)
+
+
+def test_combinators_take_any_integer_coefficient():
+    t = surrogate_tower()
+    for two in (np.int64(2), np.int8(2), np.uint16(2)):
+        assert combine_trace(t, two, 1) == combine_trace(t, 2, 1) == combine_trace(t, Fraction(2), 1)
+        assert combine_trace(t, 1, two) == combine_trace(t, 1, 2)
+    wide = combine_norm(t, np.int64(3), 1, np.int32(3), 1, np.int8(2), np.int64(-1))
+    assert wide == combine_norm(t, 3, 1, 3, 1, 2, -1)
+
+
+def test_combinators_refuse_other_coefficients_under_optimize_flag(optimized):
+    # combine_trace's a as 2.0, "2" and None, then combine_norm's a as 3.0, m as Fraction(3) and d as "1"
+    assert optimized["combinator_types"] == ["ValueError"] * 6
 
 
 def test_combine_norm_validation():
@@ -177,6 +217,12 @@ def test_combine_norm_validation():
         combine_norm(t, 3, 1, 2, 1)
     with pytest.raises(ValueError):
         combine_norm(t, 3, 1, 3, 1, n=0)
+    for bad in (3.0, Fraction(3), "3", None):
+        for k in range(6):
+            args = [3, 1, 3, 1, 1, 1]
+            args[k] = bad
+            with pytest.raises(ValueError):
+                combine_norm(t, *args)
     z8 = CycloElem.zeta(8)
     frac = make_tower(8, unit_residues(8), (z8 + z8**7) / 2, z8**2)
     with pytest.raises(ValueError):

@@ -105,6 +105,8 @@ def test_group_memberships():
     assert is_symplectic(jmat(2))
     assert in_gamma(identity(4), 4)
     assert not in_gamma(special_gamma("upper", 1, 1, 2), 4)
+    for g in (1, 2, 3):  # mod 2 J's residues add up to 2g, as I's do: only the diagonal comparison refuses J
+        assert not in_gamma(jmat(g), 2)
     lower = special_gamma("lower", 1, 1, 1)  # symplectic, but tAC has an odd diagonal
     assert is_symplectic(lower)
     assert _g_multiplier(_columns(lower), 6) is None  # in neither G_6 nor S_6
