@@ -24,7 +24,7 @@ and `from cmtheta import *` cover every name.
 
 import importlib
 
-from .exact import CycloElem, RootOfUnity, cyclotomic_coeffs, rel_trace_norm, unit_residues
+from .exact import CycloElem, RootOfUnity, cyclotomic_coeffs, rel_trace_norm, solve_exact, unit_residues
 from .symplectic import (
     SiegelPoint,
     act_siegel,
@@ -136,6 +136,7 @@ __all__ = [
     "rel_trace_norm",
     "riemann_form",
     "run_suite",
+    "solve_exact",
     "special_gamma",
     "stabilizer",
     "standard_actors",

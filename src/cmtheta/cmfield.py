@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .action import ActionResult, _move
-from .exact import CycloElem, RootOfUnity, orbit_product, orbit_sum, solve_exact
+from .exact import CycloElem, RootOfUnity, orbit_product, orbit_sum
 from .symplectic import SiegelPoint, _g_member, _similitude, is_integer
 from .theta import Characteristic, DEFAULT_SETTINGS, EvalSettings, _translation_shift, phi_eval, theta_null
 
@@ -59,26 +59,20 @@ def reflex_norm(x: CycloElem) -> CycloElem:
     return CycloElem._make(5, _reflex_num(x.num), x.den * x.den)
 
 
-@lru_cache(maxsize=None)
-def _h_table() -> tuple[tuple[int, ...], ...]:
-    # column-major: entry 4k + j lists h(zeta^i)[j, k] for i = 0..3, by exact solves on the CM basis
-    bmat = [[_BASIS[k].coeffs[i] for k in range(4)] for i in range(4)]
-    hs = []
-    for i in range(4):
-        zi = CycloElem.zeta(5, i)
-        hs.append([solve_exact(bmat, list((zi * xj).coeffs)) for xj in _BASIS])
-    return tuple(tuple(int(h[j][k]) for h in hs) for k in range(4) for j in range(4))
-
-
 def _h_columns(c) -> tuple[tuple[int, ...], ...]:
     """The four columns of h(x) as tuples, in the layout of symplectic._columns.
 
-    c holds the integer power-basis coefficients of x; h is Z-linear in x, so
-    h(x) = sum_i c_i h(zeta^i).
+    c holds the integer power-basis coefficients of x.  h is Z-linear in x, so
+    each entry is a fixed linear form in c, written out here; the defining
+    solves on the CM basis (reference.h_map_by_solves) rebuild it in the tests.
     """
     c0, c1, c2, c3 = c
-    h = tuple([c0 * a + c1 * b + c2 * d + c3 * e for a, b, d, e in _h_table()])  # column-major, as the table
-    return h[:4], h[4:8], h[8:12], h[12:]
+    return (
+        (c0 - c3, c3 - c1, c1, c1 - c2),
+        (c2 - c3, c0 - c1, c3, c1 - c2 + c3),
+        (-c1, c2, c0 - c2, c3 - c2),
+        (c1 - c3, -c1, c2, c0),
+    )
 
 
 def _matrix(cols) -> np.ndarray:
@@ -86,7 +80,8 @@ def _matrix(cols) -> np.ndarray:
 
 
 def h_map(x: CycloElem) -> np.ndarray:
-    """The 4x4 integer matrix with x*xi_j = sum_k h[j,k] xi_k on the CM basis.
+    """The 4x4 integer matrix with x*xi_j = sum_k h[j,k] xi_k on the CM basis, read off the literal
+    linear forms of _h_columns (the tests check them against the solves that define h).
 
     x must be an algebraic integer of Q(zeta_5), that is integral on the power
     basis; raises ValueError otherwise.
@@ -153,8 +148,8 @@ class GaloisActor:
     @classmethod
     def build(cls, x: CycloElem, p: int) -> "GaloisActor":
         """The actor in one pass on Python ints: r = x sigma_3(x) as the four integer quadratic forms of
-        _reflex_num (reflex_norm wraps them), then the columns of h(r) off _h_table, the cached column-major
-        table of the Z-linear map h that h_map reads too."""
+        _reflex_num (reflex_norm wraps them), then the columns of h(r) as the literal linear forms of
+        _h_columns, which h_map reads too and the tests rebuild by exact solves on the CM basis."""
         if not is_odd_prime(p):
             raise ValueError(f"p = {p} must be an odd prime")
         p, cols = int(p), _h_columns(_reflex_num(_integral_num(x)))
@@ -176,8 +171,9 @@ class GaloisActor:
             raise ValueError("reflex-norm matrix is not in G_{2p^2}; criterion inapplicable")
         y, phase = _move(self._cols, self.nu, chi.scaled(p))  # raises unless g = 2, as h is 4 x 4
         phase += 2 * p * _translation_shift(y, p)
-        # the constructor divides out gcd(p, *y), so an image = 0 mod p collapses to denominator 1
-        return ActionResult(RootOfUnity._make(phase, 2 * p * p), Characteristic([v % p for v in y], p))
+        # p is prime, so gcd(p, *num) = 1 unless the image is 0 mod p: then it is the integral characteristic 0
+        num = tuple([v % p for v in y])
+        return ActionResult(RootOfUnity._make(phase, 2 * p * p), Characteristic._make(num, p if any(num) else 1))
 
     def belong(self) -> BelongResult:
         """The first-row congruence test of belong_criterion on this actor."""

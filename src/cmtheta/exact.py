@@ -12,6 +12,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache, reduce
+from numbers import Integral
 from operator import add, mul
 
 
@@ -73,6 +74,12 @@ def euler_phi(n: int) -> int:
     return len(unit_residues(n))
 
 
+def _fraction(v) -> Fraction:
+    """v as a Fraction, an Integral (numpy's too) read as a Python int first: a Fraction of a numpy integer keeps its
+    numpy numerator, whose products wrap past 2^63."""
+    return Fraction(int(v) if isinstance(v, Integral) else v)
+
+
 class CycloElem:
     """An element of Q(zeta_n), exact.
 
@@ -91,7 +98,7 @@ class CycloElem:
         if all(type(c) is int for c in cs):
             self._set(n, cs, 1)
             return
-        fracs = [Fraction(c) for c in cs]
+        fracs = [_fraction(c) for c in cs]
         den = math.lcm(*(f.denominator for f in fracs))
         self._set(n, [f.numerator * (den // f.denominator) for f in fracs], den)
 
@@ -137,7 +144,7 @@ class CycloElem:
 
     @classmethod
     def from_rational(cls, n: int, q) -> "CycloElem":
-        p, d = (q if isinstance(q, (int, Fraction)) else Fraction(q)).as_integer_ratio()
+        p, d = (q if isinstance(q, (int, Fraction)) else _fraction(q)).as_integer_ratio()
         return cls._make(n, [p], d)
 
     # -- coercion ---------------------------------------------------------
@@ -346,7 +353,8 @@ def rel_trace_norm(a: CycloElem, subgroup, mode: str) -> CycloElem:
 
 
 def solve_exact(rows, rhs):
-    """Solve the square system rows * x = rhs over Fraction; None if singular."""
+    """Solve the square system rows * x = rhs over Fraction; None if singular.  Exported for callers and the
+    tests, which rebuild the literal reflex-norm map of cmfield._h_columns with it; nothing in the package calls it."""
     n = len(rows)
     aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
     for col in range(n):

@@ -376,9 +376,36 @@ CAUGHT = [
     # the fused Artin action keeping denominator p for an image = 0 mod p: unequal to the integral characteristic 0
     (
         CMFIELD,
-        "Characteristic([v % p for v in y], p)",
-        "Characteristic._make(tuple(v % p for v in y), p)",
+        "p if any(num) else 1)",
+        "p if any(num) else p)",
         ["tests/test_cmfield.py::test_fused_action_matches_the_raw_action_reduced"],
+    ),
+    # the fused Artin action without its zero-image branch: every image taken as in lowest terms over p
+    (
+        CMFIELD,
+        "_make(num, p if any(num) else 1)",
+        "_make(num, p)",
+        ["tests/test_cmfield.py::test_fused_action_matches_the_raw_action_reduced"],
+    ),
+    # one sign flipped in a literal column of h: the entry -c1 of h(x)[1, 3] read as +c1
+    (
+        CMFIELD,
+        "(c1 - c3, -c1, c2, c0)",
+        "(c1 - c3, c1, c2, c0)",
+        [
+            "tests/test_cmfield.py::test_h_map_matches_solve_definition",
+            "tests/test_cmfield.py::test_h_map_reference",
+        ],
+    ),
+    # CycloElem keeping numpy integers: a Fraction of an int64 keeps an int64 numerator, which wraps
+    (
+        EXACT,
+        "return Fraction(int(v) if isinstance(v, Integral) else v)",
+        "return Fraction(v)",
+        [
+            "tests/test_cmfield.py::test_numpy_coordinates_stay_exact",
+            "tests/test_exact.py::test_numpy_integers_enter_as_python_ints",
+        ],
     ),
     # the translation rule with % and // swapped: e((r // den)(s mod den) / den)
     (

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction as F
 from operator import mul
@@ -177,6 +178,15 @@ def test_numpy_prime_is_read_as_an_int():
     assert [type(v) for v in dataclasses.astuple(actor.belong())] == [tuple, int, int, bool, int, bool, bool]
 
 
+def test_numpy_coordinates_stay_exact():
+    # numpy integer coordinates enter CycloElem as Python ints, so the norm of order 10^20 does not wrap at 2^63
+    coords = (100003, -70001, 50000, 3, 9)
+    res = belong_criterion([np.int64(v) for v in coords], 7)
+    assert res == belong_criterion(list(coords), 7)
+    assert res.norm == 105_749_126_792_370_432_131
+    assert all(type(v) is int for v in (*res.first_row, res.value, res.value_mod_p, res.norm))
+
+
 @pytest.mark.parametrize("coords", [[1, F(5, 2), 2, 0, 0], [1, 2.9, 2, 0, 0]])
 def test_belong_rejects_non_integral_coordinates(coords):
     # int() would truncate both to [1, 2, 2, 0, 0]
@@ -282,6 +292,19 @@ def test_fused_action_matches_the_raw_action_reduced():
                 assert got == ActionResult(raw.multiplier * extra, red)
                 collapsed += got.chi_out.den == 1
     assert collapsed == 15  # the integral chi at each actor: its image collapses to denominator 1
+
+
+def test_actor_image_is_in_lowest_terms():
+    # act builds its image with Characteristic._make, taking gcd(p, *image) = 1 for p prime and a nonzero image
+    for p in (3, 5, 7):
+        for x in standard_actors(p):
+            actor = GaloisActor.build(x, p)
+            for num in itertools.product(range(p), repeat=4):
+                if not any(num):
+                    continue
+                out = actor.act(Characteristic(num, p)).chi_out
+                ref = Characteristic(list(out.num), out.den)
+                assert (out.num, out.den, out._canonical) == (ref.num, p, ref._canonical) and ref.den == p
 
 
 def test_actor_act_reuses_the_built_multiplier():

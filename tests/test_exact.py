@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
@@ -126,6 +127,18 @@ def test_normalised_representation():
     assert CycloElem.from_rational(5, 0).num == (0, 0, 0, 0) and CycloElem.from_rational(5, 0).den == 1
     # reduction of high powers mod Phi_n keeps the common denominator
     assert CycloElem(5, [0, 0, 0, 0, Fraction(1, 3)]) == CycloElem(5, [Fraction(-1, 3)] * 4)
+
+
+def test_numpy_integers_enter_as_python_ints():
+    # a Fraction of a numpy integer keeps its numpy numerator, whose products wrap past 2^63
+    big = 2**40
+    for got, want in (
+        (CycloElem(5, [np.int64(big), np.int32(3)]), CycloElem(5, [big, 3])),
+        (CycloElem(5, [np.int64(big), Fraction(1, 2)]), CycloElem(5, [big, Fraction(1, 2)])),
+        (CycloElem.from_rational(5, np.int64(big)), CycloElem.from_rational(5, big)),
+    ):
+        assert all(type(v) is int for v in (got.den, *got.num))
+        assert ((got * got).num, (got * got).den) == ((want * want).num, (want * want).den)
 
 
 def test_mixed_order_arithmetic():
