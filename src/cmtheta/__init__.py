@@ -20,6 +20,13 @@ points.
 that imports their module then and reads the name from it on every access.
 `__all__`, `dir(cmtheta)` (through the module `__dir__`, which loads nothing)
 and `from cmtheta import *` cover every name.
+
+The eager layers define no dataclass, so the import loads no `dataclasses`.  A
+record built on every call (`ActionResult`, `GaloisActor`, `BelongResult`) is a
+`typing.NamedTuple`: one tuple allocation, not one `object.__setattr__` per
+field.  A record read on every theta call (`EvalSettings`, `CMContext`, the
+cuts) is a `theta._Record`, whose `__slots__` fields read as plain slots.  Both
+kinds compare by value and refuse assignment.
 """
 
 import importlib

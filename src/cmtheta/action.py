@@ -7,16 +7,15 @@ of odd denominator, which carries an explicit root-of-unity multiplier.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index, mul
+from typing import NamedTuple
 
 from .exact import RootOfUnity
 from .symplectic import _columns, _g_multiplier, check_level
 from .theta import Characteristic
 
 
-@dataclass(frozen=True)
-class ActionResult:
+class ActionResult(NamedTuple):
     multiplier: RootOfUnity
     chi_out: Characteristic
 

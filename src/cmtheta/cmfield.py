@@ -9,16 +9,16 @@ basis xi_1..xi_4 and the xi of riemann_form are built once, at import.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .action import ActionResult, _move
 from .exact import CycloElem, RootOfUnity, orbit_product, orbit_sum
 from .symplectic import SiegelPoint, _g_member, _similitude, is_integer
-from .theta import Characteristic, DEFAULT_SETTINGS, EvalSettings, _translation_shift, phi_eval, theta_null
+from .theta import Characteristic, DEFAULT_SETTINGS, EvalSettings, _Record, _translation_shift, phi_eval, theta_null
 
 
 _ZETA = CycloElem.zeta(5)
@@ -94,12 +94,13 @@ def riemann_form(x: CycloElem, y: CycloElem) -> Fraction:
     return orbit_sum(_XI * x * y.galois(4), (1, 2, 3, 4)).rational_value()
 
 
-@dataclass(frozen=True)
-class CMContext:
-    basis: tuple[CycloElem, ...]
-    z0: SiegelPoint
-    settings: EvalSettings
-    null0: complex
+class CMContext(_Record):
+    """The CM basis, the CM point Z0, the settings of every evaluation at Z0, and the theta null there."""
+
+    __slots__ = ("basis", "z0", "settings", "null0")
+
+    def __init__(self, basis: tuple[CycloElem, ...], z0: SiegelPoint, settings: EvalSettings, null0: complex) -> None:
+        super().__init__(basis, z0, settings, null0)
 
     def phi(self, chi: Characteristic) -> complex:
         """Phi_chi(Z0) with the cached theta-null denominator."""
@@ -110,7 +111,7 @@ def build_context(settings: EvalSettings = DEFAULT_SETTINGS) -> CMContext:
     omega = np.array([[b.embed(t) for b in _BASIS] for t in (1, 2)])
     w1, w2 = omega[:, :2], omega[:, 2:]
     z0 = SiegelPoint(np.linalg.solve(w2, w1))
-    return CMContext(basis=_BASIS, z0=z0, settings=settings, null0=theta_null(z0, settings))
+    return CMContext(_BASIS, z0, settings, theta_null(z0, settings))
 
 
 def is_odd_prime(p: int) -> bool:
@@ -119,26 +120,25 @@ def is_odd_prime(p: int) -> bool:
     return is_integer(p) and p > 2 and p % 2 == 1 and all(p % q for q in range(3, math.isqrt(p) + 1, 2))
 
 
-@dataclass(frozen=True)
-class GaloisActor:
+class GaloisActor(NamedTuple):
     """An integral x of Q(zeta_5) packaged as a level-2p^2 symplectic actor.
 
-    h_matrix is the integral reflex-norm matrix h(phi*(x)), held once as
-    tuples of Python-int columns in the layout symplectic._columns reads,
-    so an actor shared by shared_actor cannot be changed; norm is N(x), the
-    exact similitude of h, and nu is N(x) mod 2p^2 when h lies in G_{2p^2} by
-    the rule of symplectic._g_member, and None otherwise.
+    cols is the integral reflex-norm matrix h(phi*(x)), held once as tuples of
+    Python-int columns in the layout symplectic._columns reads, so an actor
+    shared by shared_actor cannot be changed; h_matrix is it as an array.
+    norm is N(x), the exact similitude of h, and nu is N(x) mod 2p^2 when h
+    lies in G_{2p^2} by the rule of symplectic._g_member, and None otherwise.
     """
 
     p: int
-    _cols: tuple = field(repr=False)
+    cols: tuple[tuple[int, ...], ...]
     nu: int | None
     norm: int
 
     @property
     def h_matrix(self) -> np.ndarray:
         """h(phi*(x)) as an integer matrix (dtype=object)."""
-        return _matrix(self._cols)
+        return _matrix(self.cols)
 
     @property
     def in_group(self) -> bool:
@@ -155,7 +155,7 @@ class GaloisActor:
         p, cols = int(p), _h_columns(_reflex_num(_integral_num(x)))
         # E(ra, rb) = r conj(r) E(a, b) = N(x) E(a, b) for r = phi*(x): t(h) J h = N(x) J exactly, not tested here
         norm = _similitude(cols)
-        return cls(p=p, _cols=cols, nu=_g_member(cols, norm, 2 * p * p), norm=norm)
+        return cls(p, cols, _g_member(cols, norm, 2 * p * p), norm)
 
     def act(self, chi: Characteristic) -> ActionResult:
         """The simulated Artin action of (x) on Phi_chi(Z0), chi with denominator p.
@@ -169,7 +169,7 @@ class GaloisActor:
             if math.gcd(self.norm, 2 * p) != 1:
                 raise ValueError(f"norm {self.norm} of the actor is not prime to 2p = {2 * p}")
             raise ValueError("reflex-norm matrix is not in G_{2p^2}; criterion inapplicable")
-        y, phase = _move(self._cols, self.nu, chi.scaled(p))  # raises unless g = 2, as h is 4 x 4
+        y, phase = _move(self.cols, self.nu, chi.scaled(p))  # raises unless g = 2, as h is 4 x 4
         phase += 2 * p * _translation_shift(y, p)
         # p is prime, so gcd(p, *num) = 1 unless the image is 0 mod p: then it is the integral characteristic 0
         num = tuple([v % p for v in y])
@@ -177,7 +177,7 @@ class GaloisActor:
 
     def belong(self) -> BelongResult:
         """The first-row congruence test of belong_criterion on this actor."""
-        a, b, c, d = (col[0] for col in self._cols)  # the first row of h
+        a, b, c, d = (col[0] for col in self.cols)  # the first row of h
         value = -2 * a * b + 2 * a * c + a * d - 2 * b * c - 2 * c * d - 2 * d * d
         return BelongResult(
             first_row=(a, b, c, d),
@@ -226,8 +226,7 @@ def closed_phase(which: int, chi: Characteristic, p: int) -> RootOfUnity:
     return RootOfUnity._make(f, p)
 
 
-@dataclass(frozen=True)
-class BelongResult:
+class BelongResult(NamedTuple):
     first_row: tuple[int, int, int, int]
     value: int
     value_mod_p: int

@@ -381,7 +381,7 @@ class RootOfUnity:
     __slots__ = ("num", "den")
 
     def __init__(self, exponent) -> None:
-        self._set(*Fraction(exponent).as_integer_ratio())
+        self._set(*_fraction(exponent).as_integer_ratio())
 
     def _set(self, num: int, den: int) -> None:
         num %= den

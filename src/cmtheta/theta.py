@@ -13,7 +13,6 @@ import cmath
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -160,13 +159,48 @@ def all_characteristics(n: int, g: int):
         yield Characteristic.from_den(nums[:g], nums[g:], n)
 
 
-@dataclass(frozen=True)
-class EvalSettings:
-    tol: float = 1e-12
+class _Record:
+    """A record on __slots__: its fields are the slots of its class and its bases, base first, set once by __init__
+    and read as plain slots.  Equal by type and fields, hashed by fields; any assignment raises AttributeError, so a
+    shared one (settings, a context, the cuts kept on a point) cannot change."""
 
-    def __post_init__(self):
-        if not 0 < self.tol < math.inf:  # also false for nan; a truncation needs a positive finite target
-            raise ValueError(f"theta tolerance must be a positive finite number, got {self.tol}")
+    __slots__ = _fields = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = super(cls, cls)._fields + cls.__slots__
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in zip(self._fields, self._values()))})"
+
+
+class EvalSettings(_Record):
+    __slots__ = ("tol",)
+
+    def __init__(self, tol: float = 1e-12) -> None:
+        if not 0 < tol < math.inf:  # also false for nan; a truncation needs a positive finite target
+            raise ValueError(f"theta tolerance must be a positive finite number, got {tol}")
+        super().__init__(tol)
 
 
 DEFAULT_SETTINGS = EvalSettings()
@@ -239,8 +273,7 @@ def _radius(rho: float, g: int, target: float) -> tuple[float, float]:
     return rho + m / 32, tail
 
 
-@dataclass(frozen=True)
-class _Cut:
+class _Cut(_Record):
     """One certified truncation of the theta series at one SiegelPoint and tolerance, ready to sum.
 
     A cut is a _Factored or a _Terms, as the range guard of theta_eval decides; each has its
@@ -259,15 +292,9 @@ class _Cut:
     theta value.
     """
 
-    dims: tuple[int, ...]
-    coords: np.ndarray
-    exponents: np.ndarray
-    radius: float
-    tail: float
-    rounding: float
+    __slots__ = ("dims", "coords", "exponents", "radius", "tail", "rounding")
 
 
-@dataclass(frozen=True)
 class _Factored(_Cut):
     """A cut summed as a contraction over its axes, where the range guard of theta_eval holds.
 
@@ -279,9 +306,7 @@ class _Factored(_Cut):
     of axis j) for j = g-2, ..., 0, the order sum contracts them in.
     """
 
-    factor: np.ndarray
-    last: slice
-    inner: tuple[tuple[int, slice], ...]
+    __slots__ = ("factor", "last", "inner")
 
     def sum(self, linear: np.ndarray, const: complex) -> complex:
         """(E . w_(g-1) . ... . w_0) exp(const) with w = exp(linear), as theta_eval's order of summation states."""
@@ -292,14 +317,13 @@ class _Factored(_Cut):
         return total.item() * cmath.exp(const)
 
 
-@dataclass(frozen=True)
 class _Terms(_Cut):
     """A cut summed term by term, where the range guard of theta_eval fails (entries of Im Z beyond about 100).
 
     coords lists the candidates, one row each, and quad their phases pi i tyZy.
     """
 
-    quad: np.ndarray
+    __slots__ = ("quad",)
 
     def sum(self, linear: np.ndarray, const: complex) -> complex:
         """The sum of the terms exp(pi i tyZy + linear + const) over the candidates, one exponential each."""

@@ -420,9 +420,37 @@ CAUGHT = [
     # belong_criterion reading the second row of h
     (
         CMFIELD,
-        "(col[0] for col in self._cols)",
-        "(col[1] for col in self._cols)",
+        "(col[0] for col in self.cols)",
+        "(col[1] for col in self.cols)",
         ["tests/test_cmfield.py::test_first_row_matches_paper_quadratic_forms"],
+    ),
+    # RootOfUnity reading its exponent as a Fraction of a numpy integer: num stays an np.int64
+    (
+        EXACT,
+        "self._set(*_fraction(exponent).as_integer_ratio())",
+        "self._set(*Fraction(exponent).as_integer_ratio())",
+        ["tests/test_exact.py::test_root_of_unity_reads_numpy_integers_as_ints"],
+    ),
+    # EvalSettings without its validation: a tolerance of 0, -1, inf or nan is kept
+    (
+        THETA,
+        "            raise ValueError(f\"theta tolerance must be a positive finite number, got {tol}\")\n",
+        "            pass\n",
+        [
+            f"tests/test_theta.py::test_settings_reject_tolerances_that_are_not_positive_finite[{tol}]"
+            for tol in ("-1.0", "0.0", "nan", "inf")
+        ],
+    ),
+    # GaloisActor compared by identity: an actor built at np.int64(7) no longer equals the one built at 7
+    (
+        CMFIELD,
+        "    @property\n    def h_matrix",
+        "    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__\n\n"
+        "    @property\n    def h_matrix",
+        [
+            "tests/test_layout.py::test_records_keep_their_fields_compare_by_value_and_refuse_assignment[GaloisActor]",
+            "tests/test_cmfield.py::test_numpy_prime_is_read_as_an_int",
+        ],
     ),
     # RootOfUnity without the gcd reduction: e(1/2) and e(2/4) unequal
     (

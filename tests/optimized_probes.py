@@ -12,6 +12,7 @@ and stderr.
 import contextlib
 import io
 import json
+import math
 import sys
 import tempfile
 from fractions import Fraction
@@ -52,6 +53,7 @@ def cli(args):
 def imports() -> dict:
     """What `import cmtheta` loads and exports, and what the `theta` and `action` commands add: run first."""
     cmtheta.build_context()
+    dataclasses_loaded = "dataclasses" in sys.modules  # before the CLI and the lazy layers, which may load it
     listed = dir(cmtheta)
     loaded = sorted(m for m in sys.modules if m.split(".")[0] == "cmtheta")  # after dir(), so what dir() loads shows
     codes = [
@@ -69,6 +71,7 @@ def imports() -> dict:
     exec("from cmtheta import *", star)
     return {
         "loaded": loaded,
+        "dataclasses_loaded": dataclasses_loaded,
         "codes": codes,
         "loaded_by_cli": loaded_by_cli,
         "listed": listed,
@@ -88,7 +91,7 @@ def probes(tmp: Path) -> dict:
     from cmtheta.modularity import check_family, gamma_multiplier, theta_product
     from cmtheta.primgen import combine_norm, combine_trace, make_tower, stabilizer
     from cmtheta.symplectic import identity, intmat, special_gamma
-    from cmtheta.theta import Characteristic
+    from cmtheta.theta import Characteristic, EvalSettings
 
     odd_level = tmp / "fam.txt"
     odd_level.write_text("2 3\n6 1/3 0 0 0\n")
@@ -109,6 +112,7 @@ def probes(tmp: Path) -> dict:
         "cyclo_zero_division": raised(lambda: CycloElem.zeta(5) / 0),
         "rational_value": raised(lambda: CycloElem.zeta(5).rational_value()),
         "intmat": raised(lambda: intmat([[0.5, 0], [0, 1]])),
+        "eval_settings": [raised(lambda: EvalSettings(tol)) for tol in (0, -1, math.inf, math.nan)],
         "cm_input_checks": [
             raised(lambda: field_norm(CycloElem.zeta(7))),
             raised(lambda: belong_criterion([1, Fraction(5, 2), 2, 0, 0], 7)),

@@ -364,6 +364,14 @@ def test_root_of_unity():
                 call()
 
 
+def test_root_of_unity_reads_numpy_integers_as_ints():
+    # the exponent is read through _fraction, as CycloElem reads its coefficients, so num and den are Python ints
+    for exponent in (np.int64(7), np.int32(-3), np.uint8(9)):
+        u = RootOfUnity(exponent)
+        assert u == RootOfUnity(int(exponent)) and hash(u) == hash(RootOfUnity(int(exponent)))
+        assert type(u.num) is int and type(u.den) is int
+
+
 def assert_phase(u: RootOfUnity, q) -> None:
     ref = reference_exponent(q)
     assert type(u.num) is int and type(u.den) is int

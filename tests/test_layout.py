@@ -1,10 +1,14 @@
 """Layout rules: src/ keeps only what src/ calls, the tests keep their references in one module, README names
 only what the code has, and `import cmtheta` loads only the layers the CM context is built from, as do the
-`theta` and `action` commands."""
+`theta` and `action` commands, and the records of those layers compare by value and refuse assignment."""
 import ast
 import builtins
+import copy
 import re
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import cmtheta
 
@@ -92,6 +96,7 @@ def test_import_loads_the_context_layers_and_resolves_the_rest_on_use(optimized)
     facts = optimized["imports"]  # taken under -O before anything imports a lazy layer
     layers = {"cmtheta.exact", "cmtheta.symplectic", "cmtheta.theta", "cmtheta.action", "cmtheta.cmfield"}
     assert facts["loaded"] == sorted({"cmtheta", *layers})  # read after dir(), so dir() loaded no lazy module
+    assert facts["dataclasses_loaded"] is False  # the eager layers define no dataclass
     # the parser, `theta` and `action` need no lazy layer: the CLI imports each in the subcommand that runs it
     assert facts["codes"] == [0, 0]
     assert facts["loaded_by_cli"] == sorted({"cmtheta", "cmtheta.cli", *layers})
@@ -101,3 +106,39 @@ def test_import_loads_the_context_layers_and_resolves_the_rest_on_use(optimized)
     lazy = {name for name, home in facts["homes"].items() if home not in layers}
     assert {facts["homes"][name] for name in lazy} == {"cmtheta.modularity", "cmtheta.primgen", "cmtheta.harness"}
     assert not lazy & set(facts["namespace"])  # read through __getattr__ each time, never stored in the package
+
+
+def records(ctx) -> dict:
+    """Per record class of the eager layers: its fields in order, two equal records built apart, and a different one."""
+    x, chi = 1 + 14 * cmtheta.CycloElem.zeta(5), cmtheta.Characteristic.from_den([1, 0], [0, 2], 7)
+    context = lambda settings: cmtheta.CMContext(ctx.basis, ctx.z0, settings, ctx.null0)
+    actor, belong = cmtheta.GaloisActor.build, cmtheta.belong_criterion
+    return {
+        "EvalSettings": (("tol",), cmtheta.EvalSettings(1e-9), cmtheta.EvalSettings(1e-9), cmtheta.EvalSettings()),
+        "CMContext": (
+            ("basis", "z0", "settings", "null0"),
+            context(ctx.settings),
+            context(cmtheta.EvalSettings(ctx.settings.tol)),
+            context(cmtheta.EvalSettings(1e-9)),
+        ),
+        "ActionResult": (("multiplier", "chi_out"), *(actor(x, 7).act(c) for c in (chi, chi, chi.neg()))),
+        "GaloisActor": (("p", "cols", "nu", "norm"), actor(x, np.int64(7)), actor(x, 7), actor(x, 11)),
+        "BelongResult": (
+            ("first_row", "value", "value_mod_p", "satisfied", "norm", "norm_prime_to_2p", "in_group"),
+            belong([1, 2, 2, 0, 0], np.int64(7)),
+            belong([1, 2, 2, 0, 0], 7),
+            belong([1, 2, 2, 0, 0], 11),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["EvalSettings", "CMContext", "ActionResult", "GaloisActor", "BelongResult"])
+def test_records_keep_their_fields_compare_by_value_and_refuse_assignment(name, ctx):
+    fields, record, same, other = records(ctx)[name]
+    assert type(record).__name__ == name and type(record)._fields == fields
+    assert record is not same and record == same and hash(record) == hash(same) and record != other
+    assert copy.copy(record) == record and repr(record).startswith(f"{name}({fields[0]}=")
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(other, field))
+    assert record == same

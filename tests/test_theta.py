@@ -560,6 +560,21 @@ def test_settings_reject_tolerances_that_are_not_positive_finite(tol):
         EvalSettings(tol=tol)
 
 
+def test_settings_check_survives_optimize_flag(optimized):
+    assert optimized["eval_settings"] == ["ValueError"] * 4
+
+
+def test_cut_kept_on_a_point_refuses_assignment():
+    z = SiegelPoint(np.eye(2) * 1j)
+    theta_eval(z, zero_char(2))
+    (cut,) = z._theta_cuts.values()
+    assert cut._fields[:6] == ("dims", "coords", "exponents", "radius", "tail", "rounding")
+    for name in cut._fields:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(cut, name, None)
+    assert z._theta_cuts[1e-12] is cut and isinstance(cut.dims, tuple)
+
+
 def test_small_imaginary_part_rejected():
     z = SiegelPoint(np.eye(2) * 1e-7j)  # needs a truncation radius far beyond MAX_RADIUS = 200
     with pytest.raises(ValueError, match="truncation radius exceeds 200"):
