@@ -99,24 +99,32 @@ def check_family(prod: ThetaProduct) -> FamilyCheck:
     With n_i = level * r_i and t_i = level * s_i (integer vectors), requires
     for all coordinate pairs (j, k):
 
-        sum_i m_i n_ij n_ik = 0  (mod 2*level)
-        sum_i m_i t_ij t_ik = 0  (mod 2*level)
+        sum_i m_i n_ij n_ik = 0  (mod 2*level if j = k, mod level if j < k)
+        sum_i m_i t_ij t_ik = 0  (mod 2*level if j = k, mod level if j < k)
         sum_i m_i n_ij t_ik = 0  (mod level)
+
+    The moduli, for one term with N = level, a = N r and t = N s: Z -> Z + B multiplies the summand of Theta[r; s]
+    at n by e((n + r)^t B (n + r) / 2), so by e(N n_j n_k + n_j a_k + a_j n_k + a_j a_k / N) = e(a_j a_k / N) for
+    B = N (E_jk + E_kj), j != k, and by e(N n_j^2 / 2 + n_j a_j + a_j^2 / (2N)) = e(a_j^2 / (2N)) for B = N E_jj,
+    N being even; the lower generators act so on t.  Z -> A Z tA, A = I + N E_jk, j != k, gives e(-a_j t_k / N), and
+    the mixed generator at (j, j) gives e(a_j t_j / N) once rr and ss hold.  Exponents add phases; the null's is 1.
 
     As [n_i; t_i] = (level/D) x_i for (D, M) = prod.moments, the sums are the
     entries (j, k), (g+j, g+k) and (j, g+k) of (level/D)^2 M.
     """
     n = prod.level
     den, mom = prod.moments
-    q, g = (n // den) ** 2, len(mom) // 2
+    q, g, moduli = (n // den) ** 2, len(mom) // 2, (2 * n, n)  # moduli[j < k]: the diagonal's, then the rest's
     failures = []
     for j in range(g):
         for k in range(g):
             srr, sss, srs = q * mom[j][k], q * mom[g + j][g + k], q * mom[j][g + k]
-            if j <= k and srr % (2 * n):
-                failures.append(("rr", j, k, srr % (2 * n), 2 * n))
-            if j <= k and sss % (2 * n):
-                failures.append(("ss", j, k, sss % (2 * n), 2 * n))
+            if j <= k:
+                mod = moduli[j < k]
+                if srr % mod:
+                    failures.append(("rr", j, k, srr % mod, mod))
+                if sss % mod:
+                    failures.append(("ss", j, k, sss % mod, mod))
             if srs % n:
                 failures.append(("rs", j, k, srs % n, n))
     return FamilyCheck(ok=not failures, failures=failures)

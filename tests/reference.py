@@ -20,7 +20,8 @@ from cmtheta import theta
 from cmtheta.action import ActionResult
 from cmtheta.cmfield import _BASIS
 from cmtheta.exact import RootOfUnity, solve_exact
-from cmtheta.symplectic import blocks, identity, intmat, sympl_multiplier
+from cmtheta.modularity import gamma_multiplier
+from cmtheta.symplectic import blocks, identity, intmat, jmat, special_gamma, sympl_multiplier
 from cmtheta.theta import Characteristic
 
 
@@ -228,6 +229,24 @@ def fraction_moments(prod):
     moments = [[sum((m * (den * vec[a]) * (den * vec[b]) for m, vec in vecs), F(0)) for b in size] for a in size]
     assert all(v.denominator == 1 for row in moments for v in row)
     return den, tuple(tuple(int(v) for v in row) for row in moments)
+
+
+def modular_on_pool(prod) -> bool:
+    """Whether gamma_multiplier is 1 at the product's level N on the nine generators special_gamma(kind, j, k, N)
+    of Gamma(N) that harness._witness tries, and on their conjugates M gamma M^-1 by six fixed words M of Sp_4(Z):
+    the verdict check_family must give, read off the multiplier alone."""
+    n, j = prod.level, jmat(2)
+    gens = [special_gamma(kind, a, b, n) for kind in ("upper", "lower", "mixed") for a, b in ((1, 1), (2, 2), (1, 2))]
+    words = [
+        j,
+        special_gamma("upper", 1, 1, 1),
+        special_gamma("lower", 1, 2, 1),
+        special_gamma("mixed", 1, 2, 1),
+        special_gamma("upper", 1, 2, 1) @ special_gamma("lower", 2, 2, 1),
+        j @ special_gamma("mixed", 1, 1, 1) @ special_gamma("upper", 2, 2, 1),
+    ]
+    pool = gens + [m @ gamma @ -(j @ m.T @ j) for m in words for gamma in gens]  # M^-1 = -J tM J
+    return all(gamma_multiplier(gamma, prod, n) == RootOfUnity.one() for gamma in pool)
 
 
 def fraction_transpose_apply(alpha, chi):

@@ -4,9 +4,12 @@ Each test drives the corresponding named harness check (the same code the
 `cmtheta verify` CLI runs) at its stated tolerance and reports the measured
 deviation on failure.
 """
-import pytest
+import numpy as np
 
 from cmtheta import harness
+from cmtheta.modularity import check_family
+
+from reference import modular_on_pool
 
 
 def run(check, env):
@@ -59,6 +62,14 @@ def test_modularity_criterion_is_sound_both_ways(env):
     measured, _ = run(harness.check_passing_families, env)
     assert measured < 1e-8
     run(harness.check_failing_families, env)
+    # exactly: on families both samplers draw, check_family passes where the multiplier is 1 on the generators of
+    # Gamma(N) and their conjugates, and fails where it is not
+    rng = np.random.default_rng(env.config.seed)
+    for n in (2, 4, 6):
+        for draw, modular in ((harness._random_passing_family, True), (harness._random_failing_family, False)):
+            for _ in range(20):
+                prod = draw(rng, n)
+                assert check_family(prod).ok == modular_on_pool(prod) == modular, (n, prod.terms)
 
 
 def test_odd_half_integral_theta_nulls_vanish(env):

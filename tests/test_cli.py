@@ -107,6 +107,15 @@ def test_modularity_fail(tmp_path, capsys):
     assert "fails rr[0,0]: residue 2 mod 4" in capsys.readouterr().out
 
 
+def test_modularity_passes_an_off_diagonal_entry_of_n_mod_2n(tmp_path, capsys):
+    # Phi_[1/2 1/2; 0 0]^2 Phi_[1/2 0; 0 0]^-2 Phi_[0 1/2; 0 0]^-2: its rr entry (0, 1) is 2 = N (mod 2N), and its
+    # multiplier is 1 on Gamma(2), so the off-diagonal congruence is taken mod N
+    f = tmp_path / "fam.txt"
+    f.write_text("2 2\n2 1/2 1/2 0 0\n-2 1/2 0 0 0\n-2 0 1/2 0 0\n")
+    assert main(["modularity", str(f)]) == 0
+    assert "modular for Gamma(2)" in capsys.readouterr().out
+
+
 def test_modularity_invalid_file(tmp_path, capsys):
     f = tmp_path / "fam.txt"
     f.write_text("2 2\n1 1/2 0 1/2 0\n")  # odd characteristic: the zero function
@@ -270,3 +279,4 @@ def test_modularity_zero_denominator_exits_2(tmp_path, capsys):
     f.write_text("2 2\n1 1/0 0 0 0\n")
     assert main(["modularity", str(f)]) == 2
     assert "invalid product file: zero denominator" in capsys.readouterr().err
+

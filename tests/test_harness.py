@@ -14,7 +14,7 @@ from cmtheta.exact import CycloElem, RootOfUnity
 from cmtheta.harness import SUITE_NAMES, ConfigError, HarnessEnv, Report, SuiteConfig, run_suite
 from cmtheta.modularity import FamilyCheck
 
-from pin_reports import SEEDS, TESTS
+from pin_reports import PRIMES, SEEDS, TESTS
 
 
 def stripped(report: Report):
@@ -161,13 +161,6 @@ def test_exact_failure_names_its_count_and_first_case(monkeypatch):
     assert record.measured is None and record.tolerance is None
     # every case fails: 3^4 grid points at p = 3 and 30 draws at p = 5 and 7, each under two actors
     assert record.detail.endswith("(282 cases), exact; 282 failing, first: p=3, chi=[0 0; 0 0], actor 1")
-
-
-def test_sign_symmetry_compares_integer_shifts_with_their_exact_phase(env):
-    # 20 sign pairs, then 20 shifted characteristics; summed unreduced, a shift deviates by order 1
-    outcome = harness.check_sign_symmetry(env)
-    assert outcome.passed and outcome.measured < 1e-13
-    assert "Theta(Z;r+a,s+b) = e(r.b) Theta(Z;r,s) for integer |a|,|b| <= 4" in outcome.detail
 
 
 def test_reports_are_deterministic_for_fixed_seed():
@@ -323,11 +316,11 @@ def test_belong_example_evaluates_each_criterion_once(monkeypatch):
 
 
 def test_passing_families_pass_at_seed_5():
-    # at seed 5 one family needs more than 60 draws for a well-conditioned base point
+    # at seed 5 two families need 36 and 39 point draws for their three well-conditioned points
     env = HarnessEnv(SuiteConfig(seed=5))
     out = harness.check_passing_families(env)
     assert out.passed and out.measured < out.tolerance
-    assert "767 well-conditioned comparisons" in out.detail
+    assert "720 well-conditioned comparisons" in out.detail
 
 
 def test_passing_families_pass_at_seed_134():
@@ -345,9 +338,63 @@ def test_failing_family_sampler_is_bounded(monkeypatch):
         harness.check_failing_families(HarnessEnv(SuiteConfig()))
 
 
+def test_failing_family_witness_names_its_families_and_point_draws():
+    # every family's worst ratio is |e(1/8) - 1|, so only the detail shows which families were drawn
+    out = harness.check_failing_families(HarnessEnv(SuiteConfig()))
+    assert out.passed and math.isclose(out.measured, 2 * math.sin(math.pi / 8), abs_tol=1e-12)
+    assert out.detail.startswith(
+        "failing families have a generator witness with ratio far from 1, 20 point draws; 10 at N=2, then 10 at N=4: "
+        "[0 1/2; 1/2 0]^1, [1/2 1/2; 1/2 1/2]^3 [1/2 0; 0 1/2]^2, [1/2 1/2; 0 0]^2,"
+    )
+    assert out.detail.endswith(", [0 1/2; 0 3/4]^3 [3/4 3/4; 1/2 0]^1 [3/4 1/2; 3/4 1/4]^1")
+
+
+def test_failing_family_without_a_witness_fails_its_check_by_name(monkeypatch):
+    monkeypatch.setattr(harness, "_witness", lambda prod, n: None)
+    monkeypatch.setitem(harness.CHECKS, "modularity", [("failing-family-witness", harness.check_failing_families)])
+    report, code = run_suite(SuiteConfig(suites=("modularity",)))
+    assert code == 1
+    (record,) = report.records
+    assert record.status == "fail"
+    assert "the failing family [0 1/2; 1/2 0]^1 at N=2 has no generator witness" in record.detail
+
+
+# the checks that compare values of Phi or Theta at drawn characteristics, through phi_eval or theta_eval
+COMPARED = (
+    "passing-family-invariance",
+    "multiplier-cross-validation",
+    "power-family-numeric",
+    "sign-symmetry",
+    "conjugation-at-cm-point",
+    "reality-locus",
+)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_every_compared_sample_can_fail(monkeypatch, seed):
+    # no compared characteristic has a constant Phi (zero, or in Sigma^-); sign-symmetry compares no chi = -chi and
+    # conjugation-at-cm-point no s = -s (mod 1), where the two sides would sum one series or its mirror image
+    seen = []
+    phi_eval, theta_eval = harness.phi_eval, harness.theta_eval
+    monkeypatch.setattr(harness, "phi_eval", lambda chi, *args, **kw: seen.append(chi) or phi_eval(chi, *args, **kw))
+    monkeypatch.setattr(harness, "theta_eval", lambda z, chi, *args: seen.append(chi) or theta_eval(z, chi, *args))
+    checks = {name: fn for registry in harness.CHECKS.values() for name, fn in registry}
+    env = HarnessEnv(SuiteConfig(primes=PRIMES, seed=seed))
+    for name in COMPARED:
+        seen.clear()
+        assert checks[name](env).passed, name
+        assert seen, name
+        for chi in {chi.reduce()[0] for chi in seen}:
+            assert chi.den > 1 and not chi.in_sigma_minus(), (name, str(chi))
+            if name == "sign-symmetry":
+                assert chi.neg().reduce()[0] != chi, (name, str(chi))
+            if name == "conjugation-at-cm-point":
+                assert any(2 * v % 1 for v in chi.s), (name, str(chi))
+
+
 def test_exhausted_char_and_tower_budgets_are_failed_checks(monkeypatch):
-    # every characteristic lands in Sigma^- and every tower has degree 1, so
-    # both bounded samplers run out of draws
+    # every characteristic lands in Sigma^-, so its Phi is constant, and every tower has degree 1, so both
+    # bounded samplers run out of draws
     monkeypatch.setattr(harness.Characteristic, "in_sigma_minus", lambda chi: True)
     monkeypatch.setattr(harness, "orbit_sum", lambda a, residues: CycloElem.from_rational(a.n, 1))
     monkeypatch.setitem(harness.CHECKS, "modularity", [("multiplier-cross-validation", harness.check_multiplier_cross)])
@@ -356,7 +403,7 @@ def test_exhausted_char_and_tower_budgets_are_failed_checks(monkeypatch):
     assert code == 1
     chars, towers = report.records
     assert chars.status == towers.status == "fail"
-    assert "no characteristic outside Sigma^- in 64 draws" in chars.detail
+    assert "no characteristic with a non-constant Phi in 64 draws" in chars.detail
     assert "no 20th tower of degree > 1 in 200 draws" in towers.detail
 
 

@@ -18,7 +18,7 @@ from cmtheta.symplectic import act_siegel, identity, jmat, special_gamma
 from cmtheta import theta
 from cmtheta.theta import Characteristic, phi_eval, random_siegel
 
-from reference import fraction_exponent, fraction_moments
+from reference import fraction_exponent, fraction_moments, modular_on_pool
 
 
 def chi4(rn, sn):
@@ -93,6 +93,52 @@ def test_failing_family_structure():
     prod = theta_product(4, [(chi4((0, 1), (0, 1)), 1), (chi4((0, 1), (0, 3)), 7)])
     assert check_family(prod).failures == [("rs", 1, 1, 2, 4)]
     assert gamma_multiplier(special_gamma("mixed", 2, 2, 4), prod, 4) != RootOfUnity.one()
+
+
+# product files at the boundary of each congruence, with check_family's failures: off the diagonal an entry = N
+# (mod 2N) passes, on the diagonal it fails, and an rs entry not = 0 (mod N) fails wherever it stands
+BOUNDARY_FAMILIES = [
+    ("2 2\n2 1/2 1/2 0 0\n-2 1/2 0 0 0\n-2 0 1/2 0 0", []),
+    ("2 2\n2 0 0 1/2 1/2\n-2 0 0 1/2 0\n-2 0 0 0 1/2", []),
+    ("2 2\n2 1/2 1/2 1/2 1/2\n-2 1/2 1/2 0 0\n-2 0 0 1/2 1/2", []),  # every rs entry is 2
+    ("2 4\n-2 0 1/4 0 0\n2 1/2 1/4 0 0", []),
+    ("2 4\n-2 0 0 0 1/4\n2 0 0 1/2 1/4", []),
+    ("2 4\n-2 0 0 0 1/4\n2 1/2 0 0 1/4", []),
+    ("2 2\n2 1/2 0 0 0", [("rr", 0, 0, 2, 4)]),
+    ("2 2\n2 0 1/2 0 0", [("rr", 1, 1, 2, 4)]),
+    ("2 2\n2 0 0 1/2 0", [("ss", 0, 0, 2, 4)]),
+    ("2 2\n2 0 0 0 1/2", [("ss", 1, 1, 2, 4)]),
+    ("2 4\n4 0 0 0 1/4\n-4 1/4 0 0 1/4", [("rr", 0, 0, 4, 8)]),
+    ("2 4\n4 0 0 0 1/4\n-4 0 0 1/4 1/4", [("ss", 0, 0, 4, 8)]),
+    ("2 4\n1 1/4 1/4 0 0\n-1 1/4 3/4 0 0", [("rr", 0, 1, 2, 4)]),
+    ("2 4\n1 0 0 1/4 1/4\n-1 0 0 1/4 3/4", [("ss", 0, 1, 2, 4)]),
+    ("2 4\n1 1/4 0 1/4 0\n-1 1/4 0 3/4 0", [("rs", 0, 0, 2, 4)]),
+    ("2 4\n1 1/4 0 0 1/4\n-1 1/4 0 0 3/4", [("rs", 0, 1, 2, 4)]),
+    ("2 4\n1 0 1/4 1/4 0\n-1 0 1/4 3/4 0", [("rs", 1, 0, 2, 4)]),
+    ("2 4\n1 0 1/4 0 1/4\n-1 0 1/4 0 3/4", [("rs", 1, 1, 2, 4)]),
+]
+
+
+def test_check_family_at_the_boundary_of_each_congruence():
+    for text, failures in BOUNDARY_FAMILIES:
+        prod = parse(text)
+        assert check_family(prod).failures == failures, text
+        assert modular_on_pool(prod) == (not failures), text
+
+
+def test_check_family_agrees_with_the_multiplier_on_generators_and_conjugates():
+    # the verdict is "gamma_multiplier is 1 on the nine generators and their conjugates", on 900 seeded families
+    rng = np.random.default_rng(27)
+    verdicts = []
+    for n in (2, 4, 6):
+        for _ in range(300):
+            chis = [Characteristic.from_den(rng.integers(0, n, 2), rng.integers(0, n, 2), n) for _ in range(4)]
+            exps = [int(m) for m in rng.integers(-4, 5, 4)]
+            terms = [(chi, m) for chi, m in zip(chis, exps) if not chi.in_sigma_minus()][: int(rng.integers(1, 5))]
+            prod = theta_product(n, terms)
+            verdicts.append(check_family(prod).ok)
+            assert verdicts[-1] == modular_on_pool(prod), (n, prod.terms, check_family(prod).failures)
+    assert 100 < sum(verdicts) < 800  # both verdicts are tested
 
 
 def test_multiplier_reference_values():
