@@ -131,6 +131,12 @@ class CycloElem:
         out._set(n, num, den)
         return out
 
+    def _affine(self, s: int, c: int, den: int) -> "CycloElem":
+        """(s num + c) / den, with the int c added to the constant coefficient, normalised once."""
+        num = [s * v for v in self.num]
+        num[0] += c
+        return CycloElem._make(self.n, num, den)
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Power-basis coefficients as Fractions."""
@@ -178,9 +184,7 @@ class CycloElem:
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         p, d = other.as_integer_ratio()
-        num = [c * d for c in self.num]
-        num[0] += p * self.den
-        return CycloElem._make(self.n, num, self.den * d)
+        return self._affine(d, p * self.den, self.den * d)
 
     __radd__ = __add__
 
@@ -196,18 +200,11 @@ class CycloElem:
     def __mul__(self, other):
         if isinstance(other, CycloElem):
             a, b = (self, other) if other.n == self.n else self._pair(self, other)
-        elif isinstance(other, (int, Fraction)):
-            p, d = other.as_integer_ratio()
-            return CycloElem._make(self.n, [c * p for c in self.num], self.den * d)
-        else:
+            return CycloElem._make(a.n, _schoolbook(a.num, b.num), a.den * b.den)
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        bs = [(j, y) for j, y in enumerate(b.num) if y]
-        prod = [0] * (2 * len(a.num) - 1)
-        for i, x in enumerate(a.num):
-            if x:
-                for j, y in bs:
-                    prod[i + j] += x * y
-        return CycloElem._make(a.n, prod, a.den * b.den)
+        p, d = other.as_integer_ratio()
+        return CycloElem._make(self.n, [c * p for c in self.num], self.den * d)
 
     __rmul__ = __mul__
 
@@ -305,6 +302,17 @@ class CycloElem:
                 total += (c / self.den) * zp
             zp *= z
         return total
+
+
+def _schoolbook(a, b) -> list[int]:
+    """The product of two numerator lists on the power basis, unreduced: len(a) + len(b) - 1 powers."""
+    bs = [(j, y) for j, y in enumerate(b) if y]
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in bs:
+                prod[i + j] += x * y
+    return prod
 
 
 def orbit_sum(a: CycloElem, residues) -> CycloElem:

@@ -11,13 +11,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import zip_longest
 
-from .exact import CycloElem, is_subgroup, orbit_inverse, orbit_product, orbit_sum, unit_residues
+from .exact import CycloElem, _schoolbook, is_subgroup, orbit_inverse, orbit_product, orbit_sum, unit_residues
 from .symplectic import is_integer
 
 
 def subgroup_generated(n: int, gens) -> frozenset[int]:
-    """Subgroup of (Z/n)^* generated by the given residues."""
+    """Subgroup of (Z/n)^* generated by the given residues; ValueError unless n >= 1."""
+    unit_residues(n)  # refuses n < 1 before a residue is taken mod n
     for t in gens:
         if math.gcd(t, n) != 1:
             raise ValueError(f"{t} is not a unit mod {n}")
@@ -138,22 +140,23 @@ class AbelianTower:
         """e^-1 for nonzero e in K(x), from its [K(x):Q] - 1 other conjugates."""
         return orbit_inverse(e, self._mid_others)
 
-    def _require_in_l(self, e: CycloElem) -> None:
+    def _require_in_l(self, e: CycloElem) -> CycloElem:
+        e = e.lift(self.conductor)  # as is_primitive lifts it
         if stabilizer(e, self.fixer_l) != self.fixer_l:
             raise ValueError("element is not in L")
+        return e
 
     def trace_mid(self, e: CycloElem) -> CycloElem:
         """Tr_{L/K(x)}(e) for e in L, via coset representatives."""
-        self._require_in_l(e)
-        return orbit_sum(e, self._reps)
+        return orbit_sum(self._require_in_l(e), self._reps)
 
     def norm_mid(self, e: CycloElem) -> CycloElem:
         """N_{L/K(x)}(e) for e in L."""
-        self._require_in_l(e)
-        return orbit_product(e, self._reps)
+        return orbit_product(self._require_in_l(e), self._reps)
 
 
 def make_tower(conductor: int, base_h, x: CycloElem, y: CycloElem) -> AbelianTower:
+    unit_residues(conductor)  # refuses a conductor below 1 before base_h is reduced by it
     base = frozenset(t % conductor for t in base_h)
     return AbelianTower(conductor, base, x.lift(conductor), y.lift(conductor))
 
@@ -163,30 +166,34 @@ def is_primitive(e: CycloElem, t: AbelianTower) -> bool:
     return stabilizer(e.lift(t.conductor), t.base_h) == t.fixer_l
 
 
-def _coefficient(n: int, c) -> CycloElem:
-    """A combinator coefficient c in Q(zeta_n): int and Fraction first, then CycloElem, then other integers."""
-    if isinstance(c, (int, Fraction)):
-        return CycloElem.from_rational(n, c)
+def _coefficient(t: AbelianTower, c) -> tuple[tuple[int, ...], int]:
+    """c in K as numerators over a positive denominator: a CycloElem its num over den, a rational p/d ((p,), d)."""
     if isinstance(c, CycloElem):
-        return c.lift(n)
-    if is_integer(c):
-        return CycloElem.from_rational(n, int(c))
-    raise ValueError(f"a coefficient must be rational or a CycloElem, got {c!r}")
+        c = c.lift(t.conductor)
+        if not c.is_rational() and stabilizer(c, t.base_h) != t.base_h:  # Q lies in K: only an irrational c is tested
+            raise ValueError("a and b must lie in the base field")
+    elif not (isinstance(c, Fraction) or is_integer(c)):
+        raise ValueError(f"a coefficient must be rational or a CycloElem, got {c!r}")
+    num, den = (c.num, c.den) if isinstance(c, CycloElem) else ((int(c.numerator),), int(c.denominator))
+    if not any(num):
+        raise ValueError("coefficients must be nonzero")
+    return num, den
 
 
 def combine_trace(t: AbelianTower, a, b) -> CycloElem:
-    """The trace combinator: epsilon = a x + b (ell*y - Tr_{L/K(x)}(y)).
+    """The trace combinator: epsilon = a x + b (ell*y - Tr_{L/K(x)}(y)), from ell - 1 conjugates and one normalisation.
 
-    a and b may be rationals (an int, a Fraction or any integer `is_integer` accepts) or elements of K
-    (anything fixed by base_h); ValueError for anything else.
+    a and b may be rationals (an int, a Fraction or any integer `is_integer` accepts) or elements of K (anything
+    fixed by base_h); ValueError for anything else.  The reps r of Gal(L/K(x)) start at 1, so ell y - Tr y is the sum
+    of y - sigma_r(y) over the ell - 1 others, w / y.den; with a = A / da and b = B / db over x.den and y.den and
+    D = lcm(da, db), epsilon = ((D / da) A x.num + (D / db) B w) / D, two products of numerator lists.
     """
-    a, b = _coefficient(t.conductor, a), _coefficient(t.conductor, b)
-    if a.is_zero() or b.is_zero():
-        raise ValueError("coefficients must be nonzero")
-    # Q lies in K, so only an irrational coefficient needs its stabilizer
-    if any(not c.is_rational() and stabilizer(c, t.base_h) != t.base_h for c in (a, b)):
-        raise ValueError("a and b must lie in the base field")
-    return a * t.x + b * (t.ell * t.y - orbit_sum(t.y, t._reps))  # y lies in L by construction
+    (an, ad), (bn, bd) = _coefficient(t, a), _coefficient(t, b)
+    y, k = t.y, t.ell - 1  # y lies in L by construction, and k = ell - 1 weighs y against its other conjugates
+    w = [k * v - sum(c) for v, *c in zip(y.num, *(y.galois(r).num for r in t._reps[1:]))]
+    den = math.lcm(da := ad * t.x.den, db := bd * y.den)
+    ax, bw = _schoolbook([v * (den // da) for v in an], t.x.num), _schoolbook([v * (den // db) for v in bn], w)
+    return CycloElem._make(t.conductor, [u + v for u, v in zip_longest(ax, bw, fillvalue=0)], den)
 
 
 def combine_norm(t: AbelianTower, a: int, b: int, c: int, d: int, n: int = 1, m: int = 1) -> CycloElem:
@@ -206,13 +213,13 @@ def combine_norm(t: AbelianTower, a: int, b: int, c: int, d: int, n: int = 1, m:
         raise ValueError("need 2 < |a/b| and 2 < |c/d|")
     if t.x.den != 1 or t.y.den != 1:
         raise ValueError("x and y must be integral")
-    ax_b = a * t.x + b
+    ax_b = t.x._affine(int(a), int(b), 1)  # int: a numpy integer's products would wrap past 2^63
     power = ax_b**n if n > 0 else t._inverse_in_mid(ax_b) ** -n  # a x + b lies in K(x)
     if t.ell == 1:
         return power  # L = K(x), so u^-ell N_{L/K(x)}(u) = 1
     # with v = cy + d and rest its ell - 1 other conjugates over K(x), N = v rest = N_{L/K(x)}(v) lies in K(x);
     # u = v^m gives u^-ell N(u) = (v^-ell N)^m, with v^-ell N = rest^ell N^-(ell - 1) and its inverse v^ell N^-1
-    v = c * t.y + d
+    v = t.y._affine(int(c), int(d), 1)
     rest = orbit_product(v, t._reps[1:])
     inv = t._inverse_in_mid(v * rest)
     f = rest**t.ell * inv ** (t.ell - 1) if m > 0 else v**t.ell * inv

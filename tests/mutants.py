@@ -831,6 +831,40 @@ CAUGHT = [
         "inv = (v * rest).inverse()",
         ["tests/test_primgen.py::test_combine_norm_forms_each_conjugate_once_for_either_sign_of_m"],
     ),
+    # the trace combinator summing sigma_r(y) over every representative, the identity too: w is off by y
+    (
+        PRIMGEN,
+        "for r in t._reps[1:]))]",
+        "for r in t._reps))]",
+        [
+            "tests/test_primgen.py::test_combine_trace_matches_reference_formula",
+            "tests/test_primgen.py::test_combine_trace_forms_the_ell_minus_one_other_conjugates_of_y",
+        ],
+    ),
+    # the trace combinator weighing y by ell against its ell - 1 other conjugates: w is off by y the other way
+    (
+        PRIMGEN,
+        "y, k = t.y, t.ell - 1",
+        "y, k = t.y, t.ell",
+        ["tests/test_primgen.py::test_combine_trace_matches_reference_formula"],
+    ),
+    # the trace combinator scaling a by D / db and b by D / da: right only where a_den x.den = b_den y.den
+    (
+        PRIMGEN,
+        "_schoolbook([v * (den // da) for v in an], t.x.num), _schoolbook([v * (den // db) for v in bn], w)",
+        "_schoolbook([v * (den // db) for v in an], t.x.num), _schoolbook([v * (den // da) for v in bn], w)",
+        ["tests/test_primgen.py::test_combine_trace_matches_reference_formula"],
+    ),
+    # the norm combinator's a x + b without its constant b: (a x)^n in place of (a x + b)^n
+    (
+        PRIMGEN,
+        "t.x._affine(int(a), int(b), 1)",
+        "t.x._affine(int(a), 0, 1)",
+        [
+            "tests/test_primgen.py::test_combine_norm_matches_reference_formula",
+            "tests/test_primgen.py::test_surrogate_norm_combinator",
+        ],
+    ),
     # orbit_sum dropping the common denominator of the conjugates
     (
         EXACT,
@@ -1006,15 +1040,15 @@ CAUGHT = [
     # a rational operand added without scaling the numerators by its denominator d: a + p/d read as a/d + p/d
     (
         EXACT,
-        "num = [c * d for c in self.num]",
-        "num = list(self.num)",
+        "return self._affine(d, p * self.den, self.den * d)",
+        "return self._affine(1, p * self.den, self.den * d)",
         ["tests/test_exact.py::test_rational_operands_match_fraction_reference"],
     ),
     # the constant term of a + p/d gaining p in place of p * den: right only where a has den 1
     (
         EXACT,
-        "num[0] += p * self.den",
-        "num[0] += p",
+        "return self._affine(d, p * self.den, self.den * d)",
+        "return self._affine(d, p, self.den * d)",
         ["tests/test_exact.py::test_rational_operands_match_fraction_reference"],
     ),
     # a * (p/d) keeping den in place of den * d: a Fraction factor multiplied by its numerator alone

@@ -287,6 +287,11 @@ def reference_stabilizer(a, within):
     return frozenset(t % a.n for t in within if a.galois(t) == a)
 
 
+def reference_trace(t, a, b):
+    # the combinator as first written, a x + b (ell y - Tr_{L/K(x)} y) in CycloElem arithmetic
+    return a * t.x + b * (t.ell * t.y - t.trace_mid(t.y))
+
+
 def reference_norm(t, a, b, c, d, n, m):
     # the combinator as first written, inverting in the whole of Q(zeta_n)
     return (a * t.x + b) ** n * (c * t.y + d) ** (-m * t.ell) * t.norm_mid((c * t.y + d) ** m)

@@ -15,7 +15,7 @@ from cmtheta.primgen import (
     subgroup_generated,
 )
 
-from reference import reference_norm, reference_stabilizer
+from reference import reference_norm, reference_stabilizer, reference_trace
 
 
 def surrogate_tower():
@@ -182,6 +182,35 @@ def test_combine_norm_forms_each_conjugate_once_for_either_sign_of_m(monkeypatch
             assert len(applied) == ((t.ell - 1) + (mid_degree - 1) if t.ell > 1 else 0), (t.conductor, m)
 
 
+def test_combine_trace_matches_reference_formula():
+    # one combination over one denominator equals a x + b (ell y - Tr y) in CycloElem arithmetic, field by field, for
+    # rational coefficients (int, Fraction, numpy) and coefficients in K in either slot (one of order 1, lifted), on
+    # towers whose x and y have den 1 and on one whose x and y do not
+    z8 = CycloElem.zeta(8)
+    towers = norm_towers() + [make_tower(8, unit_residues(8), (z8 + z8**7) / 2, z8**2 / 3)]
+    assert sorted({t.ell for t in towers}) == [1, 2, 4]
+    for t in towers:
+        k = orbit_sum(CycloElem.zeta(t.conductor), t.base_h) + Fraction(1, 3)  # fixed by base_h, so in K
+        rationals = [(1, 1), (-3, Fraction(2, 7)), (Fraction(5, 6), Fraction(-4, 9)), (np.int64(7), np.int8(-2))]
+        in_k = [(k, 2), (Fraction(3, 4), k), (k / 5, k * k), (CycloElem.from_rational(1, Fraction(-2, 3)), k)]
+        for a, b in rationals + in_k:
+            got = combine_trace(t, a, b)
+            want = reference_trace(t, *(int(c) if isinstance(c, np.integer) else c for c in (a, b)))
+            assert (got.n, got.num, got.den) == (want.n, want.num, want.den), (t.conductor, a, b)
+
+
+def test_combine_trace_forms_the_ell_minus_one_other_conjugates_of_y(monkeypatch):
+    # ell y - Tr y is the sum of y - sigma_r y over the ell - 1 representatives r != 1, so sigma_1 is never applied
+    applied = []
+    galois = CycloElem.galois
+    monkeypatch.setattr(CycloElem, "galois", lambda self, t: applied.append(t) or galois(self, t))
+    for t in norm_towers():
+        assert len(t._reps) == t.ell  # built before counting
+        applied.clear()
+        combine_trace(t, 3, Fraction(1, 2))
+        assert applied == t._reps[1:], t.conductor
+
+
 def test_combine_trace_validation():
     t = surrogate_tower()
     with pytest.raises(ValueError):
@@ -240,6 +269,26 @@ def test_tower_membership_guard():
         t.trace_mid(z8)  # zeta8 is not fixed by fixer_l, hence not in L
     with pytest.raises(ValueError):
         t.norm_mid(z8)
+
+
+def test_relative_trace_and_norm_lift_to_the_conductor():
+    # e is lifted to the conductor first, as is_primitive lifts it: zeta_16 is refused, not read on the power basis
+    # of Q(zeta_8), and zeta_4 = i, which lies in L = Q(zeta_8), is lifted and mapped
+    t = surrogate_tower()
+    for relative in (t.trace_mid, t.norm_mid):
+        with pytest.raises(ValueError, match="cannot lift order 16 into 8"):
+            relative(CycloElem.zeta(16))
+    assert t.trace_mid(CycloElem.zeta(4)).is_zero()
+    assert t.norm_mid(CycloElem.zeta(4)) == 1
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_subgroups_and_towers_refuse_an_order_below_one(n):
+    # n = 0 once divided by zero and n = -5 returned negative "residues"
+    with pytest.raises(ValueError, match=f"cyclotomic order must be positive, got {n}"):
+        subgroup_generated(n, [1])
+    with pytest.raises(ValueError, match=f"cyclotomic order must be positive, got {n}"):
+        make_tower(n, [1], CycloElem.zeta(4), CycloElem.zeta(4))
 
 
 def test_tower_membership_guard_survives_optimize_flag(optimized):
